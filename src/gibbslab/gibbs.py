@@ -12,17 +12,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import log_sum_exp
-from .model import TIE_TOL, FiniteHypothesisSpace, step_cdf
+from .measures import log_sum_exp, log_sum_exp_rows
+from .model import TIE_TOL, FiniteHypothesisSpace, inverse_cdf, step_cdf
 
 __all__ = [
     "GibbsPosterior",
     "ComplexityValue",
     "log_partition",
+    "normalized_rows",
+    "posterior_rows",
     "posterior",
     "zero_temperature_posterior",
+    "sample_rows",
     "sample_hypothesis",
     "sample_hypotheses",
+    "complexity_rows",
     "complexity",
     "complexity_bruteforce",
     "metropolis_sample",
@@ -86,17 +90,33 @@ def log_partition(space: FiniteHypothesisSpace, data_losses, beta: float) -> flo
     return log_sum_exp(log_prior, -beta * losses)
 
 
+def normalized_rows(total: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weights exp(total[i] - ln Z_i) and ln Z_i for every row of unnormalized log weights.
+
+    Raises when a row's weights miss a total of 1 by more than WEIGHT_SUM_TOL.
+    """
+    log_z = log_sum_exp_rows(total)
+    weights = np.exp(total - log_z[:, None])
+    if (np.abs(weights.sum(axis=1) - 1.0) > WEIGHT_SUM_TOL).any():
+        raise ValueError("posterior weights must sum to 1")
+    return weights, log_z
+
+
+def posterior_rows(space: FiniteHypothesisSpace, losses: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Gibbs weights and ln Z for every row of a (T, H) loss block; the prior itself at beta = 0."""
+    beta = _check_beta(beta)
+    if beta == 0.0:
+        return np.broadcast_to(space.prior, losses.shape), np.zeros(len(losses))
+    with np.errstate(divide="ignore"):
+        log_prior = np.log(space.prior)
+    return normalized_rows(log_prior - beta * losses)
+
+
 def posterior(space: FiniteHypothesisSpace, data_losses, beta: float) -> GibbsPosterior:
     """Gibbs posterior weights proportional to prior * exp(-beta * loss)."""
     losses = _losses_vector(space, data_losses)
-    _check_beta(beta)
-    if beta == 0.0:
-        return GibbsPosterior(0.0, 0.0, space.prior.copy())
-    with np.errstate(divide="ignore"):
-        log_prior = np.log(space.prior)
-    total = log_prior - beta * losses
-    log_z = log_sum_exp(log_prior, -beta * losses)
-    return GibbsPosterior(float(beta), log_z, np.exp(total - log_z))
+    weights, log_z = posterior_rows(space, losses[None], beta)
+    return GibbsPosterior(float(beta), float(log_z[0]), weights[0])
 
 
 def zero_temperature_posterior(space: FiniteHypothesisSpace, data_losses) -> GibbsPosterior:
@@ -117,20 +137,47 @@ def zero_temperature_posterior(space: FiniteHypothesisSpace, data_losses) -> Gib
     return GibbsPosterior(math.inf, limit_log_z, weights / mass)
 
 
+def sample_rows(weights: np.ndarray, seeds) -> np.ndarray:
+    """One draw per row of a (T, H) weight block, row i from a PCG64(seeds[i]) stream."""
+    u = np.array([np.random.Generator(np.random.PCG64(seed)).random() for seed in seeds])
+    return inverse_cdf(weights, u[:, None])[:, 0]
+
+
 def sample_hypotheses(post: GibbsPosterior, size: int, seed: int) -> np.ndarray:
     """size iid inverse-CDF draws of hypothesis indices; deterministic per seed."""
     if size < 1:
         raise ValueError("size must be at least 1")
     rng = np.random.Generator(np.random.PCG64(seed))
-    support = np.flatnonzero(post.weights > 0.0)
-    cum = np.cumsum(post.weights[support])
-    cum[-1] = 1.0
-    return support[np.searchsorted(cum, rng.random(size), side="right")]
+    return inverse_cdf(post.weights, rng.random(size))
 
 
 def sample_hypothesis(post: GibbsPosterior, seed: int) -> int:
     """One posterior draw; works for any object exposing normalized weights."""
     return int(sample_hypotheses(post, 1, seed)[0])
+
+
+def complexity_rows(
+    space: FiniteHypothesisSpace, losses: np.ndarray, h_indices: np.ndarray, beta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """complexity of hypothesis h_indices[i] under loss row i: values and minimizing shifts.
+
+    Each row is the step_cdf construction: a stable sort of the
+    positive-prior losses and a running sum of their prior in that order.
+    The last atom of each loss level carries that level's cumulative mass;
+    atoms before it inside the level carry less, so their objective is no
+    smaller and the minimum over all atoms is the minimum over levels.
+    """
+    beta = _check_beta(beta)
+    mask = space.prior > 0.0
+    values = losses[:, mask]
+    order = np.argsort(values, axis=1, kind="stable")
+    levels = np.take_along_axis(values, order, axis=1)
+    mass = np.cumsum(space.prior[mask][order], axis=1)
+    rows = np.arange(len(losses))
+    shifts = levels - losses[rows, h_indices][:, None]
+    objective = beta * shifts - np.log(mass)
+    best = np.argmin(objective, axis=1)
+    return objective[rows, best], shifts[rows, best]
 
 
 def complexity(space: FiniteHypothesisSpace, data_losses, h_index: int, beta: float) -> ComplexityValue:
@@ -142,14 +189,10 @@ def complexity(space: FiniteHypothesisSpace, data_losses, h_index: int, beta: fl
     the exact value.
     """
     losses = _losses_vector(space, data_losses)
-    beta = _check_beta(beta)
     if not 0 <= h_index < len(space):
         raise IndexError(f"hypothesis index {h_index} out of range")
-    cdf = step_cdf(losses, space.prior)  # rejects all-zero priors
-    shifts = cdf.levels - losses[h_index]
-    objective = beta * shifts - np.log(cdf.cumulative)
-    best = int(np.argmin(objective))
-    return ComplexityValue(float(objective[best]), float(shifts[best]))
+    values, shifts = complexity_rows(space, losses[None], np.array([h_index]), beta)
+    return ComplexityValue(float(values[0]), float(shifts[0]))
 
 
 def complexity_bruteforce(
@@ -188,12 +231,7 @@ def _metropolis_states(
     losses = _losses_vector(space, data_losses)
     beta = _check_beta(beta)
     rng = np.random.Generator(np.random.PCG64(seed))
-    support = np.flatnonzero(space.prior > 0.0)
-    if support.size == 0:
-        raise ValueError("no hypothesis carries positive prior mass")
-    cum = np.cumsum(space.prior[support])
-    cum[-1] = 1.0
-    proposals = support[np.searchsorted(cum, rng.random(chain_length + 1), side="right")]
+    proposals = inverse_cdf(space.prior, rng.random(chain_length + 1))
     log_u = np.log1p(-rng.random(chain_length))  # ln of U(0,1]
     states = np.empty(chain_length, dtype=np.int64)
     state = int(proposals[0])

@@ -27,20 +27,25 @@ from .bounds import (
 )
 from .gibbs import (
     complexity,
+    complexity_rows,
     posterior,
+    posterior_rows,
     sample_hypothesis,
+    sample_rows,
     zero_temperature_posterior,
 )
 from .measures import binary_kl
 from .model import (
     build_space,
+    empirical_losses,
     loss_matrix,
     loss_profile,
     minimizer_summary,
     sample_dataset,
+    sample_items,
     step_cdf,
 )
-from .monotone import density_family, normalize_density
+from .monotone import density_family, density_rows
 
 __all__ = [
     "ExperimentConfig",
@@ -70,6 +75,9 @@ BOUND_KINDS = ("kl", "high_temp", "stratify", "beyond_gibbs")
 
 # one-sided 99% normal quantile for the Wilson upper confidence bound
 Z_99 = 2.3263478740408408
+
+# floats per array of a trial block (64 KiB); see _trial_blocks
+BLOCK_CELLS = 8192
 
 
 @dataclass(frozen=True)
@@ -115,7 +123,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
-        return cls(**json.loads(text))
+        fields = json.loads(text)
+        if not isinstance(fields, dict):
+            raise ValueError("a config must be a JSON object")
+        unknown = sorted(set(fields) - {f.name for f in dataclasses.fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        return cls(**fields)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -129,6 +143,22 @@ def derive_seed_pair(master_seed: int, *path: int) -> tuple[int, int]:
     """Two independent 64-bit seeds hashed from (master_seed, *path)."""
     state = np.random.SeedSequence([master_seed, *path]).generate_state(2, np.uint64)
     return int(state[0]), int(state[1])
+
+
+def _trial_blocks(master_seed: int, prefix: tuple, trials: int, domain, matrix: np.ndarray, n: int):
+    """Trials 0..trials-1 under prefix, in blocks: data seeds, draw seeds, (T, H) empirical losses.
+
+    Trial t draws its dataset from the first seed of
+    derive_seed_pair(master_seed, *prefix, t), exactly as sample_dataset
+    would.  A block holds as many trials as fit BLOCK_CELLS floats in one
+    trial's widest row (H losses, X counts or n uniforms), so no temporary
+    of a block outgrows BLOCK_CELLS floats however large the space.
+    """
+    size = max(1, BLOCK_CELLS // max(*matrix.shape, n))
+    for start in range(0, trials, size):
+        pairs = [derive_seed_pair(master_seed, *prefix, t) for t in range(start, min(trials, start + size))]
+        data_seeds, draw_seeds = zip(*pairs)
+        yield data_seeds, draw_seeds, empirical_losses(matrix, sample_items(domain, n, data_seeds))
 
 
 def wilson_upper_99(violations: int, trials: int) -> float:
@@ -175,6 +205,18 @@ def _prepared_space(config: ExperimentConfig):
     return domain, space, matrix
 
 
+def _check_subgaussian_scale(sigma: float, space, domain, matrix: np.ndarray) -> None:
+    # Hoeffding's lemma: a loss confined to a range of width w is
+    # (w/2)-sub-Gaussian; a smaller sigma leaves the stratified bound unproven
+    ranges = np.ptp(matrix[space.prior > 0.0][:, domain.probs > 0.0], axis=1)
+    half_range = 0.5 * float(ranges.max())
+    if sigma < half_range:
+        raise ValueError(
+            f"sigma = {sigma!r} is below half the largest per-hypothesis loss range"
+            f" ({half_range!r}); the stratified sub-Gaussian bound needs sigma >= {half_range!r}"
+        )
+
+
 def run_violation_experiment(config: ExperimentConfig, bound_kind: str | None = None) -> ViolationSummary:
     """Draw (dataset, hypothesis) pairs and test the realized statistic per trial.
 
@@ -183,6 +225,11 @@ def run_violation_experiment(config: ExperimentConfig, bound_kind: str | None = 
     RHS and the realized statistic, and flag a violation when the realized
     value exceeds the RHS.  The fraction of flagged trials estimates the
     violation probability, which the bounds promise is at most delta.
+
+    Trials run in blocks: one array call per step covers every trial of a
+    block, and each trial keeps its own seed pair, so the rows equal those
+    of running the trials one at a time through the public per-call
+    functions.
     """
     kind = bound_kind if bound_kind is not None else config.bound_kind
     if kind not in BOUND_KINDS:
@@ -190,7 +237,9 @@ def run_violation_experiment(config: ExperimentConfig, bound_kind: str | None = 
     domain, space, matrix = _prepared_space(config)
     if kind in ("kl", "high_temp", "beyond_gibbs") and float(matrix.max()) > 1.0 + 1e-12:
         raise ValueError(f"bound kind {kind!r} assumes losses in [0, 1]; generator exceeds 1")
-    true_losses = matrix @ domain.probs
+    if kind == "stratify":
+        _check_subgaussian_scale(config.sigma, space, domain, matrix)
+    true_losses = (matrix @ domain.probs).tolist()
     configured_family = None
     if kind == "beyond_gibbs" and config.density is not None:
         configured_family = density_family(
@@ -203,40 +252,40 @@ def run_violation_experiment(config: ExperimentConfig, bound_kind: str | None = 
         if kind == "beyond_gibbs":
             # without an explicit density the run degenerates to Gibbs at beta
             family = configured_family or density_family("exponential", beta=beta)
-        for trial in range(config.trials):
-            data_seed, draw_seed = derive_seed_pair(config.master_seed, beta_index, trial)
-            data = sample_dataset(domain, n, data_seed)
-            counts = np.bincount(data.item_indices, minlength=len(domain))
-            empirical = matrix @ counts / n
+            rate = family.gamma
+        else:
+            rate = beta
+        blocks = _trial_blocks(config.master_seed, (beta_index,), config.trials, domain, matrix, n)
+        for data_seeds, draw_seeds, empirical in blocks:
             if kind == "beyond_gibbs":
-                post = normalize_density(space, empirical, family, family.gamma)
-                rate = family.gamma
+                weights, _ = density_rows(space, empirical, family, family.gamma)
             else:
-                post = posterior(space, empirical, beta)
-                rate = beta
-            h = sample_hypothesis(post, draw_seed)
-            lam = complexity(space, empirical, h, rate).value
-            if kind == "stratify":
-                realized = abs(true_losses[h] - empirical[h])
-                rhs = stratified_subgaussian_bound(lam, config.sigma, n, delta)
-            else:
-                realized = _realized_binary_kl(float(empirical[h]), float(true_losses[h]))
-                if kind == "high_temp":
-                    rhs = high_temperature_bound(beta, n, delta)
+                weights, _ = posterior_rows(space, empirical, beta)
+            drawn = sample_rows(weights, draw_seeds)
+            lams, _ = complexity_rows(space, empirical, drawn, rate)
+            own = empirical[np.arange(len(drawn)), drawn]
+            for data_seed, h, emp, lam in zip(data_seeds, drawn.tolist(), own.tolist(), lams.tolist()):
+                if kind == "stratify":
+                    realized = abs(true_losses[h] - emp)
+                    rhs = stratified_subgaussian_bound(lam, config.sigma, n, delta)
                 else:
-                    rhs = binary_kl_bound(lam, n, delta)
-            rows.append(
-                BoundReport(
-                    trial_seed=data_seed,
-                    beta=rate,
-                    n=n,
-                    delta=delta,
-                    complexity=lam,
-                    rhs=rhs,
-                    realized=float(realized),
-                    violated=bool(realized > rhs),
+                    realized = _realized_binary_kl(emp, true_losses[h])
+                    if kind == "high_temp":
+                        rhs = high_temperature_bound(beta, n, delta)
+                    else:
+                        rhs = binary_kl_bound(lam, n, delta)
+                rows.append(
+                    BoundReport(
+                        trial_seed=data_seed,
+                        beta=rate,
+                        n=n,
+                        delta=delta,
+                        complexity=lam,
+                        rhs=rhs,
+                        realized=realized,
+                        violated=bool(realized > rhs),
+                    )
                 )
-            )
     return _summarize([r.violated for r in rows], rows)
 
 
@@ -375,19 +424,16 @@ def run_concentration_experiment(config: ExperimentConfig) -> ConcentrationResul
     slack = s * float(n) ** -p
 
     rows = []
-    for trial in range(config.trials):
-        data_seed, _ = derive_seed_pair(config.master_seed, trial)
-        data = sample_dataset(domain, n, data_seed)
-        counts = np.bincount(data.item_indices, minlength=len(domain))
-        empirical = matrix @ counts / n
-        emp_steps = step_cdf(empirical, space.prior)
-        bad_i = bool(
-            np.any(emp_steps.at(true_steps.levels + s) < true_steps.cumulative - slack - 1e-12)
-        )
-        bad_ii = bool(
-            np.any(true_steps.at(emp_steps.levels + s) < emp_steps.cumulative - slack - 1e-12)
-        )
-        rows.append(ConcentrationRow(data_seed, n, delta, p, s, bad_i, bad_ii))
+    for data_seeds, _, block in _trial_blocks(config.master_seed, (), config.trials, domain, matrix, n):
+        for data_seed, empirical in zip(data_seeds, block):
+            emp_steps = step_cdf(empirical, space.prior)
+            bad_i = bool(
+                np.any(emp_steps.at(true_steps.levels + s) < true_steps.cumulative - slack - 1e-12)
+            )
+            bad_ii = bool(
+                np.any(true_steps.at(emp_steps.levels + s) < emp_steps.cumulative - slack - 1e-12)
+            )
+            rows.append(ConcentrationRow(data_seed, n, delta, p, s, bad_i, bad_ii))
 
     part_i = _summarize([r.violated_part_i for r in rows])
     part_ii = _summarize([r.violated_part_ii for r in rows])
@@ -438,12 +484,9 @@ def run_random_label_experiment(config: ExperimentConfig) -> RandomLabelResult:
         bound = s * float(n) ** -p
         vacuous = r0 + s >= min_true - 1e-12
         phis = []
-        for trial in range(config.trials):
-            data_seed, _ = derive_seed_pair(config.master_seed, n_index, trial)
-            data = sample_dataset(domain, n, data_seed)
-            counts = np.bincount(data.item_indices, minlength=len(domain))
-            empirical = matrix @ counts / n
-            phis.append(float(space.prior[empirical <= r0].sum()))
+        for _, _, block in _trial_blocks(config.master_seed, (n_index,), config.trials, domain, matrix, n):
+            # a per-row masked sum: a (T, H) @ prior product would sum in another order
+            phis.extend(float(space.prior[empirical <= r0].sum()) for empirical in block)
         exceed = sum(1 for v in phis if v > bound)
         rows.append(
             RandomLabelRow(n, r0, float(np.median(phis)), bound, vacuous, exceed / config.trials)

@@ -16,6 +16,7 @@ __all__ = [
     "binary_kl_inverse_upper",
     "binary_kl_inverse_relaxed",
     "log_sum_exp",
+    "log_sum_exp_rows",
 ]
 
 # binary_kl(p, .) diverges at 1, so inversion saturates just below it.
@@ -99,9 +100,20 @@ def log_sum_exp(log_weights, values) -> float:
         raise ValueError("log_weights and values must be 1-d vectors of equal length")
     if log_weights.size == 0:
         raise ValueError("log_sum_exp of an empty vector")
-    total = log_weights + values
-    peak = float(np.max(total))
-    if not math.isfinite(peak):
-        # all terms -inf (sum is 0), or a +inf/nan term dominates
-        return peak
-    return peak + math.log(float(np.sum(np.exp(total - peak))))
+    return float(log_sum_exp_rows((log_weights + values)[None])[0])
+
+
+def log_sum_exp_rows(total: np.ndarray) -> np.ndarray:
+    """ln sum_j exp(total[i, j]) for every row i, each with its own max shift.
+
+    A row whose maximum is not finite returns that maximum: -inf for a row
+    of zero-weight atoms, +inf or nan when such a term dominates.
+    """
+    peak = total.max(axis=1)
+    with np.errstate(invalid="ignore"):
+        sums = np.exp(total - peak[:, None]).sum(axis=1)
+    # math.log, not np.log: numpy's vectorized log can differ in the last
+    # bit, and ln Z sets the bits of every posterior weight
+    return np.array(
+        [p + math.log(s) if math.isfinite(p) else p for p, s in zip(peak.tolist(), sums.tolist())]
+    )

@@ -24,7 +24,10 @@ __all__ = [
     "MinimizerSummary",
     "StepCdf",
     "step_cdf",
+    "inverse_cdf",
+    "sample_items",
     "sample_dataset",
+    "empirical_losses",
     "empirical_loss",
     "true_loss",
     "empirical_cdf",
@@ -191,20 +194,70 @@ def step_cdf(values, weights) -> StepCdf:
     return StepCdf(levels, csum[last])
 
 
+def inverse_cdf(weights, u) -> np.ndarray:
+    """Indices of the atoms that uniforms u in [0, 1) select by inverse-CDF lookup.
+
+    weights is either one non-negative vector shared by every entry of u,
+    or a (T, K) stack whose row i serves row i of a (T, m) array u.  The
+    running sum over the positive atoms is closed to 1.0 at the last of
+    them, so u always lands on an atom of positive weight.
+    """
+    weights = np.asarray(weights, dtype=float)
+    positive = weights > 0.0
+    if weights.ndim == 1:
+        support = np.flatnonzero(positive)
+        if support.size == 0:
+            raise ValueError("no atom carries positive weight")
+        cum = np.cumsum(weights[support])
+        cum[-1] = 1.0
+        return support[np.searchsorted(cum, u, side="right")]
+    if not positive.any(axis=1).all():
+        raise ValueError("no atom carries positive weight")
+    # zero-weight atoms leave the running sum flat, so a full-row sum selects
+    # the same atoms as one over the support; close it from the last positive atom
+    size = weights.shape[1]
+    last = size - 1 - np.argmax(positive[:, ::-1], axis=1)
+    cum = np.cumsum(weights, axis=1)
+    cum[np.arange(size) >= last[:, None]] = 1.0
+    # a row-wise searchsorted: the count of entries at or below u
+    return (cum[:, None, :] <= np.asarray(u)[:, :, None]).sum(axis=2)
+
+
+def sample_items(domain: FiniteDataDomain, n: int, seeds) -> np.ndarray:
+    """(len(seeds), n) item indices; row i holds n iid points drawn from PCG64(seeds[i]).
+
+    Each row is the stream sample_dataset draws for the same seed, so a
+    block of datasets costs one lookup instead of one per dataset.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    u = np.empty((len(seeds), n))
+    for row, seed in zip(u, seeds):
+        np.random.Generator(np.random.PCG64(seed)).random(out=row)
+    return inverse_cdf(domain.probs, u)
+
+
 def sample_dataset(domain: FiniteDataDomain, n: int, seed: int) -> DataSet:
     """Draw n iid points by inverse-CDF sampling of a seeded PCG64 stream.
 
     Identical (domain, n, seed) triples produce identical datasets on every
     platform.  Zero-probability points are never drawn.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    support = np.flatnonzero(domain.probs > 0.0)
-    cum = np.cumsum(domain.probs[support])
-    cum[-1] = 1.0  # close the float gap so u ~ U[0,1) always lands inside
-    idx = support[np.searchsorted(cum, rng.random(n), side="right")]
-    return DataSet(domain, idx)
+    return DataSet(domain, sample_items(domain, n, [seed])[0])
+
+
+def empirical_losses(matrix: np.ndarray, items: np.ndarray) -> np.ndarray:
+    """(T, H) empirical losses of every hypothesis on each row of a (T, n) item block.
+
+    Means are taken over point multiplicities: matrix @ counts / n, one row
+    at a time, because a single (T, X) by (X, H) product sums in another
+    order and differs in the last bits.
+    """
+    rows, n = items.shape
+    num_points = matrix.shape[1]
+    offsets = num_points * np.arange(rows)[:, None]
+    counts = np.bincount((items + offsets).ravel(), minlength=rows * num_points)
+    return np.array([matrix @ row_counts for row_counts in counts.reshape(rows, num_points)]) / n
 
 
 def _check_index(i: int, size: int) -> int:
@@ -285,8 +338,7 @@ def loss_profile(
     precomputed matrix when evaluating many datasets on one space.
     """
     m = loss_matrix(space, domain) if matrix is None else matrix
-    counts = np.bincount(data.item_indices, minlength=len(domain))
-    return LossProfile(m @ counts / data.n, m @ domain.probs)
+    return LossProfile(empirical_losses(m, data.item_indices[None])[0], m @ domain.probs)
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .bounds import generic_bound_rhs
-from .gibbs import ComplexityValue, complexity
-from .measures import log_sum_exp
+from .gibbs import WEIGHT_SUM_TOL, ComplexityValue, complexity, normalized_rows
 from .model import FiniteHypothesisSpace
 
 __all__ = [
@@ -27,6 +26,7 @@ __all__ = [
     "polynomial_density",
     "capped_exponential_density",
     "density_family",
+    "density_rows",
     "normalize_density",
     "monotone_bound_rhs",
     "ipm_corrected_rhs",
@@ -110,7 +110,7 @@ class MonotoneDensityPosterior:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float).copy()
-        if abs(float(w.sum()) - 1.0) > 1e-10:
+        if abs(float(w.sum()) - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError("posterior weights must sum to 1")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -139,6 +139,59 @@ def _verify_conditions(levels: np.ndarray, log_q: np.ndarray, gamma: float) -> N
             )
 
 
+def _failing_rows(levels: np.ndarray, log_q: np.ndarray, gamma: float) -> np.ndarray:
+    """Rows of ascending levels on which _verify_conditions would raise.
+
+    Repeated levels carry equal densities and pass both pairwise checks,
+    so comparing all neighbours equals comparing distinct neighbours.
+    """
+    with np.errstate(invalid="ignore"):
+        rising = log_q[:, 1:] > log_q[:, :-1] + CONDITION_TOL
+        steep = log_q[:, :-1] - log_q[:, 1:] > gamma * (levels[:, 1:] - levels[:, :-1]) + CONDITION_TOL
+    return (
+        np.isposinf(log_q).any(axis=1)
+        | np.isneginf(log_q).all(axis=1)
+        | rising.any(axis=1)
+        | steep.any(axis=1)
+    )
+
+
+def density_rows(
+    space: FiniteHypothesisSpace,
+    losses: np.ndarray,
+    family: DensityFamily,
+    gamma: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weights prior * q(loss) / Z and ln Z for every row of a (T, H) loss block.
+
+    The density conditions are checked on every row first; the first row
+    that fails raises the error normalize_density raises for it.
+    """
+    if gamma < 0.0:
+        raise ValueError("gamma must be non-negative")
+    mask = space.prior > 0.0
+    values = losses[:, mask]
+    # one scalar call per atom: log_density is a plain float -> float callable
+    values_log_q = np.fromiter(
+        map(family.log_density, values.ravel().tolist()), float, values.size
+    ).reshape(values.shape)
+    order = np.argsort(values, axis=1, kind="stable")
+    levels = np.take_along_axis(values, order, axis=1)
+    levels_log_q = np.take_along_axis(values_log_q, order, axis=1)
+    failing = _failing_rows(levels, levels_log_q, gamma)
+    if failing.any():
+        row = int(np.argmax(failing))
+        distinct, first = np.unique(levels[row], return_index=True)
+        _verify_conditions(distinct, levels_log_q[row][first], gamma)
+
+    # zero-prior atoms never touch the density (it may be arbitrary there)
+    log_q = np.full(losses.shape, -np.inf)
+    log_q[:, mask] = values_log_q
+    with np.errstate(divide="ignore"):
+        log_prior = np.log(space.prior)
+    return normalized_rows(log_prior + log_q)
+
+
 def normalize_density(
     space: FiniteHypothesisSpace,
     data_losses,
@@ -154,25 +207,11 @@ def normalize_density(
     losses = np.asarray(data_losses, dtype=float)
     if losses.shape != (len(space),):
         raise ValueError("loss vector is not aligned with the hypothesis space")
-    if gamma < 0.0:
-        raise ValueError("gamma must be non-negative")
-    mask = space.prior > 0.0
-    levels = np.unique(losses[mask])
-    if levels.size == 0:
-        raise ValueError("no hypothesis carries positive prior mass")
-    level_log_q = np.asarray([family.log_density(float(t)) for t in levels])
-    _verify_conditions(levels, level_log_q, gamma)
-
-    # zero-prior atoms never touch the density (it may be arbitrary there)
-    log_q = np.full(len(space), -np.inf)
-    log_q[mask] = [family.log_density(float(t)) for t in losses[mask]]
-    with np.errstate(divide="ignore"):
-        log_prior = np.log(space.prior)
-    log_z = log_sum_exp(log_prior, log_q)
-    weights = np.exp(log_prior + log_q - log_z)
+    weights, log_z = density_rows(space, losses[None], family, gamma)
+    log_z = float(log_z[0])
     with np.errstate(over="ignore"):
         normalizer = float(np.exp(-log_z))
-    return MonotoneDensityPosterior(family, float(gamma), normalizer, -log_z, weights)
+    return MonotoneDensityPosterior(family, float(gamma), normalizer, -log_z, weights[0])
 
 
 def monotone_bound_rhs(

@@ -7,13 +7,16 @@ from gibbslab.bounds import minimizer_mass_bound
 from gibbslab.gibbs import (
     complexity,
     complexity_bruteforce,
+    complexity_rows,
     ipm_l1,
     log_partition,
     metropolis_occupancy,
     metropolis_sample,
     posterior,
+    posterior_rows,
     sample_hypotheses,
     sample_hypothesis,
+    sample_rows,
     zero_temperature_posterior,
 )
 from gibbslab.model import (
@@ -278,3 +281,82 @@ class TestIpmL1:
             ipm_l1([0.7, 0.7], [0.5, 0.5])
         with pytest.raises(ValueError):
             ipm_l1([1.0], [0.5, 0.5])
+
+
+def tied_block(seed: int, rows: int = 12, size: int = 9):
+    """A space with a zero-prior and a 1e-300-prior atom, and a loss block full of ties."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    prior = rng.random(size)
+    prior[:2] = 0.0
+    prior /= prior.sum()
+    prior[1] = 1e-300
+    space = table_space(np.zeros((size, 1)), prior)
+    return space, np.round(rng.random((rows, size)), 1)
+
+
+def posterior_reference(space, losses, beta):
+    """The per-call posterior: one max shift, ln Z by math.log."""
+    if beta == 0.0:
+        return space.prior.copy()
+    with np.errstate(divide="ignore"):
+        total = np.log(space.prior) - beta * losses
+    peak = float(np.max(total))
+    log_z = peak + math.log(float(np.sum(np.exp(total - peak))))
+    return np.exp(total - log_z)
+
+
+def complexity_reference(space, losses, h, beta):
+    """The per-call complexity: the objective at the levels of step_cdf."""
+    cdf = step_cdf(losses, space.prior)
+    shifts = cdf.levels - losses[h]
+    objective = beta * shifts - np.log(cdf.cumulative)
+    best = int(np.argmin(objective))
+    return float(objective[best]), float(shifts[best])
+
+
+def sample_reference(weights, u):
+    """The per-call inverse-CDF draw over the positive-weight atoms only."""
+    support = np.flatnonzero(weights > 0.0)
+    cum = np.cumsum(weights[support])
+    cum[-1] = 1.0
+    return support[np.searchsorted(cum, u, side="right")]
+
+
+class TestRowKernels:
+    """Each row of a block kernel carries the bits of the per-call formula."""
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 10.0, 500.0, 1e6])
+    def test_posterior_rows(self, beta):
+        space, losses = tied_block(1, rows=300)
+        weights, _ = posterior_rows(space, losses, beta)
+        for row, got in zip(losses, weights):
+            assert np.array_equal(got, posterior_reference(space, row, beta))
+            assert np.array_equal(got, posterior(space, row, beta).weights)
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 10.0, 500.0, 1e9])
+    def test_complexity_rows(self, beta):
+        space, losses = tied_block(2)
+        h = np.random.Generator(np.random.PCG64(3)).integers(0, len(space), size=len(losses))
+        values, shifts = complexity_rows(space, losses, h, beta)
+        for row, hi, value, shift in zip(losses, h, values, shifts):
+            assert (value, shift) == complexity_reference(space, row, int(hi), beta)
+            single = complexity(space, row, int(hi), beta)
+            assert (single.value, single.argmin_shift) == (value, shift)
+
+    @pytest.mark.parametrize("beta", [0.0, 3.0, 1e4])
+    def test_sample_rows(self, beta):
+        space, losses = tied_block(4, rows=200)
+        weights, _ = posterior_rows(space, losses, beta)
+        seeds = list(range(1000, 1200))
+        drawn = sample_rows(weights, seeds)
+        for row, seed, h in zip(weights, seeds, drawn):
+            u = np.random.Generator(np.random.PCG64(seed)).random(1)
+            assert h == sample_reference(row, u)[0]
+        # the zero-prior atom is never drawn, whatever its loss
+        assert not np.any(drawn == 0)
+
+    def test_sample_hypotheses_matches_reference(self):
+        space, losses = tied_block(5, rows=1)
+        post = posterior(space, losses[0], 20.0)
+        u = np.random.Generator(np.random.PCG64(9)).random(500)
+        assert np.array_equal(sample_hypotheses(post, 500, 9), sample_reference(post.weights, u))

@@ -1,14 +1,25 @@
+import hashlib
 import json
 import math
+import platform
 
 import numpy as np
 import pytest
 
-from gibbslab.bounds import high_temperature_bound, minimizer_mass_bound
+from gibbslab.bounds import (
+    BoundReport,
+    binary_kl_bound,
+    high_temperature_bound,
+    minimizer_mass_bound,
+    stratified_subgaussian_bound,
+)
+from gibbslab.gibbs import complexity, posterior, sample_hypothesis
 from gibbslab.harness import (
+    BLOCK_CELLS,
     EXPERIMENT_NAMES,
     Z_99,
     ExperimentConfig,
+    _realized_binary_kl,
     derive_seed_pair,
     run_concentration_experiment,
     run_experiment,
@@ -17,8 +28,18 @@ from gibbslab.harness import (
     run_violation_experiment,
     run_zero_temp_sweep,
     wilson_upper_99,
+    write_result,
 )
-from gibbslab.model import SPACE_GENERATORS, k_minimizer_space, loss_matrix, table_space
+from gibbslab.model import (
+    SPACE_GENERATORS,
+    FiniteDataDomain,
+    build_space,
+    k_minimizer_space,
+    loss_matrix,
+    sample_dataset,
+    table_space,
+)
+from gibbslab.monotone import density_family, normalize_density
 
 SMALL_SPACE = {"name": "random_loss_table", "params": {"num_hypotheses": 16, "num_points": 8, "seed": 3}}
 NOISE_TASK = {"name": "permuted_label_task", "params": {"num_inputs": 6, "seed": 3, "label_noise": 0.5}}
@@ -61,6 +82,15 @@ class TestConfig:
     def test_invalid_configs_rejected(self, overrides):
         with pytest.raises(ValueError):
             config(**overrides)
+
+    def test_unknown_keys_named(self, tmp_path):
+        doc = {**config().to_dict(), "sigmaa": 0.5, "trails": 3}
+        with pytest.raises(ValueError, match="unknown config keys: sigmaa, trails"):
+            ExperimentConfig.from_json(json.dumps(doc))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ValueError, match="sigmaa"):
+            ExperimentConfig.from_file(path)
 
     def test_experiment_names_exposed(self):
         assert set(EXPERIMENT_NAMES) == {
@@ -170,6 +200,126 @@ class TestViolationExperiment:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             run_violation_experiment(config(), bound_kind="mystery")
+
+    def test_stratify_sigma_below_half_loss_range_rejected(self):
+        # SMALL_SPACE losses are uniform on [0, 1): its widest range over
+        # the 8 points is far above 2 * 0.1
+        with pytest.raises(ValueError, match="sigma"):
+            run_violation_experiment(config(bound_kind="stratify", sigma=0.1))
+
+
+def _violation_oracle(cfg: ExperimentConfig) -> list:
+    """The per-trial loop: one dataset, posterior, draw and bound at a time."""
+    domain, space = build_space(cfg.space_spec)
+    matrix = loss_matrix(space, domain)
+    true_losses = matrix @ domain.probs
+    kind, n, delta = cfg.bound_kind, cfg.n, cfg.delta
+    rows = []
+    for beta_index, beta in enumerate(cfg.beta_grid):
+        if kind == "beyond_gibbs":
+            density = cfg.density or {"name": "exponential", "params": {"beta": beta}}
+            family = density_family(density["name"], **density.get("params", {}))
+        for trial in range(cfg.trials):
+            data_seed, draw_seed = derive_seed_pair(cfg.master_seed, beta_index, trial)
+            data = sample_dataset(domain, n, data_seed)
+            empirical = matrix @ np.bincount(data.item_indices, minlength=len(domain)) / n
+            if kind == "beyond_gibbs":
+                post = normalize_density(space, empirical, family, family.gamma)
+                rate = family.gamma
+            else:
+                post = posterior(space, empirical, beta)
+                rate = beta
+            h = sample_hypothesis(post, draw_seed)
+            lam = complexity(space, empirical, h, rate).value
+            if kind == "stratify":
+                realized = float(abs(true_losses[h] - empirical[h]))
+                rhs = stratified_subgaussian_bound(lam, cfg.sigma, n, delta)
+            else:
+                realized = _realized_binary_kl(float(empirical[h]), float(true_losses[h]))
+                if kind == "high_temp":
+                    rhs = high_temperature_bound(beta, n, delta)
+                else:
+                    rhs = binary_kl_bound(lam, n, delta)
+            rows.append(BoundReport(data_seed, rate, n, delta, lam, rhs, realized, realized > rhs))
+    return rows
+
+
+def _kernel_rows(cfg: ExperimentConfig) -> tuple:
+    return run_violation_experiment(cfg).rows
+
+
+def _outcome(run, cfg):
+    """CSV rows of a run, or the type and message of the error it raised."""
+    try:
+        return [r.csv_row() for r in run(cfg)]
+    except ValueError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+@pytest.fixture
+def tiny_prior_space():
+    # one zero-prior atom at the lowest loss, one 1e-300 atom, a tie at 0.5
+    def generator():
+        domain = FiniteDataDomain((0, 1, 2), [0.5, 0.3, 0.2])
+        table = [[0.0, 0.0, 0.1], [0.9, 0.2, 0.4], [0.5, 0.5, 0.5], [0.5, 0.5, 0.5], [0.3, 1.0, 0.0]]
+        return domain, table_space(table, [0.0, 1e-300, 0.25, 0.25, 0.5 - 1e-300])
+
+    SPACE_GENERATORS["tiny_prior_for_test"] = generator
+    yield {"name": "tiny_prior_for_test", "params": {}}
+    del SPACE_GENERATORS["tiny_prior_for_test"]
+
+
+BOUND_SETTINGS = {
+    "kl": {},
+    "high_temp": {"bound_kind": "high_temp"},
+    "stratify": {"bound_kind": "stratify"},
+    "beyond_gibbs_polynomial": {
+        "bound_kind": "beyond_gibbs",
+        "density": {"name": "polynomial", "params": {"a": 1.0}},
+    },
+    "beyond_gibbs_exponential": {"bound_kind": "beyond_gibbs"},
+}
+
+
+class TestBlockKernelMatchesPerTrialLoop:
+    """run_violation_experiment reproduces the per-trial loop's rows exactly."""
+
+    @pytest.mark.parametrize("beta", [0.0, 10.0, 500.0, 1e9])
+    @pytest.mark.parametrize("setting", sorted(BOUND_SETTINGS))
+    def test_bound_kinds_and_betas(self, setting, beta):
+        cfg = config(beta_grid=(beta,), trials=30, **BOUND_SETTINGS[setting])
+        assert _outcome(_kernel_rows, cfg) == _outcome(_violation_oracle, cfg)
+
+    @pytest.mark.parametrize("beta_grid", [(0.0, 3.0, 500.0), (1e9,)])
+    @pytest.mark.parametrize("setting", sorted(BOUND_SETTINGS))
+    def test_zero_and_tiny_prior_atoms(self, tiny_prior_space, setting, beta_grid):
+        cfg = config(space_spec=tiny_prior_space, beta_grid=beta_grid, trials=40, **BOUND_SETTINGS[setting])
+        assert _outcome(_kernel_rows, cfg) == _outcome(_violation_oracle, cfg)
+
+    @pytest.mark.parametrize("setting", sorted(BOUND_SETTINGS))
+    def test_single_hypothesis(self, setting):
+        single = {"name": "random_loss_table", "params": {"num_hypotheses": 1, "num_points": 5, "seed": 4}}
+        cfg = config(space_spec=single, beta_grid=(0.0, 10.0), trials=20, **BOUND_SETTINGS[setting])
+        assert _outcome(_kernel_rows, cfg) == _outcome(_violation_oracle, cfg)
+
+    def test_trials_not_a_multiple_of_the_block(self):
+        wide = {"name": "random_loss_table", "params": {"num_hypotheses": 600, "num_points": 8, "seed": 5}}
+        block = BLOCK_CELLS // 600
+        cfg = config(space_spec=wide, beta_grid=(10.0, 50.0), trials=2 * block + 3)
+        assert _outcome(_kernel_rows, cfg) == _outcome(_violation_oracle, cfg)
+
+    def test_dataset_wider_than_the_space(self):
+        # n sets the block width when it exceeds the hypothesis count
+        n = BLOCK_CELLS // 5 + 1
+        cfg = config(n=n, trials=7, bound_kind="stratify")
+        assert _outcome(_kernel_rows, cfg) == _outcome(_violation_oracle, cfg)
+
+    def test_failing_density_raises_the_per_trial_error(self):
+        # the Gibbs family at beta = 1e9 fails its own Lipschitz check by rounding
+        cfg = config(bound_kind="beyond_gibbs", beta_grid=(1e9,), trials=5)
+        outcome = _outcome(_kernel_rows, cfg)
+        assert outcome[0] == "DensityConditionError"
+        assert outcome == _outcome(_violation_oracle, cfg)
 
 
 class TestZeroTempSweep:
@@ -360,3 +510,57 @@ class TestRunExperiment:
         first = (out.read_bytes(), out.with_suffix(".json").read_bytes())
         run_experiment(cfg)
         assert (out.read_bytes(), out.with_suffix(".json").read_bytes()) == first
+
+
+def _float_platform() -> str:
+    """What sets the last bits of numpy's vectorized exp and log here."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        __cpu_features__ = {}
+    return f"{platform.machine()} numpy {np.__version__} avx512f={bool(__cpu_features__.get('AVX512F'))}"
+
+
+PINNED_BASE = dict(
+    experiment="violation",
+    space_spec=SMALL_SPACE,
+    n=50,
+    beta_grid=(0.0, 10.0, 500.0),
+    delta=0.05,
+    trials=100,
+    master_seed=11,
+)
+MINIMIZERS = {"name": "k_minimizer_space", "params": {"num_hypotheses": 100, "num_minimizers": 4, "seed": 7}}
+PINNED_CONFIGS = {
+    "violation_kl": {},
+    "violation_stratify": {"bound_kind": "stratify"},
+    "violation_beyond_gibbs": {"bound_kind": "beyond_gibbs", "density": {"name": "polynomial", "params": {"a": 2.0}}},
+    "concentration": {"experiment": "concentration", "trials": 200},
+    "random_label": {"experiment": "random_label", "space_spec": NOISE_TASK, "n_grid": (50, 200), "r0": 0.3},
+    "zero_temp": {"experiment": "zero_temp", "space_spec": MINIMIZERS, "beta_grid": (0.0, 1.0, 10.0, 1e6)},
+    "phase": {"experiment": "phase", "space_spec": MINIMIZERS, "beta_grid": (0.1, 1.0, 10.0, 1000.0)},
+}
+# SHA-256 of the CSV bytes followed by the JSON bytes that write_result leaves,
+# recorded from the per-trial implementation the block kernel replaced.  The
+# last bits of numpy's vectorized exp and log depend on the CPU and the numpy
+# build, so the hashes hold for the platform they were recorded on.
+PINNED_PLATFORM = "x86_64 numpy 2.4.6 avx512f=True"
+PINNED_HASHES = {
+    "violation_kl": "a5c4aaaf81757f55db67e313ce0c7921124ec26206e877f8446b29d342ac6051",
+    "violation_stratify": "75efe061776ef430de6b83e91bbf272fde2ff59f1259259fd44203618f5c88b6",
+    "violation_beyond_gibbs": "2612d77e7cc361cfa56885304d76227c7d513d49c2c543397dadb974f5283627",
+    "concentration": "2dea70748495189885eef34cbc6611d01dc32f24425844ae90ec32bd5c6f2993",
+    "random_label": "9ddbb9b729389c7214bab442c4a200a162e0635871ad55539c2bbe383c5acc75",
+    "zero_temp": "9c0656dac1a8d47a56e82591c3645bb0b514f0510979cf37b1dcda486317bb53",
+    "phase": "79ab7229db3dd1dd90abdfb94443587c799ea7f4bae11ba8beb4df70f73090f2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CONFIGS))
+def test_reports_match_pinned_hashes(name, tmp_path):
+    if _float_platform() != PINNED_PLATFORM:
+        pytest.skip(f"hashes recorded on {PINNED_PLATFORM}, not {_float_platform()}")
+    path = tmp_path / "run.csv"
+    write_result(run_experiment(ExperimentConfig(**{**PINNED_BASE, **PINNED_CONFIGS[name]})), path)
+    digest = hashlib.sha256(path.read_bytes() + path.with_suffix(".json").read_bytes()).hexdigest()
+    assert digest == PINNED_HASHES[name]

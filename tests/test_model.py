@@ -12,6 +12,8 @@ from gibbslab.model import (
     build_space,
     empirical_cdf,
     empirical_loss,
+    empirical_losses,
+    inverse_cdf,
     k_minimizer_space,
     loss_matrix,
     loss_profile,
@@ -19,6 +21,7 @@ from gibbslab.model import (
     permuted_label_task,
     random_loss_table,
     sample_dataset,
+    sample_items,
     space_from_document,
     space_to_document,
     step_cdf,
@@ -269,3 +272,40 @@ class TestSerialization:
         doc["hypotheses"] = 3
         with pytest.raises(ValueError):
             space_from_document(doc)
+
+
+class TestBlockDraws:
+    """Block draws carry the bits of the per-dataset formulas."""
+
+    def test_sample_items_rows_are_per_seed_streams(self):
+        domain = FiniteDataDomain(tuple(range(5)), [0.0, 0.4, 0.0, 0.35, 0.25])
+        seeds = [7, 8, 2**63 + 5]
+        items = sample_items(domain, 40, seeds)
+        support = np.array([1, 3, 4])
+        cum = np.cumsum(domain.probs[support])
+        cum[-1] = 1.0
+        for row, seed in zip(items, seeds):
+            u = np.random.Generator(np.random.PCG64(seed)).random(40)
+            assert np.array_equal(row, support[np.searchsorted(cum, u, side="right")])
+            assert np.array_equal(row, sample_dataset(domain, 40, seed).item_indices)
+
+    def test_empirical_losses_rows_are_per_dataset_products(self):
+        domain, space = random_loss_table(11, 6, seed=4)
+        matrix = loss_matrix(space, domain)
+        items = sample_items(domain, 23, list(range(30)))
+        block = empirical_losses(matrix, items)
+        for row, got in zip(items, block):
+            assert np.array_equal(got, matrix @ np.bincount(row, minlength=len(domain)) / 23)
+
+    def test_inverse_cdf_row_and_shared_weights_agree(self):
+        # underflowed trailing weights: the last positive atom closes the sum
+        weights = np.array([[0.0, 0.3, 0.0, 0.7 - 1e-17, 0.0], [0.5, 0.0, 0.5, 0.0, 0.0]])
+        u = np.array([[0.0, 0.3, 0.9999999999999999], [0.25, 0.5, 0.75]])
+        expected = np.array([[1, 3, 3], [0, 2, 2]])
+        assert np.array_equal(inverse_cdf(weights, u), expected)
+        for row, row_u, row_expected in zip(weights, u, expected):
+            assert np.array_equal(inverse_cdf(row, row_u), row_expected)
+
+    def test_inverse_cdf_rejects_weightless_rows(self):
+        with pytest.raises(ValueError, match="positive weight"):
+            inverse_cdf(np.array([[0.5, 0.5], [0.0, 0.0]]), np.zeros((2, 1)))

@@ -10,6 +10,7 @@ from gibbslab.monotone import (
     DensityFamily,
     capped_exponential_density,
     density_family,
+    density_rows,
     exponential_density,
     ipm_corrected_rhs,
     monotone_bound_rhs,
@@ -181,3 +182,28 @@ class TestIpmCorrectedRhs:
             ipm_corrected_rhs(0.0, 0.0, 0.1, 0.1)
         with pytest.raises(ValueError):
             ipm_corrected_rhs(0.0, 1.0, 0.1, 0.0)
+
+
+class TestDensityRows:
+    def test_rows_match_normalize_density(self):
+        rng = np.random.Generator(np.random.PCG64(17))
+        space = table_space(np.zeros((7, 1)), np.append(0.0, np.full(6, 1.0 / 6.0)))
+        losses = np.round(rng.random((15, 7)), 1)
+        for family in (polynomial_density(2.0), exponential_density(3.0), capped_exponential_density(4.0, 0.3)):
+            weights, log_z = density_rows(space, losses, family, family.gamma)
+            for row, got_weights, got_log_z in zip(losses, weights, log_z):
+                post = normalize_density(space, row, family, family.gamma)
+                assert np.array_equal(got_weights, post.weights)
+                assert -got_log_z == post.log_normalizer
+
+    def test_first_failing_row_raises_its_own_error(self):
+        space = table_space(np.zeros((3, 1)), [0.2, 0.3, 0.5])
+        steep = DensityFamily("steep", {}, lambda t: -10.0 * t, 1.0)
+        # row 0 passes (one level); rows 1 and 2 fail on different pairs
+        losses = np.array([[0.5, 0.5, 0.5], [0.0, 0.0, 0.2], [0.0, 0.4, 0.4]])
+        with pytest.raises(DensityConditionError) as err:
+            density_rows(space, losses, steep, 1.0)
+        assert err.value.pair == (0.0, 0.2)
+        with pytest.raises(DensityConditionError) as single:
+            normalize_density(space, losses[1], steep, 1.0)
+        assert str(err.value) == str(single.value)
