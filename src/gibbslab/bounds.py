@@ -8,7 +8,7 @@ that would invalidate the probability accounting of the bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .model import FiniteHypothesisSpace, LossProfile, step_cdf
 
 __all__ = [
     "BoundReport",
-    "BOUND_REPORT_HEADER",
     "generic_bound_rhs",
     "binary_kl_bound",
     "gap_bound_relaxed",
@@ -206,9 +205,6 @@ def distribution_dependent_rhs(
     return float(objective.min()) + log_moment + math.log(2.0 / delta)
 
 
-BOUND_REPORT_HEADER = "trial_seed,beta,n,delta,lambda,rhs,realized,violated"
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """One Monte Carlo trial of a bound: complexity, RHS, realized value, flag."""
@@ -217,7 +213,7 @@ class BoundReport:
     beta: float
     n: int
     delta: float
-    complexity: float
+    complexity: float = field(metadata={"column": "lambda"})
     rhs: float
     realized: float
     violated: bool
@@ -225,18 +221,3 @@ class BoundReport:
     def __post_init__(self):
         if self.violated != (self.realized > self.rhs):
             raise ValueError("violated flag inconsistent with realized > rhs")
-
-    def csv_row(self) -> str:
-        """Fixed-order row under BOUND_REPORT_HEADER; shortest round-trip floats."""
-        return ",".join(
-            (
-                str(self.trial_seed),
-                repr(float(self.beta)),
-                str(self.n),
-                repr(float(self.delta)),
-                repr(float(self.complexity)),
-                repr(float(self.rhs)),
-                repr(float(self.realized)),
-                "true" if self.violated else "false",
-            )
-        )

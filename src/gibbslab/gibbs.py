@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import log_sum_exp, log_sum_exp_rows
+from .measures import log_sum_exp, shifted_exp_rows
 from .model import TIE_TOL, FiniteHypothesisSpace, inverse_cdf, step_cdf
 
 __all__ = [
@@ -93,10 +93,14 @@ def log_partition(space: FiniteHypothesisSpace, data_losses, beta: float) -> flo
 def normalized_rows(total: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weights exp(total[i] - ln Z_i) and ln Z_i for every row of unnormalized log weights.
 
-    Raises when a row's weights miss a total of 1 by more than WEIGHT_SUM_TOL.
+    The weights are exp(total[i] - peak_i) / s_i, normalized after the max
+    shift: subtracting ln Z_i = peak_i + ln s_i instead would carry its
+    rounding at the magnitude of peak_i (about beta times the smallest
+    loss) into every weight.  Raises when a row's weights miss a total of 1
+    by more than WEIGHT_SUM_TOL.
     """
-    log_z = log_sum_exp_rows(total)
-    weights = np.exp(total - log_z[:, None])
+    terms, sums, log_z = shifted_exp_rows(total)
+    weights = terms / sums[:, None]
     if (np.abs(weights.sum(axis=1) - 1.0) > WEIGHT_SUM_TOL).any():
         raise ValueError("posterior weights must sum to 1")
     return weights, log_z

@@ -11,13 +11,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .bounds import (
-    BOUND_REPORT_HEADER,
     BoundReport,
     binary_kl_bound,
     high_temperature_bound,
@@ -67,6 +67,7 @@ __all__ = [
     "run_concentration_experiment",
     "run_random_label_experiment",
     "run_experiment",
+    "csv_report",
     "EXPERIMENT_NAMES",
 ]
 
@@ -120,6 +121,11 @@ class ExperimentConfig:
             object.__setattr__(self, "n_grid", tuple(int(v) for v in self.n_grid))
         if self.bound_kind not in BOUND_KINDS:
             raise ValueError(f"unknown bound kind {self.bound_kind!r}")
+        if self.density is not None and (self.experiment, self.bound_kind) != ("violation", "beyond_gibbs"):
+            raise ValueError("density applies only to the violation experiment with bound_kind 'beyond_gibbs'")
+        for name in ("n_grid", "r0"):
+            if getattr(self, name) is not None and self.experiment != "random_label":
+                raise ValueError(f"{name} applies only to the random_label experiment")
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -217,7 +223,7 @@ def _check_subgaussian_scale(sigma: float, space, domain, matrix: np.ndarray) ->
         )
 
 
-def run_violation_experiment(config: ExperimentConfig, bound_kind: str | None = None) -> ViolationSummary:
+def run_violation_experiment(config: ExperimentConfig) -> ViolationSummary:
     """Draw (dataset, hypothesis) pairs and test the realized statistic per trial.
 
     For each inverse temperature in the grid and each trial: sample a
@@ -231,9 +237,7 @@ def run_violation_experiment(config: ExperimentConfig, bound_kind: str | None = 
     of running the trials one at a time through the public per-call
     functions.
     """
-    kind = bound_kind if bound_kind is not None else config.bound_kind
-    if kind not in BOUND_KINDS:
-        raise ValueError(f"unknown bound kind {kind!r}")
+    kind = config.bound_kind
     domain, space, matrix = _prepared_space(config)
     if kind in ("kl", "high_temp", "beyond_gibbs") and float(matrix.max()) > 1.0 + 1e-12:
         raise ValueError(f"bound kind {kind!r} assumes losses in [0, 1]; generator exceeds 1")
@@ -510,126 +514,97 @@ class ExperimentResult:
     summary: dict
 
 
-def _csv(header: str, rows) -> str:
-    return "\n".join([header, *rows]) + "\n"
+_FLAGS = {False: "false", True: "true"}
+# the cells of one column, by the name of its field's declared type
+_COLUMN_CELLS = {
+    "float": lambda values: map(repr, map(float, values)),
+    "int": lambda values: map(str, values),
+    "bool": lambda values: map(_FLAGS.__getitem__, values),
+}
 
 
-def _float(x: float) -> str:
-    return repr(float(x))
+def csv_report(row_type: type, rows) -> str:
+    """CSV text of rows of the dataclass row_type, one column per field.
+
+    The header is the field names, or a field's "column" metadata where it
+    has one.  Cells are written a column at a time by the field's declared
+    type, not the value's: float as the shortest round-trip repr (an int in
+    a float field still reads 1.0), int in decimal, bool as true/false.
+    """
+    fields = dataclasses.fields(row_type)
+    header = ",".join(f.metadata.get("column", f.name) for f in fields)
+    # a field's type is its annotation: a string under postponed evaluation
+    columns = [
+        _COLUMN_CELLS[getattr(f.type, "__name__", f.type)](map(operator.attrgetter(f.name), rows))
+        for f in fields
+    ]
+    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
 
 
-def _flag(x: bool) -> str:
-    return "true" if x else "false"
+# each runner returns (passed, row type, rows, aggregates)
 
 
-def _violation_result(config: ExperimentConfig) -> ExperimentResult:
+def _rates(summary: ViolationSummary) -> dict:
+    return {"violations": summary.violations, "rate": summary.rate, "wilson_upper_99": summary.wilson_upper_99}
+
+
+def _violation_report(config: ExperimentConfig) -> tuple:
     outcome = run_violation_experiment(config)
-    per_beta = []
-    for beta_index, beta in enumerate(config.beta_grid):
-        chunk = outcome.rows[beta_index * config.trials : (beta_index + 1) * config.trials]
-        flags = [r.violated for r in chunk]
-        part = _summarize(flags)
-        per_beta.append(
-            {
-                "beta": beta,
-                "violations": part.violations,
-                "rate": part.rate,
-                "wilson_upper_99": part.wilson_upper_99,
-            }
-        )
-    passed = outcome.wilson_upper_99 <= config.delta
+    flags, trials = [r.violated for r in outcome.rows], config.trials
+    per_beta = [
+        {"beta": beta, **_rates(_summarize(flags[i * trials : (i + 1) * trials]))}
+        for i, beta in enumerate(config.beta_grid)
+    ]
     aggregates = {
         "trials": outcome.trials,
-        "violations": outcome.violations,
-        "rate": outcome.rate,
-        "wilson_upper_99": outcome.wilson_upper_99,
+        **_rates(outcome),
         "per_beta": per_beta,
         "bound_kind": config.bound_kind,
     }
-    csv_text = _csv(BOUND_REPORT_HEADER, (r.csv_row() for r in outcome.rows))
-    return ExperimentResult(passed, csv_text, aggregates)
+    return outcome.wilson_upper_99 <= config.delta, BoundReport, outcome.rows, aggregates
 
 
-def _zero_temp_result(config: ExperimentConfig) -> ExperimentResult:
+def _zero_temp_report(config: ExperimentConfig) -> tuple:
     outcome = run_zero_temp_sweep(config)
-    rows = (
-        ",".join((_float(r.beta), _float(r.lambda_drawn), _float(r.lambda_min), _float(r.limit)))
-        for r in outcome.rows
-    )
     aggregates = {"limit": outcome.limit, "level_gap": outcome.level_gap}
-    return ExperimentResult(
-        outcome.passed, _csv("beta,lambda_drawn,lambda_min,limit", rows), aggregates
-    )
+    return outcome.passed, ZeroTempRow, outcome.rows, aggregates
 
 
-def _phase_result(config: ExperimentConfig) -> ExperimentResult:
+def _phase_report(config: ExperimentConfig) -> tuple:
     outcome = run_phase_diagram(config)
-    rows = (
-        ",".join((_float(r.beta), _float(r.diagonal), _float(r.kl), _float(r.plateau)))
-        for r in outcome.rows
-    )
     aggregates = {"plateau": outcome.rows[0].plateau if outcome.rows else None}
-    return ExperimentResult(outcome.passed, _csv("beta,diagonal,kl,plateau", rows), aggregates)
+    return outcome.passed, PhaseRow, outcome.rows, aggregates
 
 
-def _concentration_result(config: ExperimentConfig) -> ExperimentResult:
+def _concentration_report(config: ExperimentConfig) -> tuple:
     outcome = run_concentration_experiment(config)
-    rows = (
-        ",".join(
-            (
-                str(r.trial_seed),
-                str(r.n),
-                _float(r.delta),
-                str(r.p),
-                _float(r.shift),
-                _flag(r.violated_part_i),
-                _flag(r.violated_part_ii),
-            )
-        )
-        for r in outcome.rows
-    )
     aggregates = {
         "part_i": dataclasses.asdict(outcome.part_i),
         "part_ii": dataclasses.asdict(outcome.part_ii),
     }
-    header = "trial_seed,n,delta,p,shift,violated_part_i,violated_part_ii"
-    return ExperimentResult(outcome.passed, _csv(header, rows), aggregates)
+    return outcome.passed, ConcentrationRow, outcome.rows, aggregates
 
 
-def _random_label_result(config: ExperimentConfig) -> ExperimentResult:
+def _random_label_report(config: ExperimentConfig) -> tuple:
     outcome = run_random_label_experiment(config)
-    rows = (
-        ",".join(
-            (
-                str(r.n),
-                _float(r.r0),
-                _float(r.median_phi_hat),
-                _float(r.bound),
-                _flag(r.vacuous),
-                _float(r.exceed_rate),
-            )
-        )
-        for r in outcome.rows
-    )
     aggregates = {"rows": [dataclasses.asdict(r) for r in outcome.rows]}
-    header = "n,r0,median_phi_hat,bound,vacuous,exceed_rate"
-    return ExperimentResult(outcome.passed, _csv(header, rows), aggregates)
+    return outcome.passed, RandomLabelRow, outcome.rows, aggregates
 
 
 _RUNNERS = {
-    "violation": _violation_result,
-    "zero_temp": _zero_temp_result,
-    "phase": _phase_result,
-    "concentration": _concentration_result,
-    "random_label": _random_label_result,
+    "violation": _violation_report,
+    "zero_temp": _zero_temp_report,
+    "phase": _phase_report,
+    "concentration": _concentration_report,
+    "random_label": _random_label_report,
 }
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Dispatch on config.experiment; write CSV + JSON when output_path is set."""
-    partial = _RUNNERS[config.experiment](config)
-    summary = {"config": config.to_dict(), "aggregates": partial.summary, "passed": partial.passed}
-    result = ExperimentResult(partial.passed, partial.csv_text, summary)
+    passed, row_type, rows, aggregates = _RUNNERS[config.experiment](config)
+    summary = {"config": config.to_dict(), "aggregates": aggregates, "passed": passed}
+    result = ExperimentResult(passed, csv_report(row_type, rows), summary)
     if config.output_path:
         write_result(result, config.output_path)
     return result

@@ -17,6 +17,7 @@ __all__ = [
     "binary_kl_inverse_relaxed",
     "log_sum_exp",
     "log_sum_exp_rows",
+    "shifted_exp_rows",
 ]
 
 # binary_kl(p, .) diverges at 1, so inversion saturates just below it.
@@ -104,16 +105,24 @@ def log_sum_exp(log_weights, values) -> float:
 
 
 def log_sum_exp_rows(total: np.ndarray) -> np.ndarray:
-    """ln sum_j exp(total[i, j]) for every row i, each with its own max shift.
+    """ln sum_j exp(total[i, j]) for every row i, each with its own max shift."""
+    return shifted_exp_rows(total)[2]
 
-    A row whose maximum is not finite returns that maximum: -inf for a row
-    of zero-weight atoms, +inf or nan when such a term dominates.
+
+def shifted_exp_rows(total: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """exp(total[i] - peak_i), its sum s_i and peak_i + ln s_i for every row i with maximum peak_i.
+
+    peak_i + ln s_i is ln sum_j exp(total[i, j]).  A row whose maximum is
+    not finite returns that maximum in its place: -inf for a row of
+    zero-weight atoms, +inf or nan when such a term dominates.
     """
     peak = total.max(axis=1)
     with np.errstate(invalid="ignore"):
-        sums = np.exp(total - peak[:, None]).sum(axis=1)
+        terms = np.exp(total - peak[:, None])
+    sums = terms.sum(axis=1)
     # math.log, not np.log: numpy's vectorized log can differ in the last
-    # bit, and ln Z sets the bits of every posterior weight
-    return np.array(
+    # bit, and ln Z is reported
+    log_z = np.array(
         [p + math.log(s) if math.isfinite(p) else p for p, s in zip(peak.tolist(), sums.tolist())]
     )
+    return terms, sums, log_z

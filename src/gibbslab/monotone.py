@@ -32,6 +32,8 @@ __all__ = [
     "ipm_corrected_rhs",
 ]
 
+# scaled per compared pair by max(1, |log q|): at decay rates near 1e9 the
+# log densities and gamma * (t - s) carry rounding errors near 1e-7
 CONDITION_TOL = 1e-12
 
 
@@ -116,6 +118,16 @@ class MonotoneDensityPosterior:
         object.__setattr__(self, "weights", w)
 
 
+def _pair_tolerances(log_q: np.ndarray) -> np.ndarray:
+    """CONDITION_TOL * max(1, |log q|) for each adjacent pair along the last axis.
+
+    Only finite log densities scale it, so a density that vanishes at a
+    level still fails against its finite neighbour.
+    """
+    size = np.where(np.isfinite(log_q), np.abs(log_q), 0.0)
+    return CONDITION_TOL * np.maximum(1.0, np.maximum(size[..., :-1], size[..., 1:]))
+
+
 def _verify_conditions(levels: np.ndarray, log_q: np.ndarray, gamma: float) -> None:
     """Check monotonicity and the log-Lipschitz bound on achieved levels.
 
@@ -126,13 +138,14 @@ def _verify_conditions(levels: np.ndarray, log_q: np.ndarray, gamma: float) -> N
         raise ValueError("density must be finite at every achieved loss level")
     if np.all(np.isneginf(log_q)):
         raise ValueError("density vanishes at every achieved loss level")
-    for j in range(levels.size - 1):
+    tolerances = _pair_tolerances(log_q).tolist()
+    for j, tol in enumerate(tolerances):
         s, t = float(levels[j]), float(levels[j + 1])
-        if log_q[j + 1] > log_q[j] + CONDITION_TOL:
+        if log_q[j + 1] > log_q[j] + tol:
             raise DensityConditionError(
                 f"density increases between achieved levels {s!r} and {t!r}", (s, t)
             )
-        if log_q[j] - log_q[j + 1] > gamma * (t - s) + CONDITION_TOL:
+        if log_q[j] - log_q[j + 1] > gamma * (t - s) + tol:
             raise DensityConditionError(
                 f"log-Lipschitz constant {gamma!r} violated between levels {s!r} and {t!r}",
                 (s, t),
@@ -145,9 +158,10 @@ def _failing_rows(levels: np.ndarray, log_q: np.ndarray, gamma: float) -> np.nda
     Repeated levels carry equal densities and pass both pairwise checks,
     so comparing all neighbours equals comparing distinct neighbours.
     """
+    tol = _pair_tolerances(log_q)
     with np.errstate(invalid="ignore"):
-        rising = log_q[:, 1:] > log_q[:, :-1] + CONDITION_TOL
-        steep = log_q[:, :-1] - log_q[:, 1:] > gamma * (levels[:, 1:] - levels[:, :-1]) + CONDITION_TOL
+        rising = log_q[:, 1:] > log_q[:, :-1] + tol
+        steep = log_q[:, :-1] - log_q[:, 1:] > gamma * (levels[:, 1:] - levels[:, :-1]) + tol
     return (
         np.isposinf(log_q).any(axis=1)
         | np.isneginf(log_q).all(axis=1)

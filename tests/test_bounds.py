@@ -5,7 +5,6 @@ import pytest
 from mpmath import mp
 
 from gibbslab.bounds import (
-    BOUND_REPORT_HEADER,
     BoundReport,
     binary_kl_bound,
     distribution_dependent_rhs,
@@ -19,6 +18,7 @@ from gibbslab.bounds import (
     stratified_subgaussian_bound,
     subexponential_bound,
 )
+from gibbslab.harness import csv_report
 from gibbslab.model import LossProfile, table_space
 
 mp.dps = 50
@@ -258,12 +258,13 @@ class TestDistributionDependentRhs:
 class TestBoundReport:
     def test_csv_row_shape(self):
         report = BoundReport(5, 10.0, 50, 0.05, 0.5, 1.5, 0.25, False)
-        assert BOUND_REPORT_HEADER == "trial_seed,beta,n,delta,lambda,rhs,realized,violated"
-        assert report.csv_row() == "5,10.0,50,0.05,0.5,1.5,0.25,false"
+        header, row = csv_report(BoundReport, [report]).splitlines()
+        assert header == "trial_seed,beta,n,delta,lambda,rhs,realized,violated"
+        assert row == "5,10.0,50,0.05,0.5,1.5,0.25,false"
 
     def test_violated_row(self):
         report = BoundReport(7, 2.0, 64, 0.1, 0.0, 0.2, 0.3, True)
-        assert report.csv_row().endswith(",true")
+        assert csv_report(BoundReport, [report]).splitlines()[1].endswith(",true")
 
     def test_inconsistent_flag_rejected(self):
         with pytest.raises(ValueError):

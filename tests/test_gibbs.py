@@ -295,14 +295,13 @@ def tied_block(seed: int, rows: int = 12, size: int = 9):
 
 
 def posterior_reference(space, losses, beta):
-    """The per-call posterior: one max shift, ln Z by math.log."""
+    """The per-call posterior: one max shift, then division by the shifted sum."""
     if beta == 0.0:
         return space.prior.copy()
     with np.errstate(divide="ignore"):
         total = np.log(space.prior) - beta * losses
-    peak = float(np.max(total))
-    log_z = peak + math.log(float(np.sum(np.exp(total - peak))))
-    return np.exp(total - log_z)
+    terms = np.exp(total - float(np.max(total)))
+    return terms / float(np.sum(terms))
 
 
 def complexity_reference(space, losses, h, beta):
@@ -332,6 +331,19 @@ class TestRowKernels:
         for row, got in zip(losses, weights):
             assert np.array_equal(got, posterior_reference(space, row, beta))
             assert np.array_equal(got, posterior(space, row, beta).weights)
+
+    @pytest.mark.parametrize("beta", [1e6, 1e9])
+    def test_tied_nonzero_minimum_at_large_beta(self, beta):
+        # three hypotheses share the minimum loss 0.3: ln Z is near -0.3 beta,
+        # and its rounding must not reach the weights
+        space = table_space(np.zeros((5, 1)), [0.1, 0.2, 0.3, 0.15, 0.25])
+        losses = np.array([0.3, 0.3, 0.5, 0.3, 0.7])
+        post = posterior(space, losses, beta)
+        assert abs(float(post.weights.sum()) - 1.0) <= 1e-15
+        # ln prior - beta * loss keeps ln prior only to the spacing of floats near 0.3 beta
+        limit = zero_temperature_posterior(space, losses).weights
+        assert np.allclose(post.weights, limit, rtol=4.0 * np.spacing(0.3 * beta), atol=0.0)
+        assert post.log_partition == pytest.approx(-0.3 * beta + math.log(0.45), rel=1e-15)
 
     @pytest.mark.parametrize("beta", [0.0, 0.5, 10.0, 500.0, 1e9])
     def test_complexity_rows(self, beta):

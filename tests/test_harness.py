@@ -20,6 +20,7 @@ from gibbslab.harness import (
     Z_99,
     ExperimentConfig,
     _realized_binary_kl,
+    csv_report,
     derive_seed_pair,
     run_concentration_experiment,
     run_experiment,
@@ -39,7 +40,8 @@ from gibbslab.model import (
     sample_dataset,
     table_space,
 )
-from gibbslab.monotone import density_family, normalize_density
+from gibbslab import monotone
+from gibbslab.monotone import DensityFamily, density_family, normalize_density
 
 SMALL_SPACE = {"name": "random_loss_table", "params": {"num_hypotheses": 16, "num_points": 8, "seed": 3}}
 NOISE_TASK = {"name": "permuted_label_task", "params": {"num_inputs": 6, "seed": 3, "label_noise": 0.5}}
@@ -91,6 +93,24 @@ class TestConfig:
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(ValueError, match="sigmaa"):
             ExperimentConfig.from_file(path)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"density": {"name": "polynomial", "params": {"a": 1.0}}},
+            {"bound_kind": "stratify", "density": {"name": "polynomial", "params": {"a": 1.0}}},
+            {"experiment": "zero_temp", "density": {"name": "polynomial", "params": {"a": 1.0}}},
+        ],
+    )
+    def test_density_outside_beyond_gibbs_rejected(self, overrides):
+        with pytest.raises(ValueError, match="density"):
+            config(**overrides)
+
+    @pytest.mark.parametrize("name, value", [("n_grid", (50,)), ("r0", 0.2)])
+    @pytest.mark.parametrize("experiment", ["violation", "concentration", "zero_temp", "phase"])
+    def test_random_label_fields_outside_random_label_rejected(self, experiment, name, value):
+        with pytest.raises(ValueError, match=name):
+            config(experiment=experiment, **{name: value})
 
     def test_experiment_names_exposed(self):
         assert set(EXPERIMENT_NAMES) == {
@@ -198,8 +218,8 @@ class TestViolationExperiment:
             del SPACE_GENERATORS["oversized_for_test"]
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            run_violation_experiment(config(), bound_kind="mystery")
+        with pytest.raises(ValueError, match="mystery"):
+            config(bound_kind="mystery")
 
     def test_stratify_sigma_below_half_loss_range_rejected(self):
         # SMALL_SPACE losses are uniform on [0, 1): its widest range over
@@ -249,9 +269,9 @@ def _kernel_rows(cfg: ExperimentConfig) -> tuple:
 
 
 def _outcome(run, cfg):
-    """CSV rows of a run, or the type and message of the error it raised."""
+    """The CSV text of a run's rows, or the type and message of the error it raised."""
     try:
-        return [r.csv_row() for r in run(cfg)]
+        return csv_report(BoundReport, run(cfg))
     except ValueError as exc:
         return (type(exc).__name__, str(exc))
 
@@ -314,12 +334,29 @@ class TestBlockKernelMatchesPerTrialLoop:
         cfg = config(n=n, trials=7, bound_kind="stratify")
         assert _outcome(_kernel_rows, cfg) == _outcome(_violation_oracle, cfg)
 
-    def test_failing_density_raises_the_per_trial_error(self):
-        # the Gibbs family at beta = 1e9 fails its own Lipschitz check by rounding
-        cfg = config(bound_kind="beyond_gibbs", beta_grid=(1e9,), trials=5)
+    def test_failing_density_raises_the_per_trial_error(self, monkeypatch):
+        # decay rate beta against a declared constant of beta / 2
+        def half_gamma(beta):
+            return DensityFamily("half_gamma", {"beta": beta}, lambda t: -beta * t, beta / 2)
+
+        monkeypatch.setitem(monotone._FAMILIES, "half_gamma_for_test", half_gamma)
+        density = {"name": "half_gamma_for_test", "params": {"beta": 10.0}}
+        cfg = config(bound_kind="beyond_gibbs", density=density, trials=5)
         outcome = _outcome(_kernel_rows, cfg)
         assert outcome[0] == "DensityConditionError"
         assert outcome == _outcome(_violation_oracle, cfg)
+
+
+TIED_NOISE_TASK = {"name": "permuted_label_task", "params": {"num_inputs": 8, "seed": 1, "label_noise": 0.3}}
+
+
+@pytest.mark.parametrize("experiment", ["violation", "zero_temp"])
+def test_runs_at_beta_1e9_with_tied_nonzero_minimum(experiment):
+    # master seed 2 draws datasets whose empirical minimum is nonzero and
+    # shared by several hypotheses
+    cfg = config(experiment=experiment, space_spec=TIED_NOISE_TASK, beta_grid=(1e9,), master_seed=2)
+    lines = run_experiment(cfg).csv_text.splitlines()
+    assert len(lines) == 1 + (cfg.trials if experiment == "violation" else 1)
 
 
 class TestZeroTempSweep:
@@ -502,6 +539,16 @@ class TestRunExperiment:
             )
         )
         assert out.read_text().splitlines()[0] == "n,r0,median_phi_hat,bound,vacuous,exceed_rate"
+
+    def test_integer_decay_rate_written_as_float(self):
+        # the density's gamma is the int 1 and lands in the float beta column
+        cfg = config(bound_kind="beyond_gibbs", density={"name": "polynomial", "params": {"a": 1}}, trials=5)
+        rows = [line.split(",") for line in run_experiment(cfg).csv_text.splitlines()[1:]]
+        assert [row[1] for row in rows] == ["1.0"] * 5
+
+    def test_empty_n_grid_writes_the_header_only(self):
+        cfg = config(experiment="random_label", space_spec=NOISE_TASK, n_grid=(), r0=0.3)
+        assert run_experiment(cfg).csv_text == "n,r0,median_phi_hat,bound,vacuous,exceed_rate\n"
 
     def test_rerun_is_byte_identical(self, tmp_path):
         out = tmp_path / "d.csv"

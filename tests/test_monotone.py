@@ -82,6 +82,35 @@ class TestNormalizeDensity:
         # the same family is fine when the claimed constant is honest
         normalize_density(space, losses, DensityFamily("steep", {}, lambda t: -10.0 * t, 10.0), 10.0)
 
+    @pytest.mark.parametrize("beta", [1e6, 1e9])
+    def test_gibbs_family_accepted_at_large_beta(self, beta):
+        # log q and beta * (t - s) round at ~1e-7 here, far above an absolute 1e-12
+        domain, space = random_loss_table(64, 16, 7)
+        data = sample_dataset(domain, 50, 3)
+        losses = loss_profile(space, domain, data).empirical
+        post = normalize_density(space, losses, exponential_density(beta), beta)
+        assert np.array_equal(post.weights, posterior(space, losses, beta).weights)
+
+    @pytest.mark.parametrize("offset", [0.0, -1e9])
+    def test_half_declared_rate_rejected_at_large_log_density(self, offset):
+        # decay rate 2e9 against a declared 1e9, and a rate 2 against a declared 1
+        # on log densities near -1e9: both exceed the tolerance at |log q| ~ 1e9
+        domain, space = random_loss_table(64, 16, 7)
+        losses = loss_profile(space, domain, sample_dataset(domain, 50, 3)).empirical
+        gamma = 1e9 if offset == 0.0 else 1.0
+        half = DensityFamily("half", {}, lambda t: offset - 2.0 * gamma * t, gamma)
+        with pytest.raises(DensityConditionError, match="log-Lipschitz"):
+            normalize_density(space, losses, half, gamma)
+        with pytest.raises(DensityConditionError, match="log-Lipschitz"):
+            density_rows(space, losses[None], half, gamma)
+
+    def test_density_vanishing_next_to_a_large_one_rejected(self, two_level):
+        # an infinite log density does not scale the tolerance
+        space, losses = two_level
+        family = DensityFamily("cliff", {}, lambda t: -1e9 if t == 0.0 else -math.inf, 1.0)
+        with pytest.raises(DensityConditionError, match="log-Lipschitz"):
+            normalize_density(space, losses, family, 1.0)
+
     def test_vanishing_density_rejected(self, two_level):
         space, losses = two_level
         dead = DensityFamily("dead", {}, lambda t: -math.inf, 0.0)
