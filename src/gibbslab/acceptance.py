@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import binary_kl_bound, shift_radius
-from .gibbs import complexity, complexity_bruteforce, log_partition, posterior
+from .bounds import binary_kl_bound, monotone_bound_rhs, shift_radius
+from .gibbs import complexity, complexity_bruteforce, exponential_density, log_partition, normalize_density, posterior
 from .harness import (
     ExperimentConfig,
     run_concentration_experiment,
@@ -43,7 +43,6 @@ from .model import (
     sample_dataset,
     table_space,
 )
-from .monotone import exponential_density, monotone_bound_rhs, normalize_density
 
 __all__ = ["CriterionResult", "CRITERIA", "SUITES", "run_criterion", "run_suite", "format_line"]
 

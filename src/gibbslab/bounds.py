@@ -12,12 +12,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .gibbs import GibbsPosterior, complexity as complexity_value
 from .measures import binary_kl_inverse_upper
 from .model import FiniteHypothesisSpace, LossProfile, step_cdf
 
 __all__ = [
     "BoundReport",
     "generic_bound_rhs",
+    "monotone_bound_rhs",
+    "ipm_corrected_rhs",
     "binary_kl_bound",
     "gap_bound_relaxed",
     "gap_bound_inverted",
@@ -58,6 +61,31 @@ def generic_bound_rhs(complexity: float, log_moment: float, delta: float) -> flo
     """complexity + log_moment + ln(1/delta), the generic bound shape."""
     _check_delta(delta)
     return complexity + log_moment - math.log(delta)
+
+
+def monotone_bound_rhs(
+    space: FiniteHypothesisSpace, data_losses, h_index: int, post: GibbsPosterior, log_moment: float, delta: float
+) -> float:
+    """Generic bound RHS with the complexity evaluated at the density's decay rate."""
+    value = complexity_value(space, data_losses, h_index, post.beta).value
+    return generic_bound_rhs(value, log_moment, delta)
+
+
+def ipm_corrected_rhs(log_moment_exact: float, sup_gamma_scale: float, ipm_distance: float, delta: float) -> float:
+    """Moment bound plus the surcharge for sampling from an approximating law.
+
+    When hypotheses come from a law at integral-probability-metric distance
+    ipm_distance from the exact posterior, the RHS inflates additively by
+    sup_gamma_scale * ipm_distance, where sup_gamma_scale is the largest
+    scale at which the exponentiated statistic stays inside the metric's
+    function class.
+    """
+    if ipm_distance < 0.0:
+        raise ValueError("ipm_distance must be non-negative")
+    if sup_gamma_scale <= 0.0:
+        raise ValueError("sup_gamma_scale must be positive")
+    _check_delta(delta)
+    return log_moment_exact + sup_gamma_scale * ipm_distance - math.log(delta)
 
 
 def binary_kl_bound(complexity: float, n: int, delta: float) -> float:

@@ -20,8 +20,7 @@ DEFAULT_SWEEP_SPACE = {
 def _cmd_run(args) -> int:
     config = ExperimentConfig.from_file(args.config)
     if not config.output_path:
-        print("config must set output_path for CLI runs", file=sys.stderr)
-        return 2
+        raise ValueError("config must set output_path for CLI runs")
     result = run_experiment(config)
     verdict = "PASS" if result.passed else "FAIL"
     print(f"{config.experiment} {verdict} -> {config.output_path}")
@@ -86,8 +85,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; a bad or unreadable config, grid or space spec is reported on stderr and returns 2."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"gibbslab: error: {exc}", file=sys.stderr)
+        return 2
 
 
 def console_entry() -> None:

@@ -1,32 +1,48 @@
-"""Gibbs posteriors on finite spaces and the loss-level complexity measure.
+"""Posteriors prior * q(empirical loss) on finite spaces and the loss-level complexity measure.
 
-All posterior arithmetic happens in log space with a single max shift, so
-inverse temperatures up to 1e9 neither overflow nor underflow.  Sampling
-operations take explicit seeds and keep generator state local to the call.
+q is a density family, non-increasing and log-Lipschitz with constant
+gamma in the loss; the Gibbs posterior is its exponential case
+q(t) = exp(-beta t), with gamma = beta.  One row kernel checks the
+density conditions and normalizes every posterior at a finite rate.
+All posterior arithmetic happens in log space with a single max shift,
+so decay rates up to 1e9 neither overflow nor underflow.  Sampling
+operations take explicit seeds and keep generator state local to the
+call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .measures import log_sum_exp, shifted_exp_rows
+from .measures import shifted_exp_rows
 from .model import TIE_TOL, FiniteHypothesisSpace, inverse_cdf, step_cdf
 
 __all__ = [
+    "DensityFamily",
+    "DensityConditionError",
+    "exponential_density",
+    "polynomial_density",
+    "capped_exponential_density",
+    "density_family",
     "GibbsPosterior",
+    "MonotoneDensityPosterior",
     "ComplexityValue",
-    "log_partition",
     "normalized_rows",
+    "density_rows",
     "posterior_rows",
+    "log_partition",
     "posterior",
+    "normalize_density",
     "zero_temperature_posterior",
     "sample_rows",
     "sample_hypothesis",
     "sample_hypotheses",
     "complexity_rows",
+    "posterior_draws",
     "complexity",
     "complexity_bruteforce",
     "metropolis_sample",
@@ -35,11 +51,87 @@ __all__ = [
 ]
 
 WEIGHT_SUM_TOL = 1e-10
+# scaled per compared pair by max(1, |log q|): at decay rates near 1e9 the
+# log densities and gamma * (t - s) carry rounding errors near 1e-7
+CONDITION_TOL = 1e-12
+
+
+class DensityConditionError(ValueError):
+    """A density family violates monotonicity or the log-Lipschitz condition.
+
+    Carries the offending pair of achieved loss levels in `pair`.
+    """
+
+    def __init__(self, message: str, pair: tuple[float, float]):
+        super().__init__(message)
+        self.pair = pair
+
+
+@dataclass(frozen=True)
+class DensityFamily:
+    """Unnormalized density t -> q(t) given by its log, with its decay rate.
+
+    log_density maps an array of losses to the array of their log densities.
+    """
+
+    name: str
+    params: dict
+    log_density: Callable[[np.ndarray], np.ndarray]
+    gamma: float
+
+
+def exponential_density(beta: float) -> DensityFamily:
+    """q(t) = exp(-beta t): the Gibbs case, decay rate beta."""
+    if beta < 0.0:
+        raise ValueError("beta must be non-negative")
+    return DensityFamily("exponential", {"beta": beta}, lambda t: -beta * t, beta)
+
+
+def _log1p(t: np.ndarray) -> np.ndarray:
+    # math.log1p per element: np.log1p differs from it in the last bit on
+    # about 7% of inputs on AVX-512 CPUs, and the weights would follow
+    t = np.asarray(t, dtype=float)
+    return np.fromiter(map(math.log1p, t.ravel().tolist()), float, t.size).reshape(t.shape)
+
+
+def polynomial_density(a: float) -> DensityFamily:
+    """q(t) = (1 + t)**-a: polynomial decay, log-Lipschitz with constant a."""
+    if a < 0.0:
+        raise ValueError("a must be non-negative")
+    return DensityFamily("polynomial", {"a": a}, lambda t: -a * _log1p(t), a)
+
+
+def capped_exponential_density(beta: float, cap: float) -> DensityFamily:
+    """q(t) = exp(-beta min(t, cap)): exponential decay flattening past cap."""
+    if beta < 0.0 or cap < 0.0:
+        raise ValueError("beta and cap must be non-negative")
+    return DensityFamily(
+        "capped_exponential", {"beta": beta, "cap": cap}, lambda t: -beta * np.minimum(t, cap), beta
+    )
+
+
+_FAMILIES = {
+    "exponential": exponential_density,
+    "polynomial": polynomial_density,
+    "capped_exponential": capped_exponential_density,
+}
+
+
+def density_family(name: str, **params) -> DensityFamily:
+    """Build a shipped family by name, for harness configs."""
+    try:
+        return _FAMILIES[name](**params)
+    except KeyError as exc:
+        raise ValueError(f"unknown density family {name!r}") from exc
 
 
 @dataclass(frozen=True)
 class GibbsPosterior:
-    """Normalized posterior weights at one inverse temperature for one sample."""
+    """Normalized weights prior * q(empirical loss) / Z for one sample.
+
+    beta is the density's decay rate: the inverse temperature of the Gibbs
+    posterior, gamma for any other family.  log_partition is ln Z.
+    """
 
     beta: float
     log_partition: float
@@ -51,6 +143,10 @@ class GibbsPosterior:
             raise ValueError("posterior weights must sum to 1")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
+
+
+# a posterior under any monotone density is the same object as a Gibbs one
+MonotoneDensityPosterior = GibbsPosterior
 
 
 @dataclass(frozen=True)
@@ -79,15 +175,50 @@ def _check_beta(beta: float) -> float:
     return float(beta)
 
 
-def log_partition(space: FiniteHypothesisSpace, data_losses, beta: float) -> float:
-    """ln of the prior average of exp(-beta * empirical loss); 0 at beta = 0."""
-    losses = _losses_vector(space, data_losses)
-    _check_beta(beta)
-    if beta == 0.0:
-        return 0.0
-    with np.errstate(divide="ignore"):
-        log_prior = np.log(space.prior)
-    return log_sum_exp(log_prior, -beta * losses)
+def _ranked(space: FiniteHypothesisSpace, losses: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's positive-prior losses, their stable ascending order and the sorted levels.
+
+    The one sort of a (T, H) loss block: the posterior kernel checks the
+    density conditions on these levels and the complexity reads its step
+    CDF from them.
+    """
+    values = losses[:, space.prior > 0.0]
+    order = np.argsort(values, axis=1, kind="stable")
+    return values, order, np.take_along_axis(values, order, axis=1)
+
+
+def _check_conditions(levels: np.ndarray, log_q: np.ndarray, gamma: float) -> None:
+    """Raise for the first row of ascending levels on which the density breaks a condition.
+
+    Adjacent levels suffice: both conditions telescope, and repeated levels
+    carry equal densities and pass, so the error names the row's first
+    failing pair of distinct levels.  A pair's tolerance scales with its
+    finite log densities only: a vanishing density still fails next to a
+    finite one.
+    """
+    size = np.where(np.isfinite(log_q), np.abs(log_q), 0.0)
+    tol = CONDITION_TOL * np.maximum(1.0, np.maximum(size[:, :-1], size[:, 1:]))
+    with np.errstate(invalid="ignore"):
+        rising = log_q[:, 1:] > log_q[:, :-1] + tol
+        steep = log_q[:, :-1] - log_q[:, 1:] > gamma * (levels[:, 1:] - levels[:, :-1]) + tol
+    infinite = (log_q == np.inf).any(axis=1)
+    vanishing = (log_q == -np.inf).all(axis=1)
+    broken = rising | steep
+    failing = infinite | vanishing | broken.any(axis=1)
+    if not failing.any():
+        return
+    row = int(np.argmax(failing))
+    if infinite[row]:
+        raise ValueError("density must be finite at every achieved loss level")
+    if vanishing[row]:
+        raise ValueError("density vanishes at every achieved loss level")
+    j = int(np.argmax(broken[row]))
+    s, t = float(levels[row, j]), float(levels[row, j + 1])
+    if rising[row, j]:
+        raise DensityConditionError(f"density increases between achieved levels {s!r} and {t!r}", (s, t))
+    raise DensityConditionError(
+        f"log-Lipschitz constant {gamma!r} violated between levels {s!r} and {t!r}", (s, t)
+    )
 
 
 def normalized_rows(total: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -106,14 +237,50 @@ def normalized_rows(total: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return weights, log_z
 
 
+def _density_rows(
+    space: FiniteHypothesisSpace, losses: np.ndarray, ranked: tuple, family: DensityFamily, gamma: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The row kernel: weights prior * q(loss) / Z and ln Z for every row of a (T, H) loss block.
+
+    The density conditions are checked on every row first; the first row
+    that fails raises its error.  At rate 0 the check leaves q constant on
+    the achieved levels, so the weights are the prior itself and ln Z is
+    that constant's log.
+    """
+    if gamma < 0.0:
+        raise ValueError("gamma must be non-negative")
+    values, order, levels = ranked
+    values_log_q = np.broadcast_to(np.asarray(family.log_density(values), dtype=float), values.shape)
+    levels_log_q = np.take_along_axis(values_log_q, order, axis=1)
+    _check_conditions(levels, levels_log_q, gamma)
+    if gamma == 0.0:
+        # + 0.0 writes the exponential family's -0.0 as 0.0
+        return np.broadcast_to(space.prior, losses.shape), levels_log_q[:, 0] + 0.0
+    # zero-prior atoms never touch the density (it may be arbitrary there)
+    log_q = np.full(losses.shape, -np.inf)
+    log_q[:, space.prior > 0.0] = values_log_q
+    with np.errstate(divide="ignore"):
+        log_prior = np.log(space.prior)
+    return normalized_rows(log_prior + log_q)
+
+
+def density_rows(
+    space: FiniteHypothesisSpace, losses: np.ndarray, family: DensityFamily, gamma: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Weights prior * q(loss) / Z and ln Z for every row of a (T, H) loss block, conditions checked."""
+    return _density_rows(space, losses, _ranked(space, losses), family, gamma)
+
+
 def posterior_rows(space: FiniteHypothesisSpace, losses: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Gibbs weights and ln Z for every row of a (T, H) loss block; the prior itself at beta = 0."""
     beta = _check_beta(beta)
-    if beta == 0.0:
-        return np.broadcast_to(space.prior, losses.shape), np.zeros(len(losses))
-    with np.errstate(divide="ignore"):
-        log_prior = np.log(space.prior)
-    return normalized_rows(log_prior - beta * losses)
+    return density_rows(space, losses, exponential_density(beta), beta)
+
+
+def log_partition(space: FiniteHypothesisSpace, data_losses, beta: float) -> float:
+    """ln of the prior average of exp(-beta * empirical loss); 0 at beta = 0."""
+    losses = _losses_vector(space, data_losses)
+    return float(posterior_rows(space, losses[None], beta)[1][0])
 
 
 def posterior(space: FiniteHypothesisSpace, data_losses, beta: float) -> GibbsPosterior:
@@ -121,6 +288,18 @@ def posterior(space: FiniteHypothesisSpace, data_losses, beta: float) -> GibbsPo
     losses = _losses_vector(space, data_losses)
     weights, log_z = posterior_rows(space, losses[None], beta)
     return GibbsPosterior(float(beta), float(log_z[0]), weights[0])
+
+
+def normalize_density(space: FiniteHypothesisSpace, data_losses, family: DensityFamily, gamma: float) -> GibbsPosterior:
+    """Normalize prior * q(empirical loss) after verifying the density conditions.
+
+    Conditions are checked pairwise over the loss levels achieved by
+    positive-prior hypotheses; on a finite space those are the only points
+    the posterior and the bound ever read the density at.
+    """
+    losses = _losses_vector(space, data_losses)
+    weights, log_z = density_rows(space, losses[None], family, gamma)
+    return GibbsPosterior(float(gamma), float(log_z[0]), weights[0])
 
 
 def zero_temperature_posterior(space: FiniteHypothesisSpace, data_losses) -> GibbsPosterior:
@@ -160,6 +339,19 @@ def sample_hypothesis(post: GibbsPosterior, seed: int) -> int:
     return int(sample_hypotheses(post, 1, seed)[0])
 
 
+def _complexity_rows(
+    space: FiniteHypothesisSpace, losses: np.ndarray, ranked: tuple, h_indices: np.ndarray, beta: float
+) -> tuple[np.ndarray, np.ndarray]:
+    beta = _check_beta(beta)
+    _, order, levels = ranked
+    mass = np.cumsum(space.prior[space.prior > 0.0][order], axis=1)
+    rows = np.arange(len(losses))
+    shifts = levels - losses[rows, h_indices][:, None]
+    objective = beta * shifts - np.log(mass)
+    best = np.argmin(objective, axis=1)
+    return objective[rows, best], shifts[rows, best]
+
+
 def complexity_rows(
     space: FiniteHypothesisSpace, losses: np.ndarray, h_indices: np.ndarray, beta: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -171,17 +363,24 @@ def complexity_rows(
     atoms before it inside the level carry less, so their objective is no
     smaller and the minimum over all atoms is the minimum over levels.
     """
-    beta = _check_beta(beta)
-    mask = space.prior > 0.0
-    values = losses[:, mask]
-    order = np.argsort(values, axis=1, kind="stable")
-    levels = np.take_along_axis(values, order, axis=1)
-    mass = np.cumsum(space.prior[mask][order], axis=1)
-    rows = np.arange(len(losses))
-    shifts = levels - losses[rows, h_indices][:, None]
-    objective = beta * shifts - np.log(mass)
-    best = np.argmin(objective, axis=1)
-    return objective[rows, best], shifts[rows, best]
+    return _complexity_rows(space, losses, _ranked(space, losses), h_indices, beta)
+
+
+def posterior_draws(
+    space: FiniteHypothesisSpace, losses: np.ndarray, family: DensityFamily, seeds
+) -> tuple[np.ndarray, np.ndarray]:
+    """One posterior draw per row of a (T, H) loss block and the complexity of each draw.
+
+    Row i's posterior is prior * q(loss row i) under family, its draw comes
+    from a PCG64(seeds[i]) stream, and its complexity is taken at the
+    family's decay rate.  The posterior and the complexity read one sort of
+    each row.
+    """
+    ranked = _ranked(space, losses)
+    weights, _ = _density_rows(space, losses, ranked, family, family.gamma)
+    drawn = sample_rows(weights, seeds)
+    values, _ = _complexity_rows(space, losses, ranked, drawn, family.gamma)
+    return drawn, values
 
 
 def complexity(space: FiniteHypothesisSpace, data_losses, h_index: int, beta: float) -> ComplexityValue:

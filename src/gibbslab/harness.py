@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,11 +28,11 @@ from .bounds import (
 )
 from .gibbs import (
     complexity,
-    complexity_rows,
+    density_family,
+    exponential_density,
     posterior,
-    posterior_rows,
+    posterior_draws,
     sample_hypothesis,
-    sample_rows,
     zero_temperature_posterior,
 )
 from .measures import binary_kl
@@ -45,7 +46,6 @@ from .model import (
     sample_items,
     step_cdf,
 )
-from .monotone import density_family, density_rows
 
 __all__ = [
     "ExperimentConfig",
@@ -103,6 +103,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENT_NAMES:
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        for name in ("n", "trials", "p", "master_seed"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.n < 1:
@@ -113,12 +116,15 @@ class ExperimentConfig:
             raise ValueError("p must be a positive integer")
         if self.master_seed < 0:
             raise ValueError("master_seed must be non-negative")
-        beta_grid = tuple(float(b) for b in self.beta_grid)
-        if not beta_grid:
-            raise ValueError("beta_grid must be nonempty")
-        object.__setattr__(self, "beta_grid", beta_grid)
+        beta_grid = _grid("beta_grid", self.beta_grid, "numbers", _is_real)
+        if not all(math.isfinite(b) and b >= 0.0 for b in beta_grid):
+            raise ValueError(f"beta_grid values must be finite and non-negative, got {list(beta_grid)}")
+        object.__setattr__(self, "beta_grid", tuple(map(float, beta_grid)))
         if self.n_grid is not None:
-            object.__setattr__(self, "n_grid", tuple(int(v) for v in self.n_grid))
+            n_grid = _grid("n_grid", self.n_grid, "integers", _is_integer)
+            if min(n_grid) < 1:
+                raise ValueError(f"n_grid values must be at least 1, got {list(n_grid)}")
+            object.__setattr__(self, "n_grid", tuple(map(int, n_grid)))
         if self.bound_kind not in BOUND_KINDS:
             raise ValueError(f"unknown bound kind {self.bound_kind!r}")
         if self.density is not None and (self.experiment, self.bound_kind) != ("violation", "beyond_gibbs"):
@@ -143,6 +149,26 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _grid(name: str, values, kind: str, accepts) -> tuple:
+    """A grid field as a nonempty tuple of entries that pass accepts; a string such as "10" is no grid."""
+    if not isinstance(values, (list, tuple, np.ndarray)):
+        raise ValueError(f"{name} must be a list of {kind}, got {values!r}")
+    values = tuple(values)
+    if not values:
+        raise ValueError(f"{name} must be nonempty")
+    if not all(map(accepts, values)):
+        raise ValueError(f"{name} must be a list of {kind}, got {list(values)!r}")
+    return values
 
 
 def derive_seed_pair(master_seed: int, *path: int) -> tuple[int, int]:
@@ -244,29 +270,17 @@ def run_violation_experiment(config: ExperimentConfig) -> ViolationSummary:
     if kind == "stratify":
         _check_subgaussian_scale(config.sigma, space, domain, matrix)
     true_losses = (matrix @ domain.probs).tolist()
-    configured_family = None
-    if kind == "beyond_gibbs" and config.density is not None:
-        configured_family = density_family(
-            config.density["name"], **config.density.get("params", {})
-        )
+    density = config.density
+    configured_family = None if density is None else density_family(density["name"], **density.get("params", {}))
 
     n, delta = config.n, config.delta
     rows = []
     for beta_index, beta in enumerate(config.beta_grid):
-        if kind == "beyond_gibbs":
-            # without an explicit density the run degenerates to Gibbs at beta
-            family = configured_family or density_family("exponential", beta=beta)
-            rate = family.gamma
-        else:
-            rate = beta
+        # without an explicit density the posterior is Gibbs at beta
+        family = configured_family or exponential_density(beta)
         blocks = _trial_blocks(config.master_seed, (beta_index,), config.trials, domain, matrix, n)
         for data_seeds, draw_seeds, empirical in blocks:
-            if kind == "beyond_gibbs":
-                weights, _ = density_rows(space, empirical, family, family.gamma)
-            else:
-                weights, _ = posterior_rows(space, empirical, beta)
-            drawn = sample_rows(weights, draw_seeds)
-            lams, _ = complexity_rows(space, empirical, drawn, rate)
+            drawn, lams = posterior_draws(space, empirical, family, draw_seeds)
             own = empirical[np.arange(len(drawn)), drawn]
             for data_seed, h, emp, lam in zip(data_seeds, drawn.tolist(), own.tolist(), lams.tolist()):
                 if kind == "stratify":
@@ -281,7 +295,7 @@ def run_violation_experiment(config: ExperimentConfig) -> ViolationSummary:
                 rows.append(
                     BoundReport(
                         trial_seed=data_seed,
-                        beta=rate,
+                        beta=family.gamma,
                         n=n,
                         delta=delta,
                         complexity=lam,

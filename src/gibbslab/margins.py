@@ -252,6 +252,8 @@ def write_labeled_csv(path, points: Iterable[LabeledPoint]) -> None:
 def read_labeled_csv(path) -> tuple[LabeledPoint, ...]:
     with open(path, encoding="utf-8") as fh:
         lines = [line.strip() for line in fh if line.strip()]
+    if not lines:
+        raise ValueError(f"labeled CSV {str(path)!r} has no header: the file is empty")
     header = lines[0].split(",")
     if header[-1] != "y" or not all(c == f"z_{i + 1}" for i, c in enumerate(header[:-1])):
         raise ValueError(f"unexpected header {lines[0]!r}")

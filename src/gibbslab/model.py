@@ -10,6 +10,7 @@ claims against ground truth.
 
 from __future__ import annotations
 
+import inspect
 import json
 from dataclasses import dataclass
 from typing import Any, Callable
@@ -459,12 +460,24 @@ SPACE_GENERATORS = {
 
 
 def build_space(spec: dict) -> tuple[FiniteDataDomain, FiniteHypothesisSpace]:
-    """Instantiate a generator from {"name": ..., "params": {...}}."""
-    try:
-        generator = SPACE_GENERATORS[spec["name"]]
-    except KeyError as exc:
-        raise ValueError(f"unknown space generator {spec.get('name')!r}") from exc
-    return generator(**spec.get("params", {}))
+    """Instantiate a generator from {"name": ..., "params": {...}}, params checked against its signature."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"a space spec must be an object with a name and params, got {spec!r}")
+    name, params = spec.get("name"), spec.get("params", {})
+    generator = SPACE_GENERATORS.get(name) if isinstance(name, str) else None
+    if generator is None:
+        raise ValueError(f"unknown space generator {name!r}")
+    if not isinstance(params, dict):
+        raise ValueError(f"params of space generator {name!r} must be an object, got {params!r}")
+    accepted = inspect.signature(generator).parameters
+    unknown = sorted(set(params) - set(accepted))
+    missing = [p.name for p in accepted.values() if p.default is p.empty and p.name not in params]
+    if unknown or missing:
+        raise ValueError(
+            f"space generator {name!r}: unknown parameters {unknown}, missing parameters {missing};"
+            f" it takes {list(accepted)}"
+        )
+    return generator(**params)
 
 
 # ---------------------------------------------------------------------------

@@ -43,6 +43,22 @@ class TestRun:
         assert main(["run", str(cfg_path)]) == 2
         assert "output_path" in capsys.readouterr().err
 
+    def test_unknown_key_reported_without_traceback(self, tmp_path, capsys):
+        cfg_path, _ = write_config(tmp_path, trails=3)
+        assert main(["run", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == "gibbslab: error: unknown config keys: trails\n"
+
+    def test_bad_space_spec_reported_without_traceback(self, tmp_path, capsys):
+        spec = {"name": "random_loss_table", "params": {"num_hypotheses": 16, "num_point": 8, "seed": 3}}
+        cfg_path, _ = write_config(tmp_path, space_spec=spec)
+        assert main(["run", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gibbslab: error: space generator 'random_loss_table'") and "num_point" in err
+
+    def test_missing_config_file_reported_without_traceback(self, tmp_path, capsys):
+        assert main(["run", str(tmp_path / "absent.json")]) == 2
+        assert capsys.readouterr().err.startswith("gibbslab: error: ")
+
     def test_uncertifiable_delta_fails(self, tmp_path):
         # 150 clean trials cannot certify a rate below 0.001 at 99% confidence
         cfg_path, _ = write_config(tmp_path, delta=0.001)
@@ -90,6 +106,13 @@ class TestSweep:
         assert lines[0] == "beta,diagonal,kl,plateau"
         assert len(lines) == 13
         assert "PASS" in capsys.readouterr().out
+
+    def test_zero_beta_steps_reported_without_traceback(self, tmp_path, capsys):
+        argv = ["sweep", "--experiment", "phase", "--beta-min", "0.1", "--beta-max", "1.0", "--beta-steps", "0"]
+        argv += ["--n", "50", "--delta", "0.05", "--seed", "7", "--out", str(tmp_path / "phase.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "gibbslab: error: beta_grid must be nonempty\n"
+        assert not (tmp_path / "phase.csv").exists()
 
     def test_zero_temp_sweep_with_custom_space(self, tmp_path):
         out = tmp_path / "zt.csv"

@@ -19,6 +19,7 @@ from gibbslab.harness import (
     EXPERIMENT_NAMES,
     Z_99,
     ExperimentConfig,
+    RandomLabelRow,
     _realized_binary_kl,
     csv_report,
     derive_seed_pair,
@@ -40,11 +41,12 @@ from gibbslab.model import (
     sample_dataset,
     table_space,
 )
-from gibbslab import monotone
-from gibbslab.monotone import DensityFamily, density_family, normalize_density
+from gibbslab import gibbs
+from gibbslab.gibbs import DensityFamily, density_family, normalize_density
 
 SMALL_SPACE = {"name": "random_loss_table", "params": {"num_hypotheses": 16, "num_points": 8, "seed": 3}}
 NOISE_TASK = {"name": "permuted_label_task", "params": {"num_inputs": 6, "seed": 3, "label_noise": 0.5}}
+RANDOM_LABEL_FIELDS = {"experiment": "random_label", "space_spec": NOISE_TASK, "n_grid": (50,), "r0": 0.3}
 
 
 def config(**overrides) -> ExperimentConfig:
@@ -79,11 +81,53 @@ class TestConfig:
             {"p": 0},
             {"master_seed": -1},
             {"bound_kind": "other"},
+            {"beta_grid": "10"},
+            {"beta_grid": (math.nan,)},
+            {"beta_grid": (math.inf,)},
+            {"beta_grid": (-1.0,)},
+            {"trials": 2.5},
+            {"n": 2.5},
+            {**RANDOM_LABEL_FIELDS, "n_grid": "50"},
+            {**RANDOM_LABEL_FIELDS, "n_grid": ()},
         ],
     )
     def test_invalid_configs_rejected(self, overrides):
         with pytest.raises(ValueError):
             config(**overrides)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("beta_grid", "10"),
+            ("beta_grid", 10.0),
+            ("beta_grid", (math.nan,)),
+            ("beta_grid", (1.0, math.inf)),
+            ("beta_grid", (-1.0,)),
+            ("beta_grid", ("1",)),
+            ("trials", 2.5),
+            ("n", 2.5),
+            ("n", True),
+            ("n_grid", "50"),
+            ("n_grid", ()),
+            ("n_grid", (50.5,)),
+            ("n_grid", (0,)),
+        ],
+    )
+    def test_rejected_grid_and_count_fields_named(self, field, value):
+        extra = RANDOM_LABEL_FIELDS if field == "n_grid" else {}
+        with pytest.raises(ValueError, match=f"^{field} "):
+            config(**{**extra, field: value})
+
+    def test_grid_string_from_json_rejected(self):
+        # iterating the string would run beta in {1.0, 0.0}
+        doc = {**config().to_dict(), "beta_grid": "10"}
+        with pytest.raises(ValueError, match="beta_grid must be a list of numbers, got '10'"):
+            ExperimentConfig.from_json(json.dumps(doc))
+
+    def test_integer_grids_and_numpy_values_accepted(self):
+        cfg = config(beta_grid=np.array([0, 10]), trials=np.int64(3))
+        assert cfg.beta_grid == (0.0, 10.0) and cfg.trials == 3
+        assert config(**{**RANDOM_LABEL_FIELDS, "n_grid": [np.int64(50), 200]}).n_grid == (50, 200)
 
     def test_unknown_keys_named(self, tmp_path):
         doc = {**config().to_dict(), "sigmaa": 0.5, "trails": 3}
@@ -339,7 +383,7 @@ class TestBlockKernelMatchesPerTrialLoop:
         def half_gamma(beta):
             return DensityFamily("half_gamma", {"beta": beta}, lambda t: -beta * t, beta / 2)
 
-        monkeypatch.setitem(monotone._FAMILIES, "half_gamma_for_test", half_gamma)
+        monkeypatch.setitem(gibbs._FAMILIES, "half_gamma_for_test", half_gamma)
         density = {"name": "half_gamma_for_test", "params": {"beta": 10.0}}
         cfg = config(bound_kind="beyond_gibbs", density=density, trials=5)
         outcome = _outcome(_kernel_rows, cfg)
@@ -547,8 +591,7 @@ class TestRunExperiment:
         assert [row[1] for row in rows] == ["1.0"] * 5
 
     def test_empty_n_grid_writes_the_header_only(self):
-        cfg = config(experiment="random_label", space_spec=NOISE_TASK, n_grid=(), r0=0.3)
-        assert run_experiment(cfg).csv_text == "n,r0,median_phi_hat,bound,vacuous,exceed_rate\n"
+        assert csv_report(RandomLabelRow, []) == "n,r0,median_phi_hat,bound,vacuous,exceed_rate\n"
 
     def test_rerun_is_byte_identical(self, tmp_path):
         out = tmp_path / "d.csv"
@@ -578,6 +621,10 @@ PINNED_BASE = dict(
     master_seed=11,
 )
 MINIMIZERS = {"name": "k_minimizer_space", "params": {"num_hypotheses": 100, "num_minimizers": 4, "seed": 7}}
+RANDOM_PRIOR = {
+    "name": "random_loss_table",
+    "params": {"num_hypotheses": 64, "num_points": 16, "seed": 7, "random_prior": True},
+}
 PINNED_CONFIGS = {
     "violation_kl": {},
     "violation_stratify": {"bound_kind": "stratify"},
@@ -586,6 +633,21 @@ PINNED_CONFIGS = {
     "random_label": {"experiment": "random_label", "space_spec": NOISE_TASK, "n_grid": (50, 200), "r0": 0.3},
     "zero_temp": {"experiment": "zero_temp", "space_spec": MINIMIZERS, "beta_grid": (0.0, 1.0, 10.0, 1e6)},
     "phase": {"experiment": "phase", "space_spec": MINIMIZERS, "beta_grid": (0.1, 1.0, 10.0, 1000.0)},
+    "violation_high_temp": {"bound_kind": "high_temp"},
+    "violation_beyond_gibbs_default": {"bound_kind": "beyond_gibbs"},
+    "violation_beyond_gibbs_capped": {
+        "bound_kind": "beyond_gibbs",
+        "density": {"name": "capped_exponential", "params": {"beta": 20.0, "cap": 0.5}},
+    },
+    # at rate 0 the posterior is the prior itself, not the prior renormalized
+    "violation_kl_random_prior_beta_0": {"space_spec": RANDOM_PRIOR, "beta_grid": (0.0,)},
+    "violation_polynomial_a_0_random_prior": {
+        "space_spec": RANDOM_PRIOR,
+        "beta_grid": (0.0,),
+        "bound_kind": "beyond_gibbs",
+        "density": {"name": "polynomial", "params": {"a": 0.0}},
+    },
+    "violation_kl_tied_beta_1e9": {"space_spec": TIED_NOISE_TASK, "beta_grid": (1e9,), "master_seed": 2},
 }
 # SHA-256 of the CSV bytes followed by the JSON bytes that write_result leaves,
 # recorded from the per-trial implementation the block kernel replaced.  The
@@ -600,6 +662,13 @@ PINNED_HASHES = {
     "random_label": "9ddbb9b729389c7214bab442c4a200a162e0635871ad55539c2bbe383c5acc75",
     "zero_temp": "9c0656dac1a8d47a56e82591c3645bb0b514f0510979cf37b1dcda486317bb53",
     "phase": "79ab7229db3dd1dd90abdfb94443587c799ea7f4bae11ba8beb4df70f73090f2",
+    # recorded from the two posterior kernels the single density kernel replaced
+    "violation_high_temp": "0bbdb3a86fa11f3a3b888dc8be1589181627046574efb7a933a393ef7b2388c6",
+    "violation_beyond_gibbs_default": "e8592a29d5162c02f25780e4f630b3907d1a4f588da84e51b82bdd78727ce86a",
+    "violation_beyond_gibbs_capped": "645bcf237c96b1cc999768ab75a0114bc04cf74faf3fbf3afe5e468a1055f5b7",
+    "violation_kl_random_prior_beta_0": "adf8b3f85354f91e2779523af076c5ec6745f207ed0c502107ce27141347960a",
+    "violation_polynomial_a_0_random_prior": "ad9d2d7c8f421ce509f84e389d44fdab8368a767df5453a82b290f595b6c15dc",
+    "violation_kl_tied_beta_1e9": "1e81baa621cffa09d1d2cfaa0a4ed754e9c0171faaaa7aaa18c9fe7faa60509d",
 }
 
 

@@ -282,3 +282,9 @@ class TestCsvRoundTrip:
         path.write_text("a,b\n1.0,1\n")
         with pytest.raises(ValueError):
             read_labeled_csv(path)
+
+    def test_empty_file_has_no_header(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("\n")
+        with pytest.raises(ValueError, match="has no header"):
+            read_labeled_csv(path)

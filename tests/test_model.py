@@ -309,3 +309,23 @@ class TestBlockDraws:
     def test_inverse_cdf_rejects_weightless_rows(self):
         with pytest.raises(ValueError, match="positive weight"):
             inverse_cdf(np.array([[0.5, 0.5], [0.0, 0.0]]), np.zeros((2, 1)))
+
+
+class TestBuildSpaceErrors:
+    def test_misspelt_parameter_named(self):
+        spec = {"name": "random_loss_table", "params": {"num_hypotheses": 3, "num_point": 2, "seed": 1}}
+        with pytest.raises(ValueError, match=r"'random_loss_table': unknown parameters \['num_point'\], missing parameters \['num_points'\]"):
+            build_space(spec)
+
+    def test_missing_parameter_named(self):
+        spec = {"name": "k_minimizer_space", "params": {"num_hypotheses": 10, "seed": 1}}
+        with pytest.raises(ValueError, match=r"'k_minimizer_space': unknown parameters \[\], missing parameters \['num_minimizers'\]"):
+            build_space(spec)
+
+    def test_spec_that_is_not_an_object_rejected(self):
+        with pytest.raises(ValueError, match="space spec must be an object"):
+            build_space(["random_loss_table", {"num_hypotheses": 3}])
+
+    def test_params_that_are_not_an_object_rejected(self):
+        with pytest.raises(ValueError, match="params of space generator 'random_loss_table'"):
+            build_space({"name": "random_loss_table", "params": [3, 2, 1]})

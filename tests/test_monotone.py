@@ -3,20 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from gibbslab.gibbs import complexity, ipm_l1, metropolis_occupancy, posterior
-from gibbslab.model import loss_profile, random_loss_table, sample_dataset, table_space
-from gibbslab.monotone import (
+from gibbslab.bounds import ipm_corrected_rhs, monotone_bound_rhs
+from gibbslab.gibbs import (
     DensityConditionError,
     DensityFamily,
     capped_exponential_density,
+    complexity,
     density_family,
     density_rows,
     exponential_density,
-    ipm_corrected_rhs,
-    monotone_bound_rhs,
+    ipm_l1,
+    metropolis_occupancy,
     normalize_density,
     polynomial_density,
+    posterior,
 )
+from gibbslab.model import loss_profile, random_loss_table, sample_dataset, table_space
 
 
 @pytest.fixture
@@ -41,6 +43,14 @@ class TestFamilies:
         family = capped_exponential_density(4.0, cap=0.5)
         assert family.log_density(0.5) == family.log_density(2.0) == -2.0
 
+    def test_log_density_maps_arrays_with_the_scalar_bits(self):
+        t = np.random.Generator(np.random.PCG64(5)).random((40, 7))
+        polynomial = polynomial_density(2.5).log_density(t)
+        assert polynomial.shape == t.shape
+        assert polynomial.tolist() == [[-2.5 * math.log1p(v) for v in row] for row in t.tolist()]
+        capped = capped_exponential_density(4.0, cap=0.5).log_density(t)
+        assert capped.tolist() == [[-4.0 * min(v, 0.5) for v in row] for row in t.tolist()]
+
     def test_negative_parameters_rejected(self):
         with pytest.raises(ValueError):
             exponential_density(-1.0)
@@ -57,13 +67,13 @@ class TestNormalizeDensity:
             assert np.max(np.abs(post.weights - exact)) <= 1e-12
 
     def test_polynomial_closed_form(self, two_level):
-        # q(0) = 1, q(1) = 1/2 against a fair prior: normalizer 4/3, weights (2/3, 1/3)
+        # q(0) = 1, q(1) = 1/2 against a fair prior: Z = 3/4, weights (2/3, 1/3)
         space, losses = two_level
         post = normalize_density(space, losses, polynomial_density(1.0), 1.0)
-        assert post.normalizer == pytest.approx(4.0 / 3.0, abs=1e-12)
+        assert math.exp(post.log_partition) == pytest.approx(3.0 / 4.0, abs=1e-12)
         assert post.weights[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
         assert post.weights[1] == pytest.approx(1.0 / 3.0, abs=1e-12)
-        assert post.log_normalizer == pytest.approx(math.log(4.0 / 3.0), abs=1e-12)
+        assert post.log_partition == pytest.approx(math.log(3.0 / 4.0), abs=1e-12)
 
     def test_increasing_density_rejected(self, two_level):
         space, losses = two_level
@@ -107,7 +117,7 @@ class TestNormalizeDensity:
     def test_density_vanishing_next_to_a_large_one_rejected(self, two_level):
         # an infinite log density does not scale the tolerance
         space, losses = two_level
-        family = DensityFamily("cliff", {}, lambda t: -1e9 if t == 0.0 else -math.inf, 1.0)
+        family = DensityFamily("cliff", {}, lambda t: np.where(t == 0.0, -1e9, -math.inf), 1.0)
         with pytest.raises(DensityConditionError, match="log-Lipschitz"):
             normalize_density(space, losses, family, 1.0)
 
@@ -119,7 +129,7 @@ class TestNormalizeDensity:
 
     def test_infinite_density_rejected(self, two_level):
         space, losses = two_level
-        spike = DensityFamily("spike", {}, lambda t: math.inf if t == 0.0 else 0.0, 1.0)
+        spike = DensityFamily("spike", {}, lambda t: np.where(t == 0.0, math.inf, 0.0), 1.0)
         with pytest.raises(ValueError):
             normalize_density(space, losses, spike, 1.0)
 
@@ -128,7 +138,7 @@ class TestNormalizeDensity:
         # condition, but it is invisible to the posterior
         space = table_space([[0.0], [1.0], [2.0]], [0.5, 0.5, 0.0])
         losses = np.array([0.0, 1.0, 2.0])
-        family = DensityFamily("piecewise", {}, lambda t: -t if t <= 1.0 else -100.0 * t, 1.0)
+        family = DensityFamily("piecewise", {}, lambda t: np.where(t <= 1.0, -t, -100.0 * t), 1.0)
         post = normalize_density(space, losses, family, 1.0)
         assert post.weights[2] == 0.0
 
@@ -136,7 +146,7 @@ class TestNormalizeDensity:
         # an infinite density at a zero-prior level must not poison the weights
         space = table_space([[0.0], [1.0], [2.0]], [0.5, 0.5, 0.0])
         losses = np.array([0.0, 1.0, 2.0])
-        family = DensityFamily("wild", {}, lambda t: math.inf if t == 2.0 else -t, 1.0)
+        family = DensityFamily("wild", {}, lambda t: np.where(t == 2.0, math.inf, -t), 1.0)
         post = normalize_density(space, losses, family, 1.0)
         assert np.all(np.isfinite(post.weights))
         assert post.weights[2] == 0.0
@@ -146,8 +156,16 @@ class TestNormalizeDensity:
         space, losses = two_level
         post = normalize_density(space, np.array([0.5, 1.0]), exponential_density(5000.0), 5000.0)
         assert post.weights[0] == pytest.approx(1.0, abs=1e-12)
-        assert math.isinf(post.normalizer)  # exp overflows; log_normalizer is exact
-        assert post.log_normalizer == pytest.approx(2500.0 - math.log(0.5), rel=1e-12)
+        # Z = exp(-2500) / 2 underflows; ln Z is exact
+        assert post.log_partition == pytest.approx(-2500.0 + math.log(0.5), rel=1e-12)
+
+    def test_rate_zero_returns_the_prior_itself(self):
+        # a constant density leaves the prior; renormalizing it would move its last bits
+        domain, space = random_loss_table(64, 16, 7, random_prior=True)
+        losses = loss_profile(space, domain, sample_dataset(domain, 50, 3)).empirical
+        post = normalize_density(space, losses, polynomial_density(0.0), 0.0)
+        assert np.array_equal(post.weights, space.prior)
+        assert post.log_partition == 0.0
 
     def test_misaligned_losses_rejected(self, two_level):
         space, _ = two_level
@@ -223,7 +241,7 @@ class TestDensityRows:
             for row, got_weights, got_log_z in zip(losses, weights, log_z):
                 post = normalize_density(space, row, family, family.gamma)
                 assert np.array_equal(got_weights, post.weights)
-                assert -got_log_z == post.log_normalizer
+                assert got_log_z == post.log_partition
 
     def test_first_failing_row_raises_its_own_error(self):
         space = table_space(np.zeros((3, 1)), [0.2, 0.3, 0.5])
