@@ -20,6 +20,7 @@ import numpy as np
 
 from .measures import shifted_exp_rows
 from .model import TIE_TOL, FiniteHypothesisSpace, inverse_cdf, step_cdf
+from .streams import uniform_rows
 
 __all__ = [
     "DensityFamily",
@@ -175,16 +176,17 @@ def _check_beta(beta: float) -> float:
     return float(beta)
 
 
-def _ranked(space: FiniteHypothesisSpace, losses: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each row's positive-prior losses, their stable ascending order and the sorted levels.
+def _ranked(space: FiniteHypothesisSpace, losses: np.ndarray) -> tuple:
+    """Each row's positive-prior losses, their stable ascending order, that order as flat indices, and the sorted levels.
 
     The one sort of a (T, H) loss block: the posterior kernel checks the
     density conditions on these levels and the complexity reads its step
-    CDF from them.
+    CDF from them.  Gathers through the flat order are one np.take each.
     """
     values = losses[:, space.prior > 0.0]
     order = np.argsort(values, axis=1, kind="stable")
-    return values, order, np.take_along_axis(values, order, axis=1)
+    flat = order + np.arange(0, values.size, values.shape[1])[:, None]
+    return values, order, flat, values.take(flat)
 
 
 def _check_conditions(levels: np.ndarray, log_q: np.ndarray, gamma: float) -> None:
@@ -201,12 +203,13 @@ def _check_conditions(levels: np.ndarray, log_q: np.ndarray, gamma: float) -> No
     with np.errstate(invalid="ignore"):
         rising = log_q[:, 1:] > log_q[:, :-1] + tol
         steep = log_q[:, :-1] - log_q[:, 1:] > gamma * (levels[:, 1:] - levels[:, :-1]) + tol
+    broken = rising | steep
+    # with no infinite log density, only a broken pair fails a row
+    if not (broken.any() or np.isinf(log_q).any()):
+        return
     infinite = (log_q == np.inf).any(axis=1)
     vanishing = (log_q == -np.inf).all(axis=1)
-    broken = rising | steep
     failing = infinite | vanishing | broken.any(axis=1)
-    if not failing.any():
-        return
     row = int(np.argmax(failing))
     if infinite[row]:
         raise ValueError("density must be finite at every achieved loss level")
@@ -249,19 +252,21 @@ def _density_rows(
     """
     if gamma < 0.0:
         raise ValueError("gamma must be non-negative")
-    values, order, levels = ranked
-    values_log_q = np.broadcast_to(np.asarray(family.log_density(values), dtype=float), values.shape)
-    levels_log_q = np.take_along_axis(values_log_q, order, axis=1)
+    values, _, flat, levels = ranked
+    values_log_q = np.asarray(family.log_density(values), dtype=float)
+    if values_log_q.shape != values.shape:
+        values_log_q = np.broadcast_to(values_log_q, values.shape)
+    levels_log_q = values_log_q.take(flat)
     _check_conditions(levels, levels_log_q, gamma)
     if gamma == 0.0:
         # + 0.0 writes the exponential family's -0.0 as 0.0
         return np.broadcast_to(space.prior, losses.shape), levels_log_q[:, 0] + 0.0
-    # zero-prior atoms never touch the density (it may be arbitrary there)
-    log_q = np.full(losses.shape, -np.inf)
-    log_q[:, space.prior > 0.0] = values_log_q
-    with np.errstate(divide="ignore"):
-        log_prior = np.log(space.prior)
-    return normalized_rows(log_prior + log_q)
+    # zero-prior atoms carry log weight -inf and never touch the density
+    # (it may be arbitrary there)
+    positive = space.prior > 0.0
+    total = np.full(losses.shape, -np.inf)
+    total[:, positive] = np.log(space.prior[positive]) + values_log_q
+    return normalized_rows(total)
 
 
 def density_rows(
@@ -322,8 +327,7 @@ def zero_temperature_posterior(space: FiniteHypothesisSpace, data_losses) -> Gib
 
 def sample_rows(weights: np.ndarray, seeds) -> np.ndarray:
     """One draw per row of a (T, H) weight block, row i from a PCG64(seeds[i]) stream."""
-    u = np.array([np.random.Generator(np.random.PCG64(seed)).random() for seed in seeds])
-    return inverse_cdf(weights, u[:, None])[:, 0]
+    return inverse_cdf(weights, uniform_rows(seeds, 1))[:, 0]
 
 
 def sample_hypotheses(post: GibbsPosterior, size: int, seed: int) -> np.ndarray:
@@ -343,7 +347,7 @@ def _complexity_rows(
     space: FiniteHypothesisSpace, losses: np.ndarray, ranked: tuple, h_indices: np.ndarray, beta: float
 ) -> tuple[np.ndarray, np.ndarray]:
     beta = _check_beta(beta)
-    _, order, levels = ranked
+    _, order, _, levels = ranked
     mass = np.cumsum(space.prior[space.prior > 0.0][order], axis=1)
     rows = np.arange(len(losses))
     shifts = levels - losses[rows, h_indices][:, None]

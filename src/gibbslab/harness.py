@@ -46,6 +46,7 @@ from .model import (
     sample_items,
     step_cdf,
 )
+from .streams import seed_pairs
 
 __all__ = [
     "ExperimentConfig",
@@ -110,6 +111,10 @@ class ExperimentConfig:
             raise ValueError("trials must be at least 1")
         if self.n < 1:
             raise ValueError("n must be at least 1")
+        for name in ("delta", "sigma", "r0"):
+            value = getattr(self, name)
+            if not (_is_real(value) or (name == "r0" and value is None)):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
         if self.p < 1:
@@ -182,15 +187,16 @@ def _trial_blocks(master_seed: int, prefix: tuple, trials: int, domain, matrix: 
 
     Trial t draws its dataset from the first seed of
     derive_seed_pair(master_seed, *prefix, t), exactly as sample_dataset
-    would.  A block holds as many trials as fit BLOCK_CELLS floats in one
-    trial's widest row (H losses, X counts or n uniforms), so no temporary
-    of a block outgrows BLOCK_CELLS floats however large the space.
+    would; streams.seed_pairs derives a whole block's pairs at once.  Data
+    seeds come as a list of ints, draw seeds as a uint64 array.  A block
+    holds as many trials as fit BLOCK_CELLS floats in one trial's widest
+    row (H losses, X counts or n uniforms), so no temporary of a block
+    outgrows BLOCK_CELLS floats however large the space.
     """
     size = max(1, BLOCK_CELLS // max(*matrix.shape, n))
     for start in range(0, trials, size):
-        pairs = [derive_seed_pair(master_seed, *prefix, t) for t in range(start, min(trials, start + size))]
-        data_seeds, draw_seeds = zip(*pairs)
-        yield data_seeds, draw_seeds, empirical_losses(matrix, sample_items(domain, n, data_seeds))
+        data_seeds, draw_seeds = seed_pairs(master_seed, prefix, np.arange(start, min(trials, start + size)))
+        yield data_seeds.tolist(), draw_seeds, empirical_losses(matrix, sample_items(domain, n, data_seeds))
 
 
 def wilson_upper_99(violations: int, trials: int) -> float:

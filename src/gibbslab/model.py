@@ -17,6 +17,8 @@ from typing import Any, Callable
 
 import numpy as np
 
+from .streams import uniform_rows
+
 __all__ = [
     "FiniteDataDomain",
     "DataSet",
@@ -227,15 +229,12 @@ def inverse_cdf(weights, u) -> np.ndarray:
 def sample_items(domain: FiniteDataDomain, n: int, seeds) -> np.ndarray:
     """(len(seeds), n) item indices; row i holds n iid points drawn from PCG64(seeds[i]).
 
-    Each row is the stream sample_dataset draws for the same seed, so a
-    block of datasets costs one lookup instead of one per dataset.
+    Each row is the stream sample_dataset draws for the same seed.  The
+    whole block's uniforms come from one streams.uniform_rows call and
+    select their items with one lookup, instead of one generator and one
+    lookup per dataset.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    u = np.empty((len(seeds), n))
-    for row, seed in zip(u, seeds):
-        np.random.Generator(np.random.PCG64(seed)).random(out=row)
-    return inverse_cdf(domain.probs, u)
+    return inverse_cdf(domain.probs, uniform_rows(seeds, n))
 
 
 def sample_dataset(domain: FiniteDataDomain, n: int, seed: int) -> DataSet:
@@ -244,7 +243,10 @@ def sample_dataset(domain: FiniteDataDomain, n: int, seed: int) -> DataSet:
     Identical (domain, n, seed) triples produce identical datasets on every
     platform.  Zero-probability points are never drawn.
     """
-    return DataSet(domain, sample_items(domain, n, [seed])[0])
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    u = np.random.Generator(np.random.PCG64(seed)).random(n)
+    return DataSet(domain, inverse_cdf(domain.probs, u))
 
 
 def empirical_losses(matrix: np.ndarray, items: np.ndarray) -> np.ndarray:

@@ -89,6 +89,9 @@ class TestConfig:
             {"n": 2.5},
             {**RANDOM_LABEL_FIELDS, "n_grid": "50"},
             {**RANDOM_LABEL_FIELDS, "n_grid": ()},
+            {"delta": "0.05"},
+            {"sigma": "0.5"},
+            {**RANDOM_LABEL_FIELDS, "r0": "0.1"},
         ],
     )
     def test_invalid_configs_rejected(self, overrides):
@@ -111,10 +114,14 @@ class TestConfig:
             ("n_grid", ()),
             ("n_grid", (50.5,)),
             ("n_grid", (0,)),
+            ("delta", "0.05"),
+            ("sigma", "0.5"),
+            ("sigma", True),
+            ("r0", "0.1"),
         ],
     )
     def test_rejected_grid_and_count_fields_named(self, field, value):
-        extra = RANDOM_LABEL_FIELDS if field == "n_grid" else {}
+        extra = RANDOM_LABEL_FIELDS if field in ("n_grid", "r0") else {}
         with pytest.raises(ValueError, match=f"^{field} "):
             config(**{**extra, field: value})
 
