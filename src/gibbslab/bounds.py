@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gibbs import GibbsPosterior, complexity as complexity_value
-from .measures import binary_kl_inverse_upper
+from .measures import binary_kl_inverse_upper, per_element
 from .model import FiniteHypothesisSpace, LossProfile, step_cdf
 
 __all__ = [
@@ -22,11 +22,13 @@ __all__ = [
     "monotone_bound_rhs",
     "ipm_corrected_rhs",
     "binary_kl_bound",
+    "binary_kl_bound_rows",
     "gap_bound_relaxed",
     "gap_bound_inverted",
     "high_temperature_bound",
     "minimizer_mass_bound",
     "stratified_subgaussian_bound",
+    "stratified_subgaussian_bound_rows",
     "subexponential_bound",
     "shift_radius",
     "distribution_dependent_rhs",
@@ -99,6 +101,13 @@ def binary_kl_bound(complexity: float, n: int, delta: float) -> float:
     return (complexity + _log_confidence(n, delta)) / n
 
 
+def binary_kl_bound_rows(complexity: np.ndarray, n: int, delta: float) -> np.ndarray:
+    """binary_kl_bound(complexity[i], n, delta) for every i, with the scalar function's bits."""
+    _check_delta(delta)
+    _check_sample_size(n, 8)
+    return (np.asarray(complexity, dtype=float) + _log_confidence(n, delta)) / n
+
+
 def gap_bound_relaxed(empirical: float, complexity: float, n: int, delta: float) -> float:
     """sqrt(2*empirical*B) + 2*B with B = binary_kl_bound(...); closed form, unclamped."""
     if not 0.0 <= empirical <= 1.0:
@@ -155,6 +164,21 @@ def stratified_subgaussian_bound(complexity: float, sigma: float, n: int, delta:
     _check_sample_size(n, 1)
     clamped = max(complexity, 1.0)
     return 2.0 * sigma * math.sqrt((clamped + math.log(2.0 * clamped / delta) / 2.0) / n)
+
+
+def stratified_subgaussian_bound_rows(complexity: np.ndarray, sigma: float, n: int, delta: float) -> np.ndarray:
+    """stratified_subgaussian_bound(complexity[i], sigma, n, delta) for every i, with the scalar function's bits.
+
+    The clamp keeps max's semantics (a complexity is replaced only where 1.0
+    exceeds it, so nan stays nan) and the logs are math.log.
+    """
+    if sigma <= 0.0:
+        raise ValueError("sigma must be positive")
+    _check_delta(delta)
+    _check_sample_size(n, 1)
+    complexity = np.asarray(complexity, dtype=float)
+    clamped = np.where(1.0 > complexity, 1.0, complexity)
+    return 2.0 * sigma * np.sqrt((clamped + per_element(math.log, 2.0 * clamped / delta) / 2.0) / n)
 
 
 def subexponential_bound(

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .measures import shifted_exp_rows
+from .measures import per_element, shifted_exp_rows
 from .model import TIE_TOL, FiniteHypothesisSpace, inverse_cdf, step_cdf
 from .streams import uniform_rows
 
@@ -88,18 +88,11 @@ def exponential_density(beta: float) -> DensityFamily:
     return DensityFamily("exponential", {"beta": beta}, lambda t: -beta * t, beta)
 
 
-def _log1p(t: np.ndarray) -> np.ndarray:
-    # math.log1p per element: np.log1p differs from it in the last bit on
-    # about 7% of inputs on AVX-512 CPUs, and the weights would follow
-    t = np.asarray(t, dtype=float)
-    return np.fromiter(map(math.log1p, t.ravel().tolist()), float, t.size).reshape(t.shape)
-
-
 def polynomial_density(a: float) -> DensityFamily:
     """q(t) = (1 + t)**-a: polynomial decay, log-Lipschitz with constant a."""
     if a < 0.0:
         raise ValueError("a must be non-negative")
-    return DensityFamily("polynomial", {"a": a}, lambda t: -a * _log1p(t), a)
+    return DensityFamily("polynomial", {"a": a}, lambda t: -a * per_element(math.log1p, t), a)
 
 
 def capped_exponential_density(beta: float, cap: float) -> DensityFamily:
@@ -182,11 +175,23 @@ def _ranked(space: FiniteHypothesisSpace, losses: np.ndarray) -> tuple:
     The one sort of a (T, H) loss block: the posterior kernel checks the
     density conditions on these levels and the complexity reads its step
     CDF from them.  Gathers through the flat order are one np.take each.
+    The order is argsort's kind="stable" one, found by the default sort:
+    a row whose sorted values strictly increase has one ascending order,
+    which any sort finds, and only rows with equal values (0.0 and -0.0
+    among them) or a nan are sorted again, stably.
     """
     values = losses[:, space.prior > 0.0]
-    order = np.argsort(values, axis=1, kind="stable")
-    flat = order + np.arange(0, values.size, values.shape[1])[:, None]
-    return values, order, flat, values.take(flat)
+    offsets = np.arange(0, values.size, values.shape[1])[:, None]
+    order = np.argsort(values, axis=1)
+    flat = order + offsets
+    levels = values.take(flat)
+    strict = levels[:, 1:] > levels[:, :-1]
+    if not strict.all():
+        tied = ~strict.all(axis=1)
+        order[tied] = np.argsort(values[tied], axis=1, kind="stable")
+        flat = order + offsets
+        levels = values.take(flat)
+    return values, order, flat, levels
 
 
 def _check_conditions(levels: np.ndarray, log_q: np.ndarray, gamma: float) -> None:

@@ -9,10 +9,13 @@ so trials share no generator state and their order is immaterial.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import json
 import math
 import numbers
 import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,10 +24,11 @@ import numpy as np
 from .bounds import (
     BoundReport,
     binary_kl_bound,
+    binary_kl_bound_rows,
     high_temperature_bound,
     minimizer_mass_bound,
     shift_radius,
-    stratified_subgaussian_bound,
+    stratified_subgaussian_bound_rows,
 )
 from .gibbs import (
     complexity,
@@ -35,7 +39,7 @@ from .gibbs import (
     sample_hypothesis,
     zero_temperature_posterior,
 )
-from .measures import binary_kl
+from .measures import binary_kl_rows
 from .model import (
     build_space,
     empirical_losses,
@@ -51,6 +55,7 @@ from .streams import seed_pairs
 __all__ = [
     "ExperimentConfig",
     "ViolationSummary",
+    "ColumnRows",
     "ZeroTempRow",
     "ZeroTempResult",
     "PhaseRow",
@@ -117,12 +122,17 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be a number, got {value!r}")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        # a nan sigma or r0 passes every comparison it meets and reports nothing
+        if not (_is_finite(self.sigma) and self.sigma > 0.0):
+            raise ValueError(f"sigma must be finite and positive, got {self.sigma!r}")
+        if self.r0 is not None and not _is_finite(self.r0):
+            raise ValueError(f"r0 must be finite, got {self.r0!r}")
         if self.p < 1:
             raise ValueError("p must be a positive integer")
         if self.master_seed < 0:
             raise ValueError("master_seed must be non-negative")
         beta_grid = _grid("beta_grid", self.beta_grid, "numbers", _is_real)
-        if not all(math.isfinite(b) and b >= 0.0 for b in beta_grid):
+        if not all(_is_finite(b) and b >= 0.0 for b in beta_grid):
             raise ValueError(f"beta_grid values must be finite and non-negative, got {list(beta_grid)}")
         object.__setattr__(self, "beta_grid", tuple(map(float, beta_grid)))
         if self.n_grid is not None:
@@ -162,6 +172,14 @@ def _is_integer(value) -> bool:
 
 def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    # an integer past the float range is no finite float
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _grid(name: str, values, kind: str, accepts) -> tuple:
@@ -212,29 +230,94 @@ def wilson_upper_99(violations: int, trials: int) -> float:
 
 @dataclass(frozen=True)
 class ViolationSummary:
-    """Aggregate of bound-violation trials with a conservative rate estimate."""
+    """Aggregate of bound-violation trials with a conservative rate estimate.
+
+    A violation run's rows are a ColumnRows of BoundReport.
+    """
 
     trials: int
     violations: int
     rate: float
     wilson_upper_99: float
-    rows: tuple = ()
+    rows: Sequence = ()
 
 
 def _summarize(flags, rows=()) -> ViolationSummary:
     trials = len(flags)
     violations = int(sum(flags))
-    return ViolationSummary(
-        trials, violations, violations / trials, wilson_upper_99(violations, trials), tuple(rows)
-    )
+    return ViolationSummary(trials, violations, violations / trials, wilson_upper_99(violations, trials), rows)
 
 
-def _realized_binary_kl(p: float, q: float) -> float:
-    # degenerate true losses: the divergence limit is 0 on the diagonal,
-    # +inf off it (off-diagonal has probability zero under the data law)
-    if 0.0 < q < 1.0:
-        return binary_kl(min(max(p, 0.0), 1.0), q)
-    return 0.0 if p == q else math.inf
+def _block_size(block: dict) -> int:
+    return next(len(column) for column in block.values() if isinstance(column, list))
+
+
+class ColumnRows(Sequence):
+    """Report rows held as blocks of columns; the row objects are built when first read.
+
+    A block maps each field of row_type to a list with one value per row of
+    the block, or to one value that every row of the block shares.
+    csv_report writes the columns without building the rows.
+    """
+
+    def __init__(self, row_type: type, blocks):
+        self.row_type = row_type
+        self.blocks = tuple(blocks)
+
+    @functools.cached_property
+    def _rows(self) -> tuple:
+        names = [f.name for f in dataclasses.fields(self.row_type)]
+        rows = []
+        for block in self.blocks:
+            size = _block_size(block)
+            columns = [c if isinstance(c, list) else itertools.repeat(c, size) for c in map(block.get, names)]
+            rows.extend(map(self.row_type, *columns))
+        return tuple(rows)
+
+    def __len__(self) -> int:
+        return sum(map(_block_size, self.blocks))
+
+    def __getitem__(self, index):
+        return self._rows[index]
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and self._rows == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(self._rows)
+
+
+def _realized_kl(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Relative entropy of each drawn hypothesis' empirical loss p (clamped to [0, 1]) from its true loss q.
+
+    Degenerate true losses take the divergence's limit: 0 on the diagonal,
+    +inf off it (the off-diagonal has probability zero under the data law).
+    The clamp is min(max(p, 0.0), 1.0) with Python's semantics, so -0.0
+    and nan pass through it.
+    """
+    realized = np.where(p == q, 0.0, np.inf)
+    inside = (0.0 < q) & (q < 1.0)
+    clamped = np.where(0.0 > p, 0.0, p)
+    clamped = np.where(1.0 < clamped, 1.0, clamped)
+    realized[inside] = binary_kl_rows(clamped[inside], q[inside])
+    return realized
+
+
+def _bound_columns(config: ExperimentConfig, beta: float, own: np.ndarray, true: np.ndarray, lams: np.ndarray) -> tuple:
+    """Realized statistic and RHS of every trial of a block: drawn hypotheses' empirical and true losses, complexities.
+
+    The RHS of high_temp is one value shared by the block.
+    """
+    n, delta = config.n, config.delta
+    if config.bound_kind == "stratify":
+        return np.abs(true - own), stratified_subgaussian_bound_rows(lams, config.sigma, n, delta)
+    realized = _realized_kl(own, true)
+    if config.bound_kind == "high_temp":
+        return realized, high_temperature_bound(beta, n, delta)
+    return realized, binary_kl_bound_rows(lams, n, delta)
 
 
 def _prepared_space(config: ExperimentConfig):
@@ -265,9 +348,11 @@ def run_violation_experiment(config: ExperimentConfig) -> ViolationSummary:
     violation probability, which the bounds promise is at most delta.
 
     Trials run in blocks: one array call per step covers every trial of a
-    block, and each trial keeps its own seed pair, so the rows equal those
-    of running the trials one at a time through the public per-call
-    functions.
+    block, and each trial keeps its own seed pair.  The statistics of all
+    the trials at one beta are array expressions with the bits of the
+    scalar bound functions, so the rows equal those of running the trials
+    one at a time through the public per-call functions.  The rows come
+    back as one block of columns per beta.
     """
     kind = config.bound_kind
     domain, space, matrix = _prepared_space(config)
@@ -275,42 +360,39 @@ def run_violation_experiment(config: ExperimentConfig) -> ViolationSummary:
         raise ValueError(f"bound kind {kind!r} assumes losses in [0, 1]; generator exceeds 1")
     if kind == "stratify":
         _check_subgaussian_scale(config.sigma, space, domain, matrix)
-    true_losses = (matrix @ domain.probs).tolist()
+    true_losses = matrix @ domain.probs
     density = config.density
     configured_family = None if density is None else density_family(density["name"], **density.get("params", {}))
 
-    n, delta = config.n, config.delta
-    rows = []
+    blocks = []
     for beta_index, beta in enumerate(config.beta_grid):
         # without an explicit density the posterior is Gibbs at beta
         family = configured_family or exponential_density(beta)
-        blocks = _trial_blocks(config.master_seed, (beta_index,), config.trials, domain, matrix, n)
-        for data_seeds, draw_seeds, empirical in blocks:
-            drawn, lams = posterior_draws(space, empirical, family, draw_seeds)
-            own = empirical[np.arange(len(drawn)), drawn]
-            for data_seed, h, emp, lam in zip(data_seeds, drawn.tolist(), own.tolist(), lams.tolist()):
-                if kind == "stratify":
-                    realized = abs(true_losses[h] - emp)
-                    rhs = stratified_subgaussian_bound(lam, config.sigma, n, delta)
-                else:
-                    realized = _realized_binary_kl(emp, true_losses[h])
-                    if kind == "high_temp":
-                        rhs = high_temperature_bound(beta, n, delta)
-                    else:
-                        rhs = binary_kl_bound(lam, n, delta)
-                rows.append(
-                    BoundReport(
-                        trial_seed=data_seed,
-                        beta=family.gamma,
-                        n=n,
-                        delta=delta,
-                        complexity=lam,
-                        rhs=rhs,
-                        realized=realized,
-                        violated=bool(realized > rhs),
-                    )
-                )
-    return _summarize([r.violated for r in rows], rows)
+        seeds, drawn, own, lams = [], [], [], []
+        for data_seeds, draw_seeds, empirical in _trial_blocks(
+            config.master_seed, (beta_index,), config.trials, domain, matrix, config.n
+        ):
+            block_drawn, block_lams = posterior_draws(space, empirical, family, draw_seeds)
+            seeds += data_seeds
+            drawn.append(block_drawn)
+            own.append(empirical[np.arange(len(block_drawn)), block_drawn])
+            lams.append(block_lams)
+        drawn, own, lams = map(np.concatenate, (drawn, own, lams))
+        realized, rhs = _bound_columns(config, beta, own, true_losses[drawn], lams)
+        blocks.append(
+            {
+                "trial_seed": seeds,
+                "beta": family.gamma,
+                "n": config.n,
+                "delta": config.delta,
+                "complexity": lams.tolist(),
+                "rhs": rhs.tolist() if isinstance(rhs, np.ndarray) else rhs,
+                "realized": realized.tolist(),
+                "violated": (realized > rhs).tolist(),
+            }
+        )
+    flags = list(itertools.chain.from_iterable(block["violated"] for block in blocks))
+    return _summarize(flags, ColumnRows(BoundReport, blocks))
 
 
 @dataclass(frozen=True)
@@ -546,19 +628,29 @@ _COLUMN_CELLS = {
 def csv_report(row_type: type, rows) -> str:
     """CSV text of rows of the dataclass row_type, one column per field.
 
-    The header is the field names, or a field's "column" metadata where it
-    has one.  Cells are written a column at a time by the field's declared
+    rows is a sequence of row_type objects; a ColumnRows is written from its
+    columns, and a value shared by a block's rows is formatted once.  The
+    header is the field names, or a field's "column" metadata where it has
+    one.  Cells are written a column at a time by the field's declared
     type, not the value's: float as the shortest round-trip repr (an int in
     a float field still reads 1.0), int in decimal, bool as true/false.
     """
     fields = dataclasses.fields(row_type)
-    header = ",".join(f.metadata.get("column", f.name) for f in fields)
-    # a field's type is its annotation: a string under postponed evaluation
-    columns = [
-        _COLUMN_CELLS[getattr(f.type, "__name__", f.type)](map(operator.attrgetter(f.name), rows))
-        for f in fields
-    ]
-    return "\n".join([header, *map(",".join, zip(*columns))]) + "\n"
+    lines = [",".join(f.metadata.get("column", f.name) for f in fields)]
+    if isinstance(rows, ColumnRows):
+        blocks = rows.blocks
+    else:
+        blocks = [{f.name: list(map(operator.attrgetter(f.name), rows)) for f in fields}]
+    for block in blocks:
+        size = _block_size(block)
+        columns = []
+        for f in fields:
+            # a field's type is its annotation: a string under postponed evaluation
+            cells = _COLUMN_CELLS[getattr(f.type, "__name__", f.type)]
+            column = block[f.name]
+            columns.append(cells(column) if isinstance(column, list) else [*cells([column])] * size)
+        lines.extend(map(",".join, zip(*columns)))
+    return "\n".join(lines) + "\n"
 
 
 # each runner returns (passed, row type, rows, aggregates)
@@ -570,10 +662,10 @@ def _rates(summary: ViolationSummary) -> dict:
 
 def _violation_report(config: ExperimentConfig) -> tuple:
     outcome = run_violation_experiment(config)
-    flags, trials = [r.violated for r in outcome.rows], config.trials
+    # one block of rows per beta
     per_beta = [
-        {"beta": beta, **_rates(_summarize(flags[i * trials : (i + 1) * trials]))}
-        for i, beta in enumerate(config.beta_grid)
+        {"beta": beta, **_rates(_summarize(block["violated"]))}
+        for beta, block in zip(config.beta_grid, outcome.rows.blocks)
     ]
     aggregates = {
         "trials": outcome.trials,

@@ -252,15 +252,16 @@ def sample_dataset(domain: FiniteDataDomain, n: int, seed: int) -> DataSet:
 def empirical_losses(matrix: np.ndarray, items: np.ndarray) -> np.ndarray:
     """(T, H) empirical losses of every hypothesis on each row of a (T, n) item block.
 
-    Means are taken over point multiplicities: matrix @ counts / n, one row
-    at a time, because a single (T, X) by (X, H) product sums in another
-    order and differs in the last bits.
+    Means are taken over point multiplicities: matrix @ counts / n per row,
+    as one stacked matmul of the matrix with each row's counts as an (X, 1)
+    column, which makes the per-row matrix-vector product; a single (T, X)
+    by (X, H) product sums in another order and differs in the last bits.
     """
     rows, n = items.shape
     num_points = matrix.shape[1]
     offsets = num_points * np.arange(rows)[:, None]
     counts = np.bincount((items + offsets).ravel(), minlength=rows * num_points)
-    return np.array([matrix @ row_counts for row_counts in counts.reshape(rows, num_points)]) / n
+    return np.matmul(matrix, counts.reshape(rows, num_points, 1))[:, :, 0] / n
 
 
 def _check_index(i: int, size: int) -> int:

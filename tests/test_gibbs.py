@@ -5,6 +5,7 @@ import pytest
 
 from gibbslab.bounds import minimizer_mass_bound
 from gibbslab.gibbs import (
+    _ranked,
     complexity,
     complexity_bruteforce,
     complexity_rows,
@@ -372,3 +373,51 @@ class TestRowKernels:
         post = posterior(space, losses[0], 20.0)
         u = np.random.Generator(np.random.PCG64(9)).random(500)
         assert np.array_equal(sample_hypotheses(post, 500, 9), sample_reference(post.weights, u))
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    # the bit patterns of floats: tells -0.0 from 0.0
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+class TestRankedSort:
+    """_ranked returns argsort's kind="stable" order of each row's positive-prior losses."""
+
+    def check(self, space, losses):
+        values, order, flat, levels = _ranked(space, losses)
+        expected = np.argsort(losses[:, space.prior > 0.0], axis=1, kind="stable")
+        assert np.array_equal(order, expected)
+        assert np.array_equal(flat, expected + values.shape[1] * np.arange(len(values))[:, None])
+        assert np.array_equal(bits(levels), bits(np.take_along_axis(values, expected, axis=1)))
+
+    def test_tied_and_tie_free_rows_mixed(self):
+        # rows long enough for the default sort to leave insertion sort;
+        # the tied rows carry 0.0 next to -0.0 and a nan
+        rng = np.random.Generator(np.random.PCG64(11))
+        size = 200
+        space = table_space(np.zeros((size, 1)), np.full(size, 1.0 / size))
+        tie_free = rng.random((40, size))
+        tied = np.round(rng.random((40, size)), 1)
+        tied[::4, :10] = -0.0
+        tied[1::4, 5] = np.nan
+        losses = np.concatenate([tie_free, tied])[rng.permutation(80)]
+        self.check(space, losses)
+        self.check(space, tie_free)
+
+    def test_all_tied_rows(self):
+        space = table_space(np.zeros((50, 1)), np.full(50, 0.02))
+        self.check(space, np.full((6, 50), 0.25))
+
+    def test_zero_prior_atoms(self):
+        space, losses = tied_block(6, rows=60, size=70)
+        self.check(space, losses)
+        self.check(space, np.random.Generator(np.random.PCG64(7)).random((60, 70)))
+
+    def test_single_hypothesis(self):
+        self.check(table_space(np.zeros((1, 1)), [1.0]), np.array([[0.5], [0.0], [1.0]]))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_row(self, seed):
+        space, losses = tied_block(seed, rows=2, size=100)
+        self.check(space, losses[:1])
+        self.check(space, losses[1:] + np.arange(100) * 1e-3)

@@ -2,9 +2,12 @@ import hashlib
 import json
 import math
 import platform
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gibbslab.bounds import (
     BoundReport,
@@ -20,7 +23,7 @@ from gibbslab.harness import (
     Z_99,
     ExperimentConfig,
     RandomLabelRow,
-    _realized_binary_kl,
+    _bound_columns,
     csv_report,
     derive_seed_pair,
     run_concentration_experiment,
@@ -43,6 +46,7 @@ from gibbslab.model import (
 )
 from gibbslab import gibbs
 from gibbslab.gibbs import DensityFamily, density_family, normalize_density
+from gibbslab.measures import binary_kl
 
 SMALL_SPACE = {"name": "random_loss_table", "params": {"num_hypotheses": 16, "num_points": 8, "seed": 3}}
 NOISE_TASK = {"name": "permuted_label_task", "params": {"num_inputs": 6, "seed": 3, "label_noise": 0.5}}
@@ -92,6 +96,13 @@ class TestConfig:
             {"delta": "0.05"},
             {"sigma": "0.5"},
             {**RANDOM_LABEL_FIELDS, "r0": "0.1"},
+            {"sigma": math.nan},
+            {"sigma": math.inf},
+            {"sigma": 0.0},
+            {"sigma": -0.5},
+            {"experiment": "concentration", "sigma": math.nan},
+            {**RANDOM_LABEL_FIELDS, "r0": math.nan},
+            {**RANDOM_LABEL_FIELDS, "r0": -math.inf},
         ],
     )
     def test_invalid_configs_rejected(self, overrides):
@@ -117,13 +128,29 @@ class TestConfig:
             ("delta", "0.05"),
             ("sigma", "0.5"),
             ("sigma", True),
+            ("sigma", math.nan),
+            ("sigma", -math.inf),
+            ("sigma", math.inf),
+            ("sigma", 0.0),
+            ("sigma", -1.0),
             ("r0", "0.1"),
+            ("r0", math.nan),
+            ("r0", math.inf),
+            ("sigma", 10**400),
+            ("r0", -(10**400)),
+            ("beta_grid", (10**400,)),
         ],
     )
     def test_rejected_grid_and_count_fields_named(self, field, value):
         extra = RANDOM_LABEL_FIELDS if field in ("n_grid", "r0") else {}
         with pytest.raises(ValueError, match=f"^{field} "):
             config(**{**extra, field: value})
+
+    def test_nan_sigma_from_json_rejected(self):
+        # a nan sigma made every stratify RHS nan and the run pass
+        doc = {**config(bound_kind="stratify").to_dict(), "sigma": math.nan}
+        with pytest.raises(ValueError, match="sigma must be finite and positive, got nan"):
+            ExperimentConfig.from_json(json.dumps(doc))
 
     def test_grid_string_from_json_rejected(self):
         # iterating the string would run beta in {1.0, 0.0}
@@ -279,6 +306,14 @@ class TestViolationExperiment:
             run_violation_experiment(config(bound_kind="stratify", sigma=0.1))
 
 
+def _realized_binary_kl(p: float, q: float) -> float:
+    # degenerate true losses: the divergence limit is 0 on the diagonal,
+    # +inf off it (off-diagonal has probability zero under the data law)
+    if 0.0 < q < 1.0:
+        return binary_kl(min(max(p, 0.0), 1.0), q)
+    return 0.0 if p == q else math.inf
+
+
 def _violation_oracle(cfg: ExperimentConfig) -> list:
     """The per-trial loop: one dataset, posterior, draw and bound at a time."""
     domain, space = build_space(cfg.space_spec)
@@ -313,6 +348,52 @@ def _violation_oracle(cfg: ExperimentConfig) -> list:
                     rhs = binary_kl_bound(lam, n, delta)
             rows.append(BoundReport(data_seed, rate, n, delta, lam, rhs, realized, realized > rhs))
     return rows
+
+
+# empirical losses at and just past the ends of [0, 1], -0.0 included
+EMPIRICAL = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -5e-324, -1e-12, 1.0 + 2**-52, 1.0 + 1e-12]),
+    st.floats(-1e-9, 1.0 + 1e-9),
+)
+TRUE = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+# below the stratify clamp at 1, negative, and large
+COMPLEXITY = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-1e3, 1e9))
+TRIALS = st.lists(st.tuples(EMPIRICAL, TRUE, COMPLEXITY, st.booleans()), min_size=1, max_size=40)
+
+
+def check_block_statistics(own, true, lams, beta):
+    for kind in ("kl", "high_temp", "stratify", "beyond_gibbs"):
+        cfg = config(bound_kind=kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            realized, rhs = _bound_columns(cfg, beta, own, true, lams)
+        rhs = np.broadcast_to(rhs, own.shape)
+        columns = (own, true, lams, realized, rhs)
+        for p, q, lam, got_realized, got_rhs in zip(*(c.tolist() for c in columns)):
+            if kind == "stratify":
+                expected = (abs(q - p), stratified_subgaussian_bound(lam, cfg.sigma, cfg.n, cfg.delta))
+            elif kind == "high_temp":
+                expected = (_realized_binary_kl(p, q), high_temperature_bound(beta, cfg.n, cfg.delta))
+            else:
+                expected = (_realized_binary_kl(p, q), binary_kl_bound(lam, cfg.n, cfg.delta))
+            assert (repr(got_realized), repr(got_rhs)) == tuple(map(repr, expected))
+
+
+@given(TRIALS, st.sampled_from([0.0, 10.0, 1e9]))
+def test_block_statistics_match_the_scalar_functions(trials, beta):
+    # the flag sets an empirical loss equal to its true loss
+    own = np.array([q if same else p for p, q, _, same in trials])
+    true = np.array([q for _, q, _, _ in trials])
+    lams = np.array([lam for _, _, lam, _ in trials])
+    check_block_statistics(own, true, lams, beta)
+
+
+def test_block_statistics_match_on_many_random_trials():
+    # enough logs of random arguments that a vectorized log, which differs
+    # from math.log in the last bit on a few inputs in a thousand, shows
+    rng = np.random.Generator(np.random.PCG64(17))
+    own, true = rng.random(5000), rng.random(5000)
+    check_block_statistics(own, true, rng.uniform(-2.0, 40.0, 5000), 10.0)
 
 
 def _kernel_rows(cfg: ExperimentConfig) -> tuple:

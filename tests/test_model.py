@@ -289,13 +289,19 @@ class TestBlockDraws:
             assert np.array_equal(row, support[np.searchsorted(cum, u, side="right")])
             assert np.array_equal(row, sample_dataset(domain, 40, seed).item_indices)
 
-    def test_empirical_losses_rows_are_per_dataset_products(self):
-        domain, space = random_loss_table(11, 6, seed=4)
+    # the stacked matmul is the per-row matrix-vector product on any platform
+    @pytest.mark.parametrize(
+        "hypotheses, points, n",
+        [(11, 6, 23), (1, 6, 23), (11, 1, 23), (11, 6, 1), (64, 16, 50), (100, 30, 50), (600, 8, 50)],
+    )
+    def test_empirical_losses_rows_are_per_dataset_products(self, hypotheses, points, n):
+        domain, space = random_loss_table(hypotheses, points, seed=4)
         matrix = loss_matrix(space, domain)
-        items = sample_items(domain, 23, list(range(30)))
+        items = sample_items(domain, n, list(range(30)))
         block = empirical_losses(matrix, items)
+        assert block.shape == (30, hypotheses)
         for row, got in zip(items, block):
-            assert np.array_equal(got, matrix @ np.bincount(row, minlength=len(domain)) / 23)
+            assert got.tobytes() == (matrix @ np.bincount(row, minlength=len(domain)) / n).tobytes()
 
     def test_inverse_cdf_row_and_shared_weights_agree(self):
         # underflowed trailing weights: the last positive atom closes the sum
