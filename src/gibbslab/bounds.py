@@ -22,7 +22,6 @@ __all__ = [
     "monotone_bound_rhs",
     "ipm_corrected_rhs",
     "binary_kl_bound",
-    "binary_kl_bound_rows",
     "gap_bound_relaxed",
     "gap_bound_inverted",
     "high_temperature_bound",
@@ -94,18 +93,12 @@ def binary_kl_bound(complexity: float, n: int, delta: float) -> float:
     """(complexity + ln(2 sqrt(n)/delta)) / n, for losses in [0,1] and n >= 8.
 
     Bounds the Bernoulli relative entropy between empirical and true loss
-    of a posterior draw; the caller asserts the loss range.
+    of a posterior draw; the caller asserts the loss range.  An array of
+    complexities gives the bound of each, with the same bits.
     """
     _check_delta(delta)
     _check_sample_size(n, 8)
     return (complexity + _log_confidence(n, delta)) / n
-
-
-def binary_kl_bound_rows(complexity: np.ndarray, n: int, delta: float) -> np.ndarray:
-    """binary_kl_bound(complexity[i], n, delta) for every i, with the scalar function's bits."""
-    _check_delta(delta)
-    _check_sample_size(n, 8)
-    return (np.asarray(complexity, dtype=float) + _log_confidence(n, delta)) / n
 
 
 def gap_bound_relaxed(empirical: float, complexity: float, n: int, delta: float) -> float:

@@ -169,28 +169,38 @@ def _check_beta(beta: float) -> float:
     return float(beta)
 
 
+def _tied(levels: np.ndarray) -> np.ndarray:
+    """Which rows of ascending levels do not strictly increase."""
+    return ~(levels[:, 1:] > levels[:, :-1]).all(axis=1)
+
+
 def _ranked(space: FiniteHypothesisSpace, losses: np.ndarray) -> tuple:
     """Each row's positive-prior losses, their stable ascending order, that order as flat indices, and the sorted levels.
 
     The one sort of a (T, H) loss block: the posterior kernel checks the
     density conditions on these levels and the complexity reads its step
     CDF from them.  Gathers through the flat order are one np.take each.
-    The order is argsort's kind="stable" one, found by the default sort:
-    a row whose sorted values strictly increase has one ascending order,
-    which any sort finds, and only rows with equal values (0.0 and -0.0
-    among them) or a nan are sorted again, stably.
+    The order is argsort's kind="stable" one.  A row whose sorted values
+    strictly increase has one ascending order, which the faster default
+    sort also finds; rows with equal values (0.0 and -0.0 among them) or a
+    nan need the stable sort.  The block's first row stands for the rest,
+    as the rows of a 0-1 loss block are all tied: if it is tie-free the
+    block takes the default sort and only its tied rows are sorted again,
+    stably; a single row or a block whose first row is tied sorts stably
+    at once.
     """
     values = losses[:, space.prior > 0.0]
     offsets = np.arange(0, values.size, values.shape[1])[:, None]
-    order = np.argsort(values, axis=1)
+    stable = len(values) <= 1 or _tied(np.sort(values[:1], axis=1))[0]
+    order = np.argsort(values, axis=1, kind="stable" if stable else None)
     flat = order + offsets
     levels = values.take(flat)
-    strict = levels[:, 1:] > levels[:, :-1]
-    if not strict.all():
-        tied = ~strict.all(axis=1)
-        order[tied] = np.argsort(values[tied], axis=1, kind="stable")
-        flat = order + offsets
-        levels = values.take(flat)
+    if not stable:
+        tied = _tied(levels)
+        if tied.any():
+            order[tied] = np.argsort(values[tied], axis=1, kind="stable")
+            flat = order + offsets
+            levels = values.take(flat)
     return values, order, flat, levels
 
 

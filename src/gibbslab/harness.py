@@ -24,7 +24,6 @@ import numpy as np
 from .bounds import (
     BoundReport,
     binary_kl_bound,
-    binary_kl_bound_rows,
     high_temperature_bound,
     minimizer_mass_bound,
     shift_radius,
@@ -232,14 +231,16 @@ def wilson_upper_99(violations: int, trials: int) -> float:
 class ViolationSummary:
     """Aggregate of bound-violation trials with a conservative rate estimate.
 
-    A violation run's rows are a ColumnRows of BoundReport.
+    A violation run's rows are a ColumnRows of BoundReport, one block per
+    beta; dataclasses.asdict copies it whole rather than turning its rows
+    into dicts.
     """
 
     trials: int
     violations: int
     rate: float
     wilson_upper_99: float
-    rows: Sequence = ()
+    rows: ColumnRows | tuple = ()
 
 
 def _summarize(flags, rows=()) -> ViolationSummary:
@@ -317,7 +318,7 @@ def _bound_columns(config: ExperimentConfig, beta: float, own: np.ndarray, true:
     realized = _realized_kl(own, true)
     if config.bound_kind == "high_temp":
         return realized, high_temperature_bound(beta, n, delta)
-    return realized, binary_kl_bound_rows(lams, n, delta)
+    return realized, binary_kl_bound(lams, n, delta)
 
 
 def _prepared_space(config: ExperimentConfig):

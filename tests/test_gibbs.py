@@ -403,6 +403,14 @@ class TestRankedSort:
         losses = np.concatenate([tie_free, tied])[rng.permutation(80)]
         self.check(space, losses)
         self.check(space, tie_free)
+        # a tie-free first row sends the block to the default sort, a tied one to the stable sort
+        self.check(space, np.concatenate([tie_free[:1], losses]))
+        self.check(space, np.concatenate([tied[:1], losses]))
+
+    def test_tied_rows_after_a_tie_free_first_row(self):
+        space, losses = tied_block(5, rows=60, size=70)
+        first = np.random.Generator(np.random.PCG64(5)).random((1, 70))
+        self.check(space, np.concatenate([first, losses]))
 
     def test_all_tied_rows(self):
         space = table_space(np.zeros((50, 1)), np.full(50, 0.02))
