@@ -29,6 +29,7 @@ from .margins import (
     LabeledPoint,
     LinearHypothesis,
     build_linear_grid,
+    grid_space,
     labeled_domain,
     level_set_equality_check,
     margin_value,
@@ -36,12 +37,12 @@ from .margins import (
 from .measures import binary_kl, binary_kl_inverse_relaxed, binary_kl_inverse_upper
 from .model import (
     DataSet,
+    FiniteHypothesisSpace,
     empirical_cdf,
     k_minimizer_space,
     loss_profile,
     random_loss_table,
     sample_dataset,
-    table_space,
 )
 
 __all__ = ["CriterionResult", "CRITERIA", "SUITES", "run_criterion", "run_suite", "format_line"]
@@ -65,8 +66,7 @@ def format_line(result: CriterionResult) -> str:
 
 def _e1_space():
     # two hypotheses, fair prior, losses pinned at 0 and 1
-    space = table_space([[0.0], [1.0]], [0.5, 0.5])
-    return space, np.array([0.0, 1.0])
+    return FiniteHypothesisSpace([[0.0], [1.0]], [0.5, 0.5]), np.array([0.0, 1.0])
 
 
 def criterion_01() -> CriterionResult:
@@ -284,11 +284,11 @@ def criterion_08() -> CriterionResult:
 
     # separable pair with hard margin 1: a fine grid must catch a separator
     pair = [LabeledPoint((1.0, 0.0), 1), LabeledPoint((-1.0, 0.0), -1)]
-    grid = build_linear_grid(2, 360, 41, 1.0)
     domain = labeled_domain(pair)
-    profile = loss_profile(grid, domain, DataSet(domain, np.array([0, 1])))
-    mass_at_zero = empirical_cdf(grid, profile, 0.0)
-    lam = complexity(grid, profile.empirical, int(np.argmin(profile.empirical)), 1e6).value
+    space = grid_space(build_linear_grid(2, 360, 41, 1.0), domain)
+    profile = loss_profile(space, domain, DataSet(domain, np.array([0, 1])))
+    mass_at_zero = empirical_cdf(space, profile, 0.0)
+    lam = complexity(space, profile.empirical, int(np.argmin(profile.empirical)), 1e6).value
     separable_ok = mass_at_zero > 0.0 and math.isfinite(lam) and lam <= -math.log(mass_at_zero) + 1e-9
 
     passed = oracle_failures == 0 and level_failures == 0 and separable_ok

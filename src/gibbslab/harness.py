@@ -42,7 +42,6 @@ from .measures import binary_kl_rows
 from .model import (
     build_space,
     empirical_losses,
-    loss_matrix,
     loss_profile,
     minimizer_summary,
     sample_dataset,
@@ -199,7 +198,7 @@ def derive_seed_pair(master_seed: int, *path: int) -> tuple[int, int]:
     return int(state[0]), int(state[1])
 
 
-def _trial_blocks(master_seed: int, prefix: tuple, trials: int, domain, matrix: np.ndarray, n: int):
+def _trial_blocks(master_seed: int, prefix: tuple, trials: int, domain, table: np.ndarray, n: int):
     """Trials 0..trials-1 under prefix, in blocks: data seeds, draw seeds, (T, H) empirical losses.
 
     Trial t draws its dataset from the first seed of
@@ -210,10 +209,10 @@ def _trial_blocks(master_seed: int, prefix: tuple, trials: int, domain, matrix: 
     row (H losses, X counts or n uniforms), so no temporary of a block
     outgrows BLOCK_CELLS floats however large the space.
     """
-    size = max(1, BLOCK_CELLS // max(*matrix.shape, n))
+    size = max(1, BLOCK_CELLS // max(*table.shape, n))
     for start in range(0, trials, size):
         data_seeds, draw_seeds = seed_pairs(master_seed, prefix, np.arange(start, min(trials, start + size)))
-        yield data_seeds.tolist(), draw_seeds, empirical_losses(matrix, sample_items(domain, n, data_seeds))
+        yield data_seeds.tolist(), draw_seeds, empirical_losses(table, sample_items(domain, n, data_seeds))
 
 
 def wilson_upper_99(violations: int, trials: int) -> float:
@@ -321,16 +320,10 @@ def _bound_columns(config: ExperimentConfig, beta: float, own: np.ndarray, true:
     return realized, binary_kl_bound(lams, n, delta)
 
 
-def _prepared_space(config: ExperimentConfig):
-    domain, space = build_space(config.space_spec)
-    matrix = loss_matrix(space, domain)
-    return domain, space, matrix
-
-
-def _check_subgaussian_scale(sigma: float, space, domain, matrix: np.ndarray) -> None:
+def _check_subgaussian_scale(sigma: float, space, domain) -> None:
     # Hoeffding's lemma: a loss confined to a range of width w is
     # (w/2)-sub-Gaussian; a smaller sigma leaves the stratified bound unproven
-    ranges = np.ptp(matrix[space.prior > 0.0][:, domain.probs > 0.0], axis=1)
+    ranges = np.ptp(space.table[space.prior > 0.0][:, domain.probs > 0.0], axis=1)
     half_range = 0.5 * float(ranges.max())
     if sigma < half_range:
         raise ValueError(
@@ -356,12 +349,12 @@ def run_violation_experiment(config: ExperimentConfig) -> ViolationSummary:
     back as one block of columns per beta.
     """
     kind = config.bound_kind
-    domain, space, matrix = _prepared_space(config)
-    if kind in ("kl", "high_temp", "beyond_gibbs") and float(matrix.max()) > 1.0 + 1e-12:
+    domain, space = build_space(config.space_spec)
+    if kind in ("kl", "high_temp", "beyond_gibbs") and float(space.table.max()) > 1.0 + 1e-12:
         raise ValueError(f"bound kind {kind!r} assumes losses in [0, 1]; generator exceeds 1")
     if kind == "stratify":
-        _check_subgaussian_scale(config.sigma, space, domain, matrix)
-    true_losses = matrix @ domain.probs
+        _check_subgaussian_scale(config.sigma, space, domain)
+    true_losses = space.table @ domain.probs
     density = config.density
     configured_family = None if density is None else density_family(density["name"], **density.get("params", {}))
 
@@ -371,7 +364,7 @@ def run_violation_experiment(config: ExperimentConfig) -> ViolationSummary:
         family = configured_family or exponential_density(beta)
         seeds, drawn, own, lams = [], [], [], []
         for data_seeds, draw_seeds, empirical in _trial_blocks(
-            config.master_seed, (beta_index,), config.trials, domain, matrix, config.n
+            config.master_seed, (beta_index,), config.trials, domain, space.table, config.n
         ):
             block_drawn, block_lams = posterior_draws(space, empirical, family, draw_seeds)
             seeds += data_seeds
@@ -419,10 +412,10 @@ def run_zero_temp_sweep(config: ExperimentConfig) -> ZeroTempResult:
     beta, grows towards it, and attains it exactly once beta reaches
     cap / (smallest spacing of achieved loss levels).
     """
-    domain, space, matrix = _prepared_space(config)
+    domain, space = build_space(config.space_spec)
     data_seed, _ = derive_seed_pair(config.master_seed, 0)
     data = sample_dataset(domain, config.n, data_seed)
-    profile = loss_profile(space, domain, data, matrix=matrix)
+    profile = loss_profile(space, domain, data)
     summary = minimizer_summary(space, profile)
     limit = minimizer_mass_bound(summary.prior_mass_empirical_min)
     cdf = step_cdf(profile.empirical, space.prior)
@@ -476,10 +469,10 @@ def run_phase_diagram(config: ExperimentConfig) -> PhaseResult:
     level ln(1/minimizer mass)/n.  Rows must satisfy
     kl <= min(diagonal, plateau) + ln(2 sqrt(n)/delta)/n.
     """
-    domain, space, matrix = _prepared_space(config)
+    domain, space = build_space(config.space_spec)
     data_seed, draw_seed = derive_seed_pair(config.master_seed, 0)
     data = sample_dataset(domain, config.n, data_seed)
-    profile = loss_profile(space, domain, data, matrix=matrix)
+    profile = loss_profile(space, domain, data)
     summary = minimizer_summary(space, profile)
     plateau = minimizer_mass_bound(summary.prior_mass_empirical_min) / config.n
     h_star = sample_hypothesis(zero_temperature_posterior(space, profile.empirical), draw_seed)
@@ -523,15 +516,14 @@ def run_concentration_experiment(config: ExperimentConfig) -> ConcentrationResul
     checking at the jump points of the step side is exhaustive.  Each part
     fails with probability at most delta per dataset.
     """
-    domain, space, matrix = _prepared_space(config)
-    true_losses = matrix @ domain.probs
-    true_steps = step_cdf(true_losses, space.prior)
+    domain, space = build_space(config.space_spec)
+    true_steps = step_cdf(space.table @ domain.probs, space.prior)
     n, delta, p = config.n, config.delta, config.p
     s = shift_radius(n, delta, p)
     slack = s * float(n) ** -p
 
     rows = []
-    for data_seeds, _, block in _trial_blocks(config.master_seed, (), config.trials, domain, matrix, n):
+    for data_seeds, _, block in _trial_blocks(config.master_seed, (), config.trials, domain, space.table, n):
         for data_seed, empirical in zip(data_seeds, block):
             emp_steps = step_cdf(empirical, space.prior)
             bad_i = bool(
@@ -579,9 +571,8 @@ def run_random_label_experiment(config: ExperimentConfig) -> RandomLabelResult:
         raise ValueError("random_label experiment requires the permuted_label_task generator")
     if config.n_grid is None or config.r0 is None:
         raise ValueError("random_label experiment requires n_grid and r0")
-    domain, space, matrix = _prepared_space(config)
-    true_losses = matrix @ domain.probs
-    min_true = float(step_cdf(true_losses, space.prior).levels[0])
+    domain, space = build_space(config.space_spec)
+    min_true = float(step_cdf(space.table @ domain.probs, space.prior).levels[0])
     r0, delta, p = float(config.r0), config.delta, config.p
 
     rows = []
@@ -591,7 +582,7 @@ def run_random_label_experiment(config: ExperimentConfig) -> RandomLabelResult:
         bound = s * float(n) ** -p
         vacuous = r0 + s >= min_true - 1e-12
         phis = []
-        for _, _, block in _trial_blocks(config.master_seed, (n_index,), config.trials, domain, matrix, n):
+        for _, _, block in _trial_blocks(config.master_seed, (n_index,), config.trials, domain, space.table, n):
             # a per-row masked sum: a (T, H) @ prior product would sum in another order
             phis.extend(float(space.prior[empirical <= r0].sum()) for empirical in block)
         exceed = sum(1 for v in phis if v > bound)

@@ -9,6 +9,7 @@ the loss CDF machinery to classical margin geometry.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -26,7 +27,9 @@ __all__ = [
     "margin_value",
     "max_margin",
     "level_set_equality_check",
+    "LinearGrid",
     "build_linear_grid",
+    "grid_space",
     "labeled_domain",
     "write_labeled_csv",
     "read_labeled_csv",
@@ -127,18 +130,25 @@ def margin_value(
     )
 
 
-def max_margin(
-    grid: FiniteHypothesisSpace, data: Sequence[LabeledPoint], error_fraction: float
-) -> float:
+@dataclass(frozen=True)
+class LinearGrid:
+    """Linear hypotheses with a prior and a loss ("zero_one" or "hinge" at margin_scale hinge_margin)."""
+
+    hypotheses: tuple
+    prior: np.ndarray
+    loss_kind: str
+    hinge_margin: float
+
+    def __len__(self) -> int:
+        return len(self.hypotheses)
+
+
+def max_margin(grid: LinearGrid, data: Sequence[LabeledPoint], error_fraction: float) -> float:
     """Largest soft margin over the hypothesis grid (grid proxy for the supremum)."""
-    if len(grid) == 0:
-        raise ValueError("empty hypothesis grid")
     return max(margin_value(h, data, error_fraction).value for h in grid.hypotheses)
 
 
-def level_set_equality_check(
-    grid: FiniteHypothesisSpace, data: Sequence[LabeledPoint], error_fraction: float
-) -> bool:
+def level_set_equality_check(grid: LinearGrid, data: Sequence[LabeledPoint], error_fraction: float) -> bool:
     """Exact set equality of the loss level set and the positive-margin level set.
 
     For every grid hypothesis, compares "at most floor(r n) errors under
@@ -179,6 +189,16 @@ def _fibonacci_sphere(steps: int) -> list[tuple]:
     return out
 
 
+def _check_count(name: str, value, minimum: int) -> None:
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
+        raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
+
+
+def _check_positive(name: str, value) -> None:
+    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
 def build_linear_grid(
     dim: int,
     angular_steps: int,
@@ -188,8 +208,8 @@ def build_linear_grid(
     bias_sigma: float = 1.0,
     loss_kind: str = "zero_one",
     hinge_margin: float = 1.0,
-) -> FiniteHypothesisSpace:
-    """Product grid of unit directions and biases as a hypothesis space.
+) -> LinearGrid:
+    """Product grid of unit directions and biases with a prior over its atoms.
 
     Directions are equiangular for dim 2 and a Fibonacci sphere for dim 3.
     The prior is uniform over atoms or proportional to a Gaussian density
@@ -198,32 +218,51 @@ def build_linear_grid(
     on data.
     """
     if dim not in (2, 3):
-        raise ValueError(f"only dimensions 2 and 3 are supported, got {dim}")
-    if angular_steps < 4:
-        raise ValueError("angular_steps must be at least 4")
-    if bias_steps < 1 or bias_range < 0.0:
-        raise ValueError("bias_steps must be >= 1 and bias_range non-negative")
+        raise ValueError(f"only dimensions 2 and 3 are supported, got {dim!r}")
+    _check_count("angular_steps", angular_steps, 4)
+    _check_count("bias_steps", bias_steps, 1)
+    if not (isinstance(bias_range, numbers.Real) and math.isfinite(bias_range) and bias_range >= 0.0):
+        raise ValueError(f"bias_range must be finite and non-negative, got {bias_range!r}")
+    _check_positive("bias_sigma", bias_sigma)
+    _check_positive("hinge_margin", hinge_margin)
+    if loss_kind not in ("zero_one", "hinge"):
+        raise ValueError(f"unknown loss kind {loss_kind!r}")
     directions = _circle_directions(angular_steps) if dim == 2 else _fibonacci_sphere(angular_steps)
     biases = [0.0] if bias_steps == 1 else list(np.linspace(-bias_range, bias_range, bias_steps))
-    hypotheses = [LinearHypothesis(u, b) for u in directions for b in biases]
+    hypotheses = tuple(LinearHypothesis(u, b) for u in directions for b in biases)
 
     if prior_kind == "uniform":
         prior = np.full(len(hypotheses), 1.0 / len(hypotheses))
     elif prior_kind == "gaussian-projected":
-        if bias_sigma <= 0.0:
-            raise ValueError("bias_sigma must be positive")
         raw = np.asarray([math.exp(-h.bias**2 / (2.0 * bias_sigma**2)) for h in hypotheses])
         prior = raw / raw.sum()
     else:
         raise ValueError(f"unknown prior kind {prior_kind!r}")
+    prior.setflags(write=False)
+    return LinearGrid(hypotheses, prior, loss_kind, float(hinge_margin))
 
-    if loss_kind == "zero_one":
-        loss = zero_one_loss
-    elif loss_kind == "hinge":
-        loss = lambda h, point: hinge_loss(h, point, hinge_margin)
+
+def grid_space(grid: LinearGrid, domain: FiniteDataDomain) -> FiniteHypothesisSpace:
+    """The grid scored on a domain of LabeledPoints, as a hypothesis space.
+
+    Columns follow score's operation order (0.0 + u_0 z_0 + u_1 z_1 ... - bias),
+    so every entry carries the bits of the scalar loss of its pair.
+    """
+    directions = np.array([h.direction for h in grid.hypotheses])
+    biases = np.array([h.bias for h in grid.hypotheses])
+    coords = np.array([p.z for p in domain.points], dtype=float)
+    labels = np.array([p.y for p in domain.points])
+    if coords.ndim != 2 or coords.shape[1] != directions.shape[1]:
+        raise ValueError(f"dimension mismatch: points {coords.shape}, hypotheses {directions.shape[1]} coordinates")
+    scores = 0.0
+    for k in range(coords.shape[1]):
+        scores = scores + directions[:, k : k + 1] * coords[:, k]
+    scores = scores - biases[:, None]
+    if grid.loss_kind == "zero_one":
+        table = np.where(scores * labels > 0.0, 0.0, 1.0)
     else:
-        raise ValueError(f"unknown loss kind {loss_kind!r}")
-    return FiniteHypothesisSpace(tuple(hypotheses), prior, loss)
+        table = np.maximum(0.0, 1.0 - scores * labels / grid.hinge_margin)
+    return FiniteHypothesisSpace(table, grid.prior)
 
 
 def labeled_domain(points: Iterable[LabeledPoint], probs=None) -> FiniteDataDomain:

@@ -1,8 +1,8 @@
 """Finite statistical settings with exactly computable loss distributions.
 
 A data distribution is a finite list of opaque points with explicit
-probabilities, a hypothesis space is a finite list of opaque handles with
-prior weights and a loss evaluator.  With both finite, the true loss, the
+probabilities, a hypothesis space is a prior over the rows of a dense loss
+table with one column per point.  With both finite, the true loss, the
 empirical loss, and the prior CDFs of either are exact quantities rather
 than estimates, which is what lets the bound harnesses check probabilistic
 claims against ground truth.
@@ -13,7 +13,6 @@ from __future__ import annotations
 import inspect
 import json
 from dataclasses import dataclass
-from typing import Any, Callable
 
 import numpy as np
 
@@ -38,7 +37,6 @@ __all__ = [
     "minimizer_summary",
     "loss_matrix",
     "loss_profile",
-    "table_space",
     "random_loss_table",
     "k_minimizer_space",
     "permuted_label_task",
@@ -55,15 +53,24 @@ PROB_SUM_TOL = 1e-12
 TIE_TOL = 1e-12
 
 
-def _probability_vector(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float).copy()
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{name} must be a nonempty 1-d vector")
+def _nonnegative_array(values, name: str, ndim: int) -> np.ndarray:
+    """A read-only C-ordered float64 copy of a nonempty ndim-d array of finite non-negative values."""
+    try:
+        arr = np.array(values, dtype=float, order="C")
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} must be an array of numbers: {exc}") from None
+    if arr.ndim != ndim or arr.size == 0:
+        raise ValueError(f"{name} must be a nonempty {ndim}-d array, got shape {arr.shape}")
     if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} entries must be finite and non-negative")
+    arr.setflags(write=False)
+    return arr
+
+
+def _probability_vector(values, name: str) -> np.ndarray:
+    arr = _nonnegative_array(values, name, 1)
     if abs(float(arr.sum()) - 1.0) > PROB_SUM_TOL:
         raise ValueError(f"{name} must sum to 1 within {PROB_SUM_TOL}, got {arr.sum()!r}")
-    arr.setflags(write=False)
     return arr
 
 
@@ -110,25 +117,23 @@ class DataSet:
 
 @dataclass(frozen=True)
 class FiniteHypothesisSpace:
-    """Enumerated hypothesis handles, prior weights, and a loss evaluator.
+    """A read-only (hypotheses x points) loss table and prior weights over its rows.
 
-    The loss evaluator maps (hypothesis handle, data point) to a
-    non-negative real.  Handles and points are opaque: plain integers for
-    table-backed spaces, richer objects for e.g. linear classifiers.
+    Row h holds the loss of hypothesis h at every point of the domain the
+    table was built for, column j at that domain's point j.
     """
 
-    hypotheses: tuple
+    table: np.ndarray
     prior: np.ndarray
-    loss: Callable[[Any, Any], float]
 
     def __post_init__(self):
-        object.__setattr__(self, "hypotheses", tuple(self.hypotheses))
+        object.__setattr__(self, "table", _nonnegative_array(self.table, "table", 2))
         object.__setattr__(self, "prior", _probability_vector(self.prior, "prior"))
-        if len(self.hypotheses) != self.prior.size:
-            raise ValueError("hypotheses and prior must have the same length")
+        if self.table.shape[0] != self.prior.size:
+            raise ValueError(f"the loss table has {len(self.table)} rows but the prior has {self.prior.size} entries")
 
     def __len__(self) -> int:
-        return len(self.hypotheses)
+        return self.table.shape[0]
 
 
 @dataclass(frozen=True)
@@ -272,15 +277,13 @@ def _check_index(i: int, size: int) -> int:
 
 def empirical_loss(space: FiniteHypothesisSpace, h_index: int, data: DataSet) -> float:
     """Arithmetic mean of the per-item losses of one hypothesis."""
-    h = space.hypotheses[_check_index(h_index, len(space))]
-    points = data.domain.points
-    return float(np.mean([space.loss(h, points[i]) for i in data.item_indices]))
+    row = loss_matrix(space, data.domain)[_check_index(h_index, len(space))]
+    return float(np.mean(row[data.item_indices]))
 
 
 def true_loss(space: FiniteHypothesisSpace, h_index: int, domain: FiniteDataDomain) -> float:
     """Exact expected loss of one hypothesis under the domain law."""
-    h = space.hypotheses[_check_index(h_index, len(space))]
-    return float(sum(p * space.loss(h, x) for p, x in zip(domain.probs, domain.points)))
+    return float(loss_matrix(space, domain)[_check_index(h_index, len(space))] @ domain.probs)
 
 
 def empirical_cdf(space: FiniteHypothesisSpace, profile: LossProfile, r: float) -> float:
@@ -319,48 +322,25 @@ def minimizer_summary(space: FiniteHypothesisSpace, profile: LossProfile) -> Min
 
 
 def loss_matrix(space: FiniteHypothesisSpace, domain: FiniteDataDomain) -> np.ndarray:
-    """Dense (hypotheses x points) loss table for one space/domain pair."""
-    out = np.empty((len(space), len(domain)), dtype=float)
-    for i, h in enumerate(space.hypotheses):
-        for j, x in enumerate(domain.points):
-            out[i, j] = space.loss(h, x)
-    if np.any(out < 0.0) or not np.all(np.isfinite(out)):
-        raise ValueError("loss evaluator produced a negative or non-finite value")
-    return out
+    """The space's read-only loss table, checked to have one column per point of domain."""
+    if space.table.shape[1] != len(domain):
+        raise ValueError(f"the loss table has {space.table.shape[1]} columns but the domain has {len(domain)} points")
+    return space.table
 
 
-def loss_profile(
-    space: FiniteHypothesisSpace,
-    domain: FiniteDataDomain,
-    data: DataSet,
-    matrix: np.ndarray | None = None,
-) -> LossProfile:
+def loss_profile(space: FiniteHypothesisSpace, domain: FiniteDataDomain, data: DataSet) -> LossProfile:
     """Empirical and true loss vectors for every hypothesis at once.
 
-    Empirical means are taken over point multiplicities (matrix @ counts),
-    which agrees with per-item averaging up to summation order.  Pass a
-    precomputed matrix when evaluating many datasets on one space.
+    Empirical means are taken over point multiplicities (table @ counts),
+    which agrees with per-item averaging up to summation order.
     """
-    m = loss_matrix(space, domain) if matrix is None else matrix
-    return LossProfile(empirical_losses(m, data.item_indices[None])[0], m @ domain.probs)
+    table = loss_matrix(space, domain)
+    return LossProfile(empirical_losses(table, data.item_indices[None])[0], table @ domain.probs)
 
 
 # ---------------------------------------------------------------------------
 # synthetic generators
 # ---------------------------------------------------------------------------
-
-
-def table_space(table, prior) -> FiniteHypothesisSpace:
-    """Space whose handles and points are row/column indices of a loss table."""
-    table = np.asarray(table, dtype=float).copy()
-    if table.ndim != 2:
-        raise ValueError("loss table must be 2-d")
-    table.setflags(write=False)
-
-    def loss(h, x):
-        return float(table[h, x])
-
-    return FiniteHypothesisSpace(tuple(range(table.shape[0])), prior, loss)
 
 
 def _random_simplex(rng: np.random.Generator, k: int) -> np.ndarray:
@@ -384,7 +364,7 @@ def random_loss_table(
     probs = _random_simplex(rng, num_points) if random_probs else np.full(num_points, 1.0 / num_points)
     prior = _random_simplex(rng, num_hypotheses) if random_prior else np.full(num_hypotheses, 1.0 / num_hypotheses)
     domain = FiniteDataDomain(tuple(range(num_points)), probs)
-    return domain, table_space(table, prior)
+    return domain, FiniteHypothesisSpace(table, prior)
 
 
 # level spacing of the constructed minimizer spaces; keeps the
@@ -414,7 +394,7 @@ def k_minimizer_space(
     levels[which] = 0.0
     table = np.repeat(levels[:, None], num_points, axis=1)
     domain = FiniteDataDomain(tuple(range(num_points)), np.full(num_points, 1.0 / num_points))
-    return domain, table_space(table, np.full(num_hypotheses, 1.0 / num_hypotheses))
+    return domain, FiniteHypothesisSpace(table, np.full(num_hypotheses, 1.0 / num_hypotheses))
 
 
 def permuted_label_task(
@@ -436,23 +416,13 @@ def permuted_label_task(
         raise ValueError("label_noise must lie in [0, 1]")
     rng = np.random.Generator(np.random.PCG64(seed))
     planted = 2 * rng.integers(0, 2, size=num_inputs) - 1
-    points = []
-    probs = []
-    for j in range(num_inputs):
-        for y in (-1, 1):
-            points.append((j, y))
-            agree = 1.0 - label_noise if y == planted[j] else label_noise
-            probs.append(agree / num_inputs)
-
-    def loss(h, x):
-        j, y = x[0], x[1]
-        predicted = 1 if (h >> j) & 1 else -1
-        return 0.0 if predicted == y else 1.0
-
-    count = 2**num_inputs
-    domain = FiniteDataDomain(tuple(points), np.asarray(probs))
-    space = FiniteHypothesisSpace(tuple(range(count)), np.full(count, 1.0 / count), loss)
-    return domain, space
+    points = [(j, y) for j in range(num_inputs) for y in (-1, 1)]
+    probs = [(1.0 - label_noise if y == planted[j] else label_noise) / num_inputs for j, y in points]
+    # hypothesis h predicts +1 at input j when bit j of h is set
+    j, y = np.asarray(points).T
+    h = np.arange(2**num_inputs)[:, None]
+    table = np.where(np.where((h >> j) & 1, 1, -1) == y, 0.0, 1.0)
+    return FiniteDataDomain(tuple(points), probs), FiniteHypothesisSpace(table, np.full(h.size, 1.0 / h.size))
 
 
 SPACE_GENERATORS = {
@@ -511,22 +481,20 @@ def _freeze(value):
 
 
 def space_from_document(doc: dict) -> tuple[FiniteDataDomain, FiniteHypothesisSpace]:
-    """Rebuild a (domain, space) pair; the loss evaluator reads the table."""
-    points = tuple(_freeze(p) for p in doc["points"])
-    table = np.asarray(doc["loss_table"], dtype=float)
-    if table.shape != (doc["hypotheses"], len(points)):
-        raise ValueError("loss table shape does not match point/hypothesis counts")
-    table.setflags(write=False)
-    column = {p: j for j, p in enumerate(points)}
-
-    def loss(h, x):
-        return float(table[h, column[_freeze(x)]])
-
-    domain = FiniteDataDomain(points, np.asarray(doc["probs"], dtype=float))
-    space = FiniteHypothesisSpace(
-        tuple(range(doc["hypotheses"])), np.asarray(doc["prior"], dtype=float), loss
-    )
-    return domain, space
+    """Rebuild a (domain, space) pair; every field is checked here, named in the error."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a space document must be an object, got {type(doc).__name__}")
+    missing = [name for name in ("points", "probs", "hypotheses", "prior", "loss_table") if name not in doc]
+    if missing:
+        raise ValueError(f"space document is missing the fields {missing}")
+    if not isinstance(doc["points"], list):
+        raise ValueError(f"points must be a list, got {doc['points']!r}")
+    domain = FiniteDataDomain(tuple(_freeze(p) for p in doc["points"]), doc["probs"])
+    table = _nonnegative_array(doc["loss_table"], "loss_table", 2)
+    expected = (doc["hypotheses"], len(domain))
+    if table.shape != expected:
+        raise ValueError(f"loss_table has shape {table.shape}, expected {expected} from hypotheses and points")
+    return domain, FiniteHypothesisSpace(table, doc["prior"])
 
 
 def save_space(path, domain: FiniteDataDomain, space: FiniteHypothesisSpace) -> None:

@@ -19,7 +19,7 @@ from gibbslab.bounds import (
     subexponential_bound,
 )
 from gibbslab.harness import csv_report
-from gibbslab.model import LossProfile, table_space
+from gibbslab.model import FiniteHypothesisSpace, LossProfile
 
 mp.dps = 50
 
@@ -220,7 +220,7 @@ class TestShiftRadius:
 class TestDistributionDependentRhs:
     def test_full_mass_degenerate_case(self):
         # every hypothesis has true loss 0: a single candidate shift
-        space = table_space([[0.0], [0.0]], [0.5, 0.5])
+        space = FiniteHypothesisSpace([[0.0], [0.0]], [0.5, 0.5])
         profile = LossProfile([0.1, 0.1], [0.0, 0.0])
         n, delta, p, beta, log_moment = 100, 0.05, 1, 2.0, 0.3
         s = shift_radius(n, delta, p)
@@ -231,7 +231,7 @@ class TestDistributionDependentRhs:
 
     def test_two_level_enumeration(self):
         # levels 0.5 (mass 0.6) and 0.8 (mass 1.0); own empirical loss far below
-        space = table_space(np.zeros((5, 1)), [0.3, 0.3, 0.2, 0.1, 0.1])
+        space = FiniteHypothesisSpace(np.zeros((5, 1)), [0.3, 0.3, 0.2, 0.1, 0.1])
         profile = LossProfile(np.full(5, 0.1), [0.5, 0.5, 0.8, 0.8, 0.8])
         n, delta, p, beta, log_moment = 100, 0.05, 1, 10.0, 0.0
         s = shift_radius(n, delta, p)
@@ -249,7 +249,7 @@ class TestDistributionDependentRhs:
 
     def test_vacuous_sentinel(self):
         # at n = 1 with tiny delta the slack exceeds the whole prior mass
-        space = table_space([[0.0]], [1.0])
+        space = FiniteHypothesisSpace([[0.0]], [1.0])
         profile = LossProfile([0.0], [0.5])
         got = distribution_dependent_rhs(space, profile, 0.0, 1.0, 1, 1e-40, 1, 0.0)
         assert got == math.inf

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gibbslab.bounds import minimizer_mass_bound
 from gibbslab.gibbs import (
@@ -21,19 +23,19 @@ from gibbslab.gibbs import (
     zero_temperature_posterior,
 )
 from gibbslab.model import (
+    FiniteHypothesisSpace,
     loss_profile,
     minimizer_summary,
     random_loss_table,
     sample_dataset,
     step_cdf,
-    table_space,
 )
 
 
 @pytest.fixture
 def two_level():
     """Fair two-hypothesis space with empirical losses pinned at 0 and 1."""
-    space = table_space([[0.0], [1.0]], [0.5, 0.5])
+    space = FiniteHypothesisSpace([[0.0], [1.0]], [0.5, 0.5])
     return space, np.array([0.0, 1.0])
 
 
@@ -56,7 +58,7 @@ class TestLogPartition:
         assert log_partition(space, losses, 1.0) == pytest.approx(expected, abs=1e-12)
 
     def test_constant_losses(self):
-        space = table_space([[0.4], [0.4], [0.4]], [0.2, 0.3, 0.5])
+        space = FiniteHypothesisSpace([[0.4], [0.4], [0.4]], [0.2, 0.3, 0.5])
         assert log_partition(space, np.full(3, 0.4), 7.0) == pytest.approx(-2.8, abs=1e-12)
 
     def test_misaligned_losses_rejected(self, two_level):
@@ -87,7 +89,7 @@ class TestPosterior:
         assert w[0] >= 1.0 - 1e-9
 
     def test_extreme_beta_no_overflow(self):
-        space = table_space([[0.0], [0.5], [1.0]], [1 / 3] * 3)
+        space = FiniteHypothesisSpace([[0.0], [0.5], [1.0]], [1 / 3] * 3)
         w = posterior(space, np.array([0.0, 0.5, 1.0]), 1e9).weights
         assert np.all(np.isfinite(w)) and w[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -101,7 +103,7 @@ class TestPosterior:
             assert np.max(np.abs(base - shifted)) <= 1e-10
 
     def test_zero_temperature_posterior_limits(self):
-        space = table_space([[0.2], [0.2], [0.9]], [0.25, 0.25, 0.5])
+        space = FiniteHypothesisSpace([[0.2], [0.2], [0.9]], [0.25, 0.25, 0.5])
         post = zero_temperature_posterior(space, np.array([0.2, 0.2, 0.9]))
         assert np.allclose(post.weights, [0.5, 0.5, 0.0])
         assert post.log_partition == -math.inf  # minimum loss is positive
@@ -111,7 +113,7 @@ class TestPosterior:
 
 class TestSampling:
     def test_point_mass(self):
-        space = table_space([[0.0], [1.0]], [0.5, 0.5])
+        space = FiniteHypothesisSpace([[0.0], [1.0]], [0.5, 0.5])
         post = posterior(space, np.array([0.0, 1.0]), 1e9)
         assert all(sample_hypothesis(post, seed) == 0 for seed in range(20))
 
@@ -131,7 +133,7 @@ class TestSampling:
         assert np.array_equal(a, b)
 
     def test_zero_weight_never_sampled(self):
-        space = table_space([[0.0], [1.0], [0.5]], [0.5, 0.5, 0.0])
+        space = FiniteHypothesisSpace([[0.0], [1.0], [0.5]], [0.5, 0.5, 0.0])
         post = posterior(space, np.array([0.0, 1.0, 0.5]), 0.3)
         draws = sample_hypotheses(post, 10_000, seed=2)
         assert not np.any(draws == 2)
@@ -149,7 +151,7 @@ class TestComplexity:
         assert high.argmin_shift == -1.0
 
     def test_single_hypothesis_is_zero(self):
-        space = table_space([[0.6]], [1.0])
+        space = FiniteHypothesisSpace([[0.6]], [1.0])
         for beta in (0.0, 1.0, 1e6):
             assert complexity(space, np.array([0.6]), 0, beta).value == pytest.approx(0.0, abs=1e-12)
 
@@ -201,7 +203,7 @@ class TestComplexity:
 
     def test_zero_temperature_attainment(self):
         # constructed levels 0 and 0.5: exact attainment from beta = cap/gap on
-        space = table_space([[0.0], [0.5], [0.5]], [0.25, 0.5, 0.25])
+        space = FiniteHypothesisSpace([[0.0], [0.5], [0.5]], [0.25, 0.5, 0.25])
         losses = np.array([0.0, 0.5, 0.5])
         cap = math.log(1.0 / 0.25)
         threshold = cap / 0.5
@@ -291,7 +293,7 @@ def tied_block(seed: int, rows: int = 12, size: int = 9):
     prior[:2] = 0.0
     prior /= prior.sum()
     prior[1] = 1e-300
-    space = table_space(np.zeros((size, 1)), prior)
+    space = FiniteHypothesisSpace(np.zeros((size, 1)), prior)
     return space, np.round(rng.random((rows, size)), 1)
 
 
@@ -337,7 +339,7 @@ class TestRowKernels:
     def test_tied_nonzero_minimum_at_large_beta(self, beta):
         # three hypotheses share the minimum loss 0.3: ln Z is near -0.3 beta,
         # and its rounding must not reach the weights
-        space = table_space(np.zeros((5, 1)), [0.1, 0.2, 0.3, 0.15, 0.25])
+        space = FiniteHypothesisSpace(np.zeros((5, 1)), [0.1, 0.2, 0.3, 0.15, 0.25])
         losses = np.array([0.3, 0.3, 0.5, 0.3, 0.7])
         post = posterior(space, losses, beta)
         assert abs(float(post.weights.sum()) - 1.0) <= 1e-15
@@ -395,7 +397,7 @@ class TestRankedSort:
         # the tied rows carry 0.0 next to -0.0 and a nan
         rng = np.random.Generator(np.random.PCG64(11))
         size = 200
-        space = table_space(np.zeros((size, 1)), np.full(size, 1.0 / size))
+        space = FiniteHypothesisSpace(np.zeros((size, 1)), np.full(size, 1.0 / size))
         tie_free = rng.random((40, size))
         tied = np.round(rng.random((40, size)), 1)
         tied[::4, :10] = -0.0
@@ -413,7 +415,7 @@ class TestRankedSort:
         self.check(space, np.concatenate([first, losses]))
 
     def test_all_tied_rows(self):
-        space = table_space(np.zeros((50, 1)), np.full(50, 0.02))
+        space = FiniteHypothesisSpace(np.zeros((50, 1)), np.full(50, 0.02))
         self.check(space, np.full((6, 50), 0.25))
 
     def test_zero_prior_atoms(self):
@@ -422,10 +424,40 @@ class TestRankedSort:
         self.check(space, np.random.Generator(np.random.PCG64(7)).random((60, 70)))
 
     def test_single_hypothesis(self):
-        self.check(table_space(np.zeros((1, 1)), [1.0]), np.array([[0.5], [0.0], [1.0]]))
+        self.check(FiniteHypothesisSpace(np.zeros((1, 1)), [1.0]), np.array([[0.5], [0.0], [1.0]]))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_one_row(self, seed):
         space, losses = tied_block(seed, rows=2, size=100)
         self.check(space, losses[:1])
         self.check(space, losses[1:] + np.arange(100) * 1e-3)
+
+
+@st.composite
+def loss_rows(draw):
+    """A prior with zero-prior atoms and a loss row with ties, drawn from a few levels."""
+    size = draw(st.integers(1, 12))
+    levels = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    losses = np.array(draw(st.lists(st.sampled_from(levels), min_size=size, max_size=size)))
+    weights = np.array(
+        draw(st.lists(st.one_of(st.just(0.0), st.just(1e-300), st.floats(1e-6, 1.0)), min_size=size, max_size=size))
+    )
+    weights[draw(st.integers(0, size - 1))] = draw(st.floats(1e-3, 1.0))
+    return FiniteHypothesisSpace(np.zeros((size, 1)), weights / weights.sum()), losses
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    row=loss_rows(),
+    beta=st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.floats(10.0, 1e9), st.sampled_from([1e6, 1e9])),
+    pick=st.integers(0, 11),
+)
+def test_complexity_closed_form(row, beta, pick):
+    """complexity(h) = m - beta * L(h), m the minimum over step-CDF levels of beta * L_j - ln C_j."""
+    space, losses = row
+    h = pick % len(space)
+    cdf = step_cdf(losses, space.prior)
+    m = float(np.min(beta * cdf.levels - np.log(cdf.cumulative)))
+    own = beta * losses[h]
+    value = complexity(space, losses, h, beta).value
+    assert abs(value - (m - own)) <= 1e-12 * max(1.0, abs(m), own)

@@ -38,11 +38,11 @@ from gibbslab.harness import (
 from gibbslab.model import (
     SPACE_GENERATORS,
     FiniteDataDomain,
+    FiniteHypothesisSpace,
     build_space,
     k_minimizer_space,
     loss_matrix,
     sample_dataset,
-    table_space,
 )
 from gibbslab import gibbs
 from gibbslab.gibbs import DensityFamily, density_family, normalize_density
@@ -280,7 +280,7 @@ class TestViolationExperiment:
             from gibbslab.model import FiniteDataDomain
 
             domain = FiniteDataDomain((0, 1), [0.5, 0.5])
-            space = table_space([[0.0, 2.0], [1.5, 0.5]], [0.5, 0.5])
+            space = FiniteHypothesisSpace([[0.0, 2.0], [1.5, 0.5]], [0.5, 0.5])
             return domain, space
 
         SPACE_GENERATORS["oversized_for_test"] = generator
@@ -414,7 +414,7 @@ def tiny_prior_space():
     def generator():
         domain = FiniteDataDomain((0, 1, 2), [0.5, 0.3, 0.2])
         table = [[0.0, 0.0, 0.1], [0.9, 0.2, 0.4], [0.5, 0.5, 0.5], [0.5, 0.5, 0.5], [0.3, 1.0, 0.0]]
-        return domain, table_space(table, [0.0, 1e-300, 0.25, 0.25, 0.5 - 1e-300])
+        return domain, FiniteHypothesisSpace(table, [0.0, 1e-300, 0.25, 0.25, 0.5 - 1e-300])
 
     SPACE_GENERATORS["tiny_prior_for_test"] = generator
     yield {"name": "tiny_prior_for_test", "params": {}}

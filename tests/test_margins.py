@@ -9,6 +9,7 @@ from gibbslab.margins import (
     LabeledPoint,
     LinearHypothesis,
     build_linear_grid,
+    grid_space,
     hinge_loss,
     labeled_domain,
     level_set_equality_check,
@@ -168,6 +169,88 @@ class TestGrids:
         assert a.hypotheses == b.hypotheses
         assert np.array_equal(a.prior, b.prior)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("hinge_margin", 0.0),
+            ("hinge_margin", -1.0),
+            ("hinge_margin", math.nan),
+            ("hinge_margin", math.inf),
+            ("bias_sigma", 0.0),
+            ("bias_sigma", math.nan),
+            ("bias_range", math.nan),
+            ("bias_range", math.inf),
+            ("bias_range", -0.5),
+            ("angular_steps", 8.0),
+            ("angular_steps", True),
+            ("bias_steps", 2.5),
+            ("bias_steps", 0),
+        ],
+    )
+    def test_bad_arguments_named(self, field, value):
+        args = {"dim": 2, "angular_steps": 8, "bias_steps": 3, "bias_range": 1.0, field: value}
+        with pytest.raises(ValueError, match=field):
+            build_linear_grid(**args)
+
+    def test_numpy_integer_steps_accepted(self):
+        grid = build_linear_grid(2, np.int64(8), np.int64(3), 1.0)
+        assert len(grid) == 24
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def per_pair_table(loss, hypotheses, points) -> np.ndarray:
+    """The grid's loss table filled one (hypothesis, point) pair at a time by the scalar loss."""
+    out = np.empty((len(hypotheses), len(points)))
+    for i, h in enumerate(hypotheses):
+        for j, x in enumerate(points):
+            out[i, j] = loss(h, x)
+    return out
+
+
+class TestGridSpace:
+    """grid_space's column arithmetic carries the bits of the scalar losses."""
+
+    def test_bit_comparison_sees_signed_zero(self):
+        assert not same_bits(np.array([[0.0]]), np.array([[-0.0]]))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("loss_kind", ["zero_one", "hinge"])
+    def test_tables_equal_the_scalar_losses(self, dim, loss_kind):
+        rng = np.random.Generator(np.random.PCG64(dim * 10 + len(loss_kind)))
+        for _ in range(20):
+            margin = float(rng.choice([0.5, 1.0, 3.0, rng.uniform(0.01, 2.0)]))
+            grid = build_linear_grid(
+                dim,
+                int(rng.integers(4, 40)),
+                int(rng.integers(1, 8)),
+                float(rng.choice([0.0, 1.0, rng.uniform(0.0, 3.0)])),
+                prior_kind="gaussian-projected" if rng.integers(0, 2) else "uniform",
+                loss_kind=loss_kind,
+                hinge_margin=margin,
+            )
+            count = int(rng.integers(1, 12))
+            # integer coordinates put points on grid hyperplanes: exact zero scores
+            coords = rng.integers(-2, 3, size=(count, dim)) if rng.integers(0, 2) else rng.normal(size=(count, dim))
+            labels = 2 * rng.integers(0, 2, size=count) - 1
+            domain = labeled_domain(LabeledPoint(tuple(z), int(y)) for z, y in zip(coords, labels))
+            if loss_kind == "zero_one":
+                reference = per_pair_table(zero_one_loss, grid.hypotheses, domain.points)
+            else:
+                reference = per_pair_table(
+                    lambda h, p: hinge_loss(h, p, margin), grid.hypotheses, domain.points
+                )
+            space = grid_space(grid, domain)
+            assert same_bits(space.table, reference)
+            assert same_bits(space.prior, grid.prior)
+
+    def test_dimension_mismatch_rejected(self):
+        grid = build_linear_grid(3, 8, 1, 0.0)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            grid_space(grid, labeled_domain([LabeledPoint((1.0, 0.0), 1)]))
+
 
 class TestMaxMarginAndLevelSets:
     separable = [LabeledPoint((1.0, 0.0), 1), LabeledPoint((-1.0, 0.0), -1)]
@@ -230,13 +313,13 @@ class TestMaxMarginAndLevelSets:
         assert level_set_equality_check(grid, data, 1.0)
 
     def test_separable_margin_gives_positive_mass_and_finite_complexity(self):
-        grid = build_linear_grid(2, 72, 9, 1.0)
         domain = labeled_domain(self.separable)
-        profile = loss_profile(grid, domain, DataSet(domain, np.array([0, 1])))
-        mass = empirical_cdf(grid, profile, 0.0)
+        space = grid_space(build_linear_grid(2, 72, 9, 1.0), domain)
+        profile = loss_profile(space, domain, DataSet(domain, np.array([0, 1])))
+        mass = empirical_cdf(space, profile, 0.0)
         assert mass > 0.0
         minimizer = int(np.argmin(profile.empirical))
-        value = complexity(grid, profile.empirical, minimizer, 1e6).value
+        value = complexity(space, profile.empirical, minimizer, 1e6).value
         assert math.isfinite(value)
         assert value <= -math.log(mass) + 1e-9
 
@@ -250,18 +333,20 @@ class TestMaxMarginAndLevelSets:
             if all(zero_one_loss(h, p) == 0.0 for p in narrow):
                 assert margin_value(h, narrow, 0.0).value <= margin_value(h, wide, 0.0).value
         domain_w, domain_n = labeled_domain(wide), labeled_domain(narrow)
-        profile_w = loss_profile(grid, domain_w, DataSet(domain_w, np.array([0, 1])))
-        profile_n = loss_profile(grid, domain_n, DataSet(domain_n, np.array([0, 1])))
-        assert empirical_cdf(grid, profile_n, 0.0) <= empirical_cdf(grid, profile_w, 0.0)
+        space_w, space_n = grid_space(grid, domain_w), grid_space(grid, domain_n)
+        profile_w = loss_profile(space_w, domain_w, DataSet(domain_w, np.array([0, 1])))
+        profile_n = loss_profile(space_n, domain_n, DataSet(domain_n, np.array([0, 1])))
+        assert empirical_cdf(space_n, profile_n, 0.0) <= empirical_cdf(space_w, profile_w, 0.0)
 
     def test_hinge_zero_loss_mass_under_wide_margin(self):
         # hard margin 1 exceeds the hinge scale 0.5, so some grid atom has
         # zero empirical hinge loss
         grid = build_linear_grid(2, 36, 7, 1.0, loss_kind="hinge", hinge_margin=0.5)
         domain = labeled_domain(self.separable)
-        profile = loss_profile(grid, domain, DataSet(domain, np.array([0, 1])))
+        space = grid_space(grid, domain)
+        profile = loss_profile(space, domain, DataSet(domain, np.array([0, 1])))
         assert max_margin(grid, self.separable, 0.0) > 0.5
-        assert empirical_cdf(grid, profile, 0.0) > 0.0
+        assert empirical_cdf(space, profile, 0.0) > 0.0
 
 
 class TestCsvRoundTrip:

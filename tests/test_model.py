@@ -15,6 +15,7 @@ from gibbslab.model import (
     empirical_losses,
     inverse_cdf,
     k_minimizer_space,
+    load_space,
     loss_matrix,
     loss_profile,
     minimizer_summary,
@@ -25,7 +26,6 @@ from gibbslab.model import (
     space_from_document,
     space_to_document,
     step_cdf,
-    table_space,
     true_cdf,
     true_loss,
 )
@@ -41,8 +41,57 @@ def test_domain_rejects_bad_probabilities():
 
 
 def test_space_rejects_misaligned_prior():
+    with pytest.raises(ValueError, match="3 rows but the prior has 2 entries"):
+        FiniteHypothesisSpace(np.zeros((3, 1)), [0.5, 0.5])
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ([0.0, 1.0], "must be a nonempty 2-d array"),
+        ([[[0.0]], [[1.0]]], "must be a nonempty 2-d array"),
+        ([[], []], "must be a nonempty 2-d array"),
+        ([[0.0], [-0.5]], "finite and non-negative"),
+        ([[0.0], [math.nan]], "finite and non-negative"),
+        ([[0.0], [math.inf]], "finite and non-negative"),
+        ([[0.0], ["x"]], "array of numbers"),
+    ],
+)
+def test_space_rejects_bad_tables(table, message):
+    with pytest.raises(ValueError, match=message):
+        FiniteHypothesisSpace(table, [0.5, 0.5])
+
+
+def test_space_table_is_a_read_only_copy():
+    table = np.array([[0.0, 1.0], [0.5, 0.25]])
+    space = FiniteHypothesisSpace(table, [0.5, 0.5])
+    table[0, 0] = 9.0
+    assert space.table[0, 0] == 0.0
     with pytest.raises(ValueError):
-        FiniteHypothesisSpace((0, 1, 2), [0.5, 0.5], lambda h, x: 0.0)
+        space.table[0, 0] = 1.0
+
+
+class TestDomainAlignment:
+    """The table is read for a domain only where its column count is checked."""
+
+    @pytest.mark.parametrize("points", [3, 5])
+    def test_domain_of_the_wrong_size_rejected(self, points):
+        _, space = random_loss_table(3, 4, 0)
+        domain = FiniteDataDomain(tuple(range(points)), np.full(points, 1.0 / points))
+        data = DataSet(domain, np.arange(points))
+        message = f"the loss table has 4 columns but the domain has {points} points"
+        with pytest.raises(ValueError, match=message):
+            loss_matrix(space, domain)
+        with pytest.raises(ValueError, match=message):
+            loss_profile(space, domain, data)
+        with pytest.raises(ValueError, match=message):
+            true_loss(space, 0, domain)
+        with pytest.raises(ValueError, match=message):
+            empirical_loss(space, 0, data)
+
+    def test_aligned_domain_reads_the_table(self):
+        domain, space = random_loss_table(3, 4, 0)
+        assert loss_matrix(space, domain) is space.table
 
 
 class TestSampleDataset:
@@ -83,19 +132,19 @@ class TestSampleDataset:
 class TestLossEvaluation:
     def test_empirical_loss_mean(self):
         domain = FiniteDataDomain((0, 1, 2, 3), [0.25] * 4)
-        space = table_space([[0.0, 1.0, 1.0, 0.0]], [1.0])
+        space = FiniteHypothesisSpace([[0.0, 1.0, 1.0, 0.0]], [1.0])
         data = DataSet(domain, np.array([0, 1, 2, 3]))
         assert empirical_loss(space, 0, data) == 0.5
 
     def test_constant_loss(self):
         domain = FiniteDataDomain((0, 1), [0.5, 0.5])
-        space = table_space([[0.7, 0.7]], [1.0])
+        space = FiniteHypothesisSpace([[0.7, 0.7]], [1.0])
         data = sample_dataset(domain, 13, seed=3)
         assert empirical_loss(space, 0, data) == pytest.approx(0.7, abs=1e-15)
 
     def test_index_out_of_range(self):
         domain = FiniteDataDomain((0,), [1.0])
-        space = table_space([[0.0]], [1.0])
+        space = FiniteHypothesisSpace([[0.0]], [1.0])
         data = DataSet(domain, np.array([0]))
         with pytest.raises(IndexError):
             empirical_loss(space, 5, data)
@@ -104,19 +153,19 @@ class TestLossEvaluation:
 
     def test_true_loss_point_mass(self):
         domain = FiniteDataDomain((0, 1), [0.0, 1.0])
-        space = table_space([[0.3, 0.9]], [1.0])
+        space = FiniteHypothesisSpace([[0.3, 0.9]], [1.0])
         assert true_loss(space, 0, domain) == pytest.approx(0.9, abs=1e-15)
 
     def test_true_loss_weighted(self):
         domain = FiniteDataDomain((0, 1), [0.25, 0.75])
-        space = table_space([[0.0, 1.0]], [1.0])
+        space = FiniteHypothesisSpace([[0.0, 1.0]], [1.0])
         assert true_loss(space, 0, domain) == pytest.approx(0.75, abs=1e-15)
 
     def test_law_of_large_numbers(self):
         # 0/1 losses: empirical mean concentrates at the true loss
         domain, space = random_loss_table(4, 8, seed=11)
         zero_one = (loss_matrix(space, domain) > 0.5).astype(float)
-        space01 = table_space(zero_one, space.prior)
+        space01 = FiniteHypothesisSpace(zero_one, space.prior)
         n = 1_000_000
         data = sample_dataset(domain, n, seed=12)
         p = true_loss(space01, 0, domain)
@@ -127,7 +176,7 @@ class TestLossEvaluation:
 class TestCdfs:
     def setup_method(self):
         self.domain = FiniteDataDomain((0,), [1.0])
-        self.space = table_space([[0.0], [1.0]], [0.5, 0.5])
+        self.space = FiniteHypothesisSpace([[0.0], [1.0]], [0.5, 0.5])
         self.profile = LossProfile([0.0, 1.0], [0.0, 1.0])
 
     def test_half_mass_at_zero(self):
@@ -141,7 +190,7 @@ class TestCdfs:
         assert empirical_cdf(self.space, self.profile, -1.0) == 0.0
 
     def test_true_cdf_enumeration(self):
-        space = table_space(np.zeros((4, 1)), [0.25] * 4)
+        space = FiniteHypothesisSpace(np.zeros((4, 1)), [0.25] * 4)
         profile = LossProfile([0.0] * 4, [0.1, 0.2, 0.3, 0.4])
         assert true_cdf(space, profile, 0.25) == 0.5
         assert true_cdf(space, profile, 0.05) == 0.0
@@ -184,14 +233,14 @@ class TestMinimizerSummary:
     def test_shared_minimum_mass(self):
         losses = np.full(100, 0.5)
         losses[[3, 14, 15, 92]] = 0.25
-        space = table_space(losses[:, None], np.full(100, 0.01))
+        space = FiniteHypothesisSpace(losses[:, None], np.full(100, 0.01))
         profile = LossProfile(losses, losses)
         summary = minimizer_summary(space, profile)
         assert summary.prior_mass_empirical_min == pytest.approx(0.04, abs=1e-12)
         assert summary.min_empirical == 0.25
 
     def test_single_hypothesis(self):
-        space = table_space([[0.3]], [1.0])
+        space = FiniteHypothesisSpace([[0.3]], [1.0])
         profile = LossProfile([0.3], [0.3])
         summary = minimizer_summary(space, profile)
         assert summary.prior_mass_empirical_min == 1.0
@@ -199,7 +248,7 @@ class TestMinimizerSummary:
 
     def test_zero_prior_atom_ignored(self):
         # the zero-mass hypothesis has the smallest loss but cannot count
-        space = table_space([[0.0], [0.5]], [0.0, 1.0])
+        space = FiniteHypothesisSpace([[0.0], [0.5]], [0.0, 1.0])
         profile = LossProfile([0.0, 0.5], [0.0, 0.5])
         summary = minimizer_summary(space, profile)
         assert summary.min_empirical == 0.5
@@ -272,6 +321,88 @@ class TestSerialization:
         doc["hypotheses"] = 3
         with pytest.raises(ValueError):
             space_from_document(doc)
+
+    @pytest.mark.parametrize("doc", [[1, 2], "space", 3, None])
+    def test_document_that_is_not_an_object_rejected(self, doc):
+        with pytest.raises(ValueError, match="space document must be an object"):
+            space_from_document(doc)
+
+    @pytest.mark.parametrize("field", ["prior", "probs", "points", "hypotheses", "loss_table"])
+    def test_missing_field_named(self, field):
+        domain, space = random_loss_table(2, 2, seed=0)
+        doc = space_to_document(domain, space)
+        del doc[field]
+        with pytest.raises(ValueError, match=f"missing the fields \\['{field}'\\]"):
+            space_from_document(doc)
+
+    @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
+    def test_bad_loss_table_rejected_at_load(self, bad, tmp_path):
+        domain, space = random_loss_table(2, 2, seed=0)
+        doc = space_to_document(domain, space)
+        doc["loss_table"][1][0] = bad
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="loss_table entries must be finite and non-negative"):
+            load_space(path)
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("points", 2, "points must be a list"),
+            ("hypotheses", 3, "expected \\(3, 2\\) from hypotheses"),
+            ("loss_table", [[0.1, 0.2], [0.3]], "loss_table must be an array of numbers"),
+            ("probs", {"a": 1}, "probs must be an array of numbers"),
+            ("prior", [0.5, 0.6], "prior must sum to 1"),
+        ],
+    )
+    def test_bad_field_named(self, field, value, message):
+        domain, space = random_loss_table(2, 2, seed=0)
+        doc = space_to_document(domain, space)
+        doc[field] = value
+        with pytest.raises(ValueError, match=message):
+            space_from_document(doc)
+
+
+def per_pair_table(loss, hypotheses, points) -> np.ndarray:
+    """The loss table filled one (hypothesis, point) pair at a time."""
+    out = np.empty((len(hypotheses), len(points)))
+    for i, h in enumerate(hypotheses):
+        for j, x in enumerate(points):
+            out[i, j] = loss(h, x)
+    return out
+
+
+class TestGeneratorTables:
+    """Each generator's vectorized table carries the bits of its per-pair loss."""
+
+    @pytest.mark.parametrize("seed, random_prior", [(0, False), (9, True)])
+    def test_random_loss_table(self, seed, random_prior):
+        domain, space = random_loss_table(7, 5, seed, random_prior=random_prior)
+        draws = np.random.Generator(np.random.PCG64(seed)).random((7, 5))
+        reference = per_pair_table(lambda h, x: float(draws[h, x]), range(7), domain.points)
+        assert space.table.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("hypotheses, minimizers, points", [(1, 1, 1), (10, 3, 2), (40, 7, 5)])
+    def test_k_minimizer_space(self, hypotheses, minimizers, points):
+        domain, space = k_minimizer_space(hypotheses, minimizers, seed=4, num_points=points)
+        rng = np.random.Generator(np.random.PCG64(4))
+        levels = 0.1 * rng.integers(1, 11, size=hypotheses).astype(float)
+        which = set(rng.permutation(hypotheses)[:minimizers].tolist())
+        reference = per_pair_table(lambda h, x: 0.0 if h in which else levels[h], range(hypotheses), domain.points)
+        assert space.table.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("inputs", [1, 3, 8])
+    def test_permuted_label_task(self, inputs):
+        domain, space = permuted_label_task(inputs, seed=2)
+
+        def loss(h, x):
+            j, y = x
+            predicted = 1 if (h >> j) & 1 else -1
+            return 0.0 if predicted == y else 1.0
+
+        reference = per_pair_table(loss, range(2**inputs), domain.points)
+        assert space.table.shape == (2**inputs, 2 * inputs)
+        assert space.table.tobytes() == reference.tobytes()
 
 
 class TestBlockDraws:

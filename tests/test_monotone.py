@@ -18,12 +18,12 @@ from gibbslab.gibbs import (
     polynomial_density,
     posterior,
 )
-from gibbslab.model import loss_profile, random_loss_table, sample_dataset, table_space
+from gibbslab.model import FiniteHypothesisSpace, loss_profile, random_loss_table, sample_dataset
 
 
 @pytest.fixture
 def two_level():
-    space = table_space([[0.0], [1.0]], [0.5, 0.5])
+    space = FiniteHypothesisSpace([[0.0], [1.0]], [0.5, 0.5])
     return space, np.array([0.0, 1.0])
 
 
@@ -136,7 +136,7 @@ class TestNormalizeDensity:
     def test_conditions_checked_on_positive_prior_levels_only(self):
         # the zero-prior hypothesis at loss 2 would violate the Lipschitz
         # condition, but it is invisible to the posterior
-        space = table_space([[0.0], [1.0], [2.0]], [0.5, 0.5, 0.0])
+        space = FiniteHypothesisSpace([[0.0], [1.0], [2.0]], [0.5, 0.5, 0.0])
         losses = np.array([0.0, 1.0, 2.0])
         family = DensityFamily("piecewise", {}, lambda t: np.where(t <= 1.0, -t, -100.0 * t), 1.0)
         post = normalize_density(space, losses, family, 1.0)
@@ -144,7 +144,7 @@ class TestNormalizeDensity:
 
     def test_zero_prior_atom_with_wild_density_stays_finite(self):
         # an infinite density at a zero-prior level must not poison the weights
-        space = table_space([[0.0], [1.0], [2.0]], [0.5, 0.5, 0.0])
+        space = FiniteHypothesisSpace([[0.0], [1.0], [2.0]], [0.5, 0.5, 0.0])
         losses = np.array([0.0, 1.0, 2.0])
         family = DensityFamily("wild", {}, lambda t: np.where(t == 2.0, math.inf, -t), 1.0)
         post = normalize_density(space, losses, family, 1.0)
@@ -234,7 +234,7 @@ class TestIpmCorrectedRhs:
 class TestDensityRows:
     def test_rows_match_normalize_density(self):
         rng = np.random.Generator(np.random.PCG64(17))
-        space = table_space(np.zeros((7, 1)), np.append(0.0, np.full(6, 1.0 / 6.0)))
+        space = FiniteHypothesisSpace(np.zeros((7, 1)), np.append(0.0, np.full(6, 1.0 / 6.0)))
         losses = np.round(rng.random((15, 7)), 1)
         for family in (polynomial_density(2.0), exponential_density(3.0), capped_exponential_density(4.0, 0.3)):
             weights, log_z = density_rows(space, losses, family, family.gamma)
@@ -244,7 +244,7 @@ class TestDensityRows:
                 assert got_log_z == post.log_partition
 
     def test_first_failing_row_raises_its_own_error(self):
-        space = table_space(np.zeros((3, 1)), [0.2, 0.3, 0.5])
+        space = FiniteHypothesisSpace(np.zeros((3, 1)), [0.2, 0.3, 0.5])
         steep = DensityFamily("steep", {}, lambda t: -10.0 * t, 1.0)
         # row 0 passes (one level); rows 1 and 2 fail on different pairs
         losses = np.array([[0.5, 0.5, 0.5], [0.0, 0.0, 0.2], [0.0, 0.4, 0.4]])
