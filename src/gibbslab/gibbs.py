@@ -42,6 +42,7 @@ __all__ = [
     "sample_rows",
     "sample_hypothesis",
     "sample_hypotheses",
+    "cdf_rows",
     "complexity_rows",
     "posterior_draws",
     "complexity",
@@ -358,12 +359,27 @@ def sample_hypothesis(post: GibbsPosterior, seed: int) -> int:
     return int(sample_hypotheses(post, 1, seed)[0])
 
 
+def _running_mass(space: FiniteHypothesisSpace, order: np.ndarray) -> np.ndarray:
+    return np.cumsum(space.prior[space.prior > 0.0][order], axis=1)
+
+
+def cdf_rows(space: FiniteHypothesisSpace, losses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's positive-prior losses in stable ascending order, and their running prior mass.
+
+    Row i is the step_cdf construction of loss row i before it collapses
+    levels: the running mass at the last atom of each loss level carries
+    the bits of that level's cumulative mass.
+    """
+    _, order, _, levels = _ranked(space, losses)
+    return levels, _running_mass(space, order)
+
+
 def _complexity_rows(
     space: FiniteHypothesisSpace, losses: np.ndarray, ranked: tuple, h_indices: np.ndarray, beta: float
 ) -> tuple[np.ndarray, np.ndarray]:
     beta = _check_beta(beta)
     _, order, _, levels = ranked
-    mass = np.cumsum(space.prior[space.prior > 0.0][order], axis=1)
+    mass = _running_mass(space, order)
     rows = np.arange(len(losses))
     shifts = levels - losses[rows, h_indices][:, None]
     objective = beta * shifts - np.log(mass)
@@ -429,9 +445,14 @@ def complexity_bruteforce(
     Never below the jump-point value, and at most beta*grid_step above it:
     the grid point just right of the optimal jump sees the same mass at a
     shift larger by less than grid_step.
+
+    The objective is evaluated at every grid point.  The points own + grid
+    ascend, so the points that see the mass of each step CDF level form one
+    run, which starts where the level enters the points; the points before
+    the lowest level see no mass and are skipped.
     """
-    if grid_step <= 0.0:
-        raise ValueError("grid_step must be positive")
+    if not (math.isfinite(grid_step) and grid_step > 0.0):
+        raise ValueError(f"grid_step must be finite and positive, got {grid_step!r}")
     losses = _losses_vector(space, data_losses)
     beta = _check_beta(beta)
     if not 0 <= h_index < len(space):
@@ -439,9 +460,9 @@ def complexity_bruteforce(
     cdf = step_cdf(losses, space.prior)
     own = losses[h_index]
     grid = np.arange(-own - 1.0, cdf.levels[-1] + 1.0 + grid_step, grid_step)
-    mass = cdf.at(own + grid)
-    valid = mass > 0.0
-    objective = beta * grid[valid] - np.log(mass[valid])
+    starts = np.searchsorted(own + grid, cdf.levels, side="left")
+    runs = np.diff(starts, append=grid.size)
+    objective = beta * grid[starts[0] :] - np.repeat(np.log(cdf.cumulative), runs)
     return float(objective.min())
 
 

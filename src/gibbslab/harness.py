@@ -30,6 +30,7 @@ from .bounds import (
     stratified_subgaussian_bound_rows,
 )
 from .gibbs import (
+    cdf_rows,
     complexity,
     density_family,
     exponential_density,
@@ -504,8 +505,33 @@ class ConcentrationRow:
 class ConcentrationResult:
     part_i: ViolationSummary
     part_ii: ViolationSummary
-    rows: tuple
+    rows: ColumnRows | tuple
     passed: bool
+
+
+def _concentration_flags(space, true_steps, empirical: np.ndarray, s: float, slack: float) -> tuple:
+    """Whether each row of a (T, H) empirical loss block breaks part (i) and part (ii).
+
+    One sort of the block gives each row's step CDF: its ascending atoms
+    and their running prior mass, whose value at the last atom of a level
+    is that level's cumulative mass.  Part (i) reads the empirical CDF at
+    each true level plus s: the mass of the last atom at or below it,
+    counted from each atom's place among those points.  Part (ii) compares
+    the true CDF at every atom plus s with the atom's running mass; inside
+    a level the mass only grows, so the level's last atom decides, as the
+    comparison at the level itself does.
+    """
+    levels, mass = cdf_rows(space, empirical)
+    rows = len(levels)
+    points = true_steps.levels + s
+    slots = points.size + 1
+    # the first of the points at or above each atom; the atoms at or below point j are those with first <= j
+    first = np.searchsorted(points, levels, side="left") + slots * np.arange(rows)[:, None]
+    below = np.bincount(first.ravel(), minlength=rows * slots).reshape(rows, slots).cumsum(axis=1)[:, :-1]
+    emp_at = np.where(below > 0, np.take_along_axis(mass, np.maximum(below - 1, 0), axis=1), 0.0)
+    bad_i = (emp_at < true_steps.cumulative - slack - 1e-12).any(axis=1)
+    bad_ii = (true_steps.at(levels + s) < mass - slack - 1e-12).any(axis=1)
+    return bad_i.tolist(), bad_ii.tolist()
 
 
 def run_concentration_experiment(config: ExperimentConfig) -> ConcentrationResult:
@@ -514,7 +540,8 @@ def run_concentration_experiment(config: ExperimentConfig) -> ConcentrationResul
     Part (i): empirical_cdf(r + s) >= true_cdf(r) - n**-p * s for all r;
     part (ii) is the mirror image.  Both sides are step functions of r, so
     checking at the jump points of the step side is exhaustive.  Each part
-    fails with probability at most delta per dataset.
+    fails with probability at most delta per dataset.  Trials run in
+    blocks, and the rows come back as one block of columns.
     """
     domain, space = build_space(config.space_spec)
     true_steps = step_cdf(space.table @ domain.probs, space.prior)
@@ -522,22 +549,25 @@ def run_concentration_experiment(config: ExperimentConfig) -> ConcentrationResul
     s = shift_radius(n, delta, p)
     slack = s * float(n) ** -p
 
-    rows = []
+    seeds, bad_i, bad_ii = [], [], []
     for data_seeds, _, block in _trial_blocks(config.master_seed, (), config.trials, domain, space.table, n):
-        for data_seed, empirical in zip(data_seeds, block):
-            emp_steps = step_cdf(empirical, space.prior)
-            bad_i = bool(
-                np.any(emp_steps.at(true_steps.levels + s) < true_steps.cumulative - slack - 1e-12)
-            )
-            bad_ii = bool(
-                np.any(true_steps.at(emp_steps.levels + s) < emp_steps.cumulative - slack - 1e-12)
-            )
-            rows.append(ConcentrationRow(data_seed, n, delta, p, s, bad_i, bad_ii))
-
-    part_i = _summarize([r.violated_part_i for r in rows])
-    part_ii = _summarize([r.violated_part_ii for r in rows])
+        block_i, block_ii = _concentration_flags(space, true_steps, block, s, slack)
+        seeds += data_seeds
+        bad_i += block_i
+        bad_ii += block_ii
+    columns = {
+        "trial_seed": seeds,
+        "n": n,
+        "delta": delta,
+        "p": p,
+        "shift": s,
+        "violated_part_i": bad_i,
+        "violated_part_ii": bad_ii,
+    }
+    part_i = _summarize(bad_i)
+    part_ii = _summarize(bad_ii)
     passed = part_i.wilson_upper_99 <= delta and part_ii.wilson_upper_99 <= delta
-    return ConcentrationResult(part_i, part_ii, tuple(rows), passed)
+    return ConcentrationResult(part_i, part_ii, ColumnRows(ConcentrationRow, [columns]), passed)
 
 
 @dataclass(frozen=True)

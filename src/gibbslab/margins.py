@@ -109,6 +109,35 @@ def _retained_count(n: int, error_fraction: float) -> int:
     return max(n - allowed, 1)
 
 
+def _signed_scores(hypotheses: Sequence[LinearHypothesis], points: Sequence[LabeledPoint]) -> np.ndarray:
+    """(H, n) score * label of every (hypothesis, point) pair, in score's operation order.
+
+    The sum runs 0.0 + u_0 z_0 + u_1 z_1 ... - bias, so every entry carries
+    the bits of the scalar score of its pair.
+    """
+    directions = np.array([h.direction for h in hypotheses])
+    biases = np.array([h.bias for h in hypotheses])
+    dims = sorted({len(point.z) for point in points})
+    if dims != [directions.shape[1]]:
+        raise ValueError(f"dimension mismatch: points have {dims} coordinates, hypotheses {directions.shape[1]}")
+    coords = np.array([point.z for point in points])
+    scores = 0.0
+    for k in range(coords.shape[1]):
+        scores = scores + directions[:, k : k + 1] * coords[:, k]
+    return (scores - biases[:, None]) * np.array([point.y for point in points])
+
+
+def _margin_rows(values: np.ndarray, error_fraction: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's soft margin and its retained indices, in descending order of value.
+
+    A stable sort of the negated values, so ties go to earlier indices and
+    the margin is the value itself, its sign of zero included.
+    """
+    keep = _retained_count(values.shape[1], error_fraction)
+    order = np.argsort(-values, axis=1, kind="stable")[:, :keep]
+    return np.take_along_axis(values, order[:, -1:], axis=1)[:, 0], order
+
+
 def margin_value(
     h: LinearHypothesis, data: Sequence[LabeledPoint], error_fraction: float
 ) -> MarginResult:
@@ -120,14 +149,8 @@ def margin_value(
     """
     if len(data) == 0:
         raise ValueError("margin of an empty dataset")
-    values = np.asarray([score(h, point.z) * point.y for point in data])
-    keep = _retained_count(values.size, error_fraction)
-    order = np.argsort(-values, kind="stable")[:keep]
-    return MarginResult(
-        float(error_fraction),
-        float(values[order[-1]]),
-        tuple(sorted(int(i) for i in order)),
-    )
+    values, order = _margin_rows(_signed_scores([h], data), error_fraction)
+    return MarginResult(float(error_fraction), float(values[0]), tuple(sorted(order[0].tolist())))
 
 
 @dataclass(frozen=True)
@@ -145,7 +168,11 @@ class LinearGrid:
 
 def max_margin(grid: LinearGrid, data: Sequence[LabeledPoint], error_fraction: float) -> float:
     """Largest soft margin over the hypothesis grid (grid proxy for the supremum)."""
-    return max(margin_value(h, data, error_fraction).value for h in grid.hypotheses)
+    if len(data) == 0:
+        raise ValueError("margin of an empty dataset")
+    values, _ = _margin_rows(_signed_scores(grid.hypotheses, data), error_fraction)
+    # Python's max keeps the first of equal maxima, a -0.0 before a 0.0 included
+    return max(values.tolist())
 
 
 def level_set_equality_check(grid: LinearGrid, data: Sequence[LabeledPoint], error_fraction: float) -> bool:
@@ -155,20 +182,19 @@ def level_set_equality_check(grid: LinearGrid, data: Sequence[LabeledPoint], err
     the 0-1 loss" with "margin positive and at most the grid maximum".  The
     error budget follows the same retained-count convention as
     margin_value, so the comparison is meaningful at error fraction 1 too.
+    One block of score * label values gives every hypothesis' margin and
+    its 0-1 error count (a point is an error unless its value is positive).
     """
     n = len(data)
     if n == 0:
         raise ValueError("empty dataset")
     allowed = n - _retained_count(n, error_fraction)
-    best = max_margin(grid, data, error_fraction)
-    for h in grid.hypotheses:
-        errors = sum(int(zero_one_loss(h, point)) for point in data)
-        in_level_set = errors <= allowed
-        value = margin_value(h, data, error_fraction).value
-        in_margin_set = 0.0 < value <= best
-        if in_level_set != in_margin_set:
-            return False
-    return True
+    signed = _signed_scores(grid.hypotheses, data)
+    values, _ = _margin_rows(signed, error_fraction)
+    best = max(values.tolist())
+    in_level_set = (~(signed > 0.0)).sum(axis=1) <= allowed
+    in_margin_set = (0.0 < values) & (values <= best)
+    return bool(np.array_equal(in_level_set, in_margin_set))
 
 
 def _circle_directions(steps: int) -> list[tuple]:
@@ -245,23 +271,14 @@ def build_linear_grid(
 def grid_space(grid: LinearGrid, domain: FiniteDataDomain) -> FiniteHypothesisSpace:
     """The grid scored on a domain of LabeledPoints, as a hypothesis space.
 
-    Columns follow score's operation order (0.0 + u_0 z_0 + u_1 z_1 ... - bias),
-    so every entry carries the bits of the scalar loss of its pair.
+    Every entry carries the bits of the scalar loss of its pair (see
+    _signed_scores).
     """
-    directions = np.array([h.direction for h in grid.hypotheses])
-    biases = np.array([h.bias for h in grid.hypotheses])
-    coords = np.array([p.z for p in domain.points], dtype=float)
-    labels = np.array([p.y for p in domain.points])
-    if coords.ndim != 2 or coords.shape[1] != directions.shape[1]:
-        raise ValueError(f"dimension mismatch: points {coords.shape}, hypotheses {directions.shape[1]} coordinates")
-    scores = 0.0
-    for k in range(coords.shape[1]):
-        scores = scores + directions[:, k : k + 1] * coords[:, k]
-    scores = scores - biases[:, None]
+    signed = _signed_scores(grid.hypotheses, domain.points)
     if grid.loss_kind == "zero_one":
-        table = np.where(scores * labels > 0.0, 0.0, 1.0)
+        table = np.where(signed > 0.0, 0.0, 1.0)
     else:
-        table = np.maximum(0.0, 1.0 - scores * labels / grid.hinge_margin)
+        table = np.maximum(0.0, 1.0 - signed / grid.hinge_margin)
     return FiniteHypothesisSpace(table, grid.prior)
 
 

@@ -84,6 +84,12 @@ def binary_kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.where(0.0 > value, 0.0, value)
 
 
+def _check_budget(budget: float) -> None:
+    # a nan budget fails every comparison and would pass a budget < 0.0 test
+    if not budget >= 0.0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
+
+
 def binary_kl_inverse_upper(p: float, budget: float) -> float:
     """Largest q in [p, 1) with binary_kl(p, q) <= budget.
 
@@ -96,21 +102,27 @@ def binary_kl_inverse_upper(p: float, budget: float) -> float:
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"p must lie in [0, 1), got {p}")
-    if budget < 0.0:
-        raise ValueError(f"budget must be non-negative, got {budget}")
+    _check_budget(budget)
     if budget == 0.0:
         return p
     hi = SATURATION
     if binary_kl(p, hi) <= budget:
         return hi
     lo = p
+    rest = 1.0 - p
     # invariant: binary_kl(p, lo) <= budget < binary_kl(p, hi); lo = p is
-    # never evaluated (divergence there is 0 by definition)
+    # never evaluated (divergence there is 0 by definition).  The loop
+    # tests binary_kl(p, mid) <= budget with the divergence written out:
+    # mid lies in (0, 1), and for a positive budget the clamp
+    # max(value, 0.0) does not change the test
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if binary_kl(p, mid) <= budget:
+        value = rest * math.log(rest / (1.0 - mid))
+        if p > 0.0:
+            value += p * math.log(p / mid)
+        if value <= budget:
             lo = mid
         else:
             hi = mid
@@ -124,8 +136,7 @@ def binary_kl_inverse_relaxed(p: float, budget: float) -> float:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    if budget < 0.0:
-        raise ValueError(f"budget must be non-negative, got {budget}")
+    _check_budget(budget)
     return p + math.sqrt(2.0 * p * budget) + 2.0 * budget
 
 

@@ -332,9 +332,12 @@ def loss_profile(space: FiniteHypothesisSpace, domain: FiniteDataDomain, data: D
     """Empirical and true loss vectors for every hypothesis at once.
 
     Empirical means are taken over point multiplicities (table @ counts),
-    which agrees with per-item averaging up to summation order.
+    which agrees with per-item averaging up to summation order.  data must
+    be drawn from domain itself: its item indices point into domain's points.
     """
     table = loss_matrix(space, domain)
+    if data.domain is not domain:
+        raise ValueError("data was drawn from another domain than the one given")
     return LossProfile(empirical_losses(table, data.item_indices[None])[0], table @ domain.probs)
 
 

@@ -223,6 +223,12 @@ class TestComplexity:
             grid = complexity_bruteforce(space, profile.empirical, h, beta, step)
             assert exact - 1e-10 <= grid <= exact + beta * step + 1e-10
 
+    @pytest.mark.parametrize("step", [0.0, -1e-4, math.nan, math.inf, -math.inf])
+    def test_bruteforce_bad_grid_step_rejected(self, two_level, step):
+        space, losses = two_level
+        with pytest.raises(ValueError, match="grid_step"):
+            complexity_bruteforce(space, losses, 0, 1.0, step)
+
     def test_infinite_beta_rejected(self, two_level):
         space, losses = two_level
         with pytest.raises(ValueError):
@@ -461,3 +467,61 @@ def test_complexity_closed_form(row, beta, pick):
     own = beta * losses[h]
     value = complexity(space, losses, h, beta).value
     assert abs(value - (m - own)) <= 1e-12 * max(1.0, abs(m), own)
+
+
+def bruteforce_reference(space, losses, h, beta, grid_step):
+    """The per-point dense scan: one step-CDF lookup per grid point."""
+    cdf = step_cdf(losses, space.prior)
+    own = losses[h]
+    grid = np.arange(-own - 1.0, cdf.levels[-1] + 1.0 + grid_step, grid_step)
+    mass = cdf.at(own + grid)
+    valid = mass > 0.0
+    objective = beta * grid[valid] - np.log(mass[valid])
+    return float(objective.min())
+
+
+class TestBruteforceRuns:
+    """complexity_bruteforce gives every grid point its mass by runs, with the per-point scan's bits."""
+
+    def check(self, space, losses, h, beta, step=1e-4):
+        got = complexity_bruteforce(space, losses, h, beta, step)
+        assert repr(got) == repr(bruteforce_reference(space, losses, h, beta, step))
+
+    @pytest.mark.parametrize("beta", [0.0, 0.1, 1.0, 10.0, 1e3, 1e9])
+    def test_random_spaces(self, beta):
+        # the generator of the complexity oracle criterion
+        rng = np.random.Generator(np.random.PCG64(101))
+        for _ in range(40):
+            h_count = int(rng.integers(2, 17))
+            domain, space = random_loss_table(
+                h_count, int(rng.integers(2, 9)), int(rng.integers(0, 2**32)), random_prior=bool(rng.integers(0, 2))
+            )
+            data = sample_dataset(domain, int(rng.integers(1, 33)), int(rng.integers(0, 2**32)))
+            self.check(space, loss_profile(space, domain, data).empirical, int(rng.integers(0, h_count)), beta)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 1e9])
+    def test_zero_tiny_prior_and_tied_atoms(self, beta):
+        space, losses = tied_block(8, rows=30)
+        for i, row in enumerate(losses):
+            for h in (0, 1, i % len(space)):
+                self.check(space, row, h, beta, step=1e-3)
+
+    @pytest.mark.parametrize("beta", [0.0, 2.0, 1e9])
+    def test_single_hypothesis(self, beta):
+        space = FiniteHypothesisSpace(np.zeros((1, 1)), [1.0])
+        for loss in (0.0, 0.3, 1.0):
+            self.check(space, np.array([loss]), 0, beta)
+
+    @pytest.mark.parametrize("step", [1e-3, 0.37, 5.0])
+    def test_coarse_steps(self, step):
+        space, losses = tied_block(9, rows=10)
+        for row in losses:
+            self.check(space, row, 3, 2.0, step)
+
+    def test_log_of_gathered_masses_is_gathered_log(self):
+        # np.log on the repeated masses and np.repeat of their logs carry the same bits
+        rng = np.random.Generator(np.random.PCG64(12))
+        masses = np.cumsum(rng.random(300) * 10.0 ** rng.integers(-300, 0, 300))
+        masses = np.concatenate([masses / masses[-1], [1e-300, 5e-324, 1.0]])
+        for runs in (rng.integers(0, 40, masses.size), np.ones(masses.size, dtype=np.int64)):
+            assert bits(np.log(np.repeat(masses, runs))).tobytes() == bits(np.repeat(np.log(masses), runs)).tobytes()

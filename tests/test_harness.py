@@ -14,6 +14,7 @@ from gibbslab.bounds import (
     binary_kl_bound,
     high_temperature_bound,
     minimizer_mass_bound,
+    shift_radius,
     stratified_subgaussian_bound,
 )
 from gibbslab.gibbs import complexity, posterior, sample_hypothesis
@@ -21,6 +22,7 @@ from gibbslab.harness import (
     BLOCK_CELLS,
     EXPERIMENT_NAMES,
     Z_99,
+    ConcentrationRow,
     ExperimentConfig,
     RandomLabelRow,
     _bound_columns,
@@ -43,6 +45,7 @@ from gibbslab.model import (
     k_minimizer_space,
     loss_matrix,
     sample_dataset,
+    step_cdf,
 )
 from gibbslab import gibbs
 from gibbslab.gibbs import DensityFamily, density_family, normalize_density
@@ -564,6 +567,85 @@ class TestConcentration:
         assert outcome.part_i.wilson_upper_99 <= 0.05
         assert outcome.part_ii.wilson_upper_99 <= 0.05
         assert len(outcome.rows) == 200
+
+
+def _concentration_oracle(cfg: ExperimentConfig) -> list:
+    """The per-trial loop: one dataset, its step CDF and two step-CDF lookups at a time."""
+    domain, space = build_space(cfg.space_spec)
+    matrix = loss_matrix(space, domain)
+    true_steps = step_cdf(matrix @ domain.probs, space.prior)
+    n, delta, p = cfg.n, cfg.delta, cfg.p
+    s = shift_radius(n, delta, p)
+    slack = s * float(n) ** -p
+    rows = []
+    for trial in range(cfg.trials):
+        data_seed, _ = derive_seed_pair(cfg.master_seed, trial)
+        data = sample_dataset(domain, n, data_seed)
+        emp_steps = step_cdf(matrix @ np.bincount(data.item_indices, minlength=len(domain)) / n, space.prior)
+        bad_i = bool(np.any(emp_steps.at(true_steps.levels + s) < true_steps.cumulative - slack - 1e-12))
+        bad_ii = bool(np.any(true_steps.at(emp_steps.levels + s) < emp_steps.cumulative - slack - 1e-12))
+        rows.append(ConcentrationRow(data_seed, n, delta, p, s, bad_i, bad_ii))
+    return rows
+
+
+@pytest.fixture
+def scaled_space():
+    # losses on a 0..scale integer grid (tied atoms), a zero-prior and a 1e-300-prior atom:
+    # at scale 8 the empirical CDF strays past the shift radius in some trials
+    def generator(scale, num_hypotheses=40):
+        domain, space = SPACE_GENERATORS["random_loss_table"](num_hypotheses, 6, 5, random_prior=True)
+        prior = space.prior.copy()
+        if num_hypotheses > 3:
+            prior[:2] = 0.0
+            prior[2] = 1e-300
+            prior /= prior.sum()
+        return domain, FiniteHypothesisSpace(np.round(space.table * scale), prior)
+
+    SPACE_GENERATORS["scaled_for_test"] = generator
+    yield lambda **params: {"name": "scaled_for_test", "params": params}
+    del SPACE_GENERATORS["scaled_for_test"]
+
+
+class TestConcentrationKernel:
+    """run_concentration_experiment reproduces the per-trial loop's rows exactly."""
+
+    def check(self, cfg):
+        outcome = run_concentration_experiment(cfg)
+        oracle = _concentration_oracle(cfg)
+        assert csv_report(ConcentrationRow, outcome.rows) == csv_report(ConcentrationRow, oracle)
+        assert outcome.rows == tuple(oracle)
+        return outcome
+
+    @pytest.mark.parametrize("n", [10, 50])
+    def test_both_flags_of_both_parts(self, scaled_space, n):
+        # 450 trials run in three blocks
+        outcome = self.check(config(experiment="concentration", space_spec=scaled_space(scale=8.0), n=n, trials=450))
+        for part in (outcome.part_i, outcome.part_ii):
+            assert 0 < part.violations < part.trials
+
+    def test_one_part_never_flags(self, scaled_space):
+        outcome = self.check(config(experiment="concentration", space_spec=scaled_space(scale=20.0), n=3, trials=200))
+        assert outcome.part_i.violations == 0 < outcome.part_ii.violations
+
+    def test_single_hypothesis(self, scaled_space):
+        self.check(config(experiment="concentration", space_spec=scaled_space(scale=8.0, num_hypotheses=1), trials=50))
+
+    @pytest.mark.parametrize("n", [50, 200])
+    def test_criterion_space_never_flags(self, n):
+        outcome = self.check(
+            config(
+                experiment="concentration",
+                space_spec={"name": "random_loss_table", "params": {"num_hypotheses": 64, "num_points": 16, "seed": 7}},
+                n=n,
+                trials=300,
+                master_seed=700,
+            )
+        )
+        assert outcome.part_i.violations == outcome.part_ii.violations == 0
+
+    def test_pinned_config_never_flags(self):
+        outcome = self.check(ExperimentConfig(**{**PINNED_BASE, **PINNED_CONFIGS["concentration"]}))
+        assert outcome.part_i.violations == outcome.part_ii.violations == 0
 
 
 class TestRandomLabel:

@@ -7,7 +7,9 @@ import pytest
 from gibbslab.gibbs import complexity
 from gibbslab.margins import (
     LabeledPoint,
+    LinearGrid,
     LinearHypothesis,
+    _retained_count,
     build_linear_grid,
     grid_space,
     hinge_loss,
@@ -347,6 +349,95 @@ class TestMaxMarginAndLevelSets:
         profile = loss_profile(space, domain, DataSet(domain, np.array([0, 1])))
         assert max_margin(grid, self.separable, 0.0) > 0.5
         assert empirical_cdf(space, profile, 0.0) > 0.0
+
+
+def margin_reference(h, data, error_fraction):
+    """The per-point margin: one scalar score per point, then a stable sort of the negated values."""
+    values = np.asarray([score(h, point.z) * point.y for point in data])
+    order = np.argsort(-values, kind="stable")[: _retained_count(values.size, error_fraction)]
+    return float(values[order[-1]]), tuple(sorted(int(i) for i in order))
+
+
+def max_margin_reference(grid, data, error_fraction):
+    return max(margin_reference(h, data, error_fraction)[0] for h in grid.hypotheses)
+
+
+def level_set_reference(grid, data, error_fraction):
+    """The per-hypothesis check: scalar 0-1 losses and one margin per hypothesis."""
+    allowed = len(data) - _retained_count(len(data), error_fraction)
+    best = max_margin_reference(grid, data, error_fraction)
+    for h in grid.hypotheses:
+        errors = sum(int(zero_one_loss(h, point)) for point in data)
+        value = margin_reference(h, data, error_fraction)[0]
+        if (errors <= allowed) != (0.0 < value <= best):
+            return False
+    return True
+
+
+def axis_grid():
+    """3-d hypotheses along the axes with biases -0.5, 0 and 0.5."""
+    axes = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (-1.0, 0.0, 0.0), (0.0, -1.0, 0.0)]
+    hypotheses = tuple(LinearHypothesis(u, b) for u in axes for b in (-0.5, 0.0, 0.5))
+    return LinearGrid(hypotheses, np.full(len(hypotheses), 1.0 / len(hypotheses)), "zero_one", 1.0)
+
+
+class TestMarginBlocks:
+    """The score-block margins carry the bits of the per-point functions they replace."""
+
+    FRACTIONS = (0.0, 0.2, 1.0 / 3.0, 0.5, 0.9, 1.0)
+
+    def check(self, grid, data):
+        for r in self.FRACTIONS:
+            for h in grid.hypotheses:
+                got = margin_value(h, data, r)
+                value, selected = margin_reference(h, data, r)
+                assert (repr(got.value), got.selected) == (repr(value), selected)
+            assert repr(max_margin(grid, data, r)) == repr(max_margin_reference(grid, data, r))
+            assert level_set_equality_check(grid, data, r) == level_set_reference(grid, data, r)
+
+    def test_zero_scores_and_signed_zeros_in_2d(self):
+        # points on the line z_1 = 0 score exactly 0.0 for the bias-free e1 hypothesis;
+        # a label of -1 makes the value -0.0
+        grid = build_linear_grid(2, 8, 3, 1.0)
+        data = [LabeledPoint((0.0, t), y) for t, y in ((0.5, -1), (-1.0, 1), (2.0, -1))]
+        data += [LabeledPoint((1.0, 0.0), 1), LabeledPoint((0.0, 0.0), -1), LabeledPoint((-0.5, 0.3), -1)]
+        e1 = grid.hypotheses[1]
+        assert (e1.direction, e1.bias) == ((1.0, 0.0), 0.0)
+        assert {repr(score(e1, p.z) * p.y) for p in data[:3]} == {"0.0", "-0.0"}
+        self.check(grid, data)
+        self.check(grid, data[:1])
+        self.check(grid, data[::-1])
+
+    def test_zero_scores_and_signed_zeros_in_3d(self):
+        rng = np.random.Generator(np.random.PCG64(31))
+        grid = axis_grid()
+        for _ in range(10):
+            data = [
+                LabeledPoint(tuple(rng.choice([-0.5, 0.0, 0.5], size=3)), int(rng.choice([-1, 1])))
+                for _ in range(int(rng.integers(1, 8)))
+            ]
+            self.check(grid, data)
+
+    def test_random_grids(self):
+        rng = np.random.Generator(np.random.PCG64(808))
+        for dim in (2, 3):
+            for _ in range(10):
+                grid = build_linear_grid(dim, int(rng.integers(4, 17)), int(rng.integers(1, 8)), 1.0)
+                data = [
+                    LabeledPoint(tuple(rng.normal(size=dim)), int(2 * rng.integers(0, 2) - 1))
+                    for _ in range(int(rng.integers(1, 11)))
+                ]
+                self.check(grid, data)
+
+    def test_dimension_mismatch_rejected(self):
+        grid = build_linear_grid(2, 8, 1, 0.0)
+        for data in ([LabeledPoint((1.0, 0.0, 0.0), 1)], [LabeledPoint((1.0, 0.0), 1), LabeledPoint((1.0,), 1)]):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                max_margin(grid, data, 0.0)
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                level_set_equality_check(grid, data, 0.0)
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                margin_value(grid.hypotheses[0], data, 0.0)
 
 
 class TestCsvRoundTrip:

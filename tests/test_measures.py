@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp
 
+from gibbslab.bounds import gap_bound_inverted
 from gibbslab.measures import (
     SATURATION,
     binary_kl,
@@ -89,6 +90,59 @@ class TestBinaryKlInverseUpper:
         q = binary_kl_inverse_upper(p, budget)
         assert abs(binary_kl(p, q) - budget) <= 1e-10
         assert q >= p
+
+
+def inverse_upper_reference(p, budget):
+    """The bisection with one binary_kl call per step."""
+    if budget == 0.0:
+        return p
+    hi = SATURATION
+    if binary_kl(p, hi) <= budget:
+        return hi
+    lo = p
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if binary_kl(p, mid) <= budget:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+class TestInlinedBisection:
+    """binary_kl_inverse_upper carries the bits of the bisection over binary_kl calls."""
+
+    def test_round_trip_inputs(self):
+        # the inputs of the divergence-inverse acceptance criterion
+        rng = np.random.Generator(np.random.PCG64(1010))
+        for _ in range(3000):
+            p = float(rng.random() * 0.999)
+            budget = binary_kl(p, p + (1.0 - p) * (0.01 + 0.96 * float(rng.random())))
+            assert repr(binary_kl_inverse_upper(p, budget)) == repr(inverse_upper_reference(p, budget))
+
+    @pytest.mark.parametrize("p", [0.0, 5e-324, 1e-300, 1e-9, 0.25, 0.5, 1.0 - 1e-9, 1.0 - 2**-53])
+    @pytest.mark.parametrize("budget", [5e-324, 1e-300, 1e-17, 1e-9, 0.01, 0.7, 20.0, 40.0, 1e6, math.inf])
+    def test_edges(self, p, budget):
+        assert repr(binary_kl_inverse_upper(p, budget)) == repr(inverse_upper_reference(p, budget))
+
+    @given(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 50.0))
+    def test_property(self, p, budget):
+        assert repr(binary_kl_inverse_upper(p, budget)) == repr(inverse_upper_reference(p, budget))
+
+
+class TestNanBudget:
+    def test_rejected_by_both_inverses(self):
+        with pytest.raises(ValueError, match="budget"):
+            binary_kl_inverse_upper(0.2, math.nan)
+        with pytest.raises(ValueError, match="budget"):
+            binary_kl_inverse_relaxed(0.2, math.nan)
+
+    def test_gap_bound_of_a_nan_complexity_rejected(self):
+        # a nan budget used to return p, a gap bound of 0.0
+        with pytest.raises(ValueError, match="budget"):
+            gap_bound_inverted(0.2, math.nan, 50, 0.05)
 
 
 class TestBinaryKlInverseRelaxed:

@@ -74,6 +74,14 @@ def test_space_table_is_a_read_only_copy():
 class TestDomainAlignment:
     """The table is read for a domain only where its column count is checked."""
 
+    def test_dataset_from_another_domain_rejected(self):
+        # same size, other probabilities: the true losses would come from one domain, the sample from the other
+        domain, space = random_loss_table(3, 2, 0)
+        other = FiniteDataDomain(domain.points, [0.9, 0.1])
+        with pytest.raises(ValueError, match="data"):
+            loss_profile(space, domain, DataSet(other, np.array([0, 1, 1])))
+        assert loss_profile(space, other, DataSet(other, np.array([0, 1, 1]))).true.shape == (3,)
+
     @pytest.mark.parametrize("points", [3, 5])
     def test_domain_of_the_wrong_size_rejected(self, points):
         _, space = random_loss_table(3, 4, 0)
