@@ -18,7 +18,15 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import binary_kl_bound, monotone_bound_rhs, shift_radius
-from .gibbs import complexity, complexity_bruteforce, exponential_density, log_partition, normalize_density, posterior
+from .gibbs import (
+    complexity,
+    complexity_bruteforce,
+    complexity_rows,
+    exponential_density,
+    log_partition,
+    normalize_density,
+    posterior,
+)
 from .harness import (
     ExperimentConfig,
     run_concentration_experiment,
@@ -69,13 +77,13 @@ def _e1_space():
     return FiniteHypothesisSpace([[0.0], [1.0]], [0.5, 0.5]), np.array([0.0, 1.0])
 
 
-def criterion_01() -> CriterionResult:
-    """Jump-point complexity agrees with the dense-grid scan on random spaces."""
-    start = time.perf_counter()
+# the rates of criterion 1, each checked on every one of its spaces
+ORACLE_BETAS = (0.1, 1.0, 10.0, 1e3)
+
+
+def _oracle_cases():
+    """Criterion 1's 200 (space, empirical losses, hypothesis) draws."""
     rng = np.random.Generator(np.random.PCG64(101))
-    grid_step = 1e-4
-    worst = 0.0
-    failures = 0
     for _ in range(200):
         h_count = int(rng.integers(2, 17))
         x_count = int(rng.integers(2, 9))
@@ -84,11 +92,20 @@ def criterion_01() -> CriterionResult:
         )
         data = sample_dataset(domain, int(rng.integers(1, 33)), int(rng.integers(0, 2**32)))
         profile = loss_profile(space, domain, data)
-        h = int(rng.integers(0, h_count))
-        for beta in (0.1, 1.0, 10.0, 1e3):
-            exact = complexity(space, profile.empirical, h, beta).value
-            grid = complexity_bruteforce(space, profile.empirical, h, beta, grid_step)
-            gap = grid - exact
+        yield space, profile.empirical, int(rng.integers(0, h_count))
+
+
+def criterion_01() -> CriterionResult:
+    """Jump-point complexity agrees with the dense-grid scan on random spaces."""
+    start = time.perf_counter()
+    grid_step = 1e-4
+    betas = np.array(ORACLE_BETAS)
+    worst = 0.0
+    failures = 0
+    for space, empirical, h in _oracle_cases():
+        exact, _ = complexity_rows(space, np.tile(empirical, (betas.size, 1)), np.full(betas.size, h), betas)
+        grid = complexity_bruteforce(space, empirical, h, betas, grid_step)
+        for beta, gap in zip(ORACLE_BETAS, (grid - exact).tolist()):
             if gap < -1e-9 or gap > beta * grid_step + 1e-9:
                 failures += 1
             worst = max(worst, gap / beta)
@@ -117,26 +134,37 @@ def criterion_02() -> CriterionResult:
     )
 
 
-def criterion_03() -> CriterionResult:
-    """Complexity never exceeds beta when losses live in [0, 1]."""
+def _dominance_blocks():
+    """Criterion 3's 400 spaces, each with its 5 datasets x 5 (hypothesis, beta) draws as one block.
+
+    Yields the space, the (25, H) loss block (each dataset's row five
+    times), the hypotheses and the rates, drawn in the per-triple order.
+    """
     rng = np.random.Generator(np.random.PCG64(303))
-    failures = 0
-    count = 0
     for _ in range(400):
         h_count = int(rng.integers(2, 17))
         domain, space = random_loss_table(
             h_count, int(rng.integers(2, 9)), int(rng.integers(0, 2**32))
         )
+        rows, hs, betas = [], [], []
         for _ in range(5):
             data = sample_dataset(domain, int(rng.integers(1, 33)), int(rng.integers(0, 2**32)))
             profile = loss_profile(space, domain, data)
             for _ in range(5):
-                h = int(rng.integers(0, h_count))
-                beta = float(10.0 ** rng.uniform(-1.0, 3.0))
-                value = complexity(space, profile.empirical, h, beta).value
-                count += 1
-                if value > beta * (1.0 + 1e-12) + 1e-12:
-                    failures += 1
+                rows.append(profile.empirical)
+                hs.append(int(rng.integers(0, h_count)))
+                betas.append(float(10.0 ** rng.uniform(-1.0, 3.0)))
+        yield space, np.array(rows), np.array(hs), np.array(betas)
+
+
+def criterion_03() -> CriterionResult:
+    """Complexity never exceeds beta when losses live in [0, 1]."""
+    failures = 0
+    count = 0
+    for space, losses, hs, betas in _dominance_blocks():
+        values, _ = complexity_rows(space, losses, hs, betas)
+        count += values.size
+        failures += int(np.count_nonzero(values > betas * (1.0 + 1e-12) + 1e-12))
     return CriterionResult(
         3, "high-temperature dominance", failures == 0, f"{failures} failures over {count} triples"
     )
@@ -240,11 +268,7 @@ def criterion_07() -> CriterionResult:
 def _margin_oracle(values, n: int, error_fraction: float) -> float:
     # independent count arithmetic and exhaustive subset enumeration
     keep = max(1, min(n, math.ceil((1.0 - error_fraction) * n - 1e-9)))
-    best = -math.inf
-    for size in range(keep, n + 1):
-        for subset in itertools.combinations(range(n), size):
-            best = max(best, min(values[i] for i in subset))
-    return best
+    return max(max(map(min, itertools.combinations(values, size))) for size in range(keep, n + 1))
 
 
 def criterion_08() -> CriterionResult:

@@ -164,10 +164,22 @@ def _losses_vector(space: FiniteHypothesisSpace, data_losses) -> np.ndarray:
     return arr
 
 
-def _check_beta(beta: float) -> float:
-    if not (math.isfinite(beta) and beta >= 0.0):
-        raise ValueError(f"inverse temperature must be finite and non-negative, got {beta}")
-    return float(beta)
+def _check_beta(beta: float | np.ndarray, rows: int | None = None) -> float | np.ndarray:
+    """A finite non-negative rate as a float, or, given rows, one such rate per row as a (rows,) float array."""
+    if np.ndim(beta) == 0:
+        if not (math.isfinite(beta) and beta >= 0.0):
+            raise ValueError(f"beta must be finite and non-negative, got {beta}")
+        return float(beta)
+    if rows is None:
+        raise ValueError(f"beta must be a number, got shape {np.shape(beta)}")
+    rates = np.asarray(beta, dtype=float)
+    if rates.shape != (rows,):
+        raise ValueError(f"beta must be a number or one rate per row, shape ({rows},), got shape {rates.shape}")
+    bad = ~(np.isfinite(rates) & (rates >= 0.0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"beta[{i}] must be finite and non-negative, got {rates[i]}")
+    return rates
 
 
 def _tied(levels: np.ndarray) -> np.ndarray:
@@ -375,29 +387,45 @@ def cdf_rows(space: FiniteHypothesisSpace, losses: np.ndarray) -> tuple[np.ndarr
 
 
 def _complexity_rows(
-    space: FiniteHypothesisSpace, losses: np.ndarray, ranked: tuple, h_indices: np.ndarray, beta: float
+    space: FiniteHypothesisSpace, losses: np.ndarray, ranked: tuple, h_indices: np.ndarray, beta: float | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    beta = _check_beta(beta)
+    beta = _check_beta(beta, len(losses))
     _, order, _, levels = ranked
     mass = _running_mass(space, order)
     rows = np.arange(len(losses))
     shifts = levels - losses[rows, h_indices][:, None]
-    objective = beta * shifts - np.log(mass)
+    # a row's rate times its shifts has the bits of the scalar product
+    rate = beta if isinstance(beta, float) else beta[:, None]
+    objective = rate * shifts - np.log(mass)
     best = np.argmin(objective, axis=1)
     return objective[rows, best], shifts[rows, best]
 
 
 def complexity_rows(
-    space: FiniteHypothesisSpace, losses: np.ndarray, h_indices: np.ndarray, beta: float
+    space: FiniteHypothesisSpace, losses: np.ndarray, h_indices: np.ndarray, beta: float | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """complexity of hypothesis h_indices[i] under loss row i: values and minimizing shifts.
 
-    Each row is the step_cdf construction: a stable sort of the
-    positive-prior losses and a running sum of their prior in that order.
-    The last atom of each loss level carries that level's cumulative mass;
-    atoms before it inside the level carry less, so their objective is no
-    smaller and the minimum over all atoms is the minimum over levels.
+    beta is one rate for every row or one rate per row; row i's value has
+    the bits of the single-row call at its rate.  Each row is the step_cdf
+    construction: a stable sort of the positive-prior losses and a running
+    sum of their prior in that order.  The last atom of each loss level
+    carries that level's cumulative mass; atoms before it inside the level
+    carry less, so their objective is no smaller and the minimum over all
+    atoms is the minimum over levels.
     """
+    losses = np.asarray(losses, dtype=float)
+    if losses.ndim != 2 or losses.shape[1] != len(space):
+        raise ValueError(f"losses must be a (T, {len(space)}) block, one row per dataset, got shape {losses.shape}")
+    h_indices = np.asarray(h_indices)
+    if h_indices.shape != (len(losses),):
+        raise ValueError(f"h_indices must hold one index per loss row, shape ({len(losses)},), got shape {h_indices.shape}")
+    if not np.issubdtype(h_indices.dtype, np.integer):
+        raise ValueError(f"h_indices must be integers, got dtype {h_indices.dtype}")
+    outside = (h_indices < 0) | (h_indices >= len(space))
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise IndexError(f"h_indices[{i}]: hypothesis index {h_indices[i]} out of range")
     return _complexity_rows(space, losses, _ranked(space, losses), h_indices, beta)
 
 
@@ -429,7 +457,8 @@ def complexity(space: FiniteHypothesisSpace, data_losses, h_index: int, beta: fl
     losses = _losses_vector(space, data_losses)
     if not 0 <= h_index < len(space):
         raise IndexError(f"hypothesis index {h_index} out of range")
-    values, shifts = complexity_rows(space, losses[None], np.array([h_index]), beta)
+    losses = losses[None]
+    values, shifts = _complexity_rows(space, losses, _ranked(space, losses), np.array([h_index]), beta)
     return ComplexityValue(float(values[0]), float(shifts[0]))
 
 
@@ -437,14 +466,16 @@ def complexity_bruteforce(
     space: FiniteHypothesisSpace,
     data_losses,
     h_index: int,
-    beta: float,
+    beta: float | np.ndarray,
     grid_step: float,
-) -> float:
+) -> float | np.ndarray:
     """Dense grid scan of the shift objective, as an independent reference.
 
     Never below the jump-point value, and at most beta*grid_step above it:
     the grid point just right of the optimal jump sees the same mass at a
-    shift larger by less than grid_step.
+    shift larger by less than grid_step.  beta is one rate, giving a float,
+    or an array of rates, giving an array of the single-rate values: the
+    grid and its masses are built once.
 
     The objective is evaluated at every grid point.  The points own + grid
     ascend, so the points that see the mass of each step CDF level form one
@@ -454,7 +485,7 @@ def complexity_bruteforce(
     if not (math.isfinite(grid_step) and grid_step > 0.0):
         raise ValueError(f"grid_step must be finite and positive, got {grid_step!r}")
     losses = _losses_vector(space, data_losses)
-    beta = _check_beta(beta)
+    beta = _check_beta(beta, np.size(beta))
     if not 0 <= h_index < len(space):
         raise IndexError(f"hypothesis index {h_index} out of range")
     cdf = step_cdf(losses, space.prior)
@@ -462,8 +493,11 @@ def complexity_bruteforce(
     grid = np.arange(-own - 1.0, cdf.levels[-1] + 1.0 + grid_step, grid_step)
     starts = np.searchsorted(own + grid, cdf.levels, side="left")
     runs = np.diff(starts, append=grid.size)
-    objective = beta * grid[starts[0] :] - np.repeat(np.log(cdf.cumulative), runs)
-    return float(objective.min())
+    shifts = grid[starts[0] :]
+    log_mass = np.repeat(np.log(cdf.cumulative), runs)
+    if isinstance(beta, float):
+        return float((beta * shifts - log_mass).min())
+    return np.array([(rate * shifts - log_mass).min() for rate in beta])
 
 
 def _metropolis_states(

@@ -240,6 +240,86 @@ class TestComplexity:
             complexity(space, losses, 2, 1.0)
 
 
+class TestComplexityRowsArguments:
+    """complexity_rows rejects what it would otherwise read wrong or fail on inside numpy."""
+
+    @pytest.fixture
+    def five(self):
+        space = FiniteHypothesisSpace(np.zeros((5, 1)), np.full(5, 0.2))
+        return space, np.random.Generator(np.random.PCG64(13)).random((3, 5))
+
+    @pytest.mark.parametrize("h", [[-1, 0, 1], [0, 5, 1], [0, 1, 2**40]])
+    def test_index_out_of_range(self, five, h):
+        # a negative index would wrap around to the last hypothesis
+        space, losses = five
+        with pytest.raises(IndexError, match=r"h_indices\[\d\]: hypothesis index -?\d+ out of range"):
+            complexity_rows(space, losses, h, 1.0)
+
+    @pytest.mark.parametrize("h", [[0.0, 1.0, 2.0], [True, False, True], ["0", "1", "2"]])
+    def test_index_not_integer(self, five, h):
+        space, losses = five
+        with pytest.raises(ValueError, match="h_indices must be integers"):
+            complexity_rows(space, losses, h, 1.0)
+
+    @pytest.mark.parametrize("h", [[0, 1], [0, 1, 2, 3], 0, [[0, 1, 2]]])
+    def test_index_count(self, five, h):
+        space, losses = five
+        with pytest.raises(ValueError, match=r"h_indices must hold one index per loss row, shape \(3,\)"):
+            complexity_rows(space, losses, h, 1.0)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (3, 6), (5,), (1, 3, 5)])
+    def test_losses_shape(self, five, shape):
+        space, _ = five
+        with pytest.raises(ValueError, match=r"losses must be a \(T, 5\) block"):
+            complexity_rows(space, np.zeros(shape), [0, 1, 2], 1.0)
+
+    def test_valid_block_accepted(self, five):
+        space, losses = five
+        values, _ = complexity_rows(space, losses.tolist(), np.array([4, 0, 2], dtype=np.int32), [0.0, 1.0, 2.0])
+        assert values.shape == (3,)
+
+
+class TestBetaArgument:
+    """A bad rate is rejected with a ValueError naming beta, and for per-row rates the first bad entry."""
+
+    @pytest.mark.parametrize("beta", [-1.0, math.nan, math.inf, -math.inf])
+    def test_scalar(self, two_level, beta):
+        space, losses = two_level
+        for call in (
+            lambda: complexity(space, losses, 0, beta),
+            lambda: complexity_rows(space, losses[None], [0], beta),
+            lambda: complexity_bruteforce(space, losses, 0, beta, 1e-2),
+            lambda: posterior(space, losses, beta),
+        ):
+            with pytest.raises(ValueError, match=f"^beta must be finite and non-negative, got {beta}$"):
+                call()
+
+    @pytest.mark.parametrize("bad", [-1.0, -0.5e-300, math.nan, math.inf, -math.inf])
+    def test_per_row_entry(self, two_level, bad):
+        space, losses = two_level
+        beta = [0.5, 1.0, bad, -2.0]
+        with pytest.raises(ValueError, match=rf"^beta\[2\] must be finite and non-negative, got {bad}$"):
+            complexity_rows(space, np.tile(losses, (4, 1)), [0, 1, 0, 1], beta)
+        with pytest.raises(ValueError, match=rf"^beta\[2\] must be finite and non-negative, got {bad}$"):
+            complexity_bruteforce(space, losses, 0, beta, 1e-2)
+
+    @pytest.mark.parametrize("beta", [[1.0, 2.0], [1.0] * 4, [[1.0, 2.0, 3.0]], np.ones((3, 1))])
+    def test_per_row_shape(self, two_level, beta):
+        space, losses = two_level
+        with pytest.raises(ValueError, match=r"^beta must be a number or one rate per row, shape \(3,\)"):
+            complexity_rows(space, np.tile(losses, (3, 1)), [0, 1, 0], beta)
+
+    def test_bruteforce_rates_must_be_one_dimensional(self, two_level):
+        space, losses = two_level
+        with pytest.raises(ValueError, match=r"^beta must be a number or one rate per row"):
+            complexity_bruteforce(space, losses, 0, np.ones((2, 2)), 1e-2)
+
+    def test_posterior_takes_one_rate(self, two_level):
+        space, losses = two_level
+        with pytest.raises(ValueError, match=r"^beta must be a number, got shape \(2,\)"):
+            posterior(space, losses, [1.0, 2.0])
+
+
 class TestMetropolis:
     def test_zero_temperature_matches_prior(self, two_level):
         space, losses = two_level
@@ -364,6 +444,27 @@ class TestRowKernels:
             single = complexity(space, row, int(hi), beta)
             assert (single.value, single.argmin_shift) == (value, shift)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_complexity_rows_per_row_rates(self, seed):
+        # 0, 0.5 and 1e9 mixed within one block of tied rows with zero-prior and 1e-300-prior atoms
+        space, losses = tied_block(seed, rows=30)
+        rng = np.random.Generator(np.random.PCG64(seed + 20))
+        h = rng.integers(0, len(space), size=len(losses))
+        beta = rng.choice([0.0, 0.5, 1e9], size=len(losses))
+        values, shifts = complexity_rows(space, losses, h, beta)
+        for row, hi, b, value, shift in zip(losses, h, beta, values, shifts):
+            assert (value, shift) == complexity_reference(space, row, int(hi), float(b))
+            single = complexity(space, row, int(hi), float(b))
+            assert bits(np.array([single.value, single.argmin_shift])).tobytes() == bits(np.array([value, shift])).tobytes()
+
+    def test_complexity_rows_per_row_rates_single_hypothesis(self):
+        space = FiniteHypothesisSpace(np.zeros((1, 1)), [1.0])
+        losses = np.array([[0.5], [0.0], [1.0]])
+        beta = np.array([0.0, 0.5, 1e9])
+        values, shifts = complexity_rows(space, losses, np.zeros(3, dtype=np.int64), beta)
+        for row, b, value, shift in zip(losses, beta, values, shifts):
+            assert (value, shift) == complexity_reference(space, row, 0, float(b))
+
     @pytest.mark.parametrize("beta", [0.0, 3.0, 1e4])
     def test_sample_rows(self, beta):
         space, losses = tied_block(4, rows=200)
@@ -487,8 +588,14 @@ class TestBruteforceRuns:
         got = complexity_bruteforce(space, losses, h, beta, step)
         assert repr(got) == repr(bruteforce_reference(space, losses, h, beta, step))
 
-    @pytest.mark.parametrize("beta", [0.0, 0.1, 1.0, 10.0, 1e3, 1e9])
-    def test_random_spaces(self, beta):
+    def check_rates(self, space, losses, h, betas, step=1e-4):
+        # one scan for several rates: each value carries its single-rate scan's bits
+        got = complexity_bruteforce(space, losses, h, np.array(betas), step)
+        assert [repr(float(v)) for v in got] == [repr(bruteforce_reference(space, losses, h, b, step)) for b in betas]
+        assert got.tobytes() == np.array([complexity_bruteforce(space, losses, h, b, step) for b in betas]).tobytes()
+
+    @staticmethod
+    def random_cases():
         # the generator of the complexity oracle criterion
         rng = np.random.Generator(np.random.PCG64(101))
         for _ in range(40):
@@ -497,7 +604,12 @@ class TestBruteforceRuns:
                 h_count, int(rng.integers(2, 9)), int(rng.integers(0, 2**32)), random_prior=bool(rng.integers(0, 2))
             )
             data = sample_dataset(domain, int(rng.integers(1, 33)), int(rng.integers(0, 2**32)))
-            self.check(space, loss_profile(space, domain, data).empirical, int(rng.integers(0, h_count)), beta)
+            yield space, loss_profile(space, domain, data).empirical, int(rng.integers(0, h_count))
+
+    @pytest.mark.parametrize("beta", [0.0, 0.1, 1.0, 10.0, 1e3, 1e9])
+    def test_random_spaces(self, beta):
+        for space, losses, h in self.random_cases():
+            self.check(space, losses, h, beta)
 
     @pytest.mark.parametrize("beta", [0.0, 1.0, 1e9])
     def test_zero_tiny_prior_and_tied_atoms(self, beta):
@@ -517,6 +629,27 @@ class TestBruteforceRuns:
         space, losses = tied_block(9, rows=10)
         for row in losses:
             self.check(space, row, 3, 2.0, step)
+
+    def test_several_rates_random_spaces(self):
+        for space, losses, h in self.random_cases():
+            self.check_rates(space, losses, h, [0.0, 0.1, 1.0, 10.0, 1e3, 1e9])
+
+    def test_several_rates_zero_tiny_prior_and_tied_atoms(self):
+        space, losses = tied_block(8, rows=30)
+        for i, row in enumerate(losses):
+            for h in (0, 1, i % len(space)):
+                self.check_rates(space, row, h, [0.0, 1.0, 1e9], step=1e-3)
+
+    def test_several_rates_single_hypothesis(self):
+        space = FiniteHypothesisSpace(np.zeros((1, 1)), [1.0])
+        for loss in (0.0, 0.3, 1.0):
+            self.check_rates(space, np.array([loss]), 0, [0.0, 2.0, 1e9])
+
+    @pytest.mark.parametrize("step", [1e-3, 0.37, 5.0])
+    def test_several_rates_coarse_steps(self, step):
+        space, losses = tied_block(9, rows=10)
+        for row in losses:
+            self.check_rates(space, row, 3, [2.0, 0.0, 2.0], step)
 
     def test_log_of_gathered_masses_is_gathered_log(self):
         # np.log on the repeated masses and np.repeat of their logs carry the same bits

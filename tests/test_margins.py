@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from gibbslab.acceptance import _margin_oracle
 from gibbslab.gibbs import complexity
 from gibbslab.margins import (
     LabeledPoint,
@@ -34,6 +35,42 @@ def subset_oracle(values, keep_at_least):
         for subset in itertools.combinations(range(len(values)), size):
             best = max(best, min(values[i] for i in subset))
     return best
+
+
+def margin_oracle_reference(values, n, error_fraction):
+    """The margin oracle as a generator over index subsets, for the faster tuple enumeration."""
+    keep = max(1, min(n, math.ceil((1.0 - error_fraction) * n - 1e-9)))
+    best = -math.inf
+    for size in range(keep, n + 1):
+        for subset in itertools.combinations(range(n), size):
+            best = max(best, min(values[i] for i in subset))
+    return best
+
+
+class TestMarginOracle:
+    """The acceptance oracle enumerates value tuples and keeps the reference's result, signed zeros included."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_values(self, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        for _ in range(150):
+            n = int(rng.integers(1, 10))
+            # repeated values, signed zeros among them
+            values = [float(v) for v in rng.choice([-1.5, -0.0, 0.0, 0.25, 2.0], size=n)]
+            if rng.integers(0, 2):
+                values = [float(v) for v in rng.normal(size=n)]
+            r = float(rng.choice([0.0, 1.0, float(rng.random())]))
+            assert repr(_margin_oracle(values, n, r)) == repr(margin_oracle_reference(values, n, r))
+
+    @pytest.mark.parametrize("r", [0.0, 0.5, 1.0])
+    def test_single_value(self, r):
+        for value in (-0.0, 0.0, 3.5, -2.0):
+            assert repr(_margin_oracle([value], 1, r)) == repr(margin_oracle_reference([value], 1, r))
+
+    def test_signed_zero_order(self):
+        for values in ([0.0, -0.0, 1.0], [-0.0, 0.0, 1.0], [1.0, -0.0, 0.0], [-0.0, -0.0, 0.0]):
+            for r in (0.0, 0.4, 1.0):
+                assert repr(_margin_oracle(values, 3, r)) == repr(margin_oracle_reference(values, 3, r))
 
 
 class TestScoreAndLosses:
