@@ -1,8 +1,9 @@
 """Acceptance suite: every exit criterion as a callable check with a verdict line.
 
 Each criterion function is self-contained (fixed seeds, pinned tolerances)
-and returns a CriterionResult; `gibbslab verify <suite>` prints one line
-per criterion and the pytest acceptance module asserts them individually.
+and returns a CriterionResult; `gibbslab verify <suite>` runs the numbers
+SUITES names, prints one line per criterion and its wall time on stderr,
+and the pytest acceptance module asserts them individually.
 """
 
 from __future__ import annotations
@@ -42,18 +43,22 @@ from .margins import (
     level_set_equality_check,
     margin_value,
 )
-from .measures import binary_kl, binary_kl_inverse_relaxed, binary_kl_inverse_upper
+from .measures import binary_kl_inverse_upper_rows, binary_kl_rows
 from .model import (
     DataSet,
     FiniteHypothesisSpace,
     empirical_cdf,
+    empirical_losses,
+    inverse_cdf,
     k_minimizer_space,
+    loss_matrix,
     loss_profile,
     random_loss_table,
     sample_dataset,
 )
+from .streams import uniform_rows
 
-__all__ = ["CriterionResult", "CRITERIA", "SUITES", "run_criterion", "run_suite", "format_line"]
+__all__ = ["CriterionResult", "CRITERIA", "SUITES", "run_criterion", "format_line"]
 
 # sqrt(ln((1 + 100**3)/0.05) / 200) at 50-digit precision, rounded to float
 SHIFT_RADIUS_100 = 0.28992450596248125
@@ -79,20 +84,31 @@ def _e1_space():
 
 # the rates of criterion 1, each checked on every one of its spaces
 ORACLE_BETAS = (0.1, 1.0, 10.0, 1e3)
+# criteria 1 and 3 draw dataset sizes from 1 to this, and that many uniforms per dataset
+MAX_DATASET_SIZE = 32
 
 
 def _oracle_cases():
-    """Criterion 1's 200 (space, empirical losses, hypothesis) draws."""
+    """Criterion 1's 200 (space, empirical losses, hypothesis) draws.
+
+    The scalar draws come first, in the per-case order; every dataset's
+    stream then comes from one uniform_rows call, row i cut to its size.
+    """
     rng = np.random.Generator(np.random.PCG64(101))
+    cases, sizes, seeds = [], [], []
     for _ in range(200):
         h_count = int(rng.integers(2, 17))
         x_count = int(rng.integers(2, 9))
         domain, space = random_loss_table(
             h_count, x_count, int(rng.integers(0, 2**32)), random_prior=bool(rng.integers(0, 2))
         )
-        data = sample_dataset(domain, int(rng.integers(1, 33)), int(rng.integers(0, 2**32)))
-        profile = loss_profile(space, domain, data)
-        yield space, profile.empirical, int(rng.integers(0, h_count))
+        sizes.append(int(rng.integers(1, MAX_DATASET_SIZE + 1)))
+        seeds.append(int(rng.integers(0, 2**32)))
+        cases.append((domain, space, int(rng.integers(0, h_count))))
+    uniforms = uniform_rows(seeds, MAX_DATASET_SIZE)
+    for i, (domain, space, h) in enumerate(cases):
+        items = inverse_cdf(domain.probs, uniforms[i : i + 1])
+        yield space, empirical_losses(loss_matrix(space, domain), items, sizes[i : i + 1])[0], h
 
 
 def criterion_01() -> CriterionResult:
@@ -138,23 +154,30 @@ def _dominance_blocks():
     """Criterion 3's 400 spaces, each with its 5 datasets x 5 (hypothesis, beta) draws as one block.
 
     Yields the space, the (25, H) loss block (each dataset's row five
-    times), the hypotheses and the rates, drawn in the per-triple order.
+    times), the hypotheses and the rates.  The scalar draws come first, in
+    the per-triple order; every dataset's stream then comes from one
+    uniform_rows call, and each space's 5 datasets from one lookup and one
+    empirical_losses call.
     """
     rng = np.random.Generator(np.random.PCG64(303))
+    draws, seeds = [], []
     for _ in range(400):
         h_count = int(rng.integers(2, 17))
         domain, space = random_loss_table(
             h_count, int(rng.integers(2, 9)), int(rng.integers(0, 2**32))
         )
-        rows, hs, betas = [], [], []
+        sizes, hs, betas = [], [], []
         for _ in range(5):
-            data = sample_dataset(domain, int(rng.integers(1, 33)), int(rng.integers(0, 2**32)))
-            profile = loss_profile(space, domain, data)
+            sizes.append(int(rng.integers(1, MAX_DATASET_SIZE + 1)))
+            seeds.append(int(rng.integers(0, 2**32)))
             for _ in range(5):
-                rows.append(profile.empirical)
                 hs.append(int(rng.integers(0, h_count)))
                 betas.append(float(10.0 ** rng.uniform(-1.0, 3.0)))
-        yield space, np.array(rows), np.array(hs), np.array(betas)
+        draws.append((domain, space, sizes, hs, betas))
+    uniforms = uniform_rows(seeds, MAX_DATASET_SIZE).reshape(400, 5, MAX_DATASET_SIZE)
+    for (domain, space, sizes, hs, betas), block in zip(draws, uniforms):
+        empirical = empirical_losses(loss_matrix(space, domain), inverse_cdf(domain.probs, block), sizes)
+        yield space, np.repeat(empirical, 5, axis=0), np.array(hs), np.array(betas)
 
 
 def criterion_03() -> CriterionResult:
@@ -355,19 +378,23 @@ def criterion_09() -> CriterionResult:
     return CriterionResult(9, "monotone-density equivalence and soundness", equal and sound, detail)
 
 
+def _round_trips():
+    """Criterion 10's 10,000 (p, budget) pairs with the exact inverse q* of each and its closed-form relaxation."""
+    # the pairs' uniforms alternate in one stream, as scalar draws would
+    u = np.random.Generator(np.random.PCG64(1010)).random(20_000)
+    p = u[0::2] * 0.999
+    q = p + (1.0 - p) * (0.01 + 0.96 * u[1::2])
+    budget = binary_kl_rows(p, q)
+    # binary_kl_inverse_relaxed's formula; np.sqrt rounds as math.sqrt does
+    relaxed = p + np.sqrt(2.0 * p * budget) + 2.0 * budget
+    return p, budget, binary_kl_inverse_upper_rows(p, budget), relaxed
+
+
 def criterion_10() -> CriterionResult:
     """Numeric inverse round-trips the divergence; the relaxation dominates it."""
-    rng = np.random.Generator(np.random.PCG64(1010))
-    worst = 0.0
-    dominance_failures = 0
-    for _ in range(10_000):
-        p = float(rng.random() * 0.999)
-        q = p + (1.0 - p) * (0.01 + 0.96 * float(rng.random()))
-        budget = binary_kl(p, q)
-        q_star = binary_kl_inverse_upper(p, budget)
-        worst = max(worst, abs(binary_kl(p, q_star) - budget))
-        if binary_kl_inverse_relaxed(p, budget) < q_star:
-            dominance_failures += 1
+    p, budget, q_star, relaxed = _round_trips()
+    worst = float(np.max(np.abs(binary_kl_rows(p, q_star) - budget)))
+    dominance_failures = int(np.count_nonzero(relaxed < q_star))
     passed = worst <= 1e-10 and dominance_failures == 0
     return CriterionResult(
         10,
@@ -478,11 +505,3 @@ SUITES = {
 
 def run_criterion(number: int) -> CriterionResult:
     return CRITERIA[number]()
-
-
-def run_suite(name: str) -> list[CriterionResult]:
-    try:
-        numbers = SUITES[name]
-    except KeyError as exc:
-        raise ValueError(f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}") from exc
-    return [run_criterion(k) for k in numbers]

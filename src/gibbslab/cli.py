@@ -5,10 +5,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 import numpy as np
 
-from .acceptance import SUITES, format_line, run_suite
+from .acceptance import SUITES, format_line, run_criterion
 from .harness import ExperimentConfig, run_experiment
 
 DEFAULT_SWEEP_SPACE = {
@@ -28,7 +29,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = run_suite(args.suite)
+    """Print the suite's verdict lines once every criterion has run; each criterion's wall time goes to stderr."""
+    results = []
+    for number in SUITES[args.suite]:
+        start = time.perf_counter()
+        results.append(run_criterion(number))
+        print(f"criterion {number:02d} wall {time.perf_counter() - start:.3f}s", file=sys.stderr)
     for result in results:
         print(format_line(result))
     ok = all(r.passed for r in results)

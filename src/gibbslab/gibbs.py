@@ -13,6 +13,7 @@ call.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -182,6 +183,19 @@ def _check_beta(beta: float | np.ndarray, rows: int | None = None) -> float | np
     return rates
 
 
+def _hypothesis_index(h_index, size: int) -> int:
+    """h_index as an int, checked to be an integer in [0, size); bools are rejected, as complexity_rows does."""
+    try:
+        if isinstance(h_index, (bool, np.bool_)):
+            raise TypeError
+        index = operator.index(h_index)
+    except TypeError:
+        raise ValueError(f"h_index must be an integer, got {h_index!r}") from None
+    if not 0 <= index < size:
+        raise IndexError(f"hypothesis index {index} out of range")
+    return index
+
+
 def _tied(levels: np.ndarray) -> np.ndarray:
     """Which rows of ascending levels do not strictly increase."""
     return ~(levels[:, 1:] > levels[:, :-1]).all(axis=1)
@@ -289,12 +303,21 @@ def _density_rows(
     if gamma == 0.0:
         # + 0.0 writes the exponential family's -0.0 as 0.0
         return np.broadcast_to(space.prior, losses.shape), levels_log_q[:, 0] + 0.0
+    shift = None
+    if family.name == "exponential":
+        # q(t) = q(t - m) q(m): with m the row's lowest level, ln prior + ln q(t - m)
+        # keeps ln prior's precision, which ln prior - beta t rounds away at large beta
+        shift = levels[:, :1]
+        values_log_q = family.log_density(values - shift)
     # zero-prior atoms carry log weight -inf and never touch the density
     # (it may be arbitrary there)
     positive = space.prior > 0.0
     total = np.full(losses.shape, -np.inf)
     total[:, positive] = np.log(space.prior[positive]) + values_log_q
-    return normalized_rows(total)
+    weights, log_z = normalized_rows(total)
+    if shift is not None:
+        log_z = log_z + family.log_density(shift[:, 0])
+    return weights, log_z
 
 
 def density_rows(
@@ -455,8 +478,7 @@ def complexity(space: FiniteHypothesisSpace, data_losses, h_index: int, beta: fl
     the exact value.
     """
     losses = _losses_vector(space, data_losses)
-    if not 0 <= h_index < len(space):
-        raise IndexError(f"hypothesis index {h_index} out of range")
+    h_index = _hypothesis_index(h_index, len(space))
     losses = losses[None]
     values, shifts = _complexity_rows(space, losses, _ranked(space, losses), np.array([h_index]), beta)
     return ComplexityValue(float(values[0]), float(shifts[0]))
@@ -486,8 +508,7 @@ def complexity_bruteforce(
         raise ValueError(f"grid_step must be finite and positive, got {grid_step!r}")
     losses = _losses_vector(space, data_losses)
     beta = _check_beta(beta, np.size(beta))
-    if not 0 <= h_index < len(space):
-        raise IndexError(f"hypothesis index {h_index} out of range")
+    h_index = _hypothesis_index(h_index, len(space))
     cdf = step_cdf(losses, space.prior)
     own = losses[h_index]
     grid = np.arange(-own - 1.0, cdf.levels[-1] + 1.0 + grid_step, grid_step)

@@ -1,9 +1,9 @@
 """Scalar information-theoretic primitives and their array forms.
 
-Bernoulli relative entropy (per scalar and per array element), its
-numeric and closed-form inverses, and a max-shifted log-sum-exp.
-Everything here is a pure function of scalars or small vectors and safe
-to call from parallel trials.
+Bernoulli relative entropy and its numeric inverse (per scalar and per
+array element), the inverse's closed-form relaxation, and a max-shifted
+log-sum-exp.  Everything here is a pure function of scalars or vectors
+and safe to call from parallel trials.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ __all__ = [
     "binary_kl",
     "binary_kl_rows",
     "binary_kl_inverse_upper",
+    "binary_kl_inverse_upper_rows",
     "binary_kl_inverse_relaxed",
     "log_sum_exp",
     "log_sum_exp_rows",
@@ -90,43 +91,101 @@ def _check_budget(budget: float) -> None:
         raise ValueError(f"budget must be non-negative, got {budget}")
 
 
+# comparisons of the divergence with the budget closer than this times the
+# size of its two terms are decided again with math.log: about 4,500 ulp
+LOG_BAND = 1e-12
+
+
+def _divergence_terms(p, rest, mid, log):
+    """The two terms rest * ln(rest / (1 - mid)) and p * ln(p / mid) of binary_kl(p, mid) under log.
+
+    At p = 0 the second term is 0, as binary_kl leaves it out: its log reads 1 there.
+    """
+    return rest * log(rest / (1.0 - mid)), p * log(np.where(p > 0.0, p / mid, 1.0))
+
+
+def _inverse_upper(p: np.ndarray, budget: np.ndarray) -> np.ndarray:
+    """The bisection of binary_kl_inverse_upper over whole arrays of checked inputs.
+
+    The divergence at the midpoints comes from np.log.  Assuming np.log and
+    math.log both lie within a few ulp of the true logarithm, the two
+    divergences differ by far less than LOG_BAND times the size of their
+    terms, so a comparison with the budget outside that band has the same
+    outcome under either; the comparisons inside it are made again with
+    math.log through per_element.  Every step then takes the scalar loop's
+    decision, and every returned q carries its bits.
+    """
+    q = p.copy()
+    positive = np.flatnonzero(budget > 0.0)
+    saturated = binary_kl_rows(p[positive], np.full(positive.size, SATURATION)) <= budget[positive]
+    q[positive[saturated]] = SATURATION
+    # invariant: binary_kl(p, lo) <= budget < binary_kl(p, hi); lo = p is
+    # never evaluated (divergence there is 0 by definition).  The loop tests
+    # binary_kl(p, mid) <= budget with the divergence written out: mid lies
+    # in (0, 1), and for a positive budget the clamp max(value, 0.0) does not
+    # change the test
+    live = positive[~saturated]
+    p, budget = p[live], budget[live]
+    rest = 1.0 - p
+    lo, hi = p.copy(), np.full(live.size, SATURATION)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        moving = (mid > lo) & (mid < hi)
+        if not moving.all():
+            q[live[~moving]] = lo[~moving]
+            live, p, budget, rest, lo, hi, mid = (a[moving] for a in (live, p, budget, rest, lo, hi, mid))
+            if not live.size:
+                break
+        upper, lower = _divergence_terms(p, rest, mid, np.log)
+        value = upper + lower
+        # upper >= 0 >= lower: mid > p puts the first log's argument at or above 1, the second's at or below
+        near = np.flatnonzero(np.abs(value - budget) <= LOG_BAND * (upper - lower))
+        if near.size:
+            exact = _divergence_terms(p[near], rest[near], mid[near], lambda x: per_element(math.log, x))
+            value[near] = exact[0] + exact[1]
+        below = value <= budget
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    q[live] = lo
+    return q
+
+
+def binary_kl_inverse_upper_rows(p, budget) -> np.ndarray:
+    """binary_kl_inverse_upper(p[i], budget[i]) for every i, with the scalar function's bits.
+
+    One bisection over whole arrays: each step evaluates the divergence of
+    every unfinished element with np.log and settles the comparisons that
+    fall near the budget with math.log.  Raises a ValueError naming the
+    first element outside the domain.
+    """
+    p, budget = np.asarray(p, dtype=float), np.asarray(budget, dtype=float)
+    if p.ndim != 1 or p.shape != budget.shape:
+        raise ValueError(f"p and budget must be 1-d arrays of equal length, got shapes {p.shape} and {budget.shape}")
+    bad_p = ~((0.0 <= p) & (p < 1.0))
+    if bad_p.any():
+        i = int(np.argmax(bad_p))
+        raise ValueError(f"p[{i}] must lie in [0, 1), got {p[i]}")
+    bad_budget = ~(budget >= 0.0)
+    if bad_budget.any():
+        i = int(np.argmax(bad_budget))
+        raise ValueError(f"budget[{i}] must be non-negative, got {budget[i]}")
+    return _inverse_upper(p, budget)
+
+
 def binary_kl_inverse_upper(p: float, budget: float) -> float:
     """Largest q in [p, 1) with binary_kl(p, q) <= budget.
 
-    Bisection on the monotone map q -> binary_kl(p, q).  The bracket is
-    narrowed well past the 1e-12 contract (to float resolution), so for any
-    attainable budget the returned q solves binary_kl(p, q) = budget to
-    ~1e-10 or better.  Budgets beyond binary_kl(p, SATURATION) return the
-    saturation point: the divergence blows up at q -> 1 and the bound is
-    vacuous there.
+    Bisection on the monotone map q -> binary_kl(p, q), the one-element
+    call of binary_kl_inverse_upper_rows.  The bracket is narrowed well past
+    the 1e-12 contract (to float resolution), so for any attainable budget
+    the returned q solves binary_kl(p, q) = budget to ~1e-10 or better.
+    Budgets beyond binary_kl(p, SATURATION) return the saturation point:
+    the divergence blows up at q -> 1 and the bound is vacuous there.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"p must lie in [0, 1), got {p}")
     _check_budget(budget)
-    if budget == 0.0:
-        return p
-    hi = SATURATION
-    if binary_kl(p, hi) <= budget:
-        return hi
-    lo = p
-    rest = 1.0 - p
-    # invariant: binary_kl(p, lo) <= budget < binary_kl(p, hi); lo = p is
-    # never evaluated (divergence there is 0 by definition).  The loop
-    # tests binary_kl(p, mid) <= budget with the divergence written out:
-    # mid lies in (0, 1), and for a positive budget the clamp
-    # max(value, 0.0) does not change the test
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        value = rest * math.log(rest / (1.0 - mid))
-        if p > 0.0:
-            value += p * math.log(p / mid)
-        if value <= budget:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return float(_inverse_upper(np.array([p], dtype=float), np.array([budget], dtype=float))[0])
 
 
 def binary_kl_inverse_relaxed(p: float, budget: float) -> float:

@@ -254,18 +254,25 @@ def sample_dataset(domain: FiniteDataDomain, n: int, seed: int) -> DataSet:
     return DataSet(domain, inverse_cdf(domain.probs, u))
 
 
-def empirical_losses(matrix: np.ndarray, items: np.ndarray) -> np.ndarray:
+def empirical_losses(matrix: np.ndarray, items: np.ndarray, sizes=None) -> np.ndarray:
     """(T, H) empirical losses of every hypothesis on each row of a (T, n) item block.
 
     Means are taken over point multiplicities: matrix @ counts / n per row,
     as one stacked matmul of the matrix with each row's counts as an (X, 1)
     column, which makes the per-row matrix-vector product; a single (T, X)
     by (X, H) product sums in another order and differs in the last bits.
+    Given sizes, row i's dataset is its first sizes[i] items and its mean
+    divides by sizes[i]: datasets of several sizes share one block.
     """
     rows, n = items.shape
     num_points = matrix.shape[1]
     offsets = num_points * np.arange(rows)[:, None]
-    counts = np.bincount((items + offsets).ravel(), minlength=rows * num_points)
+    flat = items + offsets
+    if sizes is not None:
+        sizes = np.asarray(sizes)
+        flat = flat[np.arange(n) < sizes[:, None]]
+        n = sizes[:, None]
+    counts = np.bincount(flat.ravel(), minlength=rows * num_points)
     return np.matmul(matrix, counts.reshape(rows, num_points, 1))[:, :, 0] / n
 
 

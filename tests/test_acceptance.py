@@ -12,16 +12,20 @@ import re
 import numpy as np
 import pytest
 from test_harness import PINNED_PLATFORM, _float_platform
+from test_measures import inverse_upper_reference
 
 from gibbslab.acceptance import (
     CRITERIA,
     ORACLE_BETAS,
     _dominance_blocks,
     _oracle_cases,
+    _round_trips,
     format_line,
     run_criterion,
 )
 from gibbslab.gibbs import complexity, complexity_bruteforce, complexity_rows
+from gibbslab.measures import binary_kl, binary_kl_inverse_relaxed
+from gibbslab.model import loss_profile, random_loss_table, sample_dataset
 
 NAMES = {
     1: "complexity oracle equivalence",
@@ -105,3 +109,73 @@ def test_oracle_cases_match_per_call_values():
         assert grid.tobytes() == np.array([complexity_bruteforce(space, empirical, h, b, 1e-4) for b in ORACLE_BETAS]).tobytes()
         count += betas.size
     assert count == 800
+
+
+def oracle_cases_reference():
+    """Criterion 1's draws with one generator, one DataSet and one LossProfile per dataset."""
+    rng = np.random.Generator(np.random.PCG64(101))
+    for _ in range(200):
+        h_count = int(rng.integers(2, 17))
+        x_count = int(rng.integers(2, 9))
+        domain, space = random_loss_table(
+            h_count, x_count, int(rng.integers(0, 2**32)), random_prior=bool(rng.integers(0, 2))
+        )
+        data = sample_dataset(domain, int(rng.integers(1, 33)), int(rng.integers(0, 2**32)))
+        profile = loss_profile(space, domain, data)
+        yield space, profile.empirical, int(rng.integers(0, h_count))
+
+
+def dominance_blocks_reference():
+    """Criterion 3's draws with one generator, one DataSet and one LossProfile per dataset."""
+    rng = np.random.Generator(np.random.PCG64(303))
+    for _ in range(400):
+        h_count = int(rng.integers(2, 17))
+        domain, space = random_loss_table(h_count, int(rng.integers(2, 9)), int(rng.integers(0, 2**32)))
+        rows, hs, betas = [], [], []
+        for _ in range(5):
+            data = sample_dataset(domain, int(rng.integers(1, 33)), int(rng.integers(0, 2**32)))
+            profile = loss_profile(space, domain, data)
+            for _ in range(5):
+                rows.append(profile.empirical)
+                hs.append(int(rng.integers(0, h_count)))
+                betas.append(float(10.0 ** rng.uniform(-1.0, 3.0)))
+        yield space, np.array(rows), np.array(hs), np.array(betas)
+
+
+def test_oracle_cases_match_per_call_datasets():
+    count = 0
+    for (space, empirical, h), (ref_space, ref_empirical, ref_h) in zip(
+        _oracle_cases(), oracle_cases_reference(), strict=True
+    ):
+        assert space.table.tobytes() == ref_space.table.tobytes()
+        assert space.prior.tobytes() == ref_space.prior.tobytes()
+        assert empirical.tobytes() == ref_empirical.tobytes()
+        assert h == ref_h
+        count += 1
+    assert count == 200
+
+
+def test_dominance_blocks_match_per_call_datasets():
+    count = 0
+    for block, reference in zip(_dominance_blocks(), dominance_blocks_reference(), strict=True):
+        space, losses, hs, betas = block
+        ref_space, ref_losses, ref_hs, ref_betas = reference
+        assert space.table.tobytes() == ref_space.table.tobytes()
+        assert space.prior.tobytes() == ref_space.prior.tobytes()
+        assert losses.tobytes() == ref_losses.tobytes()
+        assert hs.tobytes() == ref_hs.tobytes() and betas.tobytes() == ref_betas.tobytes()
+        count += 1
+    assert count == 400
+
+
+def test_round_trips_match_per_pair_calls():
+    # criterion 10's arrays against its per-pair loop: scalar draws, binary_kl, the bisection over
+    # binary_kl calls and binary_kl_inverse_relaxed
+    rng = np.random.Generator(np.random.PCG64(1010))
+    rows = []
+    for _ in range(10_000):
+        p = float(rng.random() * 0.999)
+        budget = binary_kl(p, p + (1.0 - p) * (0.01 + 0.96 * float(rng.random())))
+        rows.append((p, budget, inverse_upper_reference(p, budget), binary_kl_inverse_relaxed(p, budget)))
+    for got, expected in zip(_round_trips(), zip(*rows), strict=True):
+        assert got.tobytes() == np.array(expected).tobytes()

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -71,6 +72,18 @@ class TestVerify:
         out = capsys.readouterr().out
         assert "criterion 11 PASS" in out
         assert "suite determinism: PASS" in out
+
+    def test_wall_times_go_to_stderr(self, capsys):
+        # stderr: one wall-time line per criterion; stdout: criterion 11's two
+        # `gibbslab run` lines, then the verdict lines, then the suite line
+        assert main(["verify", "quick"]) == 0
+        out, err = capsys.readouterr()
+        lines = out.splitlines()
+        assert [line.split(" -> ")[0] for line in lines[:2]] == ["violation PASS"] * 2
+        assert [line.split()[:3] for line in lines[2:6]] == [["criterion", k, "PASS"] for k in ("02", "03", "10", "11")]
+        assert lines[6:] == ["suite quick: PASS (4/4)"]
+        assert re.fullmatch(r"criterion 02 wall \d+\.\d{3}s\ncriterion 03 wall \d+\.\d{3}s\n"
+                            r"criterion 10 wall \d+\.\d{3}s\ncriterion 11 wall \d+\.\d{3}s\n", err)
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit):

@@ -239,6 +239,22 @@ class TestComplexity:
         with pytest.raises(IndexError):
             complexity(space, losses, 2, 1.0)
 
+    @pytest.mark.parametrize("h", [1.0, True, np.bool_(True), "1"])
+    def test_non_integer_index_rejected(self, two_level, h):
+        # a float or bool used to pass the range check and fail inside numpy
+        space, losses = two_level
+        with pytest.raises(ValueError, match="h_index must be an integer"):
+            complexity(space, losses, h, 1.0)
+        with pytest.raises(ValueError, match="h_index must be an integer"):
+            complexity_bruteforce(space, losses, h, 1.0, 1e-3)
+
+    def test_numpy_integer_index_accepted(self, two_level):
+        space, losses = two_level
+        assert complexity(space, losses, np.int64(1), 1.0) == complexity(space, losses, 1, 1.0)
+        assert complexity_bruteforce(space, losses, np.int64(1), 1.0, 1e-3) == complexity_bruteforce(
+            space, losses, 1, 1.0, 1e-3
+        )
+
 
 class TestComplexityRowsArguments:
     """complexity_rows rejects what it would otherwise read wrong or fail on inside numpy."""
@@ -384,11 +400,12 @@ def tied_block(seed: int, rows: int = 12, size: int = 9):
 
 
 def posterior_reference(space, losses, beta):
-    """The per-call posterior: one max shift, then division by the shifted sum."""
+    """The per-call posterior: losses measured from the lowest positive-prior one, one max shift, then division by the shifted sum."""
     if beta == 0.0:
         return space.prior.copy()
+    lowest = losses[space.prior > 0.0].min()
     with np.errstate(divide="ignore"):
-        total = np.log(space.prior) - beta * losses
+        total = np.log(space.prior) - beta * (losses - lowest)
     terms = np.exp(total - float(np.max(total)))
     return terms / float(np.sum(terms))
 
@@ -429,9 +446,10 @@ class TestRowKernels:
         losses = np.array([0.3, 0.3, 0.5, 0.3, 0.7])
         post = posterior(space, losses, beta)
         assert abs(float(post.weights.sum()) - 1.0) <= 1e-15
-        # ln prior - beta * loss keeps ln prior only to the spacing of floats near 0.3 beta
+        # the minimizers' log weights are ln prior exactly, so only the
+        # normalization's few roundings separate them from the limit
         limit = zero_temperature_posterior(space, losses).weights
-        assert np.allclose(post.weights, limit, rtol=4.0 * np.spacing(0.3 * beta), atol=0.0)
+        assert np.allclose(post.weights, limit, rtol=4.0 * np.finfo(float).eps, atol=0.0)
         assert post.log_partition == pytest.approx(-0.3 * beta + math.log(0.45), rel=1e-15)
 
     @pytest.mark.parametrize("beta", [0.0, 0.5, 10.0, 500.0, 1e9])

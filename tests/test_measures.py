@@ -11,6 +11,8 @@ from gibbslab.measures import (
     binary_kl,
     binary_kl_inverse_relaxed,
     binary_kl_inverse_upper,
+    binary_kl_inverse_upper_rows,
+    binary_kl_rows,
     log_sum_exp,
     log_sum_exp_rows,
 )
@@ -130,6 +132,84 @@ class TestInlinedBisection:
     @given(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 50.0))
     def test_property(self, p, budget):
         assert repr(binary_kl_inverse_upper(p, budget)) == repr(inverse_upper_reference(p, budget))
+
+
+def reference_rows(p, budget):
+    return np.array([inverse_upper_reference(a, b) for a, b in zip(np.asarray(p).tolist(), np.asarray(budget).tolist())])
+
+
+def assert_rows_match_reference(p, budget):
+    p, budget = np.asarray(p, dtype=float), np.asarray(budget, dtype=float)
+    assert binary_kl_inverse_upper_rows(p, budget).tobytes() == reference_rows(p, budget).tobytes()
+
+
+class TestInverseUpperRows:
+    """binary_kl_inverse_upper_rows carries the bits of the per-element bisection over binary_kl calls."""
+
+    def test_criterion_inputs(self):
+        # all 10,000 inputs of the divergence-inverse acceptance criterion, where
+        # about a quarter of the comparisons fall inside the math.log band
+        u = np.random.Generator(np.random.PCG64(1010)).random(20_000)
+        p = u[0::2] * 0.999
+        assert_rows_match_reference(p, binary_kl_rows(p, p + (1.0 - p) * (0.01 + 0.96 * u[1::2])))
+
+    def test_edge_grid(self):
+        # p = 0, subnormal p, p near 1; budget 0, subnormal to 1e2, and past saturation
+        ps = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-100, 1e-17, 1e-9, 0.01, 0.25, 0.5,
+              0.999, 1.0 - 1e-9, 1.0 - 1e-12, 1.0 - 1e-15, SATURATION, 1.0 - 2**-53]
+        budgets = [0.0, 5e-324, 1e-310, 1e-300, 1e-200, 1e-100, 1e-30, 1e-17, 1e-15, 1e-12, 1e-9, 1e-6,
+                   1e-3, 0.01, 0.7, 1.0, 20.0, 34.0, 40.0, 100.0, 1e6, math.inf]
+        p, budget = (a.ravel() for a in np.meshgrid(ps, budgets))
+        assert_rows_match_reference(p, budget)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_edge_families(self, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        size = 2000
+        p = np.concatenate([
+            rng.random(size),
+            10.0 ** rng.uniform(-323.0, 0.0, size),  # down to subnormal
+            np.minimum(1.0 - 10.0 ** rng.uniform(-16.0, -1.0, size), 1.0 - 2**-53),  # near 1
+            np.zeros(size),
+        ])
+        budget = 10.0 ** rng.uniform(-300.0, 2.0, p.size)
+        assert_rows_match_reference(p, budget)
+
+    def test_round_trip_budgets(self):
+        # budgets that some q in the bracket attains exactly
+        rng = np.random.Generator(np.random.PCG64(11))
+        p = rng.random(3000) * np.where(rng.random(3000) < 0.2, 0.0, 1.0)
+        q = p + (1.0 - p) * rng.uniform(1e-9, 1.0 - 1e-9, 3000)
+        q = np.minimum(q, SATURATION)
+        keep = (q > 0.0) & (q < 1.0)
+        assert_rows_match_reference(p[keep], binary_kl_rows(p[keep], q[keep]))
+
+    @given(st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 1e2)), min_size=1, max_size=20))
+    def test_property(self, pairs):
+        p, budget = zip(*pairs)
+        assert_rows_match_reference(p, budget)
+
+    def test_empty(self):
+        assert binary_kl_inverse_upper_rows([], []).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "p,budget,message",
+        [
+            ([0.1, 1.0, 1.5], [0.1, 0.1, 0.1], r"p\[1\] must lie in \[0, 1\), got 1.0"),
+            ([0.1, 0.2, -0.5], [0.1, 0.1, 0.1], r"p\[2\] must lie in \[0, 1\), got -0.5"),
+            ([0.1, 0.2, math.nan], [0.1, 0.1, 0.1], r"p\[2\] must lie in \[0, 1\), got nan"),
+            ([0.1, 0.2, 0.3], [0.1, -1e-9, math.nan], r"budget\[1\] must be non-negative, got -1e-09"),
+            ([0.1, 0.2, 0.3], [0.1, 0.2, math.nan], r"budget\[2\] must be non-negative, got nan"),
+        ],
+    )
+    def test_errors_name_the_first_bad_element(self, p, budget, message):
+        with pytest.raises(ValueError, match=message):
+            binary_kl_inverse_upper_rows(p, budget)
+
+    @pytest.mark.parametrize("p,budget", [([0.1, 0.2], [0.1]), ([[0.1]], [[0.1]]), (0.1, 0.1)])
+    def test_shape_errors(self, p, budget):
+        with pytest.raises(ValueError, match="1-d arrays of equal length"):
+            binary_kl_inverse_upper_rows(p, budget)
 
 
 class TestNanBudget:

@@ -442,6 +442,19 @@ class TestBlockDraws:
         for row, got in zip(items, block):
             assert got.tobytes() == (matrix @ np.bincount(row, minlength=len(domain)) / n).tobytes()
 
+    @pytest.mark.parametrize("hypotheses, points", [(11, 6), (1, 6), (11, 1), (64, 16)])
+    def test_empirical_losses_of_datasets_of_several_sizes(self, hypotheses, points):
+        # row i keeps its first sizes[i] items: the loss_profile of the dataset of that size and seed
+        domain, space = random_loss_table(hypotheses, points, seed=5)
+        seeds = list(range(40))
+        sizes = np.random.Generator(np.random.PCG64(6)).integers(1, 33, size=len(seeds))
+        sizes[:2] = (1, 32)
+        block = empirical_losses(loss_matrix(space, domain), sample_items(domain, 32, seeds), sizes)
+        assert block.shape == (len(seeds), hypotheses)
+        for got, size, seed in zip(block, sizes, seeds):
+            expected = loss_profile(space, domain, sample_dataset(domain, int(size), seed)).empirical
+            assert got.tobytes() == expected.tobytes()
+
     def test_inverse_cdf_row_and_shared_weights_agree(self):
         # underflowed trailing weights: the last positive atom closes the sum
         weights = np.array([[0.0, 0.3, 0.0, 0.7 - 1e-17, 0.0], [0.5, 0.0, 0.5, 0.0, 0.0]])
