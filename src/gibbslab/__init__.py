@@ -6,24 +6,19 @@ from .bounds import (
     BoundReport,
     binary_kl_bound,
     distribution_dependent_rhs,
-    gap_bound_inverted,
-    gap_bound_relaxed,
     generic_bound_rhs,
     high_temperature_bound,
     ipm_corrected_rhs,
-    kl_moment_log_bound,
     minimizer_mass_bound,
     monotone_bound_rhs,
     shift_radius,
     stratified_subgaussian_bound,
-    subexponential_bound,
 )
 from .gibbs import (
     ComplexityValue,
     DensityConditionError,
     DensityFamily,
     GibbsPosterior,
-    MonotoneDensityPosterior,
     capped_exponential_density,
     complexity,
     complexity_bruteforce,
@@ -59,21 +54,15 @@ from .margins import (
     MarginResult,
     build_linear_grid,
     grid_space,
-    hinge_loss,
     labeled_domain,
     level_set_equality_check,
     margin_value,
-    max_margin,
-    read_labeled_csv,
     score,
-    write_labeled_csv,
     zero_one_loss,
 )
 from .measures import (
     binary_kl,
     binary_kl_inverse_relaxed,
-    binary_kl_inverse_upper,
-    log_sum_exp,
 )
 from .model import (
     DataSet,
@@ -83,20 +72,13 @@ from .model import (
     MinimizerSummary,
     build_space,
     empirical_cdf,
-    empirical_loss,
     k_minimizer_space,
-    load_space,
     loss_matrix,
     loss_profile,
     minimizer_summary,
     permuted_label_task,
     random_loss_table,
     sample_dataset,
-    save_space,
-    space_from_document,
-    space_to_document,
-    true_cdf,
-    true_loss,
 )
 
 __version__ = "0.1.0"

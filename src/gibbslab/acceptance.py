@@ -316,7 +316,6 @@ def criterion_08() -> CriterionResult:
     level_failures = 0
     for _ in range(100):
         grid = build_linear_grid(
-            2,
             int(rng.integers(4, 17)),
             int(rng.integers(1, 8)),
             1.0,
@@ -332,7 +331,7 @@ def criterion_08() -> CriterionResult:
     # separable pair with hard margin 1: a fine grid must catch a separator
     pair = [LabeledPoint((1.0, 0.0), 1), LabeledPoint((-1.0, 0.0), -1)]
     domain = labeled_domain(pair)
-    space = grid_space(build_linear_grid(2, 360, 41, 1.0), domain)
+    space = grid_space(build_linear_grid(360, 41, 1.0), domain)
     profile = loss_profile(space, domain, DataSet(domain, np.array([0, 1])))
     mass_at_zero = empirical_cdf(space, profile, 0.0)
     lam = complexity(space, profile.empirical, int(np.argmin(profile.empirical)), 1e6).value

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gibbs import GibbsPosterior, complexity as complexity_value
-from .measures import binary_kl_inverse_upper, per_element
+from .measures import per_element
 from .model import FiniteHypothesisSpace, LossProfile, step_cdf
 
 __all__ = [
@@ -22,16 +22,12 @@ __all__ = [
     "monotone_bound_rhs",
     "ipm_corrected_rhs",
     "binary_kl_bound",
-    "gap_bound_relaxed",
-    "gap_bound_inverted",
     "high_temperature_bound",
     "minimizer_mass_bound",
     "stratified_subgaussian_bound",
     "stratified_subgaussian_bound_rows",
-    "subexponential_bound",
     "shift_radius",
     "distribution_dependent_rhs",
-    "kl_moment_log_bound",
 ]
 
 
@@ -50,12 +46,6 @@ def _check_sample_size(n: int, minimum: int = 1) -> int:
 def _log_confidence(n: int, delta: float) -> float:
     # ln(2 sqrt(n) / delta), stable for huge n
     return math.log(2.0) + 0.5 * math.log(n) - math.log(delta)
-
-
-def kl_moment_log_bound(n: int) -> float:
-    """ln(2 sqrt(n)): the moment bound for n * binary_kl of a [0,1] mean, n >= 8."""
-    _check_sample_size(n, 8)
-    return math.log(2.0) + 0.5 * math.log(n)
 
 
 def generic_bound_rhs(complexity: float, log_moment: float, delta: float) -> float:
@@ -99,24 +89,6 @@ def binary_kl_bound(complexity: float, n: int, delta: float) -> float:
     _check_delta(delta)
     _check_sample_size(n, 8)
     return (complexity + _log_confidence(n, delta)) / n
-
-
-def gap_bound_relaxed(empirical: float, complexity: float, n: int, delta: float) -> float:
-    """sqrt(2*empirical*B) + 2*B with B = binary_kl_bound(...); closed form, unclamped."""
-    if not 0.0 <= empirical <= 1.0:
-        raise ValueError(f"empirical loss must lie in [0, 1], got {empirical}")
-    budget = binary_kl_bound(complexity, n, delta)
-    return math.sqrt(2.0 * empirical * budget) + 2.0 * budget
-
-
-def gap_bound_inverted(empirical: float, complexity: float, n: int, delta: float) -> float:
-    """Tighter gap bound via the exact numeric inverse of the relative entropy."""
-    if not 0.0 <= empirical <= 1.0:
-        raise ValueError(f"empirical loss must lie in [0, 1], got {empirical}")
-    if empirical == 1.0:
-        return 0.0  # the true loss cannot exceed 1
-    budget = binary_kl_bound(complexity, n, delta)
-    return binary_kl_inverse_upper(empirical, budget) - empirical
 
 
 def high_temperature_bound(beta: float, n: int, delta: float) -> float:
@@ -172,30 +144,6 @@ def stratified_subgaussian_bound_rows(complexity: np.ndarray, sigma: float, n: i
     complexity = np.asarray(complexity, dtype=float)
     clamped = np.where(1.0 > complexity, 1.0, complexity)
     return 2.0 * sigma * np.sqrt((clamped + per_element(math.log, 2.0 * clamped / delta) / 2.0) / n)
-
-
-def subexponential_bound(
-    complexity: float,
-    psi1_sup: float,
-    n: int,
-    delta: float,
-    c1: float = 1.0,
-    c2: float = 1.0,
-) -> float:
-    """(complexity + c1*psi1_sup + ln(1/delta)) / sqrt(n) for sub-exponential losses.
-
-    psi1_sup is the supremum of the sub-exponential norms over hypotheses.
-    The absolute constants c1, c2 are existence-only in the underlying
-    statement, so they are explicit parameters defaulting to 1; the
-    precondition sqrt(n) >= c2 * psi1_sup is enforced.
-    """
-    if psi1_sup <= 0.0 or c1 <= 0.0 or c2 <= 0.0:
-        raise ValueError("psi1_sup, c1 and c2 must be positive")
-    _check_delta(delta)
-    root_n = math.sqrt(_check_sample_size(n, 1))
-    if root_n < c2 * psi1_sup:
-        raise ValueError(f"precondition sqrt(n) >= c2 * psi1_sup violated: {root_n} < {c2 * psi1_sup}")
-    return (complexity + c1 * psi1_sup - math.log(delta)) / root_n
 
 
 def shift_radius(n: int, delta: float, p: int) -> float:

@@ -13,6 +13,7 @@ call.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable
@@ -20,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .measures import per_element, shifted_exp_rows
-from .model import TIE_TOL, FiniteHypothesisSpace, inverse_cdf, step_cdf
+from .model import TIE_TOL, FiniteHypothesisSpace, _from_spec, inverse_cdf, step_cdf
 from .streams import uniform_rows
 
 __all__ = [
@@ -31,7 +32,6 @@ __all__ = [
     "capped_exponential_density",
     "density_family",
     "GibbsPosterior",
-    "MonotoneDensityPosterior",
     "ComplexityValue",
     "normalized_rows",
     "density_rows",
@@ -83,24 +83,28 @@ class DensityFamily:
     gamma: float
 
 
+def _check_parameters(**params) -> None:
+    """Every density parameter a finite non-negative number; the first that is not is named."""
+    for name, value in params.items():
+        if not (isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
+
+
 def exponential_density(beta: float) -> DensityFamily:
     """q(t) = exp(-beta t): the Gibbs case, decay rate beta."""
-    if beta < 0.0:
-        raise ValueError("beta must be non-negative")
+    _check_parameters(beta=beta)
     return DensityFamily("exponential", {"beta": beta}, lambda t: -beta * t, beta)
 
 
 def polynomial_density(a: float) -> DensityFamily:
     """q(t) = (1 + t)**-a: polynomial decay, log-Lipschitz with constant a."""
-    if a < 0.0:
-        raise ValueError("a must be non-negative")
+    _check_parameters(a=a)
     return DensityFamily("polynomial", {"a": a}, lambda t: -a * per_element(math.log1p, t), a)
 
 
 def capped_exponential_density(beta: float, cap: float) -> DensityFamily:
     """q(t) = exp(-beta min(t, cap)): exponential decay flattening past cap."""
-    if beta < 0.0 or cap < 0.0:
-        raise ValueError("beta and cap must be non-negative")
+    _check_parameters(beta=beta, cap=cap)
     return DensityFamily(
         "capped_exponential", {"beta": beta, "cap": cap}, lambda t: -beta * np.minimum(t, cap), beta
     )
@@ -114,11 +118,8 @@ _FAMILIES = {
 
 
 def density_family(name: str, **params) -> DensityFamily:
-    """Build a shipped family by name, for harness configs."""
-    try:
-        return _FAMILIES[name](**params)
-    except KeyError as exc:
-        raise ValueError(f"unknown density family {name!r}") from exc
+    """Build a shipped family by name, for harness configs; params are checked against its signature."""
+    return _from_spec("density family", _FAMILIES, {"name": name, "params": params})
 
 
 @dataclass(frozen=True)
@@ -139,10 +140,6 @@ class GibbsPosterior:
             raise ValueError("posterior weights must sum to 1")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-
-
-# a posterior under any monotone density is the same object as a Gibbs one
-MonotoneDensityPosterior = GibbsPosterior
 
 
 @dataclass(frozen=True)

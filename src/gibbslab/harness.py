@@ -30,6 +30,7 @@ from .bounds import (
     stratified_subgaussian_bound_rows,
 )
 from .gibbs import (
+    _FAMILIES,
     cdf_rows,
     complexity,
     density_family,
@@ -41,6 +42,7 @@ from .gibbs import (
 )
 from .measures import binary_kl_rows
 from .model import (
+    _from_spec,
     build_space,
     empirical_losses,
     loss_profile,
@@ -141,8 +143,12 @@ class ExperimentConfig:
             object.__setattr__(self, "n_grid", tuple(map(int, n_grid)))
         if self.bound_kind not in BOUND_KINDS:
             raise ValueError(f"unknown bound kind {self.bound_kind!r}")
-        if self.density is not None and (self.experiment, self.bound_kind) != ("violation", "beyond_gibbs"):
-            raise ValueError("density applies only to the violation experiment with bound_kind 'beyond_gibbs'")
+        if self.density is not None:
+            if (self.experiment, self.bound_kind) != ("violation", "beyond_gibbs"):
+                raise ValueError("density applies only to the violation experiment with bound_kind 'beyond_gibbs'")
+            _from_spec("density family", _FAMILIES, self.density)
+        if not (self.output_path is None or isinstance(self.output_path, str)):
+            raise ValueError(f"output_path must be a string or null, got {self.output_path!r}")
         for name in ("n_grid", "r0"):
             if getattr(self, name) is not None and self.experiment != "random_label":
                 raise ValueError(f"{name} applies only to the random_label experiment")
@@ -152,9 +158,13 @@ class ExperimentConfig:
         fields = json.loads(text)
         if not isinstance(fields, dict):
             raise ValueError("a config must be a JSON object")
-        unknown = sorted(set(fields) - {f.name for f in dataclasses.fields(cls)})
+        known = dataclasses.fields(cls)
+        unknown = sorted(set(fields) - {f.name for f in known})
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        missing = [f.name for f in known if f.default is dataclasses.MISSING and f.name not in fields]
+        if missing:
+            raise ValueError(f"missing config keys: {', '.join(missing)}")
         return cls(**fields)
 
     @classmethod

@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import FiniteDataDomain, FiniteHypothesisSpace
+from .model import FiniteDataDomain, FiniteHypothesisSpace, _check_count
 
 __all__ = [
     "LabeledPoint",
@@ -23,16 +23,12 @@ __all__ = [
     "MarginResult",
     "score",
     "zero_one_loss",
-    "hinge_loss",
     "margin_value",
-    "max_margin",
     "level_set_equality_check",
     "LinearGrid",
     "build_linear_grid",
     "grid_space",
     "labeled_domain",
-    "write_labeled_csv",
-    "read_labeled_csv",
 ]
 
 UNIT_NORM_TOL = 1e-10
@@ -82,13 +78,6 @@ def score(h: LinearHypothesis, z: Sequence[float]) -> float:
 def zero_one_loss(h: LinearHypothesis, point: LabeledPoint) -> float:
     """0 when score * label is strictly positive, 1 otherwise (ties are errors)."""
     return 0.0 if score(h, point.z) * point.y > 0.0 else 1.0
-
-
-def hinge_loss(h: LinearHypothesis, point: LabeledPoint, margin_scale: float) -> float:
-    """max(0, 1 - score*label/margin_scale); zero from margin_scale upward."""
-    if margin_scale <= 0.0:
-        raise ValueError("margin_scale must be positive")
-    return max(0.0, 1.0 - score(h, point.z) * point.y / margin_scale)
 
 
 @dataclass(frozen=True)
@@ -155,24 +144,13 @@ def margin_value(
 
 @dataclass(frozen=True)
 class LinearGrid:
-    """Linear hypotheses with a prior and a loss ("zero_one" or "hinge" at margin_scale hinge_margin)."""
+    """Linear hypotheses with a prior over them, scored by the 0-1 loss."""
 
     hypotheses: tuple
     prior: np.ndarray
-    loss_kind: str
-    hinge_margin: float
 
     def __len__(self) -> int:
         return len(self.hypotheses)
-
-
-def max_margin(grid: LinearGrid, data: Sequence[LabeledPoint], error_fraction: float) -> float:
-    """Largest soft margin over the hypothesis grid (grid proxy for the supremum)."""
-    if len(data) == 0:
-        raise ValueError("margin of an empty dataset")
-    values, _ = _margin_rows(_signed_scores(grid.hypotheses, data), error_fraction)
-    # Python's max keeps the first of equal maxima, a -0.0 before a 0.0 included
-    return max(values.tolist())
 
 
 def level_set_equality_check(grid: LinearGrid, data: Sequence[LabeledPoint], error_fraction: float) -> bool:
@@ -197,89 +175,46 @@ def level_set_equality_check(grid: LinearGrid, data: Sequence[LabeledPoint], err
     return bool(np.array_equal(in_level_set, in_margin_set))
 
 
-def _circle_directions(steps: int) -> list[tuple]:
-    angles = 2.0 * math.pi * np.arange(steps) / steps
-    return [(math.cos(a), math.sin(a)) for a in angles]
-
-
-def _fibonacci_sphere(steps: int) -> list[tuple]:
-    golden = math.pi * (3.0 - math.sqrt(5.0))
-    out = []
-    for i in range(steps):
-        y = 1.0 - 2.0 * (i + 0.5) / steps
-        radius = math.sqrt(max(1.0 - y * y, 0.0))
-        theta = golden * i
-        v = np.asarray((radius * math.cos(theta), y, radius * math.sin(theta)))
-        v = v / np.linalg.norm(v)
-        out.append(tuple(v))
-    return out
-
-
-def _check_count(name: str, value, minimum: int) -> None:
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
-        raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
-
-
-def _check_positive(name: str, value) -> None:
-    if not (isinstance(value, numbers.Real) and math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be finite and positive, got {value!r}")
-
-
 def build_linear_grid(
-    dim: int,
     angular_steps: int,
     bias_steps: int,
     bias_range: float,
     prior_kind: str = "uniform",
-    bias_sigma: float = 1.0,
-    loss_kind: str = "zero_one",
-    hinge_margin: float = 1.0,
 ) -> LinearGrid:
-    """Product grid of unit directions and biases with a prior over its atoms.
+    """Product grid of equiangular unit directions in the plane and biases, with a prior over its atoms.
 
-    Directions are equiangular for dim 2 and a Fibonacci sphere for dim 3.
-    The prior is uniform over atoms or proportional to a Gaussian density
-    in the bias (an everywhere-positive prior either way, so a fine enough
-    grid puts mass on any open margin set).  The grid itself never depends
-    on data.
+    The prior is uniform over atoms or proportional to a standard Gaussian
+    density in the bias (an everywhere-positive prior either way, so a fine
+    enough grid puts mass on any open margin set).  The grid itself never
+    depends on data.
     """
-    if dim not in (2, 3):
-        raise ValueError(f"only dimensions 2 and 3 are supported, got {dim!r}")
     _check_count("angular_steps", angular_steps, 4)
     _check_count("bias_steps", bias_steps, 1)
     if not (isinstance(bias_range, numbers.Real) and math.isfinite(bias_range) and bias_range >= 0.0):
         raise ValueError(f"bias_range must be finite and non-negative, got {bias_range!r}")
-    _check_positive("bias_sigma", bias_sigma)
-    _check_positive("hinge_margin", hinge_margin)
-    if loss_kind not in ("zero_one", "hinge"):
-        raise ValueError(f"unknown loss kind {loss_kind!r}")
-    directions = _circle_directions(angular_steps) if dim == 2 else _fibonacci_sphere(angular_steps)
+    directions = [(math.cos(a), math.sin(a)) for a in 2.0 * math.pi * np.arange(angular_steps) / angular_steps]
     biases = [0.0] if bias_steps == 1 else list(np.linspace(-bias_range, bias_range, bias_steps))
     hypotheses = tuple(LinearHypothesis(u, b) for u in directions for b in biases)
 
     if prior_kind == "uniform":
         prior = np.full(len(hypotheses), 1.0 / len(hypotheses))
     elif prior_kind == "gaussian-projected":
-        raw = np.asarray([math.exp(-h.bias**2 / (2.0 * bias_sigma**2)) for h in hypotheses])
+        raw = np.asarray([math.exp(-h.bias**2 / 2.0) for h in hypotheses])
         prior = raw / raw.sum()
     else:
         raise ValueError(f"unknown prior kind {prior_kind!r}")
     prior.setflags(write=False)
-    return LinearGrid(hypotheses, prior, loss_kind, float(hinge_margin))
+    return LinearGrid(hypotheses, prior)
 
 
 def grid_space(grid: LinearGrid, domain: FiniteDataDomain) -> FiniteHypothesisSpace:
-    """The grid scored on a domain of LabeledPoints, as a hypothesis space.
+    """The grid scored on a domain of LabeledPoints by the 0-1 loss, as a hypothesis space.
 
-    Every entry carries the bits of the scalar loss of its pair (see
+    Every entry carries the bits of zero_one_loss of its pair (see
     _signed_scores).
     """
     signed = _signed_scores(grid.hypotheses, domain.points)
-    if grid.loss_kind == "zero_one":
-        table = np.where(signed > 0.0, 0.0, 1.0)
-    else:
-        table = np.maximum(0.0, 1.0 - signed / grid.hinge_margin)
-    return FiniteHypothesisSpace(table, grid.prior)
+    return FiniteHypothesisSpace(np.where(signed > 0.0, 0.0, 1.0), grid.prior)
 
 
 def labeled_domain(points: Iterable[LabeledPoint], probs=None) -> FiniteDataDomain:
@@ -288,36 +223,3 @@ def labeled_domain(points: Iterable[LabeledPoint], probs=None) -> FiniteDataDoma
     if probs is None:
         probs = np.full(len(pts), 1.0 / len(pts))
     return FiniteDataDomain(pts, probs)
-
-
-def write_labeled_csv(path, points: Iterable[LabeledPoint]) -> None:
-    """Columns z_1..z_d,y; floats as shortest round-trip decimals."""
-    pts = tuple(points)
-    if not pts:
-        raise ValueError("nothing to write")
-    dim = len(pts[0].z)
-    lines = [",".join([f"z_{i + 1}" for i in range(dim)] + ["y"])]
-    for point in pts:
-        if len(point.z) != dim:
-            raise ValueError("points have inconsistent dimensions")
-        lines.append(",".join([repr(v) for v in point.z] + [str(point.y)]))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def read_labeled_csv(path) -> tuple[LabeledPoint, ...]:
-    with open(path, encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines:
-        raise ValueError(f"labeled CSV {str(path)!r} has no header: the file is empty")
-    header = lines[0].split(",")
-    if header[-1] != "y" or not all(c == f"z_{i + 1}" for i, c in enumerate(header[:-1])):
-        raise ValueError(f"unexpected header {lines[0]!r}")
-    dim = len(header) - 1
-    out = []
-    for line in lines[1:]:
-        cells = line.split(",")
-        if len(cells) != dim + 1:
-            raise ValueError(f"row has {len(cells)} cells, expected {dim + 1}")
-        out.append(LabeledPoint(tuple(float(c) for c in cells[:-1]), int(cells[-1])))
-    return tuple(out)

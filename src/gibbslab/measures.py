@@ -1,9 +1,9 @@
 """Scalar information-theoretic primitives and their array forms.
 
-Bernoulli relative entropy and its numeric inverse (per scalar and per
-array element), the inverse's closed-form relaxation, and a max-shifted
-log-sum-exp.  Everything here is a pure function of scalars or vectors
-and safe to call from parallel trials.
+Bernoulli relative entropy (per scalar and per array element), its numeric
+inverse over whole arrays, the inverse's closed-form relaxation, and
+max-shifted exponentials of rows.  Everything here is a pure function of
+scalars or vectors and safe to call from parallel trials.
 """
 
 from __future__ import annotations
@@ -15,11 +15,8 @@ import numpy as np
 __all__ = [
     "binary_kl",
     "binary_kl_rows",
-    "binary_kl_inverse_upper",
     "binary_kl_inverse_upper_rows",
     "binary_kl_inverse_relaxed",
-    "log_sum_exp",
-    "log_sum_exp_rows",
     "shifted_exp_rows",
     "per_element",
 ]
@@ -85,12 +82,6 @@ def binary_kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.where(0.0 > value, 0.0, value)
 
 
-def _check_budget(budget: float) -> None:
-    # a nan budget fails every comparison and would pass a budget < 0.0 test
-    if not budget >= 0.0:
-        raise ValueError(f"budget must be non-negative, got {budget}")
-
-
 # comparisons of the divergence with the budget closer than this times the
 # size of its two terms are decided again with math.log: about 4,500 ulp
 LOG_BAND = 1e-12
@@ -104,17 +95,37 @@ def _divergence_terms(p, rest, mid, log):
     return rest * log(rest / (1.0 - mid)), p * log(np.where(p > 0.0, p / mid, 1.0))
 
 
-def _inverse_upper(p: np.ndarray, budget: np.ndarray) -> np.ndarray:
-    """The bisection of binary_kl_inverse_upper over whole arrays of checked inputs.
+def binary_kl_inverse_upper_rows(p, budget) -> np.ndarray:
+    """Largest q in [p[i], 1) with binary_kl(p[i], q) <= budget[i], for every i.
+
+    One bisection on the monotone map q -> binary_kl(p, q) over whole
+    arrays, narrowed to float resolution, so for any attainable budget the
+    returned q solves binary_kl(p, q) = budget to ~1e-10 or better.  Budgets
+    beyond binary_kl(p, SATURATION) return the saturation point: the
+    divergence blows up at q -> 1 and the bound is vacuous there.
 
     The divergence at the midpoints comes from np.log.  Assuming np.log and
     math.log both lie within a few ulp of the true logarithm, the two
     divergences differ by far less than LOG_BAND times the size of their
     terms, so a comparison with the budget outside that band has the same
     outcome under either; the comparisons inside it are made again with
-    math.log through per_element.  Every step then takes the scalar loop's
-    decision, and every returned q carries its bits.
+    math.log through per_element.  Every step then takes the decision of a
+    bisection with one binary_kl call per step, and every returned q carries
+    its bits.  Raises a ValueError naming the first element outside the
+    domain.
     """
+    p, budget = np.asarray(p, dtype=float), np.asarray(budget, dtype=float)
+    if p.ndim != 1 or p.shape != budget.shape:
+        raise ValueError(f"p and budget must be 1-d arrays of equal length, got shapes {p.shape} and {budget.shape}")
+    bad_p = ~((0.0 <= p) & (p < 1.0))
+    if bad_p.any():
+        i = int(np.argmax(bad_p))
+        raise ValueError(f"p[{i}] must lie in [0, 1), got {p[i]}")
+    # a nan budget fails every comparison and would pass a budget < 0.0 test
+    bad_budget = ~(budget >= 0.0)
+    if bad_budget.any():
+        i = int(np.argmax(bad_budget))
+        raise ValueError(f"budget[{i}] must be non-negative, got {budget[i]}")
     q = p.copy()
     positive = np.flatnonzero(budget > 0.0)
     saturated = binary_kl_rows(p[positive], np.full(positive.size, SATURATION)) <= budget[positive]
@@ -150,44 +161,6 @@ def _inverse_upper(p: np.ndarray, budget: np.ndarray) -> np.ndarray:
     return q
 
 
-def binary_kl_inverse_upper_rows(p, budget) -> np.ndarray:
-    """binary_kl_inverse_upper(p[i], budget[i]) for every i, with the scalar function's bits.
-
-    One bisection over whole arrays: each step evaluates the divergence of
-    every unfinished element with np.log and settles the comparisons that
-    fall near the budget with math.log.  Raises a ValueError naming the
-    first element outside the domain.
-    """
-    p, budget = np.asarray(p, dtype=float), np.asarray(budget, dtype=float)
-    if p.ndim != 1 or p.shape != budget.shape:
-        raise ValueError(f"p and budget must be 1-d arrays of equal length, got shapes {p.shape} and {budget.shape}")
-    bad_p = ~((0.0 <= p) & (p < 1.0))
-    if bad_p.any():
-        i = int(np.argmax(bad_p))
-        raise ValueError(f"p[{i}] must lie in [0, 1), got {p[i]}")
-    bad_budget = ~(budget >= 0.0)
-    if bad_budget.any():
-        i = int(np.argmax(bad_budget))
-        raise ValueError(f"budget[{i}] must be non-negative, got {budget[i]}")
-    return _inverse_upper(p, budget)
-
-
-def binary_kl_inverse_upper(p: float, budget: float) -> float:
-    """Largest q in [p, 1) with binary_kl(p, q) <= budget.
-
-    Bisection on the monotone map q -> binary_kl(p, q), the one-element
-    call of binary_kl_inverse_upper_rows.  The bracket is narrowed well past
-    the 1e-12 contract (to float resolution), so for any attainable budget
-    the returned q solves binary_kl(p, q) = budget to ~1e-10 or better.
-    Budgets beyond binary_kl(p, SATURATION) return the saturation point:
-    the divergence blows up at q -> 1 and the bound is vacuous there.
-    """
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"p must lie in [0, 1), got {p}")
-    _check_budget(budget)
-    return float(_inverse_upper(np.array([p], dtype=float), np.array([budget], dtype=float))[0])
-
-
 def binary_kl_inverse_relaxed(p: float, budget: float) -> float:
     """Closed-form upper bound p + sqrt(2*p*budget) + 2*budget on the exact inverse.
 
@@ -195,29 +168,9 @@ def binary_kl_inverse_relaxed(p: float, budget: float) -> float:
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    _check_budget(budget)
+    if not budget >= 0.0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
     return p + math.sqrt(2.0 * p * budget) + 2.0 * budget
-
-
-def log_sum_exp(log_weights, values) -> float:
-    """ln sum_i exp(log_weights[i] + values[i]) computed with a max shift.
-
-    log_weights may contain -inf (zero-weight atoms drop out).  Accurate to
-    a few ulp of the shifted sum; invariant under adding a constant to all
-    values and subtracting it from the result.
-    """
-    log_weights = np.asarray(log_weights, dtype=float)
-    values = np.asarray(values, dtype=float)
-    if log_weights.ndim != 1 or log_weights.shape != values.shape:
-        raise ValueError("log_weights and values must be 1-d vectors of equal length")
-    if log_weights.size == 0:
-        raise ValueError("log_sum_exp of an empty vector")
-    return float(log_sum_exp_rows((log_weights + values)[None])[0])
-
-
-def log_sum_exp_rows(total: np.ndarray) -> np.ndarray:
-    """ln sum_j exp(total[i, j]) for every row i, each with its own max shift."""
-    return shifted_exp_rows(total)[2]
 
 
 def shifted_exp_rows(total: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -11,7 +11,7 @@ claims against ground truth.
 from __future__ import annotations
 
 import inspect
-import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,10 +30,7 @@ __all__ = [
     "sample_items",
     "sample_dataset",
     "empirical_losses",
-    "empirical_loss",
-    "true_loss",
     "empirical_cdf",
-    "true_cdf",
     "minimizer_summary",
     "loss_matrix",
     "loss_profile",
@@ -42,10 +39,6 @@ __all__ = [
     "permuted_label_task",
     "SPACE_GENERATORS",
     "build_space",
-    "space_to_document",
-    "space_from_document",
-    "save_space",
-    "load_space",
 ]
 
 PROB_SUM_TOL = 1e-12
@@ -65,6 +58,11 @@ def _nonnegative_array(values, name: str, ndim: int) -> np.ndarray:
         raise ValueError(f"{name} entries must be finite and non-negative")
     arr.setflags(write=False)
     return arr
+
+
+def _check_count(name: str, value, minimum: int) -> None:
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
+        raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
 
 
 def _probability_vector(values, name: str) -> np.ndarray:
@@ -276,33 +274,10 @@ def empirical_losses(matrix: np.ndarray, items: np.ndarray, sizes=None) -> np.nd
     return np.matmul(matrix, counts.reshape(rows, num_points, 1))[:, :, 0] / n
 
 
-def _check_index(i: int, size: int) -> int:
-    if not 0 <= i < size:
-        raise IndexError(f"index {i} out of range for size {size}")
-    return i
-
-
-def empirical_loss(space: FiniteHypothesisSpace, h_index: int, data: DataSet) -> float:
-    """Arithmetic mean of the per-item losses of one hypothesis."""
-    row = loss_matrix(space, data.domain)[_check_index(h_index, len(space))]
-    return float(np.mean(row[data.item_indices]))
-
-
-def true_loss(space: FiniteHypothesisSpace, h_index: int, domain: FiniteDataDomain) -> float:
-    """Exact expected loss of one hypothesis under the domain law."""
-    return float(loss_matrix(space, domain)[_check_index(h_index, len(space))] @ domain.probs)
-
-
 def empirical_cdf(space: FiniteHypothesisSpace, profile: LossProfile, r: float) -> float:
     """Prior mass of hypotheses whose empirical loss is at most r."""
     _check_aligned(space, profile)
     return float(space.prior[profile.empirical <= r].sum())
-
-
-def true_cdf(space: FiniteHypothesisSpace, profile: LossProfile, r: float) -> float:
-    """Prior mass of hypotheses whose true loss is at most r."""
-    _check_aligned(space, profile)
-    return float(space.prior[profile.true <= r].sum())
 
 
 def _check_aligned(space: FiniteHypothesisSpace, profile: LossProfile) -> None:
@@ -367,8 +342,9 @@ def random_loss_table(
     random_probs: bool = False,
 ) -> tuple[FiniteDataDomain, FiniteHypothesisSpace]:
     """Loss table with iid uniform [0,1) entries; optional random weights."""
-    if num_hypotheses < 1 or num_points < 1:
-        raise ValueError("need at least one hypothesis and one point")
+    _check_count("num_hypotheses", num_hypotheses, 1)
+    _check_count("num_points", num_points, 1)
+    _check_count("seed", seed, 0)
     rng = np.random.Generator(np.random.PCG64(seed))
     table = rng.random((num_hypotheses, num_points))
     probs = _random_simplex(rng, num_points) if random_probs else np.full(num_points, 1.0 / num_points)
@@ -396,7 +372,11 @@ def k_minimizer_space(
     LEVEL_STEP grid in (0, 1], so distinct loss levels are at least
     LEVEL_STEP apart.
     """
-    if not 1 <= num_minimizers <= num_hypotheses:
+    _check_count("num_hypotheses", num_hypotheses, 1)
+    _check_count("num_minimizers", num_minimizers, 1)
+    _check_count("num_points", num_points, 1)
+    _check_count("seed", seed, 0)
+    if num_minimizers > num_hypotheses:
         raise ValueError("num_minimizers must lie in [1, num_hypotheses]")
     rng = np.random.Generator(np.random.PCG64(seed))
     levels = LEVEL_STEP * rng.integers(1, 11, size=num_hypotheses).astype(float)
@@ -420,10 +400,12 @@ def permuted_label_task(
     true loss exactly 1/2, so the true-loss CDF vanishes below 1/2.  At
     label_noise = 0 the planted pattern is learnable with true loss 0.
     """
-    if not 1 <= num_inputs <= 16:
+    _check_count("num_inputs", num_inputs, 1)
+    _check_count("seed", seed, 0)
+    if num_inputs > 16:
         raise ValueError("num_inputs must lie in [1, 16] (hypothesis count is 2**num_inputs)")
-    if not 0.0 <= label_noise <= 1.0:
-        raise ValueError("label_noise must lie in [0, 1]")
+    if not (isinstance(label_noise, numbers.Real) and 0.0 <= label_noise <= 1.0):
+        raise ValueError(f"label_noise must be a number in [0, 1], got {label_noise!r}")
     rng = np.random.Generator(np.random.PCG64(seed))
     planted = 2 * rng.integers(0, 2, size=num_inputs) - 1
     points = [(j, y) for j in range(num_inputs) for y in (-1, 1)]
@@ -442,77 +424,29 @@ SPACE_GENERATORS = {
 }
 
 
-def build_space(spec: dict) -> tuple[FiniteDataDomain, FiniteHypothesisSpace]:
-    """Instantiate a generator from {"name": ..., "params": {...}}, params checked against its signature."""
+def _from_spec(kind: str, factories: dict, spec):
+    """factories[name](**params) for a spec {"name": name, "params": {...}}, params checked against the factory's signature.
+
+    kind names the factory in the errors, as "space generator" or "density family".
+    """
     if not isinstance(spec, dict):
-        raise ValueError(f"a space spec must be an object with a name and params, got {spec!r}")
+        raise ValueError(f"a {kind} spec must be an object with a name and params, got {spec!r}")
     name, params = spec.get("name"), spec.get("params", {})
-    generator = SPACE_GENERATORS.get(name) if isinstance(name, str) else None
-    if generator is None:
-        raise ValueError(f"unknown space generator {name!r}")
+    factory = factories.get(name) if isinstance(name, str) else None
+    if factory is None:
+        raise ValueError(f"unknown {kind} {name!r}")
     if not isinstance(params, dict):
-        raise ValueError(f"params of space generator {name!r} must be an object, got {params!r}")
-    accepted = inspect.signature(generator).parameters
+        raise ValueError(f"params of {kind} {name!r} must be an object, got {params!r}")
+    accepted = inspect.signature(factory).parameters
     unknown = sorted(set(params) - set(accepted))
     missing = [p.name for p in accepted.values() if p.default is p.empty and p.name not in params]
     if unknown or missing:
         raise ValueError(
-            f"space generator {name!r}: unknown parameters {unknown}, missing parameters {missing};"
-            f" it takes {list(accepted)}"
+            f"{kind} {name!r}: unknown parameters {unknown}, missing parameters {missing}; it takes {list(accepted)}"
         )
-    return generator(**params)
+    return factory(**params)
 
 
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def space_to_document(domain: FiniteDataDomain, space: FiniteHypothesisSpace) -> dict:
-    """JSON-ready document carrying the full loss table.
-
-    Floats survive a round trip exactly: json emits the shortest decimal
-    that parses back to the same 64-bit value.
-    """
-    table = loss_matrix(space, domain)
-    return {
-        "points": list(domain.points),
-        "probs": [float(p) for p in domain.probs],
-        "hypotheses": len(space),
-        "prior": [float(p) for p in space.prior],
-        "loss_table": [[float(v) for v in row] for row in table],
-    }
-
-
-def _freeze(value):
-    if isinstance(value, list):
-        return tuple(_freeze(v) for v in value)
-    return value
-
-
-def space_from_document(doc: dict) -> tuple[FiniteDataDomain, FiniteHypothesisSpace]:
-    """Rebuild a (domain, space) pair; every field is checked here, named in the error."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"a space document must be an object, got {type(doc).__name__}")
-    missing = [name for name in ("points", "probs", "hypotheses", "prior", "loss_table") if name not in doc]
-    if missing:
-        raise ValueError(f"space document is missing the fields {missing}")
-    if not isinstance(doc["points"], list):
-        raise ValueError(f"points must be a list, got {doc['points']!r}")
-    domain = FiniteDataDomain(tuple(_freeze(p) for p in doc["points"]), doc["probs"])
-    table = _nonnegative_array(doc["loss_table"], "loss_table", 2)
-    expected = (doc["hypotheses"], len(domain))
-    if table.shape != expected:
-        raise ValueError(f"loss_table has shape {table.shape}, expected {expected} from hypotheses and points")
-    return domain, FiniteHypothesisSpace(table, doc["prior"])
-
-
-def save_space(path, domain: FiniteDataDomain, space: FiniteHypothesisSpace) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(space_to_document(domain, space), fh)
-        fh.write("\n")
-
-
-def load_space(path) -> tuple[FiniteDataDomain, FiniteHypothesisSpace]:
-    with open(path, encoding="utf-8") as fh:
-        return space_from_document(json.load(fh))
+def build_space(spec: dict) -> tuple[FiniteDataDomain, FiniteHypothesisSpace]:
+    """Instantiate a generator from {"name": ..., "params": {...}}, params checked against its signature."""
+    return _from_spec("space generator", SPACE_GENERATORS, spec)

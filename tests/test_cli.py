@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -55,6 +56,37 @@ class TestRun:
         assert main(["run", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("gibbslab: error: space generator 'random_loss_table'") and "num_point" in err
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"n": None}, "missing config keys: n"),
+            ({"n": None, "delta": None}, "missing config keys: n, delta"),
+            ({"output_path": 5}, "output_path must be a string or null, got 5"),
+            ({"density": "polynomial"}, "a density family spec must be an object with a name and params"),
+            ({"density": {"params": {"a": 1.0}}}, "unknown density family None"),
+            ({"density": {"name": "polynomial", "params": {"b": 1}}}, "unknown parameters ['b'], missing parameters ['a']"),
+            ({"density": {"name": "polynomial", "params": {"a": math.nan}}}, "a must be a finite non-negative number, got nan"),
+            ({"density": {"name": "capped_exponential", "params": {"beta": 1.0, "cap": "2"}}}, "cap must be a finite"),
+        ],
+    )
+    def test_bad_config_reported_without_traceback(self, tmp_path, capsys, overrides, message):
+        cfg_path, cfg = write_config(tmp_path, bound_kind="beyond_gibbs", **overrides)
+        # None marks a key to leave out
+        cfg_path.write_text(json.dumps({key: value for key, value in cfg.items() if value is not None}))
+        assert main(["run", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("gibbslab: error: ") and message in err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("count", ["8", 8.5, True, None])
+    def test_non_integer_generator_count_reported_without_traceback(self, tmp_path, capsys, count):
+        spec = {"name": "random_loss_table", "params": {"num_hypotheses": count, "num_points": 8, "seed": 3}}
+        cfg_path, _ = write_config(tmp_path, space_spec=spec)
+        assert main(["run", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"gibbslab: error: num_hypotheses must be an integer of at least 1, got {count!r}\n"
+        )
 
     def test_missing_config_file_reported_without_traceback(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json")]) == 2

@@ -13,14 +13,10 @@ from gibbslab.margins import (
     _retained_count,
     build_linear_grid,
     grid_space,
-    hinge_loss,
     labeled_domain,
     level_set_equality_check,
     margin_value,
-    max_margin,
-    read_labeled_csv,
     score,
-    write_labeled_csv,
     zero_one_loss,
 )
 from gibbslab.model import DataSet, empirical_cdf, loss_profile
@@ -102,16 +98,6 @@ class TestScoreAndLosses:
         # a score of exactly zero counts as an error
         assert zero_one_loss(E1, LabeledPoint((0.0, 5.0), 1)) == 1.0
 
-    def test_hinge_values(self):
-        gamma = 0.5
-        assert hinge_loss(E1, LabeledPoint((0.5, 0.0), 1), gamma) == 0.0
-        assert hinge_loss(E1, LabeledPoint((0.0, 1.0), 1), gamma) == 1.0
-        assert hinge_loss(E1, LabeledPoint((-0.5, 0.0), 1), gamma) == 2.0
-
-    def test_hinge_scale_guard(self):
-        with pytest.raises(ValueError):
-            hinge_loss(E1, LabeledPoint((0.0, 0.0), 1), 0.0)
-
 
 class TestMarginValue:
     def test_hard_margin_two_points(self):
@@ -176,7 +162,7 @@ class TestMarginValue:
 
 class TestGrids:
     def test_four_axis_aligned(self):
-        grid = build_linear_grid(2, 4, 1, 0.0)
+        grid = build_linear_grid(4, 1, 0.0)
         assert len(grid) == 4
         assert np.allclose(grid.prior, 0.25)
         directions = {tuple(round(c, 12) for c in h.direction) for h in grid.hypotheses}
@@ -184,42 +170,28 @@ class TestGrids:
         assert all(h.bias == 0.0 for h in grid.hypotheses)
 
     def test_gaussian_bias_prior(self):
-        grid = build_linear_grid(2, 4, 5, 1.0, prior_kind="gaussian-projected", bias_sigma=0.5)
+        grid = build_linear_grid(4, 5, 1.0, prior_kind="gaussian-projected")
         assert grid.prior.sum() == pytest.approx(1.0, abs=1e-12)
         center = [p for h, p in zip(grid.hypotheses, grid.prior) if h.bias == 0.0]
         edge = [p for h, p in zip(grid.hypotheses, grid.prior) if abs(h.bias) == 1.0]
         assert min(center) > max(edge)
-
-    def test_fibonacci_sphere(self):
-        grid = build_linear_grid(3, 32, 1, 0.0)
-        assert len(grid) == 32
-        for h in grid.hypotheses:
-            assert sum(c * c for c in h.direction) == pytest.approx(1.0, abs=1e-12)
-
-    def test_unsupported_dimension(self):
-        with pytest.raises(ValueError):
-            build_linear_grid(4, 8, 1, 0.0)
-        with pytest.raises(ValueError):
-            build_linear_grid(2, 3, 1, 0.0)
+        # proportional to the standard Gaussian density in the bias
+        biases = np.array([h.bias for h in grid.hypotheses])
+        assert np.allclose(grid.prior / grid.prior.max(), np.exp(-(biases**2) / 2.0), rtol=1e-12, atol=0.0)
 
     def test_data_independence(self):
-        a = build_linear_grid(2, 8, 3, 1.0)
-        b = build_linear_grid(2, 8, 3, 1.0)
+        a = build_linear_grid(8, 3, 1.0)
+        b = build_linear_grid(8, 3, 1.0)
         assert a.hypotheses == b.hypotheses
         assert np.array_equal(a.prior, b.prior)
 
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("hinge_margin", 0.0),
-            ("hinge_margin", -1.0),
-            ("hinge_margin", math.nan),
-            ("hinge_margin", math.inf),
-            ("bias_sigma", 0.0),
-            ("bias_sigma", math.nan),
             ("bias_range", math.nan),
             ("bias_range", math.inf),
             ("bias_range", -0.5),
+            ("angular_steps", 3),
             ("angular_steps", 8.0),
             ("angular_steps", True),
             ("bias_steps", 2.5),
@@ -227,12 +199,12 @@ class TestGrids:
         ],
     )
     def test_bad_arguments_named(self, field, value):
-        args = {"dim": 2, "angular_steps": 8, "bias_steps": 3, "bias_range": 1.0, field: value}
+        args = {"angular_steps": 8, "bias_steps": 3, "bias_range": 1.0, field: value}
         with pytest.raises(ValueError, match=field):
             build_linear_grid(**args)
 
     def test_numpy_integer_steps_accepted(self):
-        grid = build_linear_grid(2, np.int64(8), np.int64(3), 1.0)
+        grid = build_linear_grid(np.int64(8), np.int64(3), 1.0)
         assert len(grid) == 24
 
 
@@ -255,73 +227,66 @@ class TestGridSpace:
     def test_bit_comparison_sees_signed_zero(self):
         assert not same_bits(np.array([[0.0]]), np.array([[-0.0]]))
 
-    @pytest.mark.parametrize("dim", [2, 3])
-    @pytest.mark.parametrize("loss_kind", ["zero_one", "hinge"])
-    def test_tables_equal_the_scalar_losses(self, dim, loss_kind):
-        rng = np.random.Generator(np.random.PCG64(dim * 10 + len(loss_kind)))
+    def test_tables_equal_the_scalar_losses(self):
+        rng = np.random.Generator(np.random.PCG64(28))
         for _ in range(20):
-            margin = float(rng.choice([0.5, 1.0, 3.0, rng.uniform(0.01, 2.0)]))
             grid = build_linear_grid(
-                dim,
                 int(rng.integers(4, 40)),
                 int(rng.integers(1, 8)),
                 float(rng.choice([0.0, 1.0, rng.uniform(0.0, 3.0)])),
                 prior_kind="gaussian-projected" if rng.integers(0, 2) else "uniform",
-                loss_kind=loss_kind,
-                hinge_margin=margin,
             )
             count = int(rng.integers(1, 12))
-            # integer coordinates put points on grid hyperplanes: exact zero scores
-            coords = rng.integers(-2, 3, size=(count, dim)) if rng.integers(0, 2) else rng.normal(size=(count, dim))
+            # integer coordinates put points on grid lines: exact zero scores
+            coords = rng.integers(-2, 3, size=(count, 2)) if rng.integers(0, 2) else rng.normal(size=(count, 2))
             labels = 2 * rng.integers(0, 2, size=count) - 1
             domain = labeled_domain(LabeledPoint(tuple(z), int(y)) for z, y in zip(coords, labels))
-            if loss_kind == "zero_one":
-                reference = per_pair_table(zero_one_loss, grid.hypotheses, domain.points)
-            else:
-                reference = per_pair_table(
-                    lambda h, p: hinge_loss(h, p, margin), grid.hypotheses, domain.points
-                )
             space = grid_space(grid, domain)
-            assert same_bits(space.table, reference)
+            assert same_bits(space.table, per_pair_table(zero_one_loss, grid.hypotheses, domain.points))
             assert same_bits(space.prior, grid.prior)
 
     def test_dimension_mismatch_rejected(self):
-        grid = build_linear_grid(3, 8, 1, 0.0)
+        grid = axis_grid()
         with pytest.raises(ValueError, match="dimension mismatch"):
             grid_space(grid, labeled_domain([LabeledPoint((1.0, 0.0), 1)]))
+
+
+def grid_max_margin(grid, data, error_fraction):
+    """Largest soft margin over the grid's hypotheses."""
+    return max(margin_value(h, data, error_fraction).value for h in grid.hypotheses)
 
 
 class TestMaxMarginAndLevelSets:
     separable = [LabeledPoint((1.0, 0.0), 1), LabeledPoint((-1.0, 0.0), -1)]
 
     def test_separable_pair_reaches_unit_margin(self):
-        grid = build_linear_grid(2, 8, 1, 0.0)  # contains the e1 separator
-        assert max_margin(grid, self.separable, 0.0) >= 1.0 - 1e-12
+        grid = build_linear_grid(8, 1, 0.0)  # contains the e1 separator
+        assert grid_max_margin(grid, self.separable, 0.0) >= 1.0 - 1e-12
 
     def test_origin_point_cannot_be_classified(self):
-        grid = build_linear_grid(2, 16, 1, 0.0)
+        grid = build_linear_grid(16, 1, 0.0)
         data = [LabeledPoint((0.0, 0.0), 1)]
-        assert max_margin(grid, data, 0.0) <= 0.0
+        assert grid_max_margin(grid, data, 0.0) <= 0.0
 
     def test_refinement_never_decreases(self):
-        coarse = build_linear_grid(2, 8, 3, 1.0)
-        fine = build_linear_grid(2, 16, 5, 1.0)  # superset of the coarse grid
+        coarse = build_linear_grid(8, 3, 1.0)
+        fine = build_linear_grid(16, 5, 1.0)  # superset of the coarse grid
         data = [
             LabeledPoint((0.4, 0.3), 1),
             LabeledPoint((-0.5, 0.1), -1),
             LabeledPoint((0.2, -0.8), 1),
         ]
         for r in (0.0, 1.0 / 3.0):
-            assert max_margin(fine, data, r) >= max_margin(coarse, data, r) - 1e-15
+            assert grid_max_margin(fine, data, r) >= grid_max_margin(coarse, data, r) - 1e-15
 
     def test_level_sets_on_separable_pair(self):
-        grid = build_linear_grid(2, 16, 5, 1.0)
+        grid = build_linear_grid(16, 5, 1.0)
         assert level_set_equality_check(grid, self.separable, 0.0)
 
     def test_level_sets_random_instances(self):
         rng = np.random.Generator(np.random.PCG64(66))
         for _ in range(25):
-            grid = build_linear_grid(2, int(rng.integers(4, 13)), int(rng.integers(1, 6)), 1.0)
+            grid = build_linear_grid(int(rng.integers(4, 13)), int(rng.integers(1, 6)), 1.0)
             data = [
                 LabeledPoint(tuple(rng.normal(size=2)), int(2 * rng.integers(0, 2) - 1))
                 for _ in range(int(rng.integers(2, 9)))
@@ -331,7 +296,7 @@ class TestMaxMarginAndLevelSets:
     def test_level_sets_with_zero_score_point(self):
         # the origin scores exactly zero for bias-free hypotheses: an error
         # for the loss and a non-positive margin, so both sides exclude it
-        grid = build_linear_grid(2, 8, 1, 0.0)
+        grid = build_linear_grid(8, 1, 0.0)
         data = [LabeledPoint((0.0, 0.0), 1), LabeledPoint((1.0, 0.0), 1)]
         assert level_set_equality_check(grid, data, 0.0)
         assert level_set_equality_check(grid, data, 0.5)
@@ -339,7 +304,7 @@ class TestMaxMarginAndLevelSets:
     def test_level_sets_at_full_error_budget(self):
         # every hypothesis in this grid scores some point positively, so the
         # one-point convention keeps the identity exact at r = 1
-        grid = build_linear_grid(2, 12, 3, 0.5)
+        grid = build_linear_grid(12, 3, 0.5)
         data = [
             LabeledPoint((1.0, 0.0), 1),
             LabeledPoint((-1.0, 0.0), 1),
@@ -353,7 +318,7 @@ class TestMaxMarginAndLevelSets:
 
     def test_separable_margin_gives_positive_mass_and_finite_complexity(self):
         domain = labeled_domain(self.separable)
-        space = grid_space(build_linear_grid(2, 72, 9, 1.0), domain)
+        space = grid_space(build_linear_grid(72, 9, 1.0), domain)
         profile = loss_profile(space, domain, DataSet(domain, np.array([0, 1])))
         mass = empirical_cdf(space, profile, 0.0)
         assert mass > 0.0
@@ -365,7 +330,7 @@ class TestMaxMarginAndLevelSets:
     def test_shrinking_scores_shrinks_level_mass(self):
         # moving the support vectors toward the separating boundary lowers
         # every separator's scores, so the mass of zero-error hypotheses drops
-        grid = build_linear_grid(2, 36, 7, 1.0)
+        grid = build_linear_grid(36, 7, 1.0)
         wide = [LabeledPoint((1.0, 0.0), 1), LabeledPoint((-1.0, 0.0), -1)]
         narrow = [LabeledPoint((0.2, 0.0), 1), LabeledPoint((-0.2, 0.0), -1)]
         for h in grid.hypotheses:
@@ -376,17 +341,6 @@ class TestMaxMarginAndLevelSets:
         profile_w = loss_profile(space_w, domain_w, DataSet(domain_w, np.array([0, 1])))
         profile_n = loss_profile(space_n, domain_n, DataSet(domain_n, np.array([0, 1])))
         assert empirical_cdf(space_n, profile_n, 0.0) <= empirical_cdf(space_w, profile_w, 0.0)
-
-    def test_hinge_zero_loss_mass_under_wide_margin(self):
-        # hard margin 1 exceeds the hinge scale 0.5, so some grid atom has
-        # zero empirical hinge loss
-        grid = build_linear_grid(2, 36, 7, 1.0, loss_kind="hinge", hinge_margin=0.5)
-        domain = labeled_domain(self.separable)
-        space = grid_space(grid, domain)
-        profile = loss_profile(space, domain, DataSet(domain, np.array([0, 1])))
-        assert max_margin(grid, self.separable, 0.0) > 0.5
-        assert empirical_cdf(space, profile, 0.0) > 0.0
-
 
 def margin_reference(h, data, error_fraction):
     """The per-point margin: one scalar score per point, then a stable sort of the negated values."""
@@ -415,7 +369,7 @@ def axis_grid():
     """3-d hypotheses along the axes with biases -0.5, 0 and 0.5."""
     axes = [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), (-1.0, 0.0, 0.0), (0.0, -1.0, 0.0)]
     hypotheses = tuple(LinearHypothesis(u, b) for u in axes for b in (-0.5, 0.0, 0.5))
-    return LinearGrid(hypotheses, np.full(len(hypotheses), 1.0 / len(hypotheses)), "zero_one", 1.0)
+    return LinearGrid(hypotheses, np.full(len(hypotheses), 1.0 / len(hypotheses)))
 
 
 class TestMarginBlocks:
@@ -429,13 +383,12 @@ class TestMarginBlocks:
                 got = margin_value(h, data, r)
                 value, selected = margin_reference(h, data, r)
                 assert (repr(got.value), got.selected) == (repr(value), selected)
-            assert repr(max_margin(grid, data, r)) == repr(max_margin_reference(grid, data, r))
             assert level_set_equality_check(grid, data, r) == level_set_reference(grid, data, r)
 
     def test_zero_scores_and_signed_zeros_in_2d(self):
         # points on the line z_1 = 0 score exactly 0.0 for the bias-free e1 hypothesis;
         # a label of -1 makes the value -0.0
-        grid = build_linear_grid(2, 8, 3, 1.0)
+        grid = build_linear_grid(8, 3, 1.0)
         data = [LabeledPoint((0.0, t), y) for t, y in ((0.5, -1), (-1.0, 1), (2.0, -1))]
         data += [LabeledPoint((1.0, 0.0), 1), LabeledPoint((0.0, 0.0), -1), LabeledPoint((-0.5, 0.3), -1)]
         e1 = grid.hypotheses[1]
@@ -457,47 +410,18 @@ class TestMarginBlocks:
 
     def test_random_grids(self):
         rng = np.random.Generator(np.random.PCG64(808))
-        for dim in (2, 3):
-            for _ in range(10):
-                grid = build_linear_grid(dim, int(rng.integers(4, 17)), int(rng.integers(1, 8)), 1.0)
-                data = [
-                    LabeledPoint(tuple(rng.normal(size=dim)), int(2 * rng.integers(0, 2) - 1))
-                    for _ in range(int(rng.integers(1, 11)))
-                ]
-                self.check(grid, data)
+        for _ in range(20):
+            grid = build_linear_grid(int(rng.integers(4, 17)), int(rng.integers(1, 8)), 1.0)
+            data = [
+                LabeledPoint(tuple(rng.normal(size=2)), int(2 * rng.integers(0, 2) - 1))
+                for _ in range(int(rng.integers(1, 11)))
+            ]
+            self.check(grid, data)
 
     def test_dimension_mismatch_rejected(self):
-        grid = build_linear_grid(2, 8, 1, 0.0)
+        grid = build_linear_grid(8, 1, 0.0)
         for data in ([LabeledPoint((1.0, 0.0, 0.0), 1)], [LabeledPoint((1.0, 0.0), 1), LabeledPoint((1.0,), 1)]):
-            with pytest.raises(ValueError, match="dimension mismatch"):
-                max_margin(grid, data, 0.0)
             with pytest.raises(ValueError, match="dimension mismatch"):
                 level_set_equality_check(grid, data, 0.0)
             with pytest.raises(ValueError, match="dimension mismatch"):
                 margin_value(grid.hypotheses[0], data, 0.0)
-
-
-class TestCsvRoundTrip:
-    def test_exact_round_trip(self, tmp_path):
-        rng = np.random.Generator(np.random.PCG64(9))
-        points = tuple(
-            LabeledPoint(tuple(rng.normal(size=3)), int(2 * rng.integers(0, 2) - 1))
-            for _ in range(10)
-        )
-        path = tmp_path / "data.csv"
-        write_labeled_csv(path, points)
-        assert read_labeled_csv(path) == points
-        header = path.read_text().splitlines()[0]
-        assert header == "z_1,z_2,z_3,y"
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("a,b\n1.0,1\n")
-        with pytest.raises(ValueError):
-            read_labeled_csv(path)
-
-    def test_empty_file_has_no_header(self, tmp_path):
-        path = tmp_path / "empty.csv"
-        path.write_text("\n")
-        with pytest.raises(ValueError, match="has no header"):
-            read_labeled_csv(path)

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -11,11 +10,9 @@ from gibbslab.model import (
     LossProfile,
     build_space,
     empirical_cdf,
-    empirical_loss,
     empirical_losses,
     inverse_cdf,
     k_minimizer_space,
-    load_space,
     loss_matrix,
     loss_profile,
     minimizer_summary,
@@ -23,11 +20,7 @@ from gibbslab.model import (
     random_loss_table,
     sample_dataset,
     sample_items,
-    space_from_document,
-    space_to_document,
     step_cdf,
-    true_cdf,
-    true_loss,
 )
 
 
@@ -92,10 +85,6 @@ class TestDomainAlignment:
             loss_matrix(space, domain)
         with pytest.raises(ValueError, match=message):
             loss_profile(space, domain, data)
-        with pytest.raises(ValueError, match=message):
-            true_loss(space, 0, domain)
-        with pytest.raises(ValueError, match=message):
-            empirical_loss(space, 0, data)
 
     def test_aligned_domain_reads_the_table(self):
         domain, space = random_loss_table(3, 4, 0)
@@ -142,32 +131,25 @@ class TestLossEvaluation:
         domain = FiniteDataDomain((0, 1, 2, 3), [0.25] * 4)
         space = FiniteHypothesisSpace([[0.0, 1.0, 1.0, 0.0]], [1.0])
         data = DataSet(domain, np.array([0, 1, 2, 3]))
-        assert empirical_loss(space, 0, data) == 0.5
+        assert loss_profile(space, domain, data).empirical[0] == 0.5
 
     def test_constant_loss(self):
         domain = FiniteDataDomain((0, 1), [0.5, 0.5])
         space = FiniteHypothesisSpace([[0.7, 0.7]], [1.0])
         data = sample_dataset(domain, 13, seed=3)
-        assert empirical_loss(space, 0, data) == pytest.approx(0.7, abs=1e-15)
-
-    def test_index_out_of_range(self):
-        domain = FiniteDataDomain((0,), [1.0])
-        space = FiniteHypothesisSpace([[0.0]], [1.0])
-        data = DataSet(domain, np.array([0]))
-        with pytest.raises(IndexError):
-            empirical_loss(space, 5, data)
-        with pytest.raises(IndexError):
-            true_loss(space, -1, domain)
+        assert loss_profile(space, domain, data).empirical[0] == pytest.approx(0.7, abs=1e-15)
 
     def test_true_loss_point_mass(self):
         domain = FiniteDataDomain((0, 1), [0.0, 1.0])
         space = FiniteHypothesisSpace([[0.3, 0.9]], [1.0])
-        assert true_loss(space, 0, domain) == pytest.approx(0.9, abs=1e-15)
+        data = DataSet(domain, np.array([1]))
+        assert loss_profile(space, domain, data).true[0] == pytest.approx(0.9, abs=1e-15)
 
     def test_true_loss_weighted(self):
         domain = FiniteDataDomain((0, 1), [0.25, 0.75])
         space = FiniteHypothesisSpace([[0.0, 1.0]], [1.0])
-        assert true_loss(space, 0, domain) == pytest.approx(0.75, abs=1e-15)
+        data = DataSet(domain, np.array([0]))
+        assert loss_profile(space, domain, data).true[0] == pytest.approx(0.75, abs=1e-15)
 
     def test_law_of_large_numbers(self):
         # 0/1 losses: empirical mean concentrates at the true loss
@@ -175,10 +157,10 @@ class TestLossEvaluation:
         zero_one = (loss_matrix(space, domain) > 0.5).astype(float)
         space01 = FiniteHypothesisSpace(zero_one, space.prior)
         n = 1_000_000
-        data = sample_dataset(domain, n, seed=12)
-        p = true_loss(space01, 0, domain)
+        profile = loss_profile(space01, domain, sample_dataset(domain, n, seed=12))
+        p = profile.true[0]
         sigma = math.sqrt(p * (1 - p) / n)
-        assert abs(empirical_loss(space01, 0, data) - p) <= 3 * sigma
+        assert abs(profile.empirical[0] - p) <= 3 * sigma
 
 
 class TestCdfs:
@@ -196,13 +178,6 @@ class TestCdfs:
 
     def test_below_support(self):
         assert empirical_cdf(self.space, self.profile, -1.0) == 0.0
-
-    def test_true_cdf_enumeration(self):
-        space = FiniteHypothesisSpace(np.zeros((4, 1)), [0.25] * 4)
-        profile = LossProfile([0.0] * 4, [0.1, 0.2, 0.3, 0.4])
-        assert true_cdf(space, profile, 0.25) == 0.5
-        assert true_cdf(space, profile, 0.05) == 0.0
-        assert true_cdf(space, profile, 0.4) == 1.0
 
     def test_misaligned_profile_rejected(self):
         profile = LossProfile([0.0], [0.0])
@@ -282,18 +257,15 @@ class TestGenerators:
 
     def test_permuted_labels_pure_noise(self):
         domain, space = permuted_label_task(4, seed=8, label_noise=0.5)
-        profile = LossProfile(
-            np.zeros(len(space)),
-            [true_loss(space, h, domain) for h in range(len(space))],
-        )
-        assert np.allclose(profile.true, 0.5, atol=1e-12)
+        true = space.table @ domain.probs
+        assert np.allclose(true, 0.5, atol=1e-12)
         # the true-loss CDF vanishes below its minimum
-        assert true_cdf(space, profile, 0.49) == 0.0
-        assert true_cdf(space, profile, 0.5) == 1.0
+        assert space.prior[true <= 0.49].sum() == 0.0
+        assert space.prior[true <= 0.5].sum() == 1.0
 
     def test_permuted_labels_planted_pattern(self):
         domain, space = permuted_label_task(5, seed=8, label_noise=0.0)
-        true = np.array([true_loss(space, h, domain) for h in range(len(space))])
+        true = space.table @ domain.probs
         assert true.min() == 0.0
         assert np.sum(true == 0.0) == 1  # only the planted pattern is perfect
 
@@ -304,71 +276,6 @@ class TestGenerators:
         assert len(space) == 3 and len(domain) == 2
         with pytest.raises(ValueError):
             build_space({"name": "nope"})
-
-
-class TestSerialization:
-    def test_document_round_trip_bit_exact(self):
-        domain, space = random_loss_table(5, 4, seed=21, random_prior=True, random_probs=True)
-        doc = space_to_document(domain, space)
-        text = json.dumps(doc)
-        domain2, space2 = space_from_document(json.loads(text))
-        assert json.dumps(space_to_document(domain2, space2)) == text
-        assert np.array_equal(loss_matrix(space, domain), loss_matrix(space2, domain2))
-        assert np.array_equal(domain.probs, domain2.probs)
-        assert np.array_equal(space.prior, space2.prior)
-
-    def test_tuple_points_survive(self):
-        domain, space = permuted_label_task(3, seed=4)
-        doc = space_to_document(domain, space)
-        domain2, space2 = space_from_document(json.loads(json.dumps(doc)))
-        assert np.array_equal(loss_matrix(space, domain), loss_matrix(space2, domain2))
-
-    def test_shape_mismatch_rejected(self):
-        domain, space = random_loss_table(2, 2, seed=0)
-        doc = space_to_document(domain, space)
-        doc["hypotheses"] = 3
-        with pytest.raises(ValueError):
-            space_from_document(doc)
-
-    @pytest.mark.parametrize("doc", [[1, 2], "space", 3, None])
-    def test_document_that_is_not_an_object_rejected(self, doc):
-        with pytest.raises(ValueError, match="space document must be an object"):
-            space_from_document(doc)
-
-    @pytest.mark.parametrize("field", ["prior", "probs", "points", "hypotheses", "loss_table"])
-    def test_missing_field_named(self, field):
-        domain, space = random_loss_table(2, 2, seed=0)
-        doc = space_to_document(domain, space)
-        del doc[field]
-        with pytest.raises(ValueError, match=f"missing the fields \\['{field}'\\]"):
-            space_from_document(doc)
-
-    @pytest.mark.parametrize("bad", [-0.5, math.nan, math.inf])
-    def test_bad_loss_table_rejected_at_load(self, bad, tmp_path):
-        domain, space = random_loss_table(2, 2, seed=0)
-        doc = space_to_document(domain, space)
-        doc["loss_table"][1][0] = bad
-        path = tmp_path / "space.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="loss_table entries must be finite and non-negative"):
-            load_space(path)
-
-    @pytest.mark.parametrize(
-        "field, value, message",
-        [
-            ("points", 2, "points must be a list"),
-            ("hypotheses", 3, "expected \\(3, 2\\) from hypotheses"),
-            ("loss_table", [[0.1, 0.2], [0.3]], "loss_table must be an array of numbers"),
-            ("probs", {"a": 1}, "probs must be an array of numbers"),
-            ("prior", [0.5, 0.6], "prior must sum to 1"),
-        ],
-    )
-    def test_bad_field_named(self, field, value, message):
-        domain, space = random_loss_table(2, 2, seed=0)
-        doc = space_to_document(domain, space)
-        doc[field] = value
-        with pytest.raises(ValueError, match=message):
-            space_from_document(doc)
 
 
 def per_pair_table(loss, hypotheses, points) -> np.ndarray:
@@ -481,8 +388,25 @@ class TestBuildSpaceErrors:
             build_space(spec)
 
     def test_spec_that_is_not_an_object_rejected(self):
-        with pytest.raises(ValueError, match="space spec must be an object"):
+        with pytest.raises(ValueError, match="space generator spec must be an object"):
             build_space(["random_loss_table", {"num_hypotheses": 3}])
+
+    @pytest.mark.parametrize(
+        "name, params, field",
+        [
+            ("random_loss_table", {"num_hypotheses": 8, "num_points": 2.0, "seed": 1}, "num_points"),
+            ("random_loss_table", {"num_hypotheses": 8, "num_points": 2, "seed": "1"}, "seed"),
+            ("k_minimizer_space", {"num_hypotheses": "8", "num_minimizers": 2, "seed": 1}, "num_hypotheses"),
+            ("k_minimizer_space", {"num_hypotheses": 8, "num_minimizers": 2.5, "seed": 1}, "num_minimizers"),
+            ("k_minimizer_space", {"num_hypotheses": 8, "num_minimizers": 2, "seed": 1, "num_points": 0}, "num_points"),
+            ("permuted_label_task", {"num_inputs": 8.5, "seed": 1}, "num_inputs"),
+            ("permuted_label_task", {"num_inputs": 3, "seed": -1}, "seed"),
+            ("permuted_label_task", {"num_inputs": 3, "seed": 1, "label_noise": "0.5"}, "label_noise"),
+        ],
+    )
+    def test_bad_generator_parameter_named(self, name, params, field):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            build_space({"name": name, "params": params})
 
     def test_params_that_are_not_an_object_rejected(self):
         with pytest.raises(ValueError, match="params of space generator 'random_loss_table'"):

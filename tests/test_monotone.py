@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -56,6 +57,20 @@ class TestFamilies:
             exponential_density(-1.0)
         with pytest.raises(ValueError):
             polynomial_density(-0.5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, "1.0", True, None])
+    def test_non_finite_or_non_numeric_parameters_named(self, value):
+        message = f"must be a finite non-negative number, got {value!r}"
+        with pytest.raises(ValueError, match="beta " + re.escape(message)):
+            exponential_density(value)
+        with pytest.raises(ValueError, match="a " + re.escape(message)):
+            polynomial_density(value)
+        with pytest.raises(ValueError, match="cap " + re.escape(message)):
+            capped_exponential_density(1.0, value)
+
+    def test_dispatcher_names_bad_parameters(self):
+        with pytest.raises(ValueError, match=r"density family 'polynomial': unknown parameters \['b'\]"):
+            density_family("polynomial", b=1.0)
 
 
 class TestNormalizeDensity:
