@@ -5,7 +5,6 @@ on finite hypothesis spaces, with seeded Monte Carlo verification harnesses.
 from .bounds import (
     BoundReport,
     binary_kl_bound,
-    distribution_dependent_rhs,
     generic_bound_rhs,
     high_temperature_bound,
     ipm_corrected_rhs,
@@ -38,7 +37,7 @@ from .gibbs import (
 from .harness import (
     ExperimentConfig,
     ExperimentResult,
-    ViolationSummary,
+    Outcome,
     run_concentration_experiment,
     run_experiment,
     run_phase_diagram,

@@ -237,11 +237,11 @@ def criterion_05() -> CriterionResult:
     passed = True
     for i, beta in enumerate((10.0, 50.0, 500.0)):
         start = time.perf_counter()
-        summary = run_violation_experiment(_soundness_config("kl", beta, 500 + i))
+        wilson = run_violation_experiment(_soundness_config("kl", beta, 500 + i)).aggregates["wilson_upper_99"]
         elapsed = time.perf_counter() - start
-        ok = summary.wilson_upper_99 <= 0.05 and elapsed < 120.0
+        ok = wilson <= 0.05 and elapsed < 120.0
         passed = passed and ok
-        details.append(f"beta={beta:g}: wilson {summary.wilson_upper_99:.4f} in {elapsed:.1f}s")
+        details.append(f"beta={beta:g}: wilson {wilson:.4f} in {elapsed:.1f}s")
     return CriterionResult(5, "bound soundness (relative entropy)", passed, "; ".join(details))
 
 
@@ -250,10 +250,10 @@ def criterion_06() -> CriterionResult:
     details = []
     passed = True
     for i, beta in enumerate((10.0, 50.0, 500.0)):
-        summary = run_violation_experiment(_soundness_config("stratify", beta, 600 + i))
-        ok = summary.wilson_upper_99 <= 0.05
+        wilson = run_violation_experiment(_soundness_config("stratify", beta, 600 + i)).aggregates["wilson_upper_99"]
+        ok = wilson <= 0.05
         passed = passed and ok
-        details.append(f"beta={beta:g}: wilson {summary.wilson_upper_99:.4f}")
+        details.append(f"beta={beta:g}: wilson {wilson:.4f}")
     return CriterionResult(6, "stratified sub-Gaussian soundness", passed, "; ".join(details))
 
 
@@ -275,13 +275,11 @@ def criterion_07() -> CriterionResult:
             master_seed=700 + i,
             p=1,
         )
-        outcome = run_concentration_experiment(config)
-        ok = outcome.part_i.wilson_upper_99 <= 0.05 and outcome.part_ii.wilson_upper_99 <= 0.05
+        parts = run_concentration_experiment(config).aggregates
+        wilson_i, wilson_ii = parts["part_i"]["wilson_upper_99"], parts["part_ii"]["wilson_upper_99"]
+        ok = wilson_i <= 0.05 and wilson_ii <= 0.05
         passed = passed and ok
-        details.append(
-            f"n={n}: wilson (i) {outcome.part_i.wilson_upper_99:.4f},"
-            f" (ii) {outcome.part_ii.wilson_upper_99:.4f}"
-        )
+        details.append(f"n={n}: wilson (i) {wilson_i:.4f}, (ii) {wilson_ii:.4f}")
     shift_gap = abs(shift_radius(100, 0.05, 1) - SHIFT_RADIUS_100)
     passed = passed and shift_gap <= 1e-6
     details.append(f"|shift - {SHIFT_RADIUS_100}| = {shift_gap:.1e}")
@@ -372,8 +370,9 @@ def criterion_09() -> CriterionResult:
             "beyond_gibbs", 1.0, 901, density={"name": "polynomial", "params": {"a": 1.0}}
         )
     )
-    sound = summary.wilson_upper_99 <= 0.05
-    detail = f"max RHS gap {worst:.1e}; polynomial wilson {summary.wilson_upper_99:.4f}"
+    wilson = summary.aggregates["wilson_upper_99"]
+    sound = wilson <= 0.05
+    detail = f"max RHS gap {worst:.1e}; polynomial wilson {wilson:.4f}"
     return CriterionResult(9, "monotone-density equivalence and soundness", equal and sound, detail)
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .gibbs import GibbsPosterior, complexity as complexity_value
 from .measures import per_element
-from .model import FiniteHypothesisSpace, LossProfile, step_cdf
+from .model import FiniteHypothesisSpace
 
 __all__ = [
     "BoundReport",
@@ -27,7 +27,6 @@ __all__ = [
     "stratified_subgaussian_bound",
     "stratified_subgaussian_bound_rows",
     "shift_radius",
-    "distribution_dependent_rhs",
 ]
 
 
@@ -162,40 +161,6 @@ def shift_radius(n: int, delta: float, p: int) -> float:
     k = 2 * p + 1
     log_numerator = k * math.log(n) + math.log1p(float(n) ** -k)
     return math.sqrt((log_numerator - math.log(delta)) / (2.0 * n))
-
-
-def distribution_dependent_rhs(
-    space: FiniteHypothesisSpace,
-    profile: LossProfile,
-    h_empirical: float,
-    beta: float,
-    n: int,
-    delta: float,
-    p: int,
-    log_moment: float,
-) -> float:
-    """Bound RHS phrased in the population loss CDF instead of the empirical one.
-
-    Minimizes beta*r + ln 1/(true_cdf(own + r - s) - n**-p * s) over the
-    admissible shifts, then adds log_moment + ln(2/delta).  The candidate
-    shifts sit at the jump points of the true-loss CDF (the objective is
-    piecewise linear increasing between them).  Returns +inf when no shift
-    leaves the corrected mass positive, recording vacuity as data rather
-    than raising.
-    """
-    if beta < 0.0:
-        raise ValueError("beta must be non-negative")
-    _check_delta(delta)
-    s = shift_radius(n, delta, p)
-    slack = s * float(n) ** -p
-    cdf = step_cdf(profile.true, space.prior)
-    corrected = cdf.cumulative - slack
-    admissible = corrected > 0.0
-    if not admissible.any():
-        return math.inf
-    shifts = cdf.levels[admissible] - h_empirical + s
-    objective = beta * shifts - np.log(corrected[admissible])
-    return float(objective.min()) + log_moment + math.log(2.0 / delta)
 
 
 @dataclass(frozen=True)

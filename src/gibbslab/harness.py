@@ -55,16 +55,12 @@ from .streams import seed_pairs
 
 __all__ = [
     "ExperimentConfig",
-    "ViolationSummary",
+    "Outcome",
     "ColumnRows",
     "ZeroTempRow",
-    "ZeroTempResult",
     "PhaseRow",
-    "PhaseResult",
     "ConcentrationRow",
-    "ConcentrationResult",
     "RandomLabelRow",
-    "RandomLabelResult",
     "ExperimentResult",
     "derive_seed_pair",
     "wilson_upper_99",
@@ -237,26 +233,14 @@ def wilson_upper_99(violations: int, trials: int) -> float:
     return min((center + half) / (1.0 + z2 / trials), 1.0)
 
 
-@dataclass(frozen=True)
-class ViolationSummary:
-    """Aggregate of bound-violation trials with a conservative rate estimate.
-
-    A violation run's rows are a ColumnRows of BoundReport, one block per
-    beta; dataclasses.asdict copies it whole rather than turning its rows
-    into dicts.
-    """
-
-    trials: int
-    violations: int
-    rate: float
-    wilson_upper_99: float
-    rows: ColumnRows | tuple = ()
-
-
-def _summarize(flags, rows=()) -> ViolationSummary:
-    trials = len(flags)
+def _rates(flags) -> dict:
+    """Violation count, rate and Wilson upper bound of a list of per-trial flags."""
     violations = int(sum(flags))
-    return ViolationSummary(trials, violations, violations / trials, wilson_upper_99(violations, trials), rows)
+    return {
+        "violations": violations,
+        "rate": violations / len(flags),
+        "wilson_upper_99": wilson_upper_99(violations, len(flags)),
+    }
 
 
 def _block_size(block: dict) -> int:
@@ -301,6 +285,19 @@ class ColumnRows(Sequence):
         return hash(self._rows)
 
 
+@dataclass(frozen=True)
+class Outcome:
+    """What an experiment found: its verdict, its report rows and the JSON aggregates of its summary.
+
+    rows is a ColumnRows or a tuple of the experiment's row dataclass;
+    aggregates is the dict run_experiment writes under "aggregates".
+    """
+
+    passed: bool
+    rows: ColumnRows | tuple
+    aggregates: dict
+
+
 def _realized_kl(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Relative entropy of each drawn hypothesis' empirical loss p (clamped to [0, 1]) from its true loss q.
 
@@ -343,7 +340,7 @@ def _check_subgaussian_scale(sigma: float, space, domain) -> None:
         )
 
 
-def run_violation_experiment(config: ExperimentConfig) -> ViolationSummary:
+def run_violation_experiment(config: ExperimentConfig) -> Outcome:
     """Draw (dataset, hypothesis) pairs and test the realized statistic per trial.
 
     For each inverse temperature in the grid and each trial: sample a
@@ -357,7 +354,8 @@ def run_violation_experiment(config: ExperimentConfig) -> ViolationSummary:
     the trials at one beta are array expressions with the bits of the
     scalar bound functions, so the rows equal those of running the trials
     one at a time through the public per-call functions.  The rows come
-    back as one block of columns per beta.
+    back as one block of columns per beta.  The run passes when the Wilson
+    upper bound on the violation rate over all trials is at most delta.
     """
     kind = config.bound_kind
     domain, space = build_space(config.space_spec)
@@ -397,7 +395,14 @@ def run_violation_experiment(config: ExperimentConfig) -> ViolationSummary:
             }
         )
     flags = list(itertools.chain.from_iterable(block["violated"] for block in blocks))
-    return _summarize(flags, ColumnRows(BoundReport, blocks))
+    totals = _rates(flags)
+    aggregates = {
+        "trials": len(flags),
+        **totals,
+        "per_beta": [{"beta": beta, **_rates(block["violated"])} for beta, block in zip(config.beta_grid, blocks)],
+        "bound_kind": config.bound_kind,
+    }
+    return Outcome(totals["wilson_upper_99"] <= config.delta, ColumnRows(BoundReport, blocks), aggregates)
 
 
 @dataclass(frozen=True)
@@ -408,42 +413,37 @@ class ZeroTempRow:
     limit: float
 
 
-@dataclass(frozen=True)
-class ZeroTempResult:
-    rows: tuple
-    limit: float
-    level_gap: float
-    passed: bool
+def _first_dataset(config: ExperimentConfig) -> tuple:
+    """The space, the empirical losses of trial 0's dataset, trial 0's draw seed and ln(1/minimizer mass)."""
+    domain, space = build_space(config.space_spec)
+    data_seed, draw_seed = derive_seed_pair(config.master_seed, 0)
+    profile = loss_profile(space, domain, sample_dataset(domain, config.n, data_seed))
+    summary = minimizer_summary(space, profile)
+    return space, profile.empirical, draw_seed, minimizer_mass_bound(summary.prior_mass_empirical_min)
 
 
-def run_zero_temp_sweep(config: ExperimentConfig) -> ZeroTempResult:
+def run_zero_temp_sweep(config: ExperimentConfig) -> Outcome:
     """Track the complexity of posterior draws and of a minimizer across betas.
 
     The minimizer's complexity is capped by ln(1/minimizer mass) at every
     beta, grows towards it, and attains it exactly once beta reaches
     cap / (smallest spacing of achieved loss levels).
     """
-    domain, space = build_space(config.space_spec)
-    data_seed, _ = derive_seed_pair(config.master_seed, 0)
-    data = sample_dataset(domain, config.n, data_seed)
-    profile = loss_profile(space, domain, data)
-    summary = minimizer_summary(space, profile)
-    limit = minimizer_mass_bound(summary.prior_mass_empirical_min)
-    cdf = step_cdf(profile.empirical, space.prior)
+    space, empirical, _, limit = _first_dataset(config)
+    cdf = step_cdf(empirical, space.prior)
     level_gap = float(np.diff(cdf.levels).min()) if cdf.levels.size > 1 else math.inf
 
     support = np.flatnonzero(space.prior > 0.0)
-    minimizer = int(support[np.argmin(profile.empirical[support])])
+    minimizer = int(support[np.argmin(empirical[support])])
     rows = []
     for beta_index, beta in enumerate(config.beta_grid):
         _, draw_seed = derive_seed_pair(config.master_seed, beta_index)
-        post = posterior(space, profile.empirical, beta)
-        drawn = sample_hypothesis(post, draw_seed)
+        drawn = sample_hypothesis(posterior(space, empirical, beta), draw_seed)
         rows.append(
             ZeroTempRow(
                 beta,
-                complexity(space, profile.empirical, drawn, beta).value,
-                complexity(space, profile.empirical, minimizer, beta).value,
+                complexity(space, empirical, drawn, beta).value,
+                complexity(space, empirical, minimizer, beta).value,
                 limit,
             )
         )
@@ -455,7 +455,7 @@ def run_zero_temp_sweep(config: ExperimentConfig) -> ZeroTempResult:
     threshold = limit / level_gap if math.isfinite(level_gap) else 0.0
     if ordered and ordered[-1].beta >= threshold:
         attained = abs(ordered[-1].lambda_min - limit) <= 1e-9
-    return ZeroTempResult(tuple(rows), limit, level_gap, capped and monotone and attained)
+    return Outcome(capped and monotone and attained, tuple(rows), {"limit": limit, "level_gap": level_gap})
 
 
 @dataclass(frozen=True)
@@ -466,13 +466,7 @@ class PhaseRow:
     plateau: float
 
 
-@dataclass(frozen=True)
-class PhaseResult:
-    rows: tuple
-    passed: bool
-
-
-def run_phase_diagram(config: ExperimentConfig) -> PhaseResult:
+def run_phase_diagram(config: ExperimentConfig) -> Outcome:
     """Bound values per beta: data-independent diagonal vs data-dependent plateau.
 
     Columns per beta: the worst-case bound (linear in beta), the
@@ -480,24 +474,20 @@ def run_phase_diagram(config: ExperimentConfig) -> PhaseResult:
     level ln(1/minimizer mass)/n.  Rows must satisfy
     kl <= min(diagonal, plateau) + ln(2 sqrt(n)/delta)/n.
     """
-    domain, space = build_space(config.space_spec)
-    data_seed, draw_seed = derive_seed_pair(config.master_seed, 0)
-    data = sample_dataset(domain, config.n, data_seed)
-    profile = loss_profile(space, domain, data)
-    summary = minimizer_summary(space, profile)
-    plateau = minimizer_mass_bound(summary.prior_mass_empirical_min) / config.n
-    h_star = sample_hypothesis(zero_temperature_posterior(space, profile.empirical), draw_seed)
+    space, empirical, draw_seed, limit = _first_dataset(config)
+    plateau = limit / config.n
+    h_star = sample_hypothesis(zero_temperature_posterior(space, empirical), draw_seed)
 
     n, delta = config.n, config.delta
     slack = binary_kl_bound(0.0, n, delta)  # ln(2 sqrt(n)/delta)/n
     rows = []
     for beta in config.beta_grid:
-        lam = complexity(space, profile.empirical, h_star, beta).value
+        lam = complexity(space, empirical, h_star, beta).value
         rows.append(
             PhaseRow(beta, high_temperature_bound(beta, n, delta), binary_kl_bound(lam, n, delta), plateau)
         )
     passed = all(r.kl <= min(r.diagonal, r.plateau) + slack + 1e-12 for r in rows)
-    return PhaseResult(tuple(rows), passed)
+    return Outcome(passed, tuple(rows), {"plateau": plateau})
 
 
 @dataclass(frozen=True)
@@ -509,14 +499,6 @@ class ConcentrationRow:
     shift: float
     violated_part_i: bool
     violated_part_ii: bool
-
-
-@dataclass(frozen=True)
-class ConcentrationResult:
-    part_i: ViolationSummary
-    part_ii: ViolationSummary
-    rows: ColumnRows | tuple
-    passed: bool
 
 
 def _concentration_flags(space, true_steps, empirical: np.ndarray, s: float, slack: float) -> tuple:
@@ -544,13 +526,14 @@ def _concentration_flags(space, true_steps, empirical: np.ndarray, s: float, sla
     return bad_i.tolist(), bad_ii.tolist()
 
 
-def run_concentration_experiment(config: ExperimentConfig) -> ConcentrationResult:
+def run_concentration_experiment(config: ExperimentConfig) -> Outcome:
     """Check that the empirical loss CDF tracks the true one at the shift radius.
 
     Part (i): empirical_cdf(r + s) >= true_cdf(r) - n**-p * s for all r;
     part (ii) is the mirror image.  Both sides are step functions of r, so
     checking at the jump points of the step side is exhaustive.  Each part
-    fails with probability at most delta per dataset.  Trials run in
+    fails with probability at most delta per dataset, and the run passes
+    when both parts' Wilson upper bounds are at most delta.  Trials run in
     blocks, and the rows come back as one block of columns.
     """
     domain, space = build_space(config.space_spec)
@@ -574,10 +557,13 @@ def run_concentration_experiment(config: ExperimentConfig) -> ConcentrationResul
         "violated_part_i": bad_i,
         "violated_part_ii": bad_ii,
     }
-    part_i = _summarize(bad_i)
-    part_ii = _summarize(bad_ii)
-    passed = part_i.wilson_upper_99 <= delta and part_ii.wilson_upper_99 <= delta
-    return ConcentrationResult(part_i, part_ii, ColumnRows(ConcentrationRow, [columns]), passed)
+    # each part's empty "rows" list is kept for the pinned report bytes
+    parts = {
+        "part_i": {"trials": len(bad_i), **_rates(bad_i), "rows": []},
+        "part_ii": {"trials": len(bad_ii), **_rates(bad_ii), "rows": []},
+    }
+    passed = all(part["wilson_upper_99"] <= delta for part in parts.values())
+    return Outcome(passed, ColumnRows(ConcentrationRow, [columns]), parts)
 
 
 @dataclass(frozen=True)
@@ -590,13 +576,7 @@ class RandomLabelRow:
     exceed_rate: float
 
 
-@dataclass(frozen=True)
-class RandomLabelResult:
-    rows: tuple
-    passed: bool
-
-
-def run_random_label_experiment(config: ExperimentConfig) -> RandomLabelResult:
+def run_random_label_experiment(config: ExperimentConfig) -> Outcome:
     """Median prior mass below a fixed loss level, as the sample size grows.
 
     For noise labels the true-loss CDF vanishes below its minimum, so the
@@ -631,7 +611,7 @@ def run_random_label_experiment(config: ExperimentConfig) -> RandomLabelResult:
         )
         if not vacuous:
             passed = passed and wilson_upper_99(exceed, config.trials) <= delta
-    return RandomLabelResult(tuple(rows), passed)
+    return Outcome(passed, tuple(rows), {"rows": [dataclasses.asdict(r) for r in rows]})
 
 
 # ---------------------------------------------------------------------------
@@ -685,70 +665,22 @@ def csv_report(row_type: type, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-# each runner returns (passed, row type, rows, aggregates)
-
-
-def _rates(summary: ViolationSummary) -> dict:
-    return {"violations": summary.violations, "rate": summary.rate, "wilson_upper_99": summary.wilson_upper_99}
-
-
-def _violation_report(config: ExperimentConfig) -> tuple:
-    outcome = run_violation_experiment(config)
-    # one block of rows per beta
-    per_beta = [
-        {"beta": beta, **_rates(_summarize(block["violated"]))}
-        for beta, block in zip(config.beta_grid, outcome.rows.blocks)
-    ]
-    aggregates = {
-        "trials": outcome.trials,
-        **_rates(outcome),
-        "per_beta": per_beta,
-        "bound_kind": config.bound_kind,
-    }
-    return outcome.wilson_upper_99 <= config.delta, BoundReport, outcome.rows, aggregates
-
-
-def _zero_temp_report(config: ExperimentConfig) -> tuple:
-    outcome = run_zero_temp_sweep(config)
-    aggregates = {"limit": outcome.limit, "level_gap": outcome.level_gap}
-    return outcome.passed, ZeroTempRow, outcome.rows, aggregates
-
-
-def _phase_report(config: ExperimentConfig) -> tuple:
-    outcome = run_phase_diagram(config)
-    aggregates = {"plateau": outcome.rows[0].plateau if outcome.rows else None}
-    return outcome.passed, PhaseRow, outcome.rows, aggregates
-
-
-def _concentration_report(config: ExperimentConfig) -> tuple:
-    outcome = run_concentration_experiment(config)
-    aggregates = {
-        "part_i": dataclasses.asdict(outcome.part_i),
-        "part_ii": dataclasses.asdict(outcome.part_ii),
-    }
-    return outcome.passed, ConcentrationRow, outcome.rows, aggregates
-
-
-def _random_label_report(config: ExperimentConfig) -> tuple:
-    outcome = run_random_label_experiment(config)
-    aggregates = {"rows": [dataclasses.asdict(r) for r in outcome.rows]}
-    return outcome.passed, RandomLabelRow, outcome.rows, aggregates
-
-
+# each runner and the row dataclass of its report
 _RUNNERS = {
-    "violation": _violation_report,
-    "zero_temp": _zero_temp_report,
-    "phase": _phase_report,
-    "concentration": _concentration_report,
-    "random_label": _random_label_report,
+    "violation": (run_violation_experiment, BoundReport),
+    "zero_temp": (run_zero_temp_sweep, ZeroTempRow),
+    "phase": (run_phase_diagram, PhaseRow),
+    "concentration": (run_concentration_experiment, ConcentrationRow),
+    "random_label": (run_random_label_experiment, RandomLabelRow),
 }
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Dispatch on config.experiment; write CSV + JSON when output_path is set."""
-    passed, row_type, rows, aggregates = _RUNNERS[config.experiment](config)
-    summary = {"config": config.to_dict(), "aggregates": aggregates, "passed": passed}
-    result = ExperimentResult(passed, csv_report(row_type, rows), summary)
+    runner, row_type = _RUNNERS[config.experiment]
+    outcome = runner(config)
+    summary = {"config": config.to_dict(), "aggregates": outcome.aggregates, "passed": outcome.passed}
+    result = ExperimentResult(outcome.passed, csv_report(row_type, outcome.rows), summary)
     if config.output_path:
         write_result(result, config.output_path)
     return result

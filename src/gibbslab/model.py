@@ -105,13 +105,6 @@ class DataSet:
         idx.setflags(write=False)
         object.__setattr__(self, "item_indices", idx)
 
-    @property
-    def n(self) -> int:
-        return int(self.item_indices.size)
-
-    def items(self) -> tuple:
-        return tuple(self.domain.points[i] for i in self.item_indices)
-
 
 @dataclass(frozen=True)
 class FiniteHypothesisSpace:

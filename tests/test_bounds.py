@@ -7,7 +7,6 @@ from mpmath import mp
 from gibbslab.bounds import (
     BoundReport,
     binary_kl_bound,
-    distribution_dependent_rhs,
     generic_bound_rhs,
     high_temperature_bound,
     minimizer_mass_bound,
@@ -15,7 +14,6 @@ from gibbslab.bounds import (
     stratified_subgaussian_bound,
 )
 from gibbslab.harness import csv_report
-from gibbslab.model import FiniteHypothesisSpace, LossProfile
 
 mp.dps = 50
 
@@ -159,44 +157,6 @@ class TestShiftRadius:
             shift_radius(100, 1.0, 1)
         with pytest.raises(ValueError):
             shift_radius(100, 0.05, 0)
-
-
-class TestDistributionDependentRhs:
-    def test_full_mass_degenerate_case(self):
-        # every hypothesis has true loss 0: a single candidate shift
-        space = FiniteHypothesisSpace([[0.0], [0.0]], [0.5, 0.5])
-        profile = LossProfile([0.1, 0.1], [0.0, 0.0])
-        n, delta, p, beta, log_moment = 100, 0.05, 1, 2.0, 0.3
-        s = shift_radius(n, delta, p)
-        slack = s / n
-        expected = beta * (0.0 - 0.1 + s) + math.log(1.0 / (1.0 - slack)) + log_moment + math.log(2.0 / delta)
-        got = distribution_dependent_rhs(space, profile, 0.1, beta, n, delta, p, log_moment)
-        assert got == pytest.approx(expected, abs=1e-12)
-
-    def test_two_level_enumeration(self):
-        # levels 0.5 (mass 0.6) and 0.8 (mass 1.0); own empirical loss far below
-        space = FiniteHypothesisSpace(np.zeros((5, 1)), [0.3, 0.3, 0.2, 0.1, 0.1])
-        profile = LossProfile(np.full(5, 0.1), [0.5, 0.5, 0.8, 0.8, 0.8])
-        n, delta, p, beta, log_moment = 100, 0.05, 1, 10.0, 0.0
-        s = shift_radius(n, delta, p)
-        slack = s / n
-        candidates = [
-            beta * (0.5 - 0.1 + s) - math.log(0.6 - slack),
-            beta * (0.8 - 0.1 + s) - math.log(1.0 - slack),
-        ]
-        expected = min(candidates) + log_moment + math.log(2.0 / delta)
-        got = distribution_dependent_rhs(space, profile, 0.1, beta, n, delta, p, log_moment)
-        assert got == pytest.approx(expected, abs=1e-12)
-        # the admissible shift starts at (min level - own + s): the bound pays
-        # roughly beta times that offset
-        assert got >= beta * (0.5 - 0.1)
-
-    def test_vacuous_sentinel(self):
-        # at n = 1 with tiny delta the slack exceeds the whole prior mass
-        space = FiniteHypothesisSpace([[0.0]], [1.0])
-        profile = LossProfile([0.0], [0.5])
-        got = distribution_dependent_rhs(space, profile, 0.0, 1.0, 1, 1e-40, 1, 0.0)
-        assert got == math.inf
 
 
 class TestBoundReport:

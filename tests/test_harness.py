@@ -244,9 +244,9 @@ class TestViolationExperiment:
     @pytest.mark.parametrize("kind", ["kl", "high_temp", "stratify"])
     def test_smoke_all_kinds(self, kind):
         summary = run_violation_experiment(config(bound_kind=kind))
-        assert summary.trials == 40
+        assert summary.aggregates["trials"] == 40
         assert len(summary.rows) == 40
-        assert summary.wilson_upper_99 >= summary.rate
+        assert summary.aggregates["wilson_upper_99"] >= summary.aggregates["rate"]
         assert all(r.n == 50 and r.delta == 0.05 for r in summary.rows)
 
     def test_beyond_gibbs_with_polynomial_density(self):
@@ -270,7 +270,7 @@ class TestViolationExperiment:
 
     def test_beta_grid_multiplies_trials(self):
         summary = run_violation_experiment(config(beta_grid=(1.0, 10.0), trials=15))
-        assert summary.trials == 30
+        assert summary.aggregates["trials"] == 30
         assert [r.beta for r in summary.rows] == [1.0] * 15 + [10.0] * 15
 
     def test_high_temp_rhs_constant_over_trials(self):
@@ -505,7 +505,7 @@ class TestZeroTempSweep:
         domain, space = k_minimizer_space(2, 1, seed=5)
         other_level = float(loss_matrix(space, domain).max())
         outcome = run_zero_temp_sweep(cfg)
-        assert outcome.limit == pytest.approx(math.log(2.0), abs=1e-12)
+        assert outcome.aggregates["limit"] == pytest.approx(math.log(2.0), abs=1e-12)
         for row in outcome.rows:
             expected = min(row.beta * other_level, math.log(2.0))
             assert row.lambda_min == pytest.approx(expected, abs=1e-12)
@@ -518,15 +518,15 @@ class TestZeroTempSweep:
             beta_grid=(0.0, 1.0, 10.0, 10.0 * math.log(100.0), 1e6),
         )
         outcome = run_zero_temp_sweep(cfg)
-        assert outcome.limit == pytest.approx(math.log(25.0), abs=1e-12)
-        assert outcome.level_gap >= 0.1 - 1e-9
+        assert outcome.aggregates["limit"] == pytest.approx(math.log(25.0), abs=1e-12)
+        assert outcome.aggregates["level_gap"] >= 0.1 - 1e-9
         assert outcome.rows[-1].lambda_min == pytest.approx(math.log(25.0), abs=1e-9)
         assert outcome.passed
 
     def test_lambda_bounded_by_limit(self):
         cfg = config(experiment="zero_temp", beta_grid=(0.1, 1.0, 10.0, 100.0))
         outcome = run_zero_temp_sweep(cfg)
-        assert all(r.lambda_min <= outcome.limit + 1e-12 for r in outcome.rows)
+        assert all(r.lambda_min <= outcome.aggregates["limit"] + 1e-12 for r in outcome.rows)
 
 
 class TestPhaseDiagram:
@@ -558,14 +558,14 @@ class TestConcentration:
             trials=120,
         )
         outcome = run_concentration_experiment(cfg)
-        assert outcome.part_i.violations == 0
-        assert outcome.part_ii.violations == 0
+        assert outcome.aggregates["part_i"]["violations"] == 0
+        assert outcome.aggregates["part_ii"]["violations"] == 0
         assert outcome.passed
 
     def test_random_space_smoke(self):
         outcome = run_concentration_experiment(config(experiment="concentration", trials=200))
-        assert outcome.part_i.wilson_upper_99 <= 0.05
-        assert outcome.part_ii.wilson_upper_99 <= 0.05
+        assert outcome.aggregates["part_i"]["wilson_upper_99"] <= 0.05
+        assert outcome.aggregates["part_ii"]["wilson_upper_99"] <= 0.05
         assert len(outcome.rows) == 200
 
 
@@ -620,12 +620,12 @@ class TestConcentrationKernel:
     def test_both_flags_of_both_parts(self, scaled_space, n):
         # 450 trials run in three blocks
         outcome = self.check(config(experiment="concentration", space_spec=scaled_space(scale=8.0), n=n, trials=450))
-        for part in (outcome.part_i, outcome.part_ii):
-            assert 0 < part.violations < part.trials
+        for part in outcome.aggregates.values():
+            assert 0 < part["violations"] < part["trials"]
 
     def test_one_part_never_flags(self, scaled_space):
         outcome = self.check(config(experiment="concentration", space_spec=scaled_space(scale=20.0), n=3, trials=200))
-        assert outcome.part_i.violations == 0 < outcome.part_ii.violations
+        assert outcome.aggregates["part_i"]["violations"] == 0 < outcome.aggregates["part_ii"]["violations"]
 
     def test_single_hypothesis(self, scaled_space):
         self.check(config(experiment="concentration", space_spec=scaled_space(scale=8.0, num_hypotheses=1), trials=50))
@@ -641,11 +641,11 @@ class TestConcentrationKernel:
                 master_seed=700,
             )
         )
-        assert outcome.part_i.violations == outcome.part_ii.violations == 0
+        assert outcome.aggregates["part_i"]["violations"] == outcome.aggregates["part_ii"]["violations"] == 0
 
     def test_pinned_config_never_flags(self):
         outcome = self.check(ExperimentConfig(**{**PINNED_BASE, **PINNED_CONFIGS["concentration"]}))
-        assert outcome.part_i.violations == outcome.part_ii.violations == 0
+        assert outcome.aggregates["part_i"]["violations"] == outcome.aggregates["part_ii"]["violations"] == 0
 
 
 class TestRandomLabel:
@@ -697,6 +697,25 @@ class TestRandomLabel:
             run_random_label_experiment(config(experiment="random_label", n_grid=(50,), r0=0.2))
         with pytest.raises(ValueError, match="n_grid"):
             run_random_label_experiment(config(experiment="random_label", space_spec=NOISE_TASK))
+
+
+OUTCOME_RUNS = {
+    "violation": (run_violation_experiment, {"beta_grid": (1.0, 50.0), "trials": 30}),
+    "zero_temp": (run_zero_temp_sweep, {"experiment": "zero_temp", "beta_grid": (0.0, 2.0, 1e9)}),
+    "phase": (run_phase_diagram, {"experiment": "phase", "beta_grid": (0.1, 10.0, 1000.0)}),
+    "concentration": (run_concentration_experiment, {"experiment": "concentration", "trials": 30}),
+    "random_label": (run_random_label_experiment, {**RANDOM_LABEL_FIELDS, "n_grid": (20, 80), "trials": 30}),
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(OUTCOME_RUNS))
+def test_outcome_holds_the_verdict_and_aggregates_of_the_summary(experiment):
+    runner, overrides = OUTCOME_RUNS[experiment]
+    cfg = config(**overrides)
+    outcome = runner(cfg)
+    summary = json.loads(json.dumps(run_experiment(cfg).summary))
+    assert outcome.aggregates == summary["aggregates"]
+    assert outcome.passed == summary["passed"]
 
 
 class TestRunExperiment:

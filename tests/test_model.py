@@ -95,7 +95,7 @@ class TestSampleDataset:
     def test_degenerate_domain(self):
         domain = FiniteDataDomain(("only",), [1.0])
         data = sample_dataset(domain, 17, seed=5)
-        assert data.items() == ("only",) * 17
+        assert data.item_indices.tolist() == [0] * 17
 
     def test_two_point_frequency(self):
         domain = FiniteDataDomain((0, 1), [0.5, 0.5])

@@ -2,11 +2,13 @@
 
 A profile hook records every function entered while the 12 acceptance
 criteria, one small run of each experiment kind (violation under each bound
-kind) and `gibbslab sweep` run.  The public module-level functions it never
-sees must be exactly UNREACHED: a new function that nothing runs fails the
-test, and so does a listed one that something has come to run.
+kind) and `gibbslab sweep` run.  The public module-level functions, and the
+public methods and properties of the public classes, that it never sees
+must be exactly UNREACHED: a new function that nothing runs fails the test,
+and so does a listed one that something has come to run.
 """
 
+import functools
 import inspect
 import json
 import sys
@@ -27,7 +29,6 @@ UNREACHED = {
     "gibbs.metropolis_occupancy": "the chain law of the planned metropolis bound kind",
     "gibbs.ipm_l1": "the sampling-law distance of the planned metropolis bound kind",
     "bounds.ipm_corrected_rhs": "the right-hand side of the planned metropolis bound kind",
-    "bounds.distribution_dependent_rhs": "the right-hand side of a planned bound kind in the population loss CDF",
 }
 
 SPACE = {"name": "random_loss_table", "params": {"num_hypotheses": 8, "num_points": 4, "seed": 1}}
@@ -52,13 +53,37 @@ RUNS = [
 ]
 
 
+def _function(value):
+    """The function behind a class attribute: a method, a property's getter, a class or static method."""
+    if isinstance(value, (classmethod, staticmethod)):
+        return value.__func__
+    if isinstance(value, property):
+        return value.fget
+    if isinstance(value, functools.cached_property):
+        return value.func
+    return value
+
+
 def public_functions() -> dict:
-    """module.name -> code object of every public function defined at the top level of a package module."""
+    """Qualified name -> code object of every public function, method and property defined in a package module.
+
+    Functions are those at a module's top level, methods and properties
+    those of its top-level public classes; the names read module.function
+    and module.Class.method.
+    """
     found = {}
     for module in MODULES:
+        prefix = module.__name__.removeprefix("gibbslab.")
         for name, value in vars(module).items():
-            if inspect.isfunction(value) and value.__module__ == module.__name__ and not name.startswith("_"):
-                found[f"{module.__name__.removeprefix('gibbslab.')}.{name}"] = value.__code__
+            if name.startswith("_") or getattr(value, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(value):
+                found[f"{prefix}.{name}"] = value.__code__
+            elif inspect.isclass(value):
+                for attr, member in vars(value).items():
+                    member = _function(member)
+                    if inspect.isfunction(member) and not attr.startswith("_"):
+                        found[f"{prefix}.{name}.{attr}"] = member.__code__
     return found
 
 
