@@ -3,7 +3,6 @@ on finite hypothesis spaces, with seeded Monte Carlo verification harnesses.
 """
 
 from .bounds import (
-    BoundReport,
     binary_kl_bound,
     generic_bound_rhs,
     high_temperature_bound,
@@ -35,6 +34,7 @@ from .gibbs import (
     zero_temperature_posterior,
 )
 from .harness import (
+    BoundReport,
     ExperimentConfig,
     ExperimentResult,
     Outcome,
@@ -68,13 +68,11 @@ from .model import (
     FiniteDataDomain,
     FiniteHypothesisSpace,
     LossProfile,
-    MinimizerSummary,
     build_space,
     empirical_cdf,
     k_minimizer_space,
     loss_matrix,
     loss_profile,
-    minimizer_summary,
     permuted_label_task,
     random_loss_table,
     sample_dataset,

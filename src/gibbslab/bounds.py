@@ -8,7 +8,6 @@ that would invalidate the probability accounting of the bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,7 +16,6 @@ from .measures import per_element
 from .model import FiniteHypothesisSpace
 
 __all__ = [
-    "BoundReport",
     "generic_bound_rhs",
     "monotone_bound_rhs",
     "ipm_corrected_rhs",
@@ -162,20 +160,3 @@ def shift_radius(n: int, delta: float, p: int) -> float:
     log_numerator = k * math.log(n) + math.log1p(float(n) ** -k)
     return math.sqrt((log_numerator - math.log(delta)) / (2.0 * n))
 
-
-@dataclass(frozen=True)
-class BoundReport:
-    """One Monte Carlo trial of a bound: complexity, RHS, realized value, flag."""
-
-    trial_seed: int
-    beta: float
-    n: int
-    delta: float
-    complexity: float = field(metadata={"column": "lambda"})
-    rhs: float
-    realized: float
-    violated: bool
-
-    def __post_init__(self):
-        if self.violated != (self.realized > self.rhs):
-            raise ValueError("violated flag inconsistent with realized > rhs")

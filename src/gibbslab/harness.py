@@ -14,15 +14,13 @@ import itertools
 import json
 import math
 import numbers
-import operator
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .bounds import (
-    BoundReport,
     binary_kl_bound,
     high_temperature_bound,
     minimizer_mass_bound,
@@ -32,31 +30,23 @@ from .bounds import (
 from .gibbs import (
     _FAMILIES,
     cdf_rows,
-    complexity,
+    complexity_rows,
     density_family,
     exponential_density,
-    posterior,
     posterior_draws,
-    sample_hypothesis,
+    posterior_rows,
+    sample_rows,
     zero_temperature_posterior,
 )
 from .measures import binary_kl_rows
-from .model import (
-    _from_spec,
-    build_space,
-    empirical_losses,
-    loss_profile,
-    minimizer_summary,
-    sample_dataset,
-    sample_items,
-    step_cdf,
-)
+from .model import TIE_TOL, _from_spec, build_space, empirical_losses, loss_matrix, sample_items, step_cdf
 from .streams import seed_pairs
 
 __all__ = [
     "ExperimentConfig",
     "Outcome",
     "ColumnRows",
+    "BoundReport",
     "ZeroTempRow",
     "PhaseRow",
     "ConcentrationRow",
@@ -281,21 +271,31 @@ class ColumnRows(Sequence):
     def __eq__(self, other) -> bool:
         return isinstance(other, Sequence) and self._rows == tuple(other)
 
-    def __hash__(self) -> int:
-        return hash(self._rows)
-
 
 @dataclass(frozen=True)
 class Outcome:
     """What an experiment found: its verdict, its report rows and the JSON aggregates of its summary.
 
-    rows is a ColumnRows or a tuple of the experiment's row dataclass;
     aggregates is the dict run_experiment writes under "aggregates".
     """
 
     passed: bool
-    rows: ColumnRows | tuple
+    rows: ColumnRows
     aggregates: dict
+
+
+@dataclass(frozen=True)
+class BoundReport:
+    """One Monte Carlo trial of a bound: complexity, RHS, realized value, flag."""
+
+    trial_seed: int
+    beta: float
+    n: int
+    delta: float
+    complexity: float = field(metadata={"column": "lambda"})
+    rhs: float
+    realized: float
+    violated: bool
 
 
 def _realized_kl(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -414,12 +414,24 @@ class ZeroTempRow:
 
 
 def _first_dataset(config: ExperimentConfig) -> tuple:
-    """The space, the empirical losses of trial 0's dataset, trial 0's draw seed and ln(1/minimizer mass)."""
+    """The space, the empirical losses of trial 0's dataset, the draw seed of each beta and ln(1/minimizer mass).
+
+    Beta index b draws from the second seed of derive_seed_pair(master_seed, b),
+    and trial 0's dataset from the first seed of the pair at b = 0.
+    """
     domain, space = build_space(config.space_spec)
-    data_seed, draw_seed = derive_seed_pair(config.master_seed, 0)
-    profile = loss_profile(space, domain, sample_dataset(domain, config.n, data_seed))
-    summary = minimizer_summary(space, profile)
-    return space, profile.empirical, draw_seed, minimizer_mass_bound(summary.prior_mass_empirical_min)
+    data_seeds, draw_seeds = seed_pairs(config.master_seed, (), np.arange(len(config.beta_grid)))
+    empirical = empirical_losses(loss_matrix(space, domain), sample_items(domain, config.n, data_seeds[:1]))[0]
+    positive = space.prior > 0.0
+    lowest = empirical[positive].min()
+    mass = float(space.prior[positive & (empirical <= lowest + TIE_TOL)].sum())
+    return space, empirical, draw_seeds, minimizer_mass_bound(mass)
+
+
+def _complexities(space, empirical: np.ndarray, h_indices: np.ndarray, betas) -> np.ndarray:
+    """The complexity of hypothesis h_indices[i] under one loss row at rate betas[i], for every i."""
+    losses = np.broadcast_to(empirical, (len(betas), empirical.size))
+    return complexity_rows(space, losses, h_indices, betas)[0]
 
 
 def run_zero_temp_sweep(config: ExperimentConfig) -> Outcome:
@@ -429,33 +441,27 @@ def run_zero_temp_sweep(config: ExperimentConfig) -> Outcome:
     beta, grows towards it, and attains it exactly once beta reaches
     cap / (smallest spacing of achieved loss levels).
     """
-    space, empirical, _, limit = _first_dataset(config)
+    space, empirical, draw_seeds, limit = _first_dataset(config)
     cdf = step_cdf(empirical, space.prior)
     level_gap = float(np.diff(cdf.levels).min()) if cdf.levels.size > 1 else math.inf
 
     support = np.flatnonzero(space.prior > 0.0)
     minimizer = int(support[np.argmin(empirical[support])])
-    rows = []
-    for beta_index, beta in enumerate(config.beta_grid):
-        _, draw_seed = derive_seed_pair(config.master_seed, beta_index)
-        drawn = sample_hypothesis(posterior(space, empirical, beta), draw_seed)
-        rows.append(
-            ZeroTempRow(
-                beta,
-                complexity(space, empirical, drawn, beta).value,
-                complexity(space, empirical, minimizer, beta).value,
-                limit,
-            )
-        )
+    betas = config.beta_grid
+    weights = np.concatenate([posterior_rows(space, empirical[None], beta)[0] for beta in betas])
+    drawn = sample_rows(weights, draw_seeds)
+    lams = _complexities(space, empirical, np.append(drawn, [minimizer] * len(betas)), betas + betas).tolist()
+    lambda_drawn, lambda_min = lams[: len(betas)], lams[len(betas) :]
 
-    capped = all(r.lambda_min <= limit + 1e-12 for r in rows)
-    ordered = sorted(rows, key=lambda r: r.beta)
-    monotone = all(a.lambda_min <= b.lambda_min + 1e-12 for a, b in zip(ordered, ordered[1:]))
-    attained = True
+    capped = all(lam <= limit + 1e-12 for lam in lambda_min)
+    ordered = sorted(zip(betas, lambda_min), key=lambda row: row[0])
+    monotone = all(a <= b + 1e-12 for (_, a), (_, b) in zip(ordered, ordered[1:]))
     threshold = limit / level_gap if math.isfinite(level_gap) else 0.0
-    if ordered and ordered[-1].beta >= threshold:
-        attained = abs(ordered[-1].lambda_min - limit) <= 1e-9
-    return Outcome(capped and monotone and attained, tuple(rows), {"limit": limit, "level_gap": level_gap})
+    last_beta, last_min = ordered[-1]
+    attained = last_beta < threshold or abs(last_min - limit) <= 1e-9
+    columns = {"beta": list(betas), "lambda_drawn": lambda_drawn, "lambda_min": lambda_min, "limit": limit}
+    rows = ColumnRows(ZeroTempRow, [columns])
+    return Outcome(capped and monotone and attained, rows, {"limit": limit, "level_gap": level_gap})
 
 
 @dataclass(frozen=True)
@@ -474,20 +480,18 @@ def run_phase_diagram(config: ExperimentConfig) -> Outcome:
     level ln(1/minimizer mass)/n.  Rows must satisfy
     kl <= min(diagonal, plateau) + ln(2 sqrt(n)/delta)/n.
     """
-    space, empirical, draw_seed, limit = _first_dataset(config)
+    space, empirical, draw_seeds, limit = _first_dataset(config)
     plateau = limit / config.n
-    h_star = sample_hypothesis(zero_temperature_posterior(space, empirical), draw_seed)
+    h_star = sample_rows(zero_temperature_posterior(space, empirical).weights[None], draw_seeds[:1])[0]
 
     n, delta = config.n, config.delta
     slack = binary_kl_bound(0.0, n, delta)  # ln(2 sqrt(n)/delta)/n
-    rows = []
-    for beta in config.beta_grid:
-        lam = complexity(space, empirical, h_star, beta).value
-        rows.append(
-            PhaseRow(beta, high_temperature_bound(beta, n, delta), binary_kl_bound(lam, n, delta), plateau)
-        )
-    passed = all(r.kl <= min(r.diagonal, r.plateau) + slack + 1e-12 for r in rows)
-    return Outcome(passed, tuple(rows), {"plateau": plateau})
+    diagonal = [high_temperature_bound(beta, n, delta) for beta in config.beta_grid]
+    lams = _complexities(space, empirical, np.full(len(config.beta_grid), h_star), config.beta_grid)
+    kl = binary_kl_bound(lams, n, delta).tolist()
+    passed = all(k <= min(d, plateau) + slack + 1e-12 for d, k in zip(diagonal, kl))
+    columns = {"beta": list(config.beta_grid), "diagonal": diagonal, "kl": kl, "plateau": plateau}
+    return Outcome(passed, ColumnRows(PhaseRow, [columns]), {"plateau": plateau})
 
 
 @dataclass(frozen=True)
@@ -595,7 +599,7 @@ def run_random_label_experiment(config: ExperimentConfig) -> Outcome:
     min_true = float(step_cdf(space.table @ domain.probs, space.prior).levels[0])
     r0, delta, p = float(config.r0), config.delta, config.p
 
-    rows = []
+    columns = {"n": list(config.n_grid), "r0": r0, "median_phi_hat": [], "bound": [], "vacuous": [], "exceed_rate": []}
     passed = True
     for n_index, n in enumerate(config.n_grid):
         s = shift_radius(n, delta, p)
@@ -606,12 +610,14 @@ def run_random_label_experiment(config: ExperimentConfig) -> Outcome:
             # a per-row masked sum: a (T, H) @ prior product would sum in another order
             phis.extend(float(space.prior[empirical <= r0].sum()) for empirical in block)
         exceed = sum(1 for v in phis if v > bound)
-        rows.append(
-            RandomLabelRow(n, r0, float(np.median(phis)), bound, vacuous, exceed / config.trials)
-        )
+        columns["median_phi_hat"].append(float(np.median(phis)))
+        columns["bound"].append(bound)
+        columns["vacuous"].append(vacuous)
+        columns["exceed_rate"].append(exceed / config.trials)
         if not vacuous:
             passed = passed and wilson_upper_99(exceed, config.trials) <= delta
-    return Outcome(passed, tuple(rows), {"rows": [dataclasses.asdict(r) for r in rows]})
+    rows = ColumnRows(RandomLabelRow, [columns])
+    return Outcome(passed, rows, {"rows": list(map(dataclasses.asdict, rows))})
 
 
 # ---------------------------------------------------------------------------
@@ -637,23 +643,19 @@ _COLUMN_CELLS = {
 }
 
 
-def csv_report(row_type: type, rows) -> str:
-    """CSV text of rows of the dataclass row_type, one column per field.
+def csv_report(rows: ColumnRows) -> str:
+    """CSV text of report rows, one column per field of their dataclass rows.row_type.
 
-    rows is a sequence of row_type objects; a ColumnRows is written from its
-    columns, and a value shared by a block's rows is formatted once.  The
-    header is the field names, or a field's "column" metadata where it has
-    one.  Cells are written a column at a time by the field's declared
-    type, not the value's: float as the shortest round-trip repr (an int in
-    a float field still reads 1.0), int in decimal, bool as true/false.
+    The rows are written from their column blocks, and a value shared by a
+    block's rows is formatted once.  The header is the field names, or a
+    field's "column" metadata where it has one.  Cells are written a column
+    at a time by the field's declared type, not the value's: float as the
+    shortest round-trip repr (an int in a float field still reads 1.0), int
+    in decimal, bool as true/false.
     """
-    fields = dataclasses.fields(row_type)
+    fields = dataclasses.fields(rows.row_type)
     lines = [",".join(f.metadata.get("column", f.name) for f in fields)]
-    if isinstance(rows, ColumnRows):
-        blocks = rows.blocks
-    else:
-        blocks = [{f.name: list(map(operator.attrgetter(f.name), rows)) for f in fields}]
-    for block in blocks:
+    for block in rows.blocks:
         size = _block_size(block)
         columns = []
         for f in fields:
@@ -665,22 +667,20 @@ def csv_report(row_type: type, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-# each runner and the row dataclass of its report
 _RUNNERS = {
-    "violation": (run_violation_experiment, BoundReport),
-    "zero_temp": (run_zero_temp_sweep, ZeroTempRow),
-    "phase": (run_phase_diagram, PhaseRow),
-    "concentration": (run_concentration_experiment, ConcentrationRow),
-    "random_label": (run_random_label_experiment, RandomLabelRow),
+    "violation": run_violation_experiment,
+    "zero_temp": run_zero_temp_sweep,
+    "phase": run_phase_diagram,
+    "concentration": run_concentration_experiment,
+    "random_label": run_random_label_experiment,
 }
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Dispatch on config.experiment; write CSV + JSON when output_path is set."""
-    runner, row_type = _RUNNERS[config.experiment]
-    outcome = runner(config)
+    outcome = _RUNNERS[config.experiment](config)
     summary = {"config": config.to_dict(), "aggregates": outcome.aggregates, "passed": outcome.passed}
-    result = ExperimentResult(outcome.passed, csv_report(row_type, outcome.rows), summary)
+    result = ExperimentResult(outcome.passed, csv_report(outcome.rows), summary)
     if config.output_path:
         write_result(result, config.output_path)
     return result

@@ -23,7 +23,6 @@ __all__ = [
     "DataSet",
     "FiniteHypothesisSpace",
     "LossProfile",
-    "MinimizerSummary",
     "StepCdf",
     "step_cdf",
     "inverse_cdf",
@@ -31,7 +30,6 @@ __all__ = [
     "sample_dataset",
     "empirical_losses",
     "empirical_cdf",
-    "minimizer_summary",
     "loss_matrix",
     "loss_profile",
     "random_loss_table",
@@ -148,16 +146,6 @@ class LossProfile:
 
 
 @dataclass(frozen=True)
-class MinimizerSummary:
-    """Loss minima over positive-prior hypotheses and their prior masses."""
-
-    min_empirical: float
-    min_true: float
-    prior_mass_empirical_min: float
-    prior_mass_true_min: float
-
-
-@dataclass(frozen=True)
 class StepCdf:
     """Right-continuous step CDF of a finitely supported weighted value set.
 
@@ -269,31 +257,9 @@ def empirical_losses(matrix: np.ndarray, items: np.ndarray, sizes=None) -> np.nd
 
 def empirical_cdf(space: FiniteHypothesisSpace, profile: LossProfile, r: float) -> float:
     """Prior mass of hypotheses whose empirical loss is at most r."""
-    _check_aligned(space, profile)
-    return float(space.prior[profile.empirical <= r].sum())
-
-
-def _check_aligned(space: FiniteHypothesisSpace, profile: LossProfile) -> None:
     if profile.empirical.size != len(space):
         raise ValueError("loss profile is not aligned with the hypothesis space")
-
-
-def minimizer_summary(space: FiniteHypothesisSpace, profile: LossProfile) -> MinimizerSummary:
-    """Minima over positive-prior hypotheses, with tie tolerance TIE_TOL.
-
-    On a finite space the essential infimum under the prior is the minimum
-    over atoms of positive prior mass; zero-prior hypotheses are ignored
-    even if they achieve smaller losses.
-    """
-    _check_aligned(space, profile)
-    mask = space.prior > 0.0
-    if not mask.any():
-        raise ValueError("no hypothesis carries positive prior mass")
-    min_emp = float(profile.empirical[mask].min())
-    min_true = float(profile.true[mask].min())
-    mass_emp = float(space.prior[mask & (profile.empirical <= min_emp + TIE_TOL)].sum())
-    mass_true = float(space.prior[mask & (profile.true <= min_true + TIE_TOL)].sum())
-    return MinimizerSummary(min_emp, min_true, mass_emp, mass_true)
+    return float(space.prior[profile.empirical <= r].sum())
 
 
 def loss_matrix(space: FiniteHypothesisSpace, domain: FiniteDataDomain) -> np.ndarray:
@@ -332,17 +298,15 @@ def random_loss_table(
     num_points: int,
     seed: int,
     random_prior: bool = False,
-    random_probs: bool = False,
 ) -> tuple[FiniteDataDomain, FiniteHypothesisSpace]:
-    """Loss table with iid uniform [0,1) entries; optional random weights."""
+    """Loss table with iid uniform [0,1) entries over uniform points; optional random prior."""
     _check_count("num_hypotheses", num_hypotheses, 1)
     _check_count("num_points", num_points, 1)
     _check_count("seed", seed, 0)
     rng = np.random.Generator(np.random.PCG64(seed))
     table = rng.random((num_hypotheses, num_points))
-    probs = _random_simplex(rng, num_points) if random_probs else np.full(num_points, 1.0 / num_points)
     prior = _random_simplex(rng, num_hypotheses) if random_prior else np.full(num_hypotheses, 1.0 / num_hypotheses)
-    domain = FiniteDataDomain(tuple(range(num_points)), probs)
+    domain = FiniteDataDomain(tuple(range(num_points)), np.full(num_points, 1.0 / num_points))
     return domain, FiniteHypothesisSpace(table, prior)
 
 

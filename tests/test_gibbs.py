@@ -23,9 +23,9 @@ from gibbslab.gibbs import (
     zero_temperature_posterior,
 )
 from gibbslab.model import (
+    TIE_TOL,
     FiniteHypothesisSpace,
     loss_profile,
-    minimizer_summary,
     random_loss_table,
     sample_dataset,
     step_cdf,
@@ -171,7 +171,9 @@ class TestComplexity:
         rng = np.random.Generator(np.random.PCG64(29))
         for _ in range(50):
             space, profile = random_instance(rng)
-            cap = minimizer_mass_bound(minimizer_summary(space, profile).prior_mass_empirical_min)
+            # every prior atom of random_instance is positive
+            minimizers = profile.empirical <= profile.empirical.min() + TIE_TOL
+            cap = minimizer_mass_bound(float(space.prior[minimizers].sum()))
             beta = float(10.0 ** rng.uniform(-1, 3))
             h = int(rng.integers(0, len(space)))
             assert complexity(space, profile.empirical, h, beta).value <= cap + 1e-12

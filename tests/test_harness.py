@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -10,21 +11,24 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gibbslab.bounds import (
-    BoundReport,
     binary_kl_bound,
     high_temperature_bound,
     minimizer_mass_bound,
     shift_radius,
     stratified_subgaussian_bound,
 )
-from gibbslab.gibbs import complexity, posterior, sample_hypothesis
+from gibbslab.gibbs import complexity, posterior, sample_hypothesis, zero_temperature_posterior
 from gibbslab.harness import (
     BLOCK_CELLS,
     EXPERIMENT_NAMES,
     Z_99,
+    BoundReport,
+    ColumnRows,
     ConcentrationRow,
     ExperimentConfig,
+    PhaseRow,
     RandomLabelRow,
+    ZeroTempRow,
     _bound_columns,
     csv_report,
     derive_seed_pair,
@@ -39,11 +43,13 @@ from gibbslab.harness import (
 )
 from gibbslab.model import (
     SPACE_GENERATORS,
+    TIE_TOL,
     FiniteDataDomain,
     FiniteHypothesisSpace,
     build_space,
     k_minimizer_space,
     loss_matrix,
+    loss_profile,
     sample_dataset,
     step_cdf,
 )
@@ -54,6 +60,11 @@ from gibbslab.measures import binary_kl
 SMALL_SPACE = {"name": "random_loss_table", "params": {"num_hypotheses": 16, "num_points": 8, "seed": 3}}
 NOISE_TASK = {"name": "permuted_label_task", "params": {"num_inputs": 6, "seed": 3, "label_noise": 0.5}}
 RANDOM_LABEL_FIELDS = {"experiment": "random_label", "space_spec": NOISE_TASK, "n_grid": (50,), "r0": 0.3}
+
+
+def as_columns(row_type: type, rows) -> ColumnRows:
+    """Row objects as one column block, the form csv_report writes."""
+    return ColumnRows(row_type, [{f.name: [getattr(r, f.name) for r in rows] for f in dataclasses.fields(row_type)}])
 
 
 def config(**overrides) -> ExperimentConfig:
@@ -317,7 +328,7 @@ def _realized_binary_kl(p: float, q: float) -> float:
     return 0.0 if p == q else math.inf
 
 
-def _violation_oracle(cfg: ExperimentConfig) -> list:
+def _violation_oracle(cfg: ExperimentConfig) -> ColumnRows:
     """The per-trial loop: one dataset, posterior, draw and bound at a time."""
     domain, space = build_space(cfg.space_spec)
     matrix = loss_matrix(space, domain)
@@ -350,7 +361,7 @@ def _violation_oracle(cfg: ExperimentConfig) -> list:
                 else:
                     rhs = binary_kl_bound(lam, n, delta)
             rows.append(BoundReport(data_seed, rate, n, delta, lam, rhs, realized, realized > rhs))
-    return rows
+    return as_columns(BoundReport, rows)
 
 
 # empirical losses at and just past the ends of [0, 1], -0.0 included
@@ -406,7 +417,7 @@ def _kernel_rows(cfg: ExperimentConfig) -> tuple:
 def _outcome(run, cfg):
     """The CSV text of a run's rows, or the type and message of the error it raised."""
     try:
-        return csv_report(BoundReport, run(cfg))
+        return csv_report(run(cfg))
     except ValueError as exc:
         return (type(exc).__name__, str(exc))
 
@@ -612,7 +623,7 @@ class TestConcentrationKernel:
     def check(self, cfg):
         outcome = run_concentration_experiment(cfg)
         oracle = _concentration_oracle(cfg)
-        assert csv_report(ConcentrationRow, outcome.rows) == csv_report(ConcentrationRow, oracle)
+        assert csv_report(outcome.rows) == csv_report(as_columns(ConcentrationRow, oracle))
         assert outcome.rows == tuple(oracle)
         return outcome
 
@@ -780,7 +791,7 @@ class TestRunExperiment:
         assert [row[1] for row in rows] == ["1.0"] * 5
 
     def test_empty_n_grid_writes_the_header_only(self):
-        assert csv_report(RandomLabelRow, []) == "n,r0,median_phi_hat,bound,vacuous,exceed_rate\n"
+        assert csv_report(ColumnRows(RandomLabelRow, [])) == "n,r0,median_phi_hat,bound,vacuous,exceed_rate\n"
 
     def test_rerun_is_byte_identical(self, tmp_path):
         out = tmp_path / "d.csv"
@@ -869,3 +880,84 @@ def test_reports_match_pinned_hashes(name, tmp_path):
     write_result(run_experiment(ExperimentConfig(**{**PINNED_BASE, **PINNED_CONFIGS[name]})), path)
     digest = hashlib.sha256(path.read_bytes() + path.with_suffix(".json").read_bytes()).hexdigest()
     assert digest == PINNED_HASHES[name]
+
+
+def _first_dataset_oracle(cfg: ExperimentConfig) -> tuple:
+    """Trial 0's dataset through the per-call functions: space, empirical losses, draw seed, ln(1/minimizer mass)."""
+    domain, space = build_space(cfg.space_spec)
+    data_seed, draw_seed = derive_seed_pair(cfg.master_seed, 0)
+    profile = loss_profile(space, domain, sample_dataset(domain, cfg.n, data_seed))
+    positive = space.prior > 0.0
+    lowest = float(profile.empirical[positive].min())
+    mass = float(space.prior[positive & (profile.empirical <= lowest + TIE_TOL)].sum())
+    return space, profile.empirical, draw_seed, minimizer_mass_bound(mass)
+
+
+def _zero_temp_oracle(cfg: ExperimentConfig) -> tuple:
+    """The per-beta loop: one posterior, one draw and two complexities at a time."""
+    space, empirical, _, limit = _first_dataset_oracle(cfg)
+    cdf = step_cdf(empirical, space.prior)
+    level_gap = float(np.diff(cdf.levels).min()) if cdf.levels.size > 1 else math.inf
+    support = np.flatnonzero(space.prior > 0.0)
+    minimizer = int(support[np.argmin(empirical[support])])
+    rows = []
+    for beta_index, beta in enumerate(cfg.beta_grid):
+        _, draw_seed = derive_seed_pair(cfg.master_seed, beta_index)
+        drawn = sample_hypothesis(posterior(space, empirical, beta), draw_seed)
+        lams = [complexity(space, empirical, h, beta).value for h in (drawn, minimizer)]
+        rows.append(ZeroTempRow(beta, *lams, limit))
+    capped = all(r.lambda_min <= limit + 1e-12 for r in rows)
+    ordered = sorted(rows, key=lambda r: r.beta)
+    monotone = all(a.lambda_min <= b.lambda_min + 1e-12 for a, b in zip(ordered, ordered[1:]))
+    threshold = limit / level_gap if math.isfinite(level_gap) else 0.0
+    attained = ordered[-1].beta < threshold or abs(ordered[-1].lambda_min - limit) <= 1e-9
+    return capped and monotone and attained, as_columns(ZeroTempRow, rows), {"limit": limit, "level_gap": level_gap}
+
+
+def _phase_oracle(cfg: ExperimentConfig) -> tuple:
+    """The per-beta loop: one complexity of the drawn empirical minimizer at a time."""
+    space, empirical, draw_seed, limit = _first_dataset_oracle(cfg)
+    plateau = limit / cfg.n
+    h_star = sample_hypothesis(zero_temperature_posterior(space, empirical), draw_seed)
+    n, delta = cfg.n, cfg.delta
+    rows = [
+        PhaseRow(
+            beta,
+            high_temperature_bound(beta, n, delta),
+            binary_kl_bound(complexity(space, empirical, h_star, beta).value, n, delta),
+            plateau,
+        )
+        for beta in cfg.beta_grid
+    ]
+    slack = binary_kl_bound(0.0, n, delta)
+    passed = all(r.kl <= min(r.diagonal, r.plateau) + slack + 1e-12 for r in rows)
+    return passed, as_columns(PhaseRow, rows), {"plateau": plateau}
+
+
+FIRST_DATASET_ORACLES = {"zero_temp": (run_zero_temp_sweep, _zero_temp_oracle), "phase": (run_phase_diagram, _phase_oracle)}
+FIRST_DATASET_SETTINGS = {
+    "beta_0": {"beta_grid": (0.0,)},
+    "random_prior": {"space_spec": RANDOM_PRIOR, "beta_grid": (0.0, 1.0, 10.0, 1e6)},
+    "single_hypothesis": {
+        "space_spec": {"name": "random_loss_table", "params": {"num_hypotheses": 1, "num_points": 5, "seed": 4}},
+        "beta_grid": (0.0, 10.0),
+    },
+    "k_minimizer": {"space_spec": MINIMIZERS, "beta_grid": (10.0, 0.1, 1000.0, 10.0, 1e6)},
+    "tied_beta_1e9": {"space_spec": TIED_NOISE_TASK, "beta_grid": (1e9,), "master_seed": 2},
+    # the zero-prior atom has the lowest loss and must not count as a minimizer
+    "zero_and_tiny_prior": {"space_spec": {"name": "tiny_prior_for_test", "params": {}}, "beta_grid": (0.0, 3.0, 1e9)},
+}
+
+
+@pytest.mark.usefixtures("tiny_prior_space")
+@pytest.mark.parametrize("setting", sorted(FIRST_DATASET_SETTINGS))
+@pytest.mark.parametrize("experiment", sorted(FIRST_DATASET_ORACLES))
+def test_first_dataset_runs_match_the_per_beta_loop(experiment, setting):
+    # the reports' CSV text and JSON aggregates, which tell -0.0 from 0.0
+    cfg = config(experiment=experiment, **FIRST_DATASET_SETTINGS[setting])
+    run, oracle = FIRST_DATASET_ORACLES[experiment]
+    outcome = run(cfg)
+    passed, rows, aggregates = oracle(cfg)
+    assert csv_report(outcome.rows) == csv_report(rows)
+    assert json.dumps(outcome.aggregates) == json.dumps(aggregates)
+    assert outcome.passed == passed

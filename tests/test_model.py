@@ -15,7 +15,6 @@ from gibbslab.model import (
     k_minimizer_space,
     loss_matrix,
     loss_profile,
-    minimizer_summary,
     permuted_label_task,
     random_loss_table,
     sample_dataset,
@@ -207,35 +206,9 @@ class TestCdfs:
         domain, space = random_loss_table(32, 8, seed=5)
         data = sample_dataset(domain, 25, seed=6)
         profile = loss_profile(space, domain, data)
-        mass_min = minimizer_summary(space, profile).prior_mass_empirical_min
+        mass_min = float(space.prior[profile.empirical == profile.empirical.min()].sum())
         for h in range(len(space)):
             assert empirical_cdf(space, profile, profile.empirical[h]) >= mass_min - 1e-12
-
-
-class TestMinimizerSummary:
-    def test_shared_minimum_mass(self):
-        losses = np.full(100, 0.5)
-        losses[[3, 14, 15, 92]] = 0.25
-        space = FiniteHypothesisSpace(losses[:, None], np.full(100, 0.01))
-        profile = LossProfile(losses, losses)
-        summary = minimizer_summary(space, profile)
-        assert summary.prior_mass_empirical_min == pytest.approx(0.04, abs=1e-12)
-        assert summary.min_empirical == 0.25
-
-    def test_single_hypothesis(self):
-        space = FiniteHypothesisSpace([[0.3]], [1.0])
-        profile = LossProfile([0.3], [0.3])
-        summary = minimizer_summary(space, profile)
-        assert summary.prior_mass_empirical_min == 1.0
-        assert summary.prior_mass_true_min == 1.0
-
-    def test_zero_prior_atom_ignored(self):
-        # the zero-mass hypothesis has the smallest loss but cannot count
-        space = FiniteHypothesisSpace([[0.0], [0.5]], [0.0, 1.0])
-        profile = LossProfile([0.0, 0.5], [0.0, 0.5])
-        summary = minimizer_summary(space, profile)
-        assert summary.min_empirical == 0.5
-        assert summary.prior_mass_empirical_min == 1.0
 
 
 class TestGenerators:
@@ -249,9 +222,8 @@ class TestGenerators:
         domain, space = k_minimizer_space(100, 4, seed=2)
         data = sample_dataset(domain, 37, seed=3)
         profile = loss_profile(space, domain, data)
-        summary = minimizer_summary(space, profile)
-        assert summary.min_empirical == 0.0
-        assert summary.prior_mass_empirical_min == pytest.approx(0.04, abs=1e-12)
+        assert profile.empirical.min() == 0.0
+        assert space.prior[profile.empirical == 0.0].sum() == pytest.approx(0.04, abs=1e-12)
         levels = step_cdf(profile.empirical, space.prior).levels
         assert np.diff(levels).min() >= 0.1 - 1e-9
 
@@ -380,6 +352,10 @@ class TestBuildSpaceErrors:
     def test_misspelt_parameter_named(self):
         spec = {"name": "random_loss_table", "params": {"num_hypotheses": 3, "num_point": 2, "seed": 1}}
         with pytest.raises(ValueError, match=r"'random_loss_table': unknown parameters \['num_point'\], missing parameters \['num_points'\]"):
+            build_space(spec)
+        # the generator draws no random point weights
+        spec = {"name": "random_loss_table", "params": {"num_hypotheses": 3, "num_points": 2, "seed": 1, "random_probs": True}}
+        with pytest.raises(ValueError, match=r"'random_loss_table': unknown parameters \['random_probs'\], missing parameters \[\]"):
             build_space(spec)
 
     def test_missing_parameter_named(self):

@@ -20,6 +20,9 @@ from gibbslab import acceptance, bounds, cli, gibbs, harness, margins, measures,
 MODULES = (acceptance, bounds, cli, gibbs, harness, margins, measures, model, streams)
 
 UNREACHED = {
+    "harness.derive_seed_pair": "per-call reference of the block kernel (and of the benchmark's replay)",
+    "gibbs.sample_hypothesis": "per-call reference of the block kernel (and of the benchmark's replay)",
+    "gibbs.sample_hypotheses": "per-call reference of the block kernel (and of the benchmark's replay)",
     "bounds.stratified_subgaussian_bound": "scalar reference of stratified_subgaussian_bound_rows and of the benchmark's replay",
     "measures.binary_kl": "scalar reference of binary_kl_rows and of the benchmark's replay",
     "measures.binary_kl_inverse_relaxed": "closed-form relaxation the tests check the divergence inverse against",
