@@ -4,11 +4,8 @@ on finite hypothesis spaces, with seeded Monte Carlo verification harnesses.
 
 from .bounds import (
     binary_kl_bound,
-    generic_bound_rhs,
     high_temperature_bound,
-    ipm_corrected_rhs,
     minimizer_mass_bound,
-    monotone_bound_rhs,
     shift_radius,
     stratified_subgaussian_bound,
 )
@@ -22,10 +19,6 @@ from .gibbs import (
     complexity_bruteforce,
     density_family,
     exponential_density,
-    ipm_l1,
-    log_partition,
-    metropolis_occupancy,
-    metropolis_sample,
     normalize_density,
     polynomial_density,
     posterior,
@@ -69,7 +62,6 @@ from .model import (
     FiniteHypothesisSpace,
     LossProfile,
     build_space,
-    empirical_cdf,
     k_minimizer_space,
     loss_matrix,
     loss_profile,

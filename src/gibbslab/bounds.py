@@ -1,8 +1,10 @@
 """Right-hand sides of the high-probability generalization bounds.
 
-Every evaluator takes an analytic exponential-moment bound from the caller
-where one is needed; nothing here estimates moments from samples, since
-that would invalidate the probability accounting of the bounds.
+Every evaluator is a closed-form formula in numbers the caller computes
+(a complexity, a decay rate or a prior mass) and the sample size and the
+confidence level.  None takes an exponential-moment bound, and nothing
+here estimates moments from samples, since that would invalidate the
+probability accounting of the bounds.
 """
 
 from __future__ import annotations
@@ -11,14 +13,9 @@ import math
 
 import numpy as np
 
-from .gibbs import GibbsPosterior, complexity as complexity_value
 from .measures import per_element
-from .model import FiniteHypothesisSpace
 
 __all__ = [
-    "generic_bound_rhs",
-    "monotone_bound_rhs",
-    "ipm_corrected_rhs",
     "binary_kl_bound",
     "high_temperature_bound",
     "minimizer_mass_bound",
@@ -43,37 +40,6 @@ def _check_sample_size(n: int, minimum: int = 1) -> int:
 def _log_confidence(n: int, delta: float) -> float:
     # ln(2 sqrt(n) / delta), stable for huge n
     return math.log(2.0) + 0.5 * math.log(n) - math.log(delta)
-
-
-def generic_bound_rhs(complexity: float, log_moment: float, delta: float) -> float:
-    """complexity + log_moment + ln(1/delta), the generic bound shape."""
-    _check_delta(delta)
-    return complexity + log_moment - math.log(delta)
-
-
-def monotone_bound_rhs(
-    space: FiniteHypothesisSpace, data_losses, h_index: int, post: GibbsPosterior, log_moment: float, delta: float
-) -> float:
-    """Generic bound RHS with the complexity evaluated at the density's decay rate."""
-    value = complexity_value(space, data_losses, h_index, post.beta).value
-    return generic_bound_rhs(value, log_moment, delta)
-
-
-def ipm_corrected_rhs(log_moment_exact: float, sup_gamma_scale: float, ipm_distance: float, delta: float) -> float:
-    """Moment bound plus the surcharge for sampling from an approximating law.
-
-    When hypotheses come from a law at integral-probability-metric distance
-    ipm_distance from the exact posterior, the RHS inflates additively by
-    sup_gamma_scale * ipm_distance, where sup_gamma_scale is the largest
-    scale at which the exponentiated statistic stays inside the metric's
-    function class.
-    """
-    if ipm_distance < 0.0:
-        raise ValueError("ipm_distance must be non-negative")
-    if sup_gamma_scale <= 0.0:
-        raise ValueError("sup_gamma_scale must be positive")
-    _check_delta(delta)
-    return log_moment_exact + sup_gamma_scale * ipm_distance - math.log(delta)
 
 
 def binary_kl_bound(complexity: float, n: int, delta: float) -> float:

@@ -36,7 +36,6 @@ __all__ = [
     "normalized_rows",
     "density_rows",
     "posterior_rows",
-    "log_partition",
     "posterior",
     "normalize_density",
     "zero_temperature_posterior",
@@ -48,9 +47,6 @@ __all__ = [
     "posterior_draws",
     "complexity",
     "complexity_bruteforce",
-    "metropolis_sample",
-    "metropolis_occupancy",
-    "ipm_l1",
 ]
 
 WEIGHT_SUM_TOL = 1e-10
@@ -330,12 +326,6 @@ def posterior_rows(space: FiniteHypothesisSpace, losses: np.ndarray, beta: float
     return density_rows(space, losses, exponential_density(beta), beta)
 
 
-def log_partition(space: FiniteHypothesisSpace, data_losses, beta: float) -> float:
-    """ln of the prior average of exp(-beta * empirical loss); 0 at beta = 0."""
-    losses = _losses_vector(space, data_losses)
-    return float(posterior_rows(space, losses[None], beta)[1][0])
-
-
 def posterior(space: FiniteHypothesisSpace, data_losses, beta: float) -> GibbsPosterior:
     """Gibbs posterior weights proportional to prior * exp(-beta * loss)."""
     losses = _losses_vector(space, data_losses)
@@ -517,62 +507,3 @@ def complexity_bruteforce(
         return float((beta * shifts - log_mass).min())
     return np.array([(rate * shifts - log_mass).min() for rate in beta])
 
-
-def _metropolis_states(
-    space: FiniteHypothesisSpace, data_losses, beta: float, chain_length: int, seed: int
-) -> np.ndarray:
-    if chain_length < 1:
-        raise ValueError("chain_length must be at least 1")
-    losses = _losses_vector(space, data_losses)
-    beta = _check_beta(beta)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    proposals = inverse_cdf(space.prior, rng.random(chain_length + 1))
-    log_u = np.log1p(-rng.random(chain_length))  # ln of U(0,1]
-    states = np.empty(chain_length, dtype=np.int64)
-    state = int(proposals[0])
-    for t in range(chain_length):
-        prop = int(proposals[t + 1])
-        # prior-proposal chain: the prior factors cancel in the ratio
-        if log_u[t] <= -beta * (losses[prop] - losses[state]):
-            state = prop
-        states[t] = state
-    return states
-
-
-def metropolis_sample(
-    space: FiniteHypothesisSpace, data_losses, beta: float, chain_length: int, seed: int
-) -> int:
-    """Final state of a prior-proposal Metropolis chain targeting the posterior."""
-    return int(_metropolis_states(space, data_losses, beta, chain_length, seed)[-1])
-
-
-def metropolis_occupancy(
-    space: FiniteHypothesisSpace,
-    data_losses,
-    beta: float,
-    chain_length: int,
-    seed: int,
-    burn_in: int = 0,
-) -> np.ndarray:
-    """Post-burn-in visit frequencies; converges to the posterior weights."""
-    if not 0 <= burn_in < chain_length:
-        raise ValueError("burn_in must lie in [0, chain_length)")
-    states = _metropolis_states(space, data_losses, beta, chain_length, seed)[burn_in:]
-    counts = np.bincount(states, minlength=len(space))
-    return counts / counts.sum()
-
-
-def ipm_l1(p, q) -> float:
-    """L1 integral probability metric between two finite distributions.
-
-    Equals the distance induced by test functions bounded by 1 in absolute
-    value (twice the total variation distance).
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape or p.ndim != 1:
-        raise ValueError("distributions must be 1-d vectors of equal length")
-    for name, vec in (("p", p), ("q", q)):
-        if abs(float(vec.sum()) - 1.0) > 1e-8:
-            raise ValueError(f"{name} must sum to 1 within 1e-8")
-    return float(np.abs(p - q).sum())

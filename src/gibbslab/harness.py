@@ -96,6 +96,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENT_NAMES:
             raise ValueError(f"unknown experiment {self.experiment!r}")
+        if not isinstance(self.space_spec, dict):
+            raise ValueError(f"space_spec must be an object with a name and params, got {self.space_spec!r}")
         for name in ("n", "trials", "p", "master_seed"):
             if not _is_integer(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
@@ -533,7 +535,8 @@ def _concentration_flags(space, true_steps, empirical: np.ndarray, s: float, sla
 def run_concentration_experiment(config: ExperimentConfig) -> Outcome:
     """Check that the empirical loss CDF tracks the true one at the shift radius.
 
-    Part (i): empirical_cdf(r + s) >= true_cdf(r) - n**-p * s for all r;
+    Part (i): F_emp(r + s) >= F_true(r) - n**-p * s for all r, with F the
+    prior CDFs of the empirical and the true losses;
     part (ii) is the mirror image.  Both sides are step functions of r, so
     checking at the jump points of the step side is exhaustive.  Each part
     fails with probability at most delta per dataset, and the run passes

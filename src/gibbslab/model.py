@@ -29,7 +29,6 @@ __all__ = [
     "sample_items",
     "sample_dataset",
     "empirical_losses",
-    "empirical_cdf",
     "loss_matrix",
     "loss_profile",
     "random_loss_table",
@@ -168,6 +167,8 @@ def step_cdf(values, weights) -> StepCdf:
     """Collapse a weighted value list into its step CDF, dropping zero weights."""
     values = np.asarray(values, dtype=float)
     weights = np.asarray(weights, dtype=float)
+    if values.shape != weights.shape:
+        raise ValueError(f"values and weights must be aligned, got shapes {values.shape} and {weights.shape}")
     mask = weights > 0.0
     if not mask.any():
         raise ValueError("no value carries positive weight")
@@ -240,26 +241,22 @@ def empirical_losses(matrix: np.ndarray, items: np.ndarray, sizes=None) -> np.nd
     as one stacked matmul of the matrix with each row's counts as an (X, 1)
     column, which makes the per-row matrix-vector product; a single (T, X)
     by (X, H) product sums in another order and differs in the last bits.
+    Some BLAS kernels sum in an order set by the column's 16-byte
+    alignment, so the counts are float64 rows of even width: every row
+    starts aligned, as a lone row does, and has a lone row's bits.
     Given sizes, row i's dataset is its first sizes[i] items and its mean
     divides by sizes[i]: datasets of several sizes share one block.
     """
     rows, n = items.shape
     num_points = matrix.shape[1]
-    offsets = num_points * np.arange(rows)[:, None]
-    flat = items + offsets
+    width = num_points + num_points % 2
+    flat = items + width * np.arange(rows)[:, None]
     if sizes is not None:
         sizes = np.asarray(sizes)
         flat = flat[np.arange(n) < sizes[:, None]]
         n = sizes[:, None]
-    counts = np.bincount(flat.ravel(), minlength=rows * num_points)
-    return np.matmul(matrix, counts.reshape(rows, num_points, 1))[:, :, 0] / n
-
-
-def empirical_cdf(space: FiniteHypothesisSpace, profile: LossProfile, r: float) -> float:
-    """Prior mass of hypotheses whose empirical loss is at most r."""
-    if profile.empirical.size != len(space):
-        raise ValueError("loss profile is not aligned with the hypothesis space")
-    return float(space.prior[profile.empirical <= r].sum())
+    counts = np.bincount(flat.ravel(), minlength=rows * width).astype(float).reshape(rows, width)
+    return np.matmul(matrix, counts[:, :num_points, None])[:, :, 0] / n
 
 
 def loss_matrix(space: FiniteHypothesisSpace, domain: FiniteDataDomain) -> np.ndarray:

@@ -21,9 +21,8 @@ over a block of trials and carry numpy's exact bits:
 numpy arrays wrap on integer overflow without a warning, so every operand
 here is an array; a numpy scalar would warn instead.  The per-call
 functions (harness.derive_seed_pair, model.sample_dataset,
-gibbs.sample_hypotheses, gibbs._metropolis_states) keep numpy's own
-constructors, which are cheaper for a single stream, and are the reference
-the tests hold this module to.
+gibbs.sample_hypotheses) keep numpy's own constructors, which are cheaper
+for a single stream, and are the reference the tests hold this module to.
 """
 
 from __future__ import annotations

@@ -6,7 +6,6 @@ from mpmath import mp
 
 from gibbslab.bounds import (
     binary_kl_bound,
-    generic_bound_rhs,
     high_temperature_bound,
     minimizer_mass_bound,
     shift_radius,
@@ -19,27 +18,6 @@ mp.dps = 50
 
 def mp_float(expr) -> float:
     return float(expr)
-
-
-class TestGenericRhs:
-    def test_all_zero(self):
-        assert generic_bound_rhs(0.0, 0.0, 1.0) == 0.0
-
-    def test_arithmetic(self):
-        expected = mp_float(mp.log(2) + mp.log(2 * mp.sqrt(100)) + mp.log(20))
-        # the moment term ln(2 sqrt(n)) of binary_kl_bound at n = 100
-        got = generic_bound_rhs(math.log(2.0), math.log(2.0) + 0.5 * math.log(100), 0.05)
-        assert got == pytest.approx(expected, abs=1e-12)
-
-    def test_linear_in_complexity(self):
-        base = generic_bound_rhs(1.0, 0.5, 0.1)
-        assert generic_bound_rhs(1.0 + 2.5, 0.5, 0.1) == pytest.approx(base + 2.5, abs=1e-12)
-
-    def test_delta_range(self):
-        with pytest.raises(ValueError):
-            generic_bound_rhs(0.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            generic_bound_rhs(0.0, 0.0, 1.5)
 
 
 class TestBinaryKlBound:

@@ -68,6 +68,10 @@ class TestRun:
             ({"density": {"name": "polynomial", "params": {"b": 1}}}, "unknown parameters ['b'], missing parameters ['a']"),
             ({"density": {"name": "polynomial", "params": {"a": math.nan}}}, "a must be a finite non-negative number, got nan"),
             ({"density": {"name": "capped_exponential", "params": {"beta": 1.0, "cap": "2"}}}, "cap must be a finite"),
+            (
+                {"experiment": "random_label", "space_spec": "permuted_label_task", "n_grid": [10], "r0": 0.3},
+                "space_spec must be an object with a name and params, got 'permuted_label_task'",
+            ),
         ],
     )
     def test_bad_config_reported_without_traceback(self, tmp_path, capsys, overrides, message):

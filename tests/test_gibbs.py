@@ -11,10 +11,6 @@ from gibbslab.gibbs import (
     complexity,
     complexity_bruteforce,
     complexity_rows,
-    ipm_l1,
-    log_partition,
-    metropolis_occupancy,
-    metropolis_sample,
     posterior,
     posterior_rows,
     sample_hypotheses,
@@ -48,28 +44,30 @@ def random_instance(rng, max_h=16, max_x=8, max_n=32):
 
 
 class TestLogPartition:
+    """ln Z as posterior() reports it in log_partition."""
+
     def test_zero_temperature_is_exact_zero(self, two_level):
         space, losses = two_level
-        assert log_partition(space, losses, 0.0) == 0.0
+        assert posterior(space, losses, 0.0).log_partition == 0.0
 
     def test_two_level_value(self, two_level):
         space, losses = two_level
         expected = math.log(0.5 + 0.5 * math.exp(-1.0))
-        assert log_partition(space, losses, 1.0) == pytest.approx(expected, abs=1e-12)
+        assert posterior(space, losses, 1.0).log_partition == pytest.approx(expected, abs=1e-12)
 
     def test_constant_losses(self):
         space = FiniteHypothesisSpace([[0.4], [0.4], [0.4]], [0.2, 0.3, 0.5])
-        assert log_partition(space, np.full(3, 0.4), 7.0) == pytest.approx(-2.8, abs=1e-12)
+        assert posterior(space, np.full(3, 0.4), 7.0).log_partition == pytest.approx(-2.8, abs=1e-12)
 
     def test_misaligned_losses_rejected(self, two_level):
         space, _ = two_level
         with pytest.raises(ValueError):
-            log_partition(space, np.zeros(3), 1.0)
+            posterior(space, np.zeros(3), 1.0)
 
     def test_negative_beta_rejected(self, two_level):
         space, losses = two_level
         with pytest.raises(ValueError):
-            log_partition(space, losses, -0.5)
+            posterior(space, losses, -0.5)
 
 
 class TestPosterior:
@@ -198,7 +196,7 @@ class TestComplexity:
         for _ in range(20):
             space, profile = random_instance(rng)
             beta = float(10.0 ** rng.uniform(-1, 2))
-            log_z = log_partition(space, profile.empirical, beta)
+            log_z = posterior(space, profile.empirical, beta).log_partition
             cdf = step_cdf(profile.empirical, space.prior)
             for level, mass in zip(cdf.levels, cdf.cumulative):
                 assert log_z >= -beta * level + math.log(mass) - 1e-10
@@ -336,58 +334,6 @@ class TestBetaArgument:
         space, losses = two_level
         with pytest.raises(ValueError, match=r"^beta must be a number, got shape \(2,\)"):
             posterior(space, losses, [1.0, 2.0])
-
-
-class TestMetropolis:
-    def test_zero_temperature_matches_prior(self, two_level):
-        space, losses = two_level
-        occupancy = metropolis_occupancy(space, losses, 0.0, 50_000, seed=3, burn_in=100)
-        assert np.max(np.abs(occupancy - space.prior)) < 0.01
-
-    def test_occupancy_converges_to_posterior(self, two_level):
-        space, losses = two_level
-        occupancy = metropolis_occupancy(space, losses, 1.0, 100_000, seed=7, burn_in=1000)
-        exact = posterior(space, losses, 1.0).weights
-        assert np.max(np.abs(occupancy - exact)) < 0.01
-
-    def test_ipm_decreases_with_chain_length(self, two_level):
-        space, losses = two_level
-        exact = posterior(space, losses, 1.0).weights
-        medians = []
-        for length in (500, 5000, 50_000):
-            distances = [
-                ipm_l1(
-                    metropolis_occupancy(space, losses, 1.0, length, seed=s, burn_in=length // 10),
-                    exact,
-                )
-                for s in range(20)
-            ]
-            medians.append(float(np.median(distances)))
-        assert medians[0] > medians[1] > medians[2]
-
-    def test_deterministic(self, two_level):
-        space, losses = two_level
-        a = metropolis_sample(space, losses, 2.0, 500, seed=19)
-        b = metropolis_sample(space, losses, 2.0, 500, seed=19)
-        assert a == b
-
-
-class TestIpmL1:
-    def test_identical_distributions(self):
-        assert ipm_l1([0.5, 0.5], [0.5, 0.5]) == 0.0
-
-    def test_disjoint_supports(self):
-        assert ipm_l1([1.0, 0.0], [0.0, 1.0]) == 2.0
-
-    def test_two_level_distance(self):
-        w = 1.0 / (1.0 + math.exp(-1.0))
-        assert ipm_l1([w, 1.0 - w], [0.5, 0.5]) == pytest.approx(2 * (w - 0.5), abs=1e-12)
-
-    def test_rejects_non_distributions(self):
-        with pytest.raises(ValueError):
-            ipm_l1([0.7, 0.7], [0.5, 0.5])
-        with pytest.raises(ValueError):
-            ipm_l1([1.0], [0.5, 0.5])
 
 
 def tied_block(seed: int, rows: int = 12, size: int = 9):

@@ -153,10 +153,13 @@ class TestConfig:
             ("sigma", 10**400),
             ("r0", -(10**400)),
             ("beta_grid", (10**400,)),
+            # a string spec once reached random_label's spec.get("name") and raised AttributeError
+            ("space_spec", "permuted_label_task"),
+            ("space_spec", None),
         ],
     )
     def test_rejected_grid_and_count_fields_named(self, field, value):
-        extra = RANDOM_LABEL_FIELDS if field in ("n_grid", "r0") else {}
+        extra = RANDOM_LABEL_FIELDS if field in ("n_grid", "r0", "space_spec") else {}
         with pytest.raises(ValueError, match=f"^{field} "):
             config(**{**extra, field: value})
 

@@ -1,15 +1,19 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gibbslab
 from gibbslab.model import (
     DataSet,
     FiniteDataDomain,
     FiniteHypothesisSpace,
-    LossProfile,
     build_space,
-    empirical_cdf,
     empirical_losses,
     inverse_cdf,
     k_minimizer_space,
@@ -163,25 +167,24 @@ class TestLossEvaluation:
 
 
 class TestCdfs:
+    """The step CDF of the prior over empirical losses."""
+
     def setup_method(self):
-        self.domain = FiniteDataDomain((0,), [1.0])
-        self.space = FiniteHypothesisSpace([[0.0], [1.0]], [0.5, 0.5])
-        self.profile = LossProfile([0.0, 1.0], [0.0, 1.0])
+        self.cdf = step_cdf([0.0, 1.0], [0.5, 0.5])
 
     def test_half_mass_at_zero(self):
-        assert empirical_cdf(self.space, self.profile, 0.0) == 0.5
+        assert self.cdf.at(0.0) == 0.5
 
     def test_full_mass(self):
-        assert empirical_cdf(self.space, self.profile, 1.0) == 1.0
-        assert empirical_cdf(self.space, self.profile, 7.0) == 1.0
+        assert self.cdf.at(1.0) == 1.0
+        assert self.cdf.at(7.0) == 1.0
 
     def test_below_support(self):
-        assert empirical_cdf(self.space, self.profile, -1.0) == 0.0
+        assert self.cdf.at(-1.0) == 0.0
 
     def test_misaligned_profile_rejected(self):
-        profile = LossProfile([0.0], [0.0])
-        with pytest.raises(ValueError):
-            empirical_cdf(self.space, profile, 0.0)
+        with pytest.raises(ValueError, match=r"values and weights must be aligned, got shapes \(1,\) and \(2,\)"):
+            step_cdf([0.0], [0.5, 0.5])
 
     def test_step_structure_matches_enumeration(self):
         # non-decreasing, right-continuous, jump heights = summed prior mass
@@ -197,8 +200,8 @@ class TestCdfs:
                 jump = float(space.prior[profile.empirical == level].sum())
                 assert cum == pytest.approx(previous + jump, abs=1e-12)
                 # right-continuity: value at the level equals the limit from the right
-                assert empirical_cdf(space, profile, level) == pytest.approx(cum, abs=1e-12)
-                assert empirical_cdf(space, profile, level + 1e-9) == pytest.approx(cum, abs=1e-12)
+                assert steps.at(level) == pytest.approx(float(space.prior[profile.empirical <= level].sum()), abs=1e-12)
+                assert steps.at(level + 1e-9) == pytest.approx(cum, abs=1e-12)
                 previous = cum
             assert previous == pytest.approx(1.0, abs=1e-9)
 
@@ -206,9 +209,10 @@ class TestCdfs:
         domain, space = random_loss_table(32, 8, seed=5)
         data = sample_dataset(domain, 25, seed=6)
         profile = loss_profile(space, domain, data)
+        steps = step_cdf(profile.empirical, space.prior)
         mass_min = float(space.prior[profile.empirical == profile.empirical.min()].sum())
         for h in range(len(space)):
-            assert empirical_cdf(space, profile, profile.empirical[h]) >= mass_min - 1e-12
+            assert steps.at(profile.empirical[h]) >= mass_min - 1e-12
 
 
 class TestGenerators:
@@ -320,6 +324,29 @@ class TestBlockDraws:
         assert block.shape == (30, hypotheses)
         for row, got in zip(items, block):
             assert got.tobytes() == (matrix @ np.bincount(row, minlength=len(domain)) / n).tobytes()
+
+    def test_empirical_losses_rows_keep_their_bits_under_an_alignment_sensitive_kernel(self):
+        # OpenBLAS's Prescott dot kernel sums in an order set by its operand's
+        # 16-byte alignment; with an odd number of points, rows of a packed
+        # counts block would alternate between aligned and misaligned
+        script = textwrap.dedent(
+            """
+            from gibbslab.model import empirical_losses, loss_matrix, random_loss_table, sample_items
+
+            domain, space = random_loss_table(1, 5, seed=4)
+            matrix = loss_matrix(space, domain)
+            items = sample_items(domain, 23, list(range(20)))
+            block = empirical_losses(matrix, items)
+            differing = [i for i in range(20) if block[i].tobytes() != empirical_losses(matrix, items[i : i + 1]).tobytes()]
+            print(differing)
+            """
+        )
+        package_parent = str(Path(gibbslab.__file__).resolve().parent.parent)
+        env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_parent, env.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]", "rows whose bits differ from the row alone"
 
     @pytest.mark.parametrize("hypotheses, points", [(11, 6), (1, 6), (11, 1), (64, 16)])
     def test_empirical_losses_of_datasets_of_several_sizes(self, hypotheses, points):

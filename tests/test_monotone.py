@@ -4,7 +4,6 @@ import re
 import numpy as np
 import pytest
 
-from gibbslab.bounds import ipm_corrected_rhs, monotone_bound_rhs
 from gibbslab.gibbs import (
     DensityConditionError,
     DensityFamily,
@@ -13,11 +12,11 @@ from gibbslab.gibbs import (
     density_family,
     density_rows,
     exponential_density,
-    ipm_l1,
-    metropolis_occupancy,
     normalize_density,
     polynomial_density,
     posterior,
+    posterior_draws,
+    sample_hypothesis,
 )
 from gibbslab.model import FiniteHypothesisSpace, loss_profile, random_loss_table, sample_dataset
 
@@ -189,7 +188,10 @@ class TestNormalizeDensity:
 
 
 class TestMonotoneBoundRhs:
+    """The beyond_gibbs bound reads the complexity of a draw at the density's decay rate."""
+
     def test_matches_gibbs_rhs(self):
+        # the exponential family draws and scores as the Gibbs posterior does
         rng = np.random.Generator(np.random.PCG64(13))
         for _ in range(20):
             domain, space = random_loss_table(
@@ -198,17 +200,16 @@ class TestMonotoneBoundRhs:
             data = sample_dataset(domain, int(rng.integers(1, 20)), int(rng.integers(0, 2**32)))
             profile = loss_profile(space, domain, data)
             beta = float(10.0 ** rng.uniform(-1, 2))
-            post = normalize_density(space, profile.empirical, exponential_density(beta), beta)
-            h = int(rng.integers(0, len(space)))
-            expected = complexity(space, profile.empirical, h, beta).value + 0.4 - math.log(0.2)
-            got = monotone_bound_rhs(space, profile.empirical, h, post, 0.4, 0.2)
-            assert got == pytest.approx(expected, abs=1e-10)
+            seed = int(rng.integers(0, 2**32))
+            drawn, values = posterior_draws(space, profile.empirical[None], exponential_density(beta), [seed])
+            h = int(drawn[0])
+            assert h == sample_hypothesis(posterior(space, profile.empirical, beta), seed)
+            assert values[0] == complexity(space, profile.empirical, h, beta).value
 
     def test_polynomial_two_level_value(self, two_level):
         space, losses = two_level
         post = normalize_density(space, losses, polynomial_density(1.0), 1.0)
-        got = monotone_bound_rhs(space, losses, 0, post, 0.0, 1.0)
-        assert got == pytest.approx(math.log(2.0), abs=1e-12)
+        assert complexity(space, losses, 0, post.beta).value == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_rhs_monotone_in_gamma_at_minimizer(self, two_level):
         # at an empirical minimizer every candidate shift is non-negative, so
@@ -216,34 +217,6 @@ class TestMonotoneBoundRhs:
         space, losses = two_level
         values = [complexity(space, losses, 0, g).value for g in (0.1, 0.3, 0.7, 1.0, 3.0, 10.0)]
         assert all(a <= b + 1e-12 for a, b in zip(values, values[1:]))
-
-
-class TestIpmCorrectedRhs:
-    def test_zero_distance_reduces_to_exact(self):
-        assert ipm_corrected_rhs(0.7, math.e, 0.0, 0.1) == pytest.approx(
-            0.7 - math.log(0.1), abs=1e-12
-        )
-
-    def test_linear_in_distance(self):
-        base = ipm_corrected_rhs(0.0, 2.0, 0.0, 0.5)
-        assert ipm_corrected_rhs(0.0, 2.0, 0.3, 0.5) == pytest.approx(base + 0.6, abs=1e-12)
-
-    def test_measured_sampler_distance(self, two_level):
-        space, losses = two_level
-        exact = posterior(space, losses, 1.0).weights
-        occupancy = metropolis_occupancy(space, losses, 1.0, 10_000, seed=21, burn_in=1000)
-        distance = ipm_l1(occupancy, exact)
-        got = ipm_corrected_rhs(0.7, math.e, distance, 0.1)
-        assert got == pytest.approx(0.7 + math.e * distance - math.log(0.1), abs=1e-12)
-        assert got >= ipm_corrected_rhs(0.7, math.e, 0.0, 0.1)
-
-    def test_guards(self):
-        with pytest.raises(ValueError):
-            ipm_corrected_rhs(0.0, 1.0, -0.1, 0.1)
-        with pytest.raises(ValueError):
-            ipm_corrected_rhs(0.0, 0.0, 0.1, 0.1)
-        with pytest.raises(ValueError):
-            ipm_corrected_rhs(0.0, 1.0, 0.1, 0.0)
 
 
 class TestDensityRows:

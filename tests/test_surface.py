@@ -28,10 +28,6 @@ UNREACHED = {
     "measures.binary_kl_inverse_relaxed": "closed-form relaxation the tests check the divergence inverse against",
     "margins.score": "scalar reference of the score blocks behind grid_space and the margins",
     "margins.zero_one_loss": "scalar reference of grid_space's 0-1 table",
-    "gibbs.metropolis_sample": "the approximate sampler of the planned metropolis bound kind",
-    "gibbs.metropolis_occupancy": "the chain law of the planned metropolis bound kind",
-    "gibbs.ipm_l1": "the sampling-law distance of the planned metropolis bound kind",
-    "bounds.ipm_corrected_rhs": "the right-hand side of the planned metropolis bound kind",
 }
 
 SPACE = {"name": "random_loss_table", "params": {"num_hypotheses": 8, "num_points": 4, "seed": 1}}
