@@ -22,14 +22,12 @@ from .gibbs import (
     normalize_density,
     polynomial_density,
     posterior,
-    sample_hypotheses,
     sample_hypothesis,
     zero_temperature_posterior,
 )
 from .harness import (
     BoundReport,
     ExperimentConfig,
-    ExperimentResult,
     Outcome,
     run_concentration_experiment,
     run_experiment,
@@ -49,25 +47,20 @@ from .margins import (
     labeled_domain,
     level_set_equality_check,
     margin_value,
-    score,
-    zero_one_loss,
 )
-from .measures import (
-    binary_kl,
-    binary_kl_inverse_relaxed,
-)
+from .measures import binary_kl
 from .model import (
     DataSet,
     FiniteDataDomain,
     FiniteHypothesisSpace,
-    LossProfile,
     build_space,
+    empirical_losses,
     k_minimizer_space,
     loss_matrix,
-    loss_profile,
     permuted_label_task,
     random_loss_table,
     sample_dataset,
+    sample_items,
 )
 
 __version__ = "0.1.0"

@@ -13,15 +13,14 @@ call.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .measures import per_element, shifted_exp_rows
-from .model import TIE_TOL, FiniteHypothesisSpace, _from_spec, inverse_cdf, step_cdf
+from .measures import per_element
+from .model import TIE_TOL, FiniteHypothesisSpace, _check_parameters, _from_spec, inverse_cdf, step_cdf
 from .streams import uniform_rows
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "density_family",
     "GibbsPosterior",
     "ComplexityValue",
-    "normalized_rows",
     "density_rows",
     "posterior_rows",
     "posterior",
@@ -41,7 +39,6 @@ __all__ = [
     "zero_temperature_posterior",
     "sample_rows",
     "sample_hypothesis",
-    "sample_hypotheses",
     "cdf_rows",
     "complexity_rows",
     "posterior_draws",
@@ -77,13 +74,6 @@ class DensityFamily:
     params: dict
     log_density: Callable[[np.ndarray], np.ndarray]
     gamma: float
-
-
-def _check_parameters(**params) -> None:
-    """Every density parameter a finite non-negative number; the first that is not is named."""
-    for name, value in params.items():
-        if not (isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value) and value >= 0.0):
-            raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
 
 
 def exponential_density(beta: float) -> DensityFamily:
@@ -259,16 +249,23 @@ def _check_conditions(levels: np.ndarray, log_q: np.ndarray, gamma: float) -> No
     )
 
 
-def normalized_rows(total: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _normalized_rows(total: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weights exp(total[i] - ln Z_i) and ln Z_i for every row of unnormalized log weights.
 
-    The weights are exp(total[i] - peak_i) / s_i, normalized after the max
-    shift: subtracting ln Z_i = peak_i + ln s_i instead would carry its
-    rounding at the magnitude of peak_i (about beta times the smallest
-    loss) into every weight.  Raises when a row's weights miss a total of 1
-    by more than WEIGHT_SUM_TOL.
+    With peak_i the row's maximum and s_i the sum of exp(total[i] - peak_i),
+    the weights are those terms over s_i, normalized after the max shift:
+    subtracting ln Z_i = peak_i + ln s_i instead would carry its rounding at
+    the magnitude of peak_i (about beta times the smallest loss) into every
+    weight.  ln s_i is math.log, not np.log, whose last bit can differ, and
+    ln Z is reported; a row whose maximum is not finite keeps that maximum
+    as its ln Z.  Raises when a row's weights miss a total of 1 by more than
+    WEIGHT_SUM_TOL.
     """
-    terms, sums, log_z = shifted_exp_rows(total)
+    peak = total.max(axis=1)
+    with np.errstate(invalid="ignore"):
+        terms = np.exp(total - peak[:, None])
+    sums = terms.sum(axis=1)
+    log_z = np.array([p + math.log(s) if math.isfinite(p) else p for p, s in zip(peak.tolist(), sums.tolist())])
     weights = terms / sums[:, None]
     if (np.abs(weights.sum(axis=1) - 1.0) > WEIGHT_SUM_TOL).any():
         raise ValueError("posterior weights must sum to 1")
@@ -307,7 +304,7 @@ def _density_rows(
     positive = space.prior > 0.0
     total = np.full(losses.shape, -np.inf)
     total[:, positive] = np.log(space.prior[positive]) + values_log_q
-    weights, log_z = normalized_rows(total)
+    weights, log_z = _normalized_rows(total)
     if shift is not None:
         log_z = log_z + family.log_density(shift[:, 0])
     return weights, log_z
@@ -368,17 +365,9 @@ def sample_rows(weights: np.ndarray, seeds) -> np.ndarray:
     return inverse_cdf(weights, uniform_rows(seeds, 1))[:, 0]
 
 
-def sample_hypotheses(post: GibbsPosterior, size: int, seed: int) -> np.ndarray:
-    """size iid inverse-CDF draws of hypothesis indices; deterministic per seed."""
-    if size < 1:
-        raise ValueError("size must be at least 1")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    return inverse_cdf(post.weights, rng.random(size))
-
-
 def sample_hypothesis(post: GibbsPosterior, seed: int) -> int:
-    """One posterior draw; works for any object exposing normalized weights."""
-    return int(sample_hypotheses(post, 1, seed)[0])
+    """One inverse-CDF posterior draw from a PCG64(seed) stream; works for any object exposing normalized weights."""
+    return int(inverse_cdf(post.weights, np.random.Generator(np.random.PCG64(seed)).random(1))[0])
 
 
 def _running_mass(space: FiniteHypothesisSpace, order: np.ndarray) -> np.ndarray:

@@ -51,7 +51,6 @@ __all__ = [
     "PhaseRow",
     "ConcentrationRow",
     "RandomLabelRow",
-    "ExperimentResult",
     "derive_seed_pair",
     "wilson_upper_99",
     "run_violation_experiment",
@@ -276,14 +275,23 @@ class ColumnRows(Sequence):
 
 @dataclass(frozen=True)
 class Outcome:
-    """What an experiment found: its verdict, its report rows and the JSON aggregates of its summary.
+    """What an experiment found: its verdict, its report rows, the JSON aggregates of its summary and its config.
 
-    aggregates is the dict run_experiment writes under "aggregates".
+    csv_text and summary are the CSV and the JSON document write_result writes.
     """
 
     passed: bool
     rows: ColumnRows
     aggregates: dict
+    config: ExperimentConfig
+
+    @functools.cached_property
+    def csv_text(self) -> str:
+        return csv_report(self.rows)
+
+    @functools.cached_property
+    def summary(self) -> dict:
+        return {"config": self.config.to_dict(), "aggregates": self.aggregates, "passed": self.passed}
 
 
 @dataclass(frozen=True)
@@ -404,7 +412,7 @@ def run_violation_experiment(config: ExperimentConfig) -> Outcome:
         "per_beta": [{"beta": beta, **_rates(block["violated"])} for beta, block in zip(config.beta_grid, blocks)],
         "bound_kind": config.bound_kind,
     }
-    return Outcome(totals["wilson_upper_99"] <= config.delta, ColumnRows(BoundReport, blocks), aggregates)
+    return Outcome(totals["wilson_upper_99"] <= config.delta, ColumnRows(BoundReport, blocks), aggregates, config)
 
 
 @dataclass(frozen=True)
@@ -463,7 +471,7 @@ def run_zero_temp_sweep(config: ExperimentConfig) -> Outcome:
     attained = last_beta < threshold or abs(last_min - limit) <= 1e-9
     columns = {"beta": list(betas), "lambda_drawn": lambda_drawn, "lambda_min": lambda_min, "limit": limit}
     rows = ColumnRows(ZeroTempRow, [columns])
-    return Outcome(capped and monotone and attained, rows, {"limit": limit, "level_gap": level_gap})
+    return Outcome(capped and monotone and attained, rows, {"limit": limit, "level_gap": level_gap}, config)
 
 
 @dataclass(frozen=True)
@@ -493,7 +501,7 @@ def run_phase_diagram(config: ExperimentConfig) -> Outcome:
     kl = binary_kl_bound(lams, n, delta).tolist()
     passed = all(k <= min(d, plateau) + slack + 1e-12 for d, k in zip(diagonal, kl))
     columns = {"beta": list(config.beta_grid), "diagonal": diagonal, "kl": kl, "plateau": plateau}
-    return Outcome(passed, ColumnRows(PhaseRow, [columns]), {"plateau": plateau})
+    return Outcome(passed, ColumnRows(PhaseRow, [columns]), {"plateau": plateau}, config)
 
 
 @dataclass(frozen=True)
@@ -570,7 +578,7 @@ def run_concentration_experiment(config: ExperimentConfig) -> Outcome:
         "part_ii": {"trials": len(bad_ii), **_rates(bad_ii), "rows": []},
     }
     passed = all(part["wilson_upper_99"] <= delta for part in parts.values())
-    return Outcome(passed, ColumnRows(ConcentrationRow, [columns]), parts)
+    return Outcome(passed, ColumnRows(ConcentrationRow, [columns]), parts, config)
 
 
 @dataclass(frozen=True)
@@ -620,21 +628,12 @@ def run_random_label_experiment(config: ExperimentConfig) -> Outcome:
         if not vacuous:
             passed = passed and wilson_upper_99(exceed, config.trials) <= delta
     rows = ColumnRows(RandomLabelRow, [columns])
-    return Outcome(passed, rows, {"rows": list(map(dataclasses.asdict, rows))})
+    return Outcome(passed, rows, {"rows": list(map(dataclasses.asdict, rows))}, config)
 
 
 # ---------------------------------------------------------------------------
 # uniform runner with CSV/JSON reports
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExperimentResult:
-    """What a run leaves behind: verdict, CSV rows, JSON-ready summary."""
-
-    passed: bool
-    csv_text: str
-    summary: dict
 
 
 _FLAGS = {False: "false", True: "true"}
@@ -679,22 +678,20 @@ _RUNNERS = {
 }
 
 
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+def run_experiment(config: ExperimentConfig) -> Outcome:
     """Dispatch on config.experiment; write CSV + JSON when output_path is set."""
     outcome = _RUNNERS[config.experiment](config)
-    summary = {"config": config.to_dict(), "aggregates": outcome.aggregates, "passed": outcome.passed}
-    result = ExperimentResult(outcome.passed, csv_report(outcome.rows), summary)
     if config.output_path:
-        write_result(result, config.output_path)
-    return result
+        write_result(outcome, config.output_path)
+    return outcome
 
 
-def write_result(result: ExperimentResult, output_path) -> None:
+def write_result(outcome: Outcome, output_path) -> None:
     """CSV at output_path, JSON summary alongside with a .json suffix."""
     path = Path(output_path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(result.csv_text, encoding="utf-8")
+    path.write_text(outcome.csv_text, encoding="utf-8")
     json_path = path.with_suffix(".json")
     json_path.write_text(
-        json.dumps(result.summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(outcome.summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )

@@ -9,20 +9,17 @@ the loss CDF machinery to classical margin geometry.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import FiniteDataDomain, FiniteHypothesisSpace, _check_count
+from .model import FiniteDataDomain, FiniteHypothesisSpace, _check_count, _check_parameters
 
 __all__ = [
     "LabeledPoint",
     "LinearHypothesis",
     "MarginResult",
-    "score",
-    "zero_one_loss",
     "margin_value",
     "level_set_equality_check",
     "LinearGrid",
@@ -68,18 +65,6 @@ class LinearHypothesis:
         object.__setattr__(self, "bias", float(self.bias))
 
 
-def score(h: LinearHypothesis, z: Sequence[float]) -> float:
-    """Signed distance surrogate <direction, z> - bias."""
-    if len(z) != len(h.direction):
-        raise ValueError(f"dimension mismatch: point has {len(z)}, hypothesis {len(h.direction)}")
-    return float(sum(u * v for u, v in zip(h.direction, z))) - h.bias
-
-
-def zero_one_loss(h: LinearHypothesis, point: LabeledPoint) -> float:
-    """0 when score * label is strictly positive, 1 otherwise (ties are errors)."""
-    return 0.0 if score(h, point.z) * point.y > 0.0 else 1.0
-
-
 @dataclass(frozen=True)
 class MarginResult:
     """Soft margin value with the retained index set that attains it."""
@@ -99,10 +84,10 @@ def _retained_count(n: int, error_fraction: float) -> int:
 
 
 def _signed_scores(hypotheses: Sequence[LinearHypothesis], points: Sequence[LabeledPoint]) -> np.ndarray:
-    """(H, n) score * label of every (hypothesis, point) pair, in score's operation order.
+    """(H, n) score * label of every (hypothesis, point) pair, score = <direction, z> - bias.
 
-    The sum runs 0.0 + u_0 z_0 + u_1 z_1 ... - bias, so every entry carries
-    the bits of the scalar score of its pair.
+    The sum runs 0.0 + u_0 z_0 + u_1 z_1 ... - bias, the operation order of
+    float(sum(u * v for u, v in zip(direction, z))) - bias for each pair.
     """
     directions = np.array([h.direction for h in hypotheses])
     biases = np.array([h.bias for h in hypotheses])
@@ -190,8 +175,7 @@ def build_linear_grid(
     """
     _check_count("angular_steps", angular_steps, 4)
     _check_count("bias_steps", bias_steps, 1)
-    if not (isinstance(bias_range, numbers.Real) and math.isfinite(bias_range) and bias_range >= 0.0):
-        raise ValueError(f"bias_range must be finite and non-negative, got {bias_range!r}")
+    _check_parameters(bias_range=bias_range)
     directions = [(math.cos(a), math.sin(a)) for a in 2.0 * math.pi * np.arange(angular_steps) / angular_steps]
     biases = [0.0] if bias_steps == 1 else list(np.linspace(-bias_range, bias_range, bias_steps))
     hypotheses = tuple(LinearHypothesis(u, b) for u in directions for b in biases)
@@ -210,8 +194,8 @@ def build_linear_grid(
 def grid_space(grid: LinearGrid, domain: FiniteDataDomain) -> FiniteHypothesisSpace:
     """The grid scored on a domain of LabeledPoints by the 0-1 loss, as a hypothesis space.
 
-    Every entry carries the bits of zero_one_loss of its pair (see
-    _signed_scores).
+    A pair's loss is 0 when score * label is strictly positive and 1
+    otherwise: a score of zero is an error.
     """
     signed = _signed_scores(grid.hypotheses, domain.points)
     return FiniteHypothesisSpace(np.where(signed > 0.0, 0.0, 1.0), grid.prior)

@@ -1,8 +1,7 @@
 """Scalar information-theoretic primitives and their array forms.
 
-Bernoulli relative entropy (per scalar and per array element), its numeric
-inverse over whole arrays, the inverse's closed-form relaxation, and
-max-shifted exponentials of rows.  Everything here is a pure function of
+Bernoulli relative entropy (per scalar and per array element) and its
+numeric inverse over whole arrays.  Everything here is a pure function of
 scalars or vectors and safe to call from parallel trials.
 """
 
@@ -16,8 +15,6 @@ __all__ = [
     "binary_kl",
     "binary_kl_rows",
     "binary_kl_inverse_upper_rows",
-    "binary_kl_inverse_relaxed",
-    "shifted_exp_rows",
     "per_element",
 ]
 
@@ -159,34 +156,3 @@ def binary_kl_inverse_upper_rows(p, budget) -> np.ndarray:
         hi = np.where(below, hi, mid)
     q[live] = lo
     return q
-
-
-def binary_kl_inverse_relaxed(p: float, budget: float) -> float:
-    """Closed-form upper bound p + sqrt(2*p*budget) + 2*budget on the exact inverse.
-
-    Not clamped to 1; callers that need a probability clamp themselves.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    if not budget >= 0.0:
-        raise ValueError(f"budget must be non-negative, got {budget}")
-    return p + math.sqrt(2.0 * p * budget) + 2.0 * budget
-
-
-def shifted_exp_rows(total: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """exp(total[i] - peak_i), its sum s_i and peak_i + ln s_i for every row i with maximum peak_i.
-
-    peak_i + ln s_i is ln sum_j exp(total[i, j]).  A row whose maximum is
-    not finite returns that maximum in its place: -inf for a row of
-    zero-weight atoms, +inf or nan when such a term dominates.
-    """
-    peak = total.max(axis=1)
-    with np.errstate(invalid="ignore"):
-        terms = np.exp(total - peak[:, None])
-    sums = terms.sum(axis=1)
-    # math.log, not np.log: numpy's vectorized log can differ in the last
-    # bit, and ln Z is reported
-    log_z = np.array(
-        [p + math.log(s) if math.isfinite(p) else p for p, s in zip(peak.tolist(), sums.tolist())]
-    )
-    return terms, sums, log_z

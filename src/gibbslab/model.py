@@ -11,6 +11,7 @@ claims against ground truth.
 from __future__ import annotations
 
 import inspect
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -22,7 +23,6 @@ __all__ = [
     "FiniteDataDomain",
     "DataSet",
     "FiniteHypothesisSpace",
-    "LossProfile",
     "StepCdf",
     "step_cdf",
     "inverse_cdf",
@@ -30,7 +30,6 @@ __all__ = [
     "sample_dataset",
     "empirical_losses",
     "loss_matrix",
-    "loss_profile",
     "random_loss_table",
     "k_minimizer_space",
     "permuted_label_task",
@@ -60,6 +59,13 @@ def _nonnegative_array(values, name: str, ndim: int) -> np.ndarray:
 def _check_count(name: str, value, minimum: int) -> None:
     if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
         raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
+
+
+def _check_parameters(**params) -> None:
+    """Every parameter a finite non-negative number; the first that is not is named."""
+    for name, value in params.items():
+        if not (isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
 
 
 def _probability_vector(values, name: str) -> np.ndarray:
@@ -122,26 +128,6 @@ class FiniteHypothesisSpace:
 
     def __len__(self) -> int:
         return self.table.shape[0]
-
-
-@dataclass(frozen=True)
-class LossProfile:
-    """Per-hypothesis empirical and true losses, aligned with the space."""
-
-    empirical: np.ndarray
-    true: np.ndarray
-
-    def __post_init__(self):
-        emp = np.asarray(self.empirical, dtype=float).copy()
-        tru = np.asarray(self.true, dtype=float).copy()
-        if emp.ndim != 1 or emp.shape != tru.shape:
-            raise ValueError("empirical and true loss vectors must be 1-d and aligned")
-        if np.any(emp < 0.0) or np.any(tru < 0.0):
-            raise ValueError("losses must be non-negative")
-        emp.setflags(write=False)
-        tru.setflags(write=False)
-        object.__setattr__(self, "empirical", emp)
-        object.__setattr__(self, "true", tru)
 
 
 @dataclass(frozen=True)
@@ -266,19 +252,6 @@ def loss_matrix(space: FiniteHypothesisSpace, domain: FiniteDataDomain) -> np.nd
     return space.table
 
 
-def loss_profile(space: FiniteHypothesisSpace, domain: FiniteDataDomain, data: DataSet) -> LossProfile:
-    """Empirical and true loss vectors for every hypothesis at once.
-
-    Empirical means are taken over point multiplicities (table @ counts),
-    which agrees with per-item averaging up to summation order.  data must
-    be drawn from domain itself: its item indices point into domain's points.
-    """
-    table = loss_matrix(space, domain)
-    if data.domain is not domain:
-        raise ValueError("data was drawn from another domain than the one given")
-    return LossProfile(empirical_losses(table, data.item_indices[None])[0], table @ domain.probs)
-
-
 # ---------------------------------------------------------------------------
 # synthetic generators
 # ---------------------------------------------------------------------------
@@ -300,6 +273,9 @@ def random_loss_table(
     _check_count("num_hypotheses", num_hypotheses, 1)
     _check_count("num_points", num_points, 1)
     _check_count("seed", seed, 0)
+    # a string such as "false" is truthy and would silently draw a random prior
+    if not isinstance(random_prior, (bool, np.bool_)):
+        raise ValueError(f"random_prior must be a boolean, got {random_prior!r}")
     rng = np.random.Generator(np.random.PCG64(seed))
     table = rng.random((num_hypotheses, num_points))
     prior = _random_simplex(rng, num_hypotheses) if random_prior else np.full(num_hypotheses, 1.0 / num_hypotheses)
@@ -358,7 +334,7 @@ def permuted_label_task(
     _check_count("seed", seed, 0)
     if num_inputs > 16:
         raise ValueError("num_inputs must lie in [1, 16] (hypothesis count is 2**num_inputs)")
-    if not (isinstance(label_noise, numbers.Real) and 0.0 <= label_noise <= 1.0):
+    if not (isinstance(label_noise, numbers.Real) and not isinstance(label_noise, bool) and 0.0 <= label_noise <= 1.0):
         raise ValueError(f"label_noise must be a number in [0, 1], got {label_noise!r}")
     rng = np.random.Generator(np.random.PCG64(seed))
     planted = 2 * rng.integers(0, 2, size=num_inputs) - 1

@@ -1,0 +1,80 @@
+"""Scalar references and helpers the test modules share; the package itself never calls them.
+
+Each reference computes one value the direct way, one call or one loop
+step at a time, for the tests to hold the package's array paths to.
+"""
+
+import math
+import platform
+from collections import namedtuple
+from typing import Sequence
+
+import numpy as np
+
+from gibbslab.margins import LabeledPoint, LinearHypothesis
+from gibbslab.measures import SATURATION, binary_kl
+from gibbslab.model import empirical_losses, loss_matrix
+
+# the platform the pinned report hashes and verdict lines were recorded on
+PINNED_PLATFORM = "x86_64 numpy 2.4.6 avx512f=True"
+
+
+def float_platform() -> str:
+    """What sets the last bits of numpy's vectorized exp and log here."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        __cpu_features__ = {}
+    return f"{platform.machine()} numpy {np.__version__} avx512f={bool(__cpu_features__.get('AVX512F'))}"
+
+
+LossProfile = namedtuple("LossProfile", "empirical true")
+
+
+def loss_profile(space, domain, data) -> LossProfile:
+    """Empirical losses of every hypothesis on a DataSet drawn from domain, and their true losses."""
+    table = loss_matrix(space, domain)
+    return LossProfile(empirical_losses(table, data.item_indices[None])[0], table @ domain.probs)
+
+
+def inverse_upper_reference(p, budget):
+    """The bisection with one binary_kl call per step."""
+    if budget == 0.0:
+        return p
+    hi = SATURATION
+    if binary_kl(p, hi) <= budget:
+        return hi
+    lo = p
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if binary_kl(p, mid) <= budget:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def binary_kl_inverse_relaxed(p: float, budget: float) -> float:
+    """Closed-form upper bound p + sqrt(2*p*budget) + 2*budget on the exact inverse.
+
+    Not clamped to 1; callers that need a probability clamp themselves.
+    """
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+    if not budget >= 0.0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
+    return p + math.sqrt(2.0 * p * budget) + 2.0 * budget
+
+
+def score(h: LinearHypothesis, z: Sequence[float]) -> float:
+    """Signed distance surrogate <direction, z> - bias."""
+    if len(z) != len(h.direction):
+        raise ValueError(f"dimension mismatch: point has {len(z)}, hypothesis {len(h.direction)}")
+    return float(sum(u * v for u, v in zip(h.direction, z))) - h.bias
+
+
+def zero_one_loss(h: LinearHypothesis, point: LabeledPoint) -> float:
+    """0 when score * label is strictly positive, 1 otherwise (ties are errors)."""
+    return 0.0 if score(h, point.z) * point.y > 0.0 else 1.0

