@@ -5,9 +5,10 @@ gamma in the loss; the Gibbs posterior is its exponential case
 q(t) = exp(-beta t), with gamma = beta.  One row kernel checks the
 density conditions and normalizes every posterior at a finite rate.
 All posterior arithmetic happens in log space with a single max shift,
-so decay rates up to 1e9 neither overflow nor underflow.  Sampling
-operations take explicit seeds and keep generator state local to the
-call.
+so decay rates up to 1e9 neither overflow nor underflow.
+sample_hypothesis takes an explicit seed and keeps generator state local
+to the call; the block kernel posterior_draws takes its uniforms from the
+caller.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import numpy as np
 
 from .measures import per_element
 from .model import TIE_TOL, FiniteHypothesisSpace, _check_parameters, _from_spec, inverse_cdf, step_cdf
-from .streams import uniform_rows
 
 __all__ = [
     "DensityFamily",
@@ -37,7 +37,6 @@ __all__ = [
     "posterior",
     "normalize_density",
     "zero_temperature_posterior",
-    "sample_rows",
     "sample_hypothesis",
     "cdf_rows",
     "complexity_rows",
@@ -214,8 +213,8 @@ def _ranked(space: FiniteHypothesisSpace, losses: np.ndarray) -> tuple:
     return values, order, flat, levels
 
 
-def _check_conditions(levels: np.ndarray, log_q: np.ndarray, gamma: float) -> None:
-    """Raise for the first row of ascending levels on which the density breaks a condition.
+def _check_conditions(levels: np.ndarray, log_q: np.ndarray, gamma: float, name: str) -> None:
+    """Raise for the first row of ascending levels on which the density named name breaks a condition.
 
     Adjacent levels suffice: both conditions telescope, and repeated levels
     carry equal densities and pass, so the error names the row's first
@@ -229,13 +228,18 @@ def _check_conditions(levels: np.ndarray, log_q: np.ndarray, gamma: float) -> No
         rising = log_q[:, 1:] > log_q[:, :-1] + tol
         steep = log_q[:, :-1] - log_q[:, 1:] > gamma * (levels[:, 1:] - levels[:, :-1]) + tol
     broken = rising | steep
-    # with no infinite log density, only a broken pair fails a row
-    if not (broken.any() or np.isinf(log_q).any()):
+    # with every log density finite, only a broken pair fails a row
+    if not (broken.any() or not np.isfinite(log_q).all()):
         return
+    # nan passes every comparison above, so it is caught by name
+    undefined = np.isnan(log_q)
     infinite = (log_q == np.inf).any(axis=1)
     vanishing = (log_q == -np.inf).all(axis=1)
-    failing = infinite | vanishing | broken.any(axis=1)
+    failing = undefined.any(axis=1) | infinite | vanishing | broken.any(axis=1)
     row = int(np.argmax(failing))
+    if undefined[row].any():
+        level = float(levels[row, int(np.argmax(undefined[row]))])
+        raise ValueError(f"density {name!r} is not a number at achieved loss level {level!r}")
     if infinite[row]:
         raise ValueError("density must be finite at every achieved loss level")
     if vanishing[row]:
@@ -289,7 +293,7 @@ def _density_rows(
     if values_log_q.shape != values.shape:
         values_log_q = np.broadcast_to(values_log_q, values.shape)
     levels_log_q = values_log_q.take(flat)
-    _check_conditions(levels, levels_log_q, gamma)
+    _check_conditions(levels, levels_log_q, gamma, family.name)
     if gamma == 0.0:
         # + 0.0 writes the exponential family's -0.0 as 0.0
         return np.broadcast_to(space.prior, losses.shape), levels_log_q[:, 0] + 0.0
@@ -360,11 +364,6 @@ def zero_temperature_posterior(space: FiniteHypothesisSpace, data_losses) -> Gib
     return GibbsPosterior(math.inf, limit_log_z, weights / mass)
 
 
-def sample_rows(weights: np.ndarray, seeds) -> np.ndarray:
-    """One draw per row of a (T, H) weight block, row i from a PCG64(seeds[i]) stream."""
-    return inverse_cdf(weights, uniform_rows(seeds, 1))[:, 0]
-
-
 def sample_hypothesis(post: GibbsPosterior, seed: int) -> int:
     """One inverse-CDF posterior draw from a PCG64(seed) stream; works for any object exposing normalized weights."""
     return int(inverse_cdf(post.weights, np.random.Generator(np.random.PCG64(seed)).random(1))[0])
@@ -429,18 +428,19 @@ def complexity_rows(
 
 
 def posterior_draws(
-    space: FiniteHypothesisSpace, losses: np.ndarray, family: DensityFamily, seeds
+    space: FiniteHypothesisSpace, losses: np.ndarray, family: DensityFamily, uniforms
 ) -> tuple[np.ndarray, np.ndarray]:
     """One posterior draw per row of a (T, H) loss block and the complexity of each draw.
 
-    Row i's posterior is prior * q(loss row i) under family, its draw comes
-    from a PCG64(seeds[i]) stream, and its complexity is taken at the
-    family's decay rate.  The posterior and the complexity read one sort of
-    each row.
+    Row i's posterior is prior * q(loss row i) under family, its draw is
+    the inverse-CDF lookup of uniforms[i] in [0, 1) (sample_hypothesis
+    looks up the first output of its PCG64 stream), and its complexity is
+    taken at the family's decay rate.  The posterior and the complexity
+    read one sort of each row.
     """
     ranked = _ranked(space, losses)
     weights, _ = _density_rows(space, losses, ranked, family, family.gamma)
-    drawn = sample_rows(weights, seeds)
+    drawn = inverse_cdf(weights, np.asarray(uniforms, dtype=float)[:, None])[:, 0]
     values, _ = _complexity_rows(space, losses, ranked, drawn, family.gamma)
     return drawn, values
 

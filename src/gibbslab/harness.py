@@ -35,12 +35,11 @@ from .gibbs import (
     exponential_density,
     posterior_draws,
     posterior_rows,
-    sample_rows,
     zero_temperature_posterior,
 )
 from .measures import binary_kl_rows
-from .model import TIE_TOL, _from_spec, build_space, empirical_losses, loss_matrix, sample_items, step_cdf
-from .streams import seed_pairs
+from .model import TIE_TOL, _from_spec, build_space, empirical_losses, inverse_cdf, loss_matrix, step_cdf
+from .streams import trial_streams
 
 __all__ = [
     "ExperimentConfig",
@@ -69,8 +68,8 @@ BOUND_KINDS = ("kl", "high_temp", "stratify", "beyond_gibbs")
 # one-sided 99% normal quantile for the Wilson upper confidence bound
 Z_99 = 2.3263478740408408
 
-# floats per array of a trial block (64 KiB); see _trial_blocks
-BLOCK_CELLS = 8192
+# floats per array of a trial block (512 KiB); see _trial_blocks
+BLOCK_CELLS = 65536
 
 
 @dataclass(frozen=True)
@@ -196,21 +195,29 @@ def derive_seed_pair(master_seed: int, *path: int) -> tuple[int, int]:
     return int(state[0]), int(state[1])
 
 
-def _trial_blocks(master_seed: int, prefix: tuple, trials: int, domain, table: np.ndarray, n: int):
-    """Trials 0..trials-1 under prefix, in blocks: data seeds, draw seeds, (T, H) empirical losses.
+def _trial_paths(prefixes, trials: int) -> np.ndarray:
+    """(2, len(prefixes) * trials) seed paths: trials 0..trials-1 under each prefix in turn."""
+    return np.stack([np.repeat(prefixes, trials), np.tile(np.arange(trials), len(prefixes))])
 
-    Trial t draws its dataset from the first seed of
-    derive_seed_pair(master_seed, *prefix, t), exactly as sample_dataset
-    would; streams.seed_pairs derives a whole block's pairs at once.  Data
-    seeds come as a list of ints, draw seeds as a uint64 array.  A block
-    holds as many trials as fit BLOCK_CELLS floats in one trial's widest
-    row (H losses, X counts or n uniforms), so no temporary of a block
-    outgrows BLOCK_CELLS floats however large the space.
+
+def _trial_blocks(master_seed: int, paths: np.ndarray, domain, table: np.ndarray, n: int):
+    """The trials of a (k, T) array of seed paths, in blocks: data seeds, draw uniforms, (T, H) empirical losses.
+
+    Trial j draws its dataset from the first seed of
+    derive_seed_pair(master_seed, *paths[:, j]), exactly as sample_dataset
+    would, and its hypothesis with the first uniform of the second seed's
+    stream; streams.trial_streams derives a whole block's streams in one
+    pass.  Data seeds come as a list of ints, draw uniforms as an array.
+    A block runs over the columns of paths, so it may cross from one
+    prefix (a beta index, say) to the next.  It holds as many trials as
+    fit BLOCK_CELLS floats in one trial's widest row (H losses, X counts
+    or n uniforms), so no temporary of a block outgrows BLOCK_CELLS floats
+    however large the space.
     """
     size = max(1, BLOCK_CELLS // max(*table.shape, n))
-    for start in range(0, trials, size):
-        data_seeds, draw_seeds = seed_pairs(master_seed, prefix, np.arange(start, min(trials, start + size)))
-        yield data_seeds.tolist(), draw_seeds, empirical_losses(table, sample_items(domain, n, data_seeds))
+    for start in range(0, paths.shape[1], size):
+        data_seeds, data, draws = trial_streams(master_seed, paths[:, start : start + size], n)
+        yield data_seeds.tolist(), draws, empirical_losses(table, inverse_cdf(domain.probs, data))
 
 
 def wilson_upper_99(violations: int, trials: int) -> float:
@@ -359,11 +366,14 @@ def run_violation_experiment(config: ExperimentConfig) -> Outcome:
     value exceeds the RHS.  The fraction of flagged trials estimates the
     violation probability, which the bounds promise is at most delta.
 
-    Trials run in blocks: one array call per step covers every trial of a
-    block, and each trial keeps its own seed pair.  The statistics of all
-    the trials at one beta are array expressions with the bits of the
-    scalar bound functions, so the rows equal those of running the trials
-    one at a time through the public per-call functions.  The rows come
+    Trials run in blocks over the (beta index, trial) grid taken beta by
+    beta, so one block may span several betas; each trial keeps its own
+    seed pair.  One array call per step covers every trial of a block, and
+    one posterior_draws call covers each beta's rows of it.  The
+    statistics of all the trials at one beta are array expressions with
+    the bits of the scalar bound functions, so the rows equal those of
+    running the trials one at a time through the public per-call
+    functions.  The rows come
     back as one block of columns per beta.  The run passes when the Wilson
     upper bound on the violation rate over all trials is at most delta.
     """
@@ -377,28 +387,37 @@ def run_violation_experiment(config: ExperimentConfig) -> Outcome:
     density = config.density
     configured_family = None if density is None else density_family(density["name"], **density.get("params", {}))
 
+    # without an explicit density the posterior is Gibbs at beta
+    families = [configured_family or exponential_density(beta) for beta in config.beta_grid]
+    trials = config.trials
+    # per beta: data seeds, and the drawn hypotheses, their empirical losses and complexities per segment
+    seeds, drawn, own, lams = ([[] for _ in families] for _ in range(4))
+    start = 0
+    paths = _trial_paths(range(len(families)), trials)
+    for data_seeds, draws, empirical in _trial_blocks(config.master_seed, paths, domain, space.table, config.n):
+        stop = start + len(data_seeds)
+        # the block's rows at each beta it spans, one segment per beta
+        for b in range(start // trials, (stop - 1) // trials + 1):
+            rows = slice(max(start, b * trials) - start, min(stop, (b + 1) * trials) - start)
+            segment = empirical[rows]
+            segment_drawn, segment_lams = posterior_draws(space, segment, families[b], draws[rows])
+            seeds[b] += data_seeds[rows]
+            drawn[b].append(segment_drawn)
+            own[b].append(segment[np.arange(len(segment)), segment_drawn])
+            lams[b].append(segment_lams)
+        start = stop
+
     blocks = []
-    for beta_index, beta in enumerate(config.beta_grid):
-        # without an explicit density the posterior is Gibbs at beta
-        family = configured_family or exponential_density(beta)
-        seeds, drawn, own, lams = [], [], [], []
-        for data_seeds, draw_seeds, empirical in _trial_blocks(
-            config.master_seed, (beta_index,), config.trials, domain, space.table, config.n
-        ):
-            block_drawn, block_lams = posterior_draws(space, empirical, family, draw_seeds)
-            seeds += data_seeds
-            drawn.append(block_drawn)
-            own.append(empirical[np.arange(len(block_drawn)), block_drawn])
-            lams.append(block_lams)
-        drawn, own, lams = map(np.concatenate, (drawn, own, lams))
-        realized, rhs = _bound_columns(config, beta, own, true_losses[drawn], lams)
+    for beta, family, beta_seeds, *segments in zip(config.beta_grid, families, seeds, drawn, own, lams):
+        beta_drawn, beta_own, beta_lams = map(np.concatenate, segments)
+        realized, rhs = _bound_columns(config, beta, beta_own, true_losses[beta_drawn], beta_lams)
         blocks.append(
             {
-                "trial_seed": seeds,
+                "trial_seed": beta_seeds,
                 "beta": family.gamma,
                 "n": config.n,
                 "delta": config.delta,
-                "complexity": lams.tolist(),
+                "complexity": beta_lams.tolist(),
                 "rhs": rhs.tolist() if isinstance(rhs, np.ndarray) else rhs,
                 "realized": realized.tolist(),
                 "violated": (realized > rhs).tolist(),
@@ -424,18 +443,20 @@ class ZeroTempRow:
 
 
 def _first_dataset(config: ExperimentConfig) -> tuple:
-    """The space, the empirical losses of trial 0's dataset, the draw seed of each beta and ln(1/minimizer mass).
+    """The space, the empirical losses of trial 0's dataset, the draw uniform of each beta and ln(1/minimizer mass).
 
-    Beta index b draws from the second seed of derive_seed_pair(master_seed, b),
-    and trial 0's dataset from the first seed of the pair at b = 0.
+    Beta index b draws with the first uniform of the second seed of
+    derive_seed_pair(master_seed, b), and trial 0's dataset comes from the
+    first seed of the pair at b = 0; one streams.trial_streams pass
+    derives them all.
     """
     domain, space = build_space(config.space_spec)
-    data_seeds, draw_seeds = seed_pairs(config.master_seed, (), np.arange(len(config.beta_grid)))
-    empirical = empirical_losses(loss_matrix(space, domain), sample_items(domain, config.n, data_seeds[:1]))[0]
+    _, data, draws = trial_streams(config.master_seed, np.arange(len(config.beta_grid))[None], config.n, datasets=1)
+    empirical = empirical_losses(loss_matrix(space, domain), inverse_cdf(domain.probs, data))[0]
     positive = space.prior > 0.0
     lowest = empirical[positive].min()
     mass = float(space.prior[positive & (empirical <= lowest + TIE_TOL)].sum())
-    return space, empirical, draw_seeds, minimizer_mass_bound(mass)
+    return space, empirical, draws, minimizer_mass_bound(mass)
 
 
 def _complexities(space, empirical: np.ndarray, h_indices: np.ndarray, betas) -> np.ndarray:
@@ -451,7 +472,7 @@ def run_zero_temp_sweep(config: ExperimentConfig) -> Outcome:
     beta, grows towards it, and attains it exactly once beta reaches
     cap / (smallest spacing of achieved loss levels).
     """
-    space, empirical, draw_seeds, limit = _first_dataset(config)
+    space, empirical, draws, limit = _first_dataset(config)
     cdf = step_cdf(empirical, space.prior)
     level_gap = float(np.diff(cdf.levels).min()) if cdf.levels.size > 1 else math.inf
 
@@ -459,7 +480,7 @@ def run_zero_temp_sweep(config: ExperimentConfig) -> Outcome:
     minimizer = int(support[np.argmin(empirical[support])])
     betas = config.beta_grid
     weights = np.concatenate([posterior_rows(space, empirical[None], beta)[0] for beta in betas])
-    drawn = sample_rows(weights, draw_seeds)
+    drawn = inverse_cdf(weights, draws[:, None])[:, 0]
     lams = _complexities(space, empirical, np.append(drawn, [minimizer] * len(betas)), betas + betas).tolist()
     lambda_drawn, lambda_min = lams[: len(betas)], lams[len(betas) :]
 
@@ -490,9 +511,9 @@ def run_phase_diagram(config: ExperimentConfig) -> Outcome:
     level ln(1/minimizer mass)/n.  Rows must satisfy
     kl <= min(diagonal, plateau) + ln(2 sqrt(n)/delta)/n.
     """
-    space, empirical, draw_seeds, limit = _first_dataset(config)
+    space, empirical, draws, limit = _first_dataset(config)
     plateau = limit / config.n
-    h_star = sample_rows(zero_temperature_posterior(space, empirical).weights[None], draw_seeds[:1])[0]
+    h_star = inverse_cdf(zero_temperature_posterior(space, empirical).weights[None], draws[:1, None])[0, 0]
 
     n, delta = config.n, config.delta
     slack = binary_kl_bound(0.0, n, delta)  # ln(2 sqrt(n)/delta)/n
@@ -558,7 +579,8 @@ def run_concentration_experiment(config: ExperimentConfig) -> Outcome:
     slack = s * float(n) ** -p
 
     seeds, bad_i, bad_ii = [], [], []
-    for data_seeds, _, block in _trial_blocks(config.master_seed, (), config.trials, domain, space.table, n):
+    paths = np.arange(config.trials)[None]
+    for data_seeds, _, block in _trial_blocks(config.master_seed, paths, domain, space.table, n):
         block_i, block_ii = _concentration_flags(space, true_steps, block, s, slack)
         seeds += data_seeds
         bad_i += block_i
@@ -617,7 +639,8 @@ def run_random_label_experiment(config: ExperimentConfig) -> Outcome:
         bound = s * float(n) ** -p
         vacuous = r0 + s >= min_true - 1e-12
         phis = []
-        for _, _, block in _trial_blocks(config.master_seed, (n_index,), config.trials, domain, space.table, n):
+        paths = _trial_paths([n_index], config.trials)
+        for _, _, block in _trial_blocks(config.master_seed, paths, domain, space.table, n):
             # a per-row masked sum: a (T, H) @ prior product would sum in another order
             phis.extend(float(space.prior[empirical <= r0].sum()) for empirical in block)
         exceed = sum(1 for v in phis if v > bound)

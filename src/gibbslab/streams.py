@@ -18,6 +18,10 @@ over a block of trials and carry numpy's exact bits:
   one broadcast multiply-add.  A 128-bit number is a (hi, lo) pair of uint64
   arrays, and the high half of a 64-bit product is built from 32-bit limbs.
 
+trial_streams runs both for a block of trials in one pass: it hashes
+each trial's seed pair, seeds PCG64 from the data and draw seeds of every
+trial together, and returns each trial's data uniforms and draw uniform.
+
 numpy arrays wrap on integer overflow without a warning, so every operand
 here is an array; a numpy scalar would warn instead.  The per-call
 functions (harness.derive_seed_pair, model.sample_dataset,
@@ -33,7 +37,7 @@ import operator
 
 import numpy as np
 
-__all__ = ["seed_pairs", "uniform_rows"]
+__all__ = ["seed_pairs", "uniform_rows", "trial_streams"]
 
 MASK32 = 0xFFFFFFFF
 MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -45,6 +49,8 @@ INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
 MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 # PCG64's 128-bit LCG multiplier
 PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+# outputs per chunk of the jump arithmetic: its uint64 temporaries stay at 64 KiB
+OUTPUT_CELLS = 8192
 
 
 def _hash_pairs(init: int, mult: int, count: int) -> list[tuple[int, int]]:
@@ -147,19 +153,23 @@ def _generate_state(pool: np.ndarray, count: int) -> np.ndarray:
     return words[0::2] | words[1::2] << 32
 
 
-def seed_pairs(master_seed: int, prefix, trials) -> np.ndarray:
-    """(2, T) uint64 seeds: column j is SeedSequence([master_seed, *prefix, trials[j]]).generate_state(2, np.uint64).
+def seed_pairs(master_seed: int, paths) -> np.ndarray:
+    """(2, T) uint64 seeds: column j is SeedSequence([master_seed, *paths[:, j]]).generate_state(2, np.uint64).
 
-    trials holds T trial indices in [0, 2**32), so each is one entropy word;
-    master_seed and the prefix entries may be any non-negative integers.
+    paths is a (k, T) integer array with one column of path words per
+    trial, each word in [0, 2**32), so one call may cover trials under
+    several prefixes (a beta index above a trial index, say); master_seed
+    may be any non-negative integer.
     """
-    index = np.asarray(trials, dtype=np.int64)
-    if index.ndim != 1 or (index.size and not 0 <= index.min() <= index.max() <= MASK32):
-        raise ValueError("trial indices must be a 1-d sequence in [0, 2**32)")
-    head = [word for value in (master_seed, *prefix) for word in _words(value)]
-    entropy = np.empty((len(head) + 1, index.size), dtype=np.uint32)
-    entropy[:-1] = np.array(head, dtype=np.uint32)[:, None]
-    entropy[-1] = index
+    words = np.asarray(paths)
+    if words.size and not np.issubdtype(words.dtype, np.integer):
+        raise TypeError("paths must be integers")
+    if words.ndim != 2 or (words.size and not 0 <= words.min() <= words.max() <= MASK32):
+        raise ValueError("paths must be a (k, T) array of words in [0, 2**32)")
+    head = _words(master_seed)
+    entropy = np.empty((len(head) + len(words), words.shape[1]), dtype=np.uint32)
+    entropy[: len(head)] = np.array(head, dtype=np.uint32)[:, None]
+    entropy[len(head) :] = words
     return _generate_state(_pool(entropy), 2)
 
 
@@ -225,19 +235,58 @@ def _jumps(n: int) -> tuple:
     return _limbed(powers[:n]), _limbed(sums[2:])
 
 
-def uniform_rows(seeds, n: int) -> np.ndarray:
-    """(T, n) doubles: row i is Generator(PCG64(seeds[i])).random(n), for seeds in [0, 2**64)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    seeds = _seed_array(seeds)
+def _seeded(seeds: np.ndarray) -> tuple:
+    """PCG64's seeded state and increment for every seed, as (hi, lo) pairs of (m, 1) uint64 columns."""
     # a seed below 2**64 is at most two entropy words; the pool pads the rest with zeros
     words = np.array([seeds & MASK32, seeds >> 32], dtype=np.uint32)
     state_hi, state_lo, seq_hi, seq_lo = _generate_state(_pool(words), 4)[:, :, None]
     # setseq seeding: inc = 2 * initseq + 1
-    inc = (seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1)
+    return (state_hi, state_lo), (seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1)
+
+
+def _outputs(state: tuple, inc: tuple, n: int) -> np.ndarray:
+    """(m, n) doubles: the first n outputs of PCG64 from each seeded state and increment.
+
+    The rows are computed OUTPUT_CELLS cells at a time, so the jump's
+    uint64 temporaries stay in cache however many rows a block holds.
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
     powers, sums = _jumps(n)
-    hi, lo = _add(_times((state_hi, state_lo), powers), _times(inc, sums))
-    # XSL-RR output, then the top 53 bits as a double in [0, 1)
-    folded, rotation = hi ^ lo, hi >> 58
-    out = folded >> rotation | folded << (64 - rotation & 63)
-    return (out >> 11).astype(np.float64) * (1.0 / 9007199254740992.0)
+    rows = len(state[0])
+    out = np.empty((rows, n))
+    step = max(1, OUTPUT_CELLS // n)
+    for start in range(0, rows, step):
+        chunk = slice(start, start + step)
+        hi, lo = _add(_times((state[0][chunk], state[1][chunk]), powers), _times((inc[0][chunk], inc[1][chunk]), sums))
+        # XSL-RR output, then its top 53 bits
+        folded, rotation = hi ^ lo, hi >> 58
+        out[chunk] = ((folded >> rotation | folded << (64 - rotation & 63)) >> 11).view(np.int64)
+    # as a double in [0, 1)
+    out *= 1.0 / 9007199254740992.0
+    return out
+
+
+def uniform_rows(seeds, n: int) -> np.ndarray:
+    """(T, n) doubles: row i is Generator(PCG64(seeds[i])).random(n), for seeds in [0, 2**64)."""
+    return _outputs(*_seeded(_seed_array(seeds)), n)
+
+
+def trial_streams(master_seed: int, paths, n: int, datasets: int | None = None) -> tuple:
+    """Every stream of a block of trials from one seeding pass: data seeds, data uniforms, draw uniforms.
+
+    Trial j of the (k, T) paths has the seed pair
+    SeedSequence([master_seed, *paths[:, j]]).generate_state(2, np.uint64);
+    its data uniforms are PCG64(first seed).random(n) and its draw uniform
+    PCG64(second seed).random().  The pair is hashed once, and both seeds
+    of every trial are seeded by one pool pass over 2T columns.  Returns the
+    (T,) uint64 data seeds, the (datasets, n) data uniforms of the first
+    datasets trials (all T by default) and the (T,) draw uniforms.
+    """
+    pairs = seed_pairs(master_seed, paths)
+    count = pairs.shape[1]
+    datasets = count if datasets is None else datasets
+    state, inc = _seeded(pairs.ravel())
+    data = _outputs(*((hi[:datasets], lo[:datasets]) for hi, lo in (state, inc)), n)
+    draws = _outputs(*((hi[count:], lo[count:]) for hi, lo in (state, inc)), 1)[:, 0]
+    return pairs[0], data, draws

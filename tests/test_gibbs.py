@@ -12,10 +12,11 @@ from gibbslab.gibbs import (
     complexity,
     complexity_bruteforce,
     complexity_rows,
+    exponential_density,
     posterior,
+    posterior_draws,
     posterior_rows,
     sample_hypothesis,
-    sample_rows,
     zero_temperature_posterior,
 )
 from gibbslab.model import (
@@ -25,6 +26,7 @@ from gibbslab.model import (
     sample_dataset,
     step_cdf,
 )
+from gibbslab.streams import uniform_rows
 
 
 @pytest.fixture
@@ -118,7 +120,8 @@ class TestSampling:
         space, losses = two_level
         post = posterior(space, losses, 1.0)
         # one draw from each of 100,000 streams
-        draws = sample_rows(np.broadcast_to(post.weights, (100_000, 2)), np.arange(100_000) + 4)
+        uniforms = uniform_rows(np.arange(100_000) + 4, 1)[:, 0]
+        draws, _ = posterior_draws(space, np.broadcast_to(losses, (100_000, 2)), exponential_density(1.0), uniforms)
         freq = float(np.mean(draws == 0))
         # binomial 4-sigma band around 0.731
         assert abs(freq - post.weights[0]) < 0.006
@@ -132,8 +135,8 @@ class TestSampling:
 
     def test_zero_weight_never_sampled(self):
         space = FiniteHypothesisSpace([[0.0], [1.0], [0.5]], [0.5, 0.5, 0.0])
-        post = posterior(space, np.array([0.0, 1.0, 0.5]), 0.3)
-        draws = sample_rows(np.broadcast_to(post.weights, (10_000, 3)), np.arange(10_000) + 2)
+        losses = np.broadcast_to([0.0, 1.0, 0.5], (10_000, 3))
+        draws, _ = posterior_draws(space, losses, exponential_density(0.3), uniform_rows(np.arange(10_000) + 2, 1)[:, 0])
         assert not np.any(draws == 2)
 
 
@@ -432,14 +435,14 @@ class TestRowKernels:
             assert (value, shift) == complexity_reference(space, row, 0, float(b))
 
     @pytest.mark.parametrize("beta", [0.0, 3.0, 1e4])
-    def test_sample_rows(self, beta):
+    def test_posterior_draws(self, beta):
         space, losses = tied_block(4, rows=200)
         weights, _ = posterior_rows(space, losses, beta)
-        seeds = list(range(1000, 1200))
-        drawn = sample_rows(weights, seeds)
-        for row, seed, h in zip(weights, seeds, drawn):
-            u = np.random.Generator(np.random.PCG64(seed)).random(1)
-            assert h == sample_reference(row, u)[0]
+        uniforms = np.array([np.random.Generator(np.random.PCG64(seed)).random() for seed in range(1000, 1200)])
+        drawn, values = posterior_draws(space, losses, exponential_density(beta), uniforms)
+        for row, weight_row, u, h, value in zip(losses, weights, uniforms, drawn, values):
+            assert h == sample_reference(weight_row, u)
+            assert value == complexity_reference(space, row, int(h), beta)[0]
         # the zero-prior atom is never drawn, whatever its loss
         assert not np.any(drawn == 0)
 
@@ -535,6 +538,63 @@ def test_complexity_closed_form(row, beta, pick):
     own = beta * losses[h]
     value = complexity(space, losses, h, beta).value
     assert abs(value - (m - own)) <= 1e-12 * max(1.0, abs(m), own)
+
+
+@st.composite
+def loss_blocks(draw):
+    """A prior with zero-prior and 1e-300-prior atoms, and a block of 2 to 5 loss rows.
+
+    A row's losses come from a few levels, some of them repeated a few
+    multiples of 1e-13 apart, inside TIE_TOL of each other.
+    """
+    size = draw(st.integers(1, 10))
+    weights = np.array(
+        draw(st.lists(st.one_of(st.just(0.0), st.just(1e-300), st.floats(1e-6, 1.0)), min_size=size, max_size=size))
+    )
+    weights[draw(st.integers(0, size - 1))] = draw(st.floats(1e-3, 1.0))
+    rows = []
+    for _ in range(draw(st.integers(2, 5))):
+        levels = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+        levels += [level + k * 1e-13 for level in levels for k in draw(st.lists(st.integers(1, 9), max_size=2))]
+        rows.append(draw(st.lists(st.sampled_from(levels), min_size=size, max_size=size)))
+    return FiniteHypothesisSpace(np.zeros((size, 1)), weights / weights.sum()), np.array(rows)
+
+
+def log_density_ratio(space, losses, beta):
+    """ln(posterior / prior) = -beta * L(h) - ln Z at every h of one loss row, Z = sum of prior * exp(-beta * L).
+
+    Both terms are measured from the row's lowest positive-prior loss m,
+    which takes the common -beta * m out of them before it can round.
+    """
+    positive = space.prior > 0.0
+    lowest = float(losses[positive].min())
+    z = math.fsum(p * math.exp(-beta * (loss - lowest)) for p, loss in zip(space.prior[positive], losses[positive]))
+    return [-beta * (loss - lowest) - math.log(z) for loss in losses.tolist()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    block=loss_blocks(),
+    rates=st.lists(
+        st.one_of(st.just(0.0), st.floats(0.0, 10.0), st.floats(10.0, 1e9), st.sampled_from([1e6, 1e9])),
+        min_size=5,
+        max_size=5,
+    ),
+)
+def test_log_density_ratio_is_at_most_the_complexity(block, rates):
+    """-beta * L(h) - ln Z <= complexity(h) at every h, for one rate per row of a block.
+
+    Z >= prior(L <= L(h) + r) * exp(-beta * (L(h) + r)) for every shift r, so
+    the log density ratio of the Gibbs posterior never exceeds the minimum
+    over r of beta * r - ln prior(L <= L(h) + r), the complexity.
+    """
+    space, losses = block
+    beta = np.array(rates[: len(losses)])
+    ratios = [log_density_ratio(space, row, rate) for row, rate in zip(losses, beta.tolist())]
+    for h in range(len(space)):
+        values, _ = complexity_rows(space, losses, np.full(len(losses), h), beta)
+        for ratio, value in zip(ratios, values.tolist()):
+            assert ratio[h] <= value + 1e-12 * max(1.0, abs(value))
 
 
 def bruteforce_reference(space, losses, h, beta, grid_step):

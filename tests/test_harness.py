@@ -52,7 +52,7 @@ from gibbslab.model import (
     sample_dataset,
     step_cdf,
 )
-from gibbslab import gibbs
+from gibbslab import gibbs, harness
 from gibbslab.gibbs import DensityFamily, density_family, normalize_density
 from gibbslab.measures import binary_kl
 
@@ -470,12 +470,6 @@ class TestBlockKernelMatchesPerTrialLoop:
         cfg = config(space_spec=single, beta_grid=(0.0, 10.0), trials=20, **BOUND_SETTINGS[setting])
         assert _outcome(_kernel_rows, cfg) == _outcome(_violation_oracle, cfg)
 
-    def test_trials_not_a_multiple_of_the_block(self):
-        wide = {"name": "random_loss_table", "params": {"num_hypotheses": 600, "num_points": 8, "seed": 5}}
-        block = BLOCK_CELLS // 600
-        cfg = config(space_spec=wide, beta_grid=(10.0, 50.0), trials=2 * block + 3)
-        assert _outcome(_kernel_rows, cfg) == _outcome(_violation_oracle, cfg)
-
     def test_dataset_wider_than_the_space(self):
         # n sets the block width when it exceeds the hypothesis count
         n = BLOCK_CELLS // 5 + 1
@@ -493,6 +487,35 @@ class TestBlockKernelMatchesPerTrialLoop:
         outcome = _outcome(_kernel_rows, cfg)
         assert outcome[0] == "DensityConditionError"
         assert outcome == _outcome(_violation_oracle, cfg)
+
+
+BLOCK_INVARIANCE_RUNS = {
+    **{f"violation_{name}": {"experiment": "violation", **fields} for name, fields in BOUND_SETTINGS.items()},
+    "violation_beyond_gibbs_capped": {
+        "experiment": "violation",
+        "bound_kind": "beyond_gibbs",
+        "density": {"name": "capped_exponential", "params": {"beta": 5.0, "cap": 0.5}},
+    },
+    "concentration": {"experiment": "concentration"},
+    "random_label": {**RANDOM_LABEL_FIELDS, "n_grid": (20, 50)},
+}
+
+
+def _report_bytes(cfg: ExperimentConfig, path) -> bytes:
+    write_result(run_experiment(cfg), path)
+    return path.read_bytes() + path.with_suffix(".json").read_bytes()
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("run", sorted(BLOCK_INVARIANCE_RUNS))
+def test_reports_do_not_depend_on_the_block_size(run, rows, monkeypatch, tmp_path):
+    # 7 trials per beta: blocks of 3 rows end mid-beta and cross from one beta to the next
+    cfg = config(beta_grid=(0.0, 10.0, 500.0, 1e9), trials=7, **BLOCK_INVARIANCE_RUNS[run])
+    default = _report_bytes(cfg, tmp_path / "default.csv")
+    _, space = build_space(cfg.space_spec)
+    width = max(*space.table.shape, cfg.n, *(cfg.n_grid or ()))
+    monkeypatch.setattr(harness, "BLOCK_CELLS", rows * width)
+    assert _report_bytes(cfg, tmp_path / "small.csv") == default
 
 
 TIED_NOISE_TASK = {"name": "permuted_label_task", "params": {"num_inputs": 8, "seed": 1, "label_noise": 0.3}}

@@ -148,6 +148,24 @@ class TestNormalizeDensity:
         with pytest.raises(ValueError):
             normalize_density(space, losses, spike, 1.0)
 
+    def test_nan_density_rejected_by_name(self):
+        # nan fails no comparison of the pairwise conditions; it must not reach the weights
+        space = FiniteHypothesisSpace([[0.0], [0.5], [1.0]], [0.25, 0.25, 0.5])
+        family = DensityFamily("nan", {}, lambda t: np.where(t > 0.7, np.nan, -t), 1.0)
+        message = r"^density 'nan' is not a number at achieved loss level 1\.0$"
+        with pytest.raises(ValueError, match=message):
+            normalize_density(space, [0.0, 0.5, 1.0], family, 1.0)
+        # the block kernel raises the same error for the first row that holds a nan
+        losses = np.array([[0.0, 0.5, 0.6], [0.0, 0.5, 1.0], [0.9, 0.5, 1.0]])
+        with pytest.raises(ValueError, match=message):
+            posterior_draws(space, losses, family, np.full(3, 0.5))
+
+    def test_nan_density_at_rate_zero_rejected(self, two_level):
+        space, losses = two_level
+        family = DensityFamily("nan", {}, lambda t: np.full(np.shape(t), np.nan), 0.0)
+        with pytest.raises(ValueError, match="not a number"):
+            normalize_density(space, losses, family, 0.0)
+
     def test_conditions_checked_on_positive_prior_levels_only(self):
         # the zero-prior hypothesis at loss 2 would violate the Lipschitz
         # condition, but it is invisible to the posterior
@@ -202,7 +220,8 @@ class TestMonotoneBoundRhs:
             profile = loss_profile(space, domain, data)
             beta = float(10.0 ** rng.uniform(-1, 2))
             seed = int(rng.integers(0, 2**32))
-            drawn, values = posterior_draws(space, profile.empirical[None], exponential_density(beta), [seed])
+            u = np.random.Generator(np.random.PCG64(seed)).random(1)
+            drawn, values = posterior_draws(space, profile.empirical[None], exponential_density(beta), u)
             h = int(drawn[0])
             assert h == sample_hypothesis(posterior(space, profile.empirical, beta), seed)
             assert values[0] == complexity(space, profile.empirical, h, beta).value
