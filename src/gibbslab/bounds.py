@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from .measures import per_element
+from .model import _check_count, _check_parameters, _is_finite, _is_real
 
 __all__ = [
     "binary_kl_bound",
@@ -25,16 +26,14 @@ __all__ = [
 ]
 
 
-def _check_delta(delta: float) -> float:
-    if not 0.0 < delta <= 1.0:
-        raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    return float(delta)
+def _check_delta(delta: float) -> None:
+    if not (_is_real(delta) and 0.0 < delta <= 1.0):
+        raise ValueError(f"delta must lie in (0, 1], got {delta!r}")
 
 
-def _check_sample_size(n: int, minimum: int = 1) -> int:
-    if n < minimum:
-        raise ValueError(f"requires n >= {minimum}, got {n}")
-    return int(n)
+def _check_sigma(sigma: float) -> None:
+    if not (_is_finite(sigma) and sigma > 0.0):
+        raise ValueError(f"sigma must be finite and positive, got {sigma!r}")
 
 
 def _log_confidence(n: int, delta: float) -> float:
@@ -50,7 +49,7 @@ def binary_kl_bound(complexity: float, n: int, delta: float) -> float:
     complexities gives the bound of each, with the same bits.
     """
     _check_delta(delta)
-    _check_sample_size(n, 8)
+    _check_count("n", n, 8)
     return (complexity + _log_confidence(n, delta)) / n
 
 
@@ -60,10 +59,9 @@ def high_temperature_bound(beta: float, n: int, delta: float) -> float:
     Dominates binary_kl_bound whenever the complexity is at most beta,
     which always holds for losses in [0, 1].
     """
-    if beta < 0.0:
-        raise ValueError("beta must be non-negative")
+    _check_parameters(beta=beta)
     _check_delta(delta)
-    _check_sample_size(n, 8)
+    _check_count("n", n, 8)
     return (beta + _log_confidence(n, delta)) / n
 
 
@@ -74,8 +72,8 @@ def minimizer_mass_bound(prior_mass_min: float) -> float:
     limit as the temperature goes to zero.  Zero mass is rejected so the
     caller can skip the (vacuous) bound instead of comparing against inf.
     """
-    if not 0.0 < prior_mass_min <= 1.0:
-        raise ValueError(f"minimizer mass must lie in (0, 1], got {prior_mass_min}")
+    if not (_is_real(prior_mass_min) and 0.0 < prior_mass_min <= 1.0):
+        raise ValueError(f"prior_mass_min must lie in (0, 1], got {prior_mass_min!r}")
     return -math.log(prior_mass_min)
 
 
@@ -86,10 +84,9 @@ def stratified_subgaussian_bound(complexity: float, sigma: float, n: int, delta:
     The clamp inside the logarithm guards the values in (-inf, 1) where the
     raw expression would be undefined (negative complexities do occur).
     """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
+    _check_sigma(sigma)
     _check_delta(delta)
-    _check_sample_size(n, 1)
+    _check_count("n", n, 1)
     clamped = max(complexity, 1.0)
     return 2.0 * sigma * math.sqrt((clamped + math.log(2.0 * clamped / delta) / 2.0) / n)
 
@@ -100,10 +97,9 @@ def stratified_subgaussian_bound_rows(complexity: np.ndarray, sigma: float, n: i
     The clamp keeps max's semantics (a complexity is replaced only where 1.0
     exceeds it, so nan stays nan) and the logs are math.log.
     """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
+    _check_sigma(sigma)
     _check_delta(delta)
-    _check_sample_size(n, 1)
+    _check_count("n", n, 1)
     complexity = np.asarray(complexity, dtype=float)
     clamped = np.where(1.0 > complexity, 1.0, complexity)
     return 2.0 * sigma * np.sqrt((clamped + per_element(math.log, 2.0 * clamped / delta) / 2.0) / n)
@@ -117,11 +113,10 @@ def shift_radius(n: int, delta: float, p: int) -> float:
     extra factor n**-p.  Evaluated as (2p+1)ln(n) + ln1p(n**-(2p+1)) so
     n**(2p+1) may exceed the float range.
     """
-    _check_sample_size(n, 1)
-    if not 0.0 < delta < 1.0:
-        raise ValueError(f"delta must lie in (0, 1), got {delta}")
-    if p < 1:
-        raise ValueError("p must be a positive integer")
+    _check_count("n", n, 1)
+    _check_count("p", p, 1)
+    if not (_is_real(delta) and 0.0 < delta < 1.0):
+        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
     k = 2 * p + 1
     log_numerator = k * math.log(n) + math.log1p(float(n) ** -k)
     return math.sqrt((log_numerator - math.log(delta)) / (2.0 * n))

@@ -13,15 +13,16 @@ caller.
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .measures import per_element
-from .model import TIE_TOL, FiniteHypothesisSpace, _check_parameters, _from_spec, inverse_cdf, step_cdf
+from .model import TIE_TOL, FiniteHypothesisSpace, _check_count, _check_parameters, _from_spec, _is_finite
+from .model import _is_integer, inverse_cdf, step_cdf
 
 __all__ = [
     "DensityFamily",
@@ -75,10 +76,15 @@ class DensityFamily:
     gamma: float
 
 
+def _exponential_log(beta: float, t):
+    """-beta t: the log density of exponential_density, the one family with q(t) = q(t - m) q(m)."""
+    return -beta * t
+
+
 def exponential_density(beta: float) -> DensityFamily:
     """q(t) = exp(-beta t): the Gibbs case, decay rate beta."""
     _check_parameters(beta=beta)
-    return DensityFamily("exponential", {"beta": beta}, lambda t: -beta * t, beta)
+    return DensityFamily("exponential", {"beta": beta}, functools.partial(_exponential_log, beta), beta)
 
 
 def polynomial_density(a: float) -> DensityFamily:
@@ -150,12 +156,15 @@ def _losses_vector(space: FiniteHypothesisSpace, data_losses) -> np.ndarray:
 def _check_beta(beta: float | np.ndarray, rows: int | None = None) -> float | np.ndarray:
     """A finite non-negative rate as a float, or, given rows, one such rate per row as a (rows,) float array."""
     if np.ndim(beta) == 0:
-        if not (math.isfinite(beta) and beta >= 0.0):
+        if not (_is_finite(beta) and beta >= 0.0):
             raise ValueError(f"beta must be finite and non-negative, got {beta}")
         return float(beta)
     if rows is None:
         raise ValueError(f"beta must be a number, got shape {np.shape(beta)}")
-    rates = np.asarray(beta, dtype=float)
+    try:
+        rates = np.asarray(beta, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"beta must be a number or one rate per row, got {beta!r}") from None
     if rates.shape != (rows,):
         raise ValueError(f"beta must be a number or one rate per row, shape ({rows},), got shape {rates.shape}")
     bad = ~(np.isfinite(rates) & (rates >= 0.0))
@@ -167,15 +176,11 @@ def _check_beta(beta: float | np.ndarray, rows: int | None = None) -> float | np
 
 def _hypothesis_index(h_index, size: int) -> int:
     """h_index as an int, checked to be an integer in [0, size); bools are rejected, as complexity_rows does."""
-    try:
-        if isinstance(h_index, (bool, np.bool_)):
-            raise TypeError
-        index = operator.index(h_index)
-    except TypeError:
-        raise ValueError(f"h_index must be an integer, got {h_index!r}") from None
-    if not 0 <= index < size:
-        raise IndexError(f"hypothesis index {index} out of range")
-    return index
+    if not _is_integer(h_index):
+        raise ValueError(f"h_index must be an integer, got {h_index!r}")
+    if not 0 <= h_index < size:
+        raise IndexError(f"hypothesis index {h_index} out of range")
+    return int(h_index)
 
 
 def _tied(levels: np.ndarray) -> np.ndarray:
@@ -286,8 +291,7 @@ def _density_rows(
     the achieved levels, so the weights are the prior itself and ln Z is
     that constant's log.
     """
-    if gamma < 0.0:
-        raise ValueError("gamma must be non-negative")
+    _check_parameters(gamma=gamma)
     values, _, flat, levels = ranked
     values_log_q = np.asarray(family.log_density(values), dtype=float)
     if values_log_q.shape != values.shape:
@@ -298,7 +302,8 @@ def _density_rows(
         # + 0.0 writes the exponential family's -0.0 as 0.0
         return np.broadcast_to(space.prior, losses.shape), levels_log_q[:, 0] + 0.0
     shift = None
-    if family.name == "exponential":
+    # the family is known by its log density, not its name: another q named "exponential" has no such shift
+    if getattr(family.log_density, "func", None) is _exponential_log:
         # q(t) = q(t - m) q(m): with m the row's lowest level, ln prior + ln q(t - m)
         # keeps ln prior's precision, which ln prior - beta t rounds away at large beta
         shift = levels[:, :1]
@@ -354,8 +359,6 @@ def zero_temperature_posterior(space: FiniteHypothesisSpace, data_losses) -> Gib
     """
     losses = _losses_vector(space, data_losses)
     mask = space.prior > 0.0
-    if not mask.any():
-        raise ValueError("no hypothesis carries positive prior mass")
     lowest = float(losses[mask].min())
     keep = mask & (losses <= lowest + TIE_TOL)
     weights = np.where(keep, space.prior, 0.0)
@@ -366,6 +369,7 @@ def zero_temperature_posterior(space: FiniteHypothesisSpace, data_losses) -> Gib
 
 def sample_hypothesis(post: GibbsPosterior, seed: int) -> int:
     """One inverse-CDF posterior draw from a PCG64(seed) stream; works for any object exposing normalized weights."""
+    _check_count("seed", seed, 0)
     return int(inverse_cdf(post.weights, np.random.Generator(np.random.PCG64(seed)).random(1))[0])
 
 
@@ -480,7 +484,7 @@ def complexity_bruteforce(
     run, which starts where the level enters the points; the points before
     the lowest level see no mass and are skipped.
     """
-    if not (math.isfinite(grid_step) and grid_step > 0.0):
+    if not (_is_finite(grid_step) and grid_step > 0.0):
         raise ValueError(f"grid_step must be finite and positive, got {grid_step!r}")
     losses = _losses_vector(space, data_losses)
     beta = _check_beta(beta, np.size(beta))

@@ -13,7 +13,6 @@ import functools
 import itertools
 import json
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import (
+    _check_sigma,
     binary_kl_bound,
     high_temperature_bound,
     minimizer_mass_bound,
@@ -38,7 +38,8 @@ from .gibbs import (
     zero_temperature_posterior,
 )
 from .measures import binary_kl_rows
-from .model import TIE_TOL, _from_spec, build_space, empirical_losses, inverse_cdf, loss_matrix, step_cdf
+from .model import TIE_TOL, _check_count, _from_spec, _is_finite, _is_integer, _is_real, build_space
+from .model import empirical_losses, inverse_cdf, loss_matrix, step_cdf
 from .streams import trial_streams
 
 __all__ = [
@@ -96,28 +97,14 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if not isinstance(self.space_spec, dict):
             raise ValueError(f"space_spec must be an object with a name and params, got {self.space_spec!r}")
-        for name in ("n", "trials", "p", "master_seed"):
-            if not _is_integer(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        for name in ("delta", "sigma", "r0"):
-            value = getattr(self, name)
-            if not (_is_real(value) or (name == "r0" and value is None)):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must lie in (0, 1), got {self.delta}")
+        for name, minimum in (("n", 1), ("trials", 1), ("p", 1), ("master_seed", 0)):
+            _check_count(name, getattr(self, name), minimum)
+        if not (_is_real(self.delta) and 0.0 < self.delta < 1.0):
+            raise ValueError(f"delta must be a number in (0, 1), got {self.delta!r}")
         # a nan sigma or r0 passes every comparison it meets and reports nothing
-        if not (_is_finite(self.sigma) and self.sigma > 0.0):
-            raise ValueError(f"sigma must be finite and positive, got {self.sigma!r}")
-        if self.r0 is not None and not _is_finite(self.r0):
-            raise ValueError(f"r0 must be finite, got {self.r0!r}")
-        if self.p < 1:
-            raise ValueError("p must be a positive integer")
-        if self.master_seed < 0:
-            raise ValueError("master_seed must be non-negative")
+        _check_sigma(self.sigma)
+        if not (self.r0 is None or _is_finite(self.r0)):
+            raise ValueError(f"r0 must be a finite number, got {self.r0!r}")
         beta_grid = _grid("beta_grid", self.beta_grid, "numbers", _is_real)
         if not all(_is_finite(b) and b >= 0.0 for b in beta_grid):
             raise ValueError(f"beta_grid values must be finite and non-negative, got {list(beta_grid)}")
@@ -161,22 +148,6 @@ class ExperimentConfig:
         return dataclasses.asdict(self)
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    # an integer past the float range is no finite float
-    try:
-        return math.isfinite(value)
-    except OverflowError:
-        return False
-
-
 def _grid(name: str, values, kind: str, accepts) -> tuple:
     """A grid field as a nonempty tuple of entries that pass accepts; a string such as "10" is no grid."""
     if not isinstance(values, (list, tuple, np.ndarray)):
@@ -191,6 +162,9 @@ def _grid(name: str, values, kind: str, accepts) -> tuple:
 
 def derive_seed_pair(master_seed: int, *path: int) -> tuple[int, int]:
     """Two independent 64-bit seeds hashed from (master_seed, *path)."""
+    _check_count("master_seed", master_seed, 0)
+    for step in path:
+        _check_count("path", step, 0)
     state = np.random.SeedSequence([master_seed, *path]).generate_state(2, np.uint64)
     return int(state[0]), int(state[1])
 
@@ -222,8 +196,8 @@ def _trial_blocks(master_seed: int, paths: np.ndarray, domain, table: np.ndarray
 
 def wilson_upper_99(violations: int, trials: int) -> float:
     """One-sided 99% Wilson upper confidence bound on a binomial rate."""
-    if trials < 1 or not 0 <= violations <= trials:
-        raise ValueError("need 0 <= violations <= trials with trials >= 1")
+    if not (_is_integer(violations) and _is_integer(trials) and 0 <= violations <= trials and trials >= 1):
+        raise ValueError(f"need integer violations in [0, trials] and trials >= 1, got {violations!r} and {trials!r}")
     rate = violations / trials
     z2 = Z_99**2
     center = rate + z2 / (2 * trials)

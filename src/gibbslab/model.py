@@ -46,7 +46,7 @@ def _nonnegative_array(values, name: str, ndim: int) -> np.ndarray:
     """A read-only C-ordered float64 copy of a nonempty ndim-d array of finite non-negative values."""
     try:
         arr = np.array(values, dtype=float, order="C")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name} must be an array of numbers: {exc}") from None
     if arr.ndim != ndim or arr.size == 0:
         raise ValueError(f"{name} must be a nonempty {ndim}-d array, got shape {arr.shape}")
@@ -56,15 +56,32 @@ def _nonnegative_array(values, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
+# the number predicates of every public entry point: a bool is no number, though Python counts it an int
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """A real number that is a finite float; an integer past the float range is not."""
+    try:
+        return _is_real(value) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _check_count(name: str, value, minimum: int) -> None:
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
+    if not (_is_integer(value) and value >= minimum):
         raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
 
 
 def _check_parameters(**params) -> None:
     """Every parameter a finite non-negative number; the first that is not is named."""
     for name, value in params.items():
-        if not (isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value) and value >= 0.0):
+        if not (_is_finite(value) and value >= 0.0):
             raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
 
 
@@ -205,6 +222,7 @@ def sample_items(domain: FiniteDataDomain, n: int, seeds) -> np.ndarray:
     select their items with one lookup, instead of one generator and one
     lookup per dataset.
     """
+    _check_count("n", n, 1)
     return inverse_cdf(domain.probs, uniform_rows(seeds, n))
 
 
@@ -214,8 +232,8 @@ def sample_dataset(domain: FiniteDataDomain, n: int, seed: int) -> DataSet:
     Identical (domain, n, seed) triples produce identical datasets on every
     platform.  Zero-probability points are never drawn.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_count("n", n, 1)
+    _check_count("seed", seed, 0)
     u = np.random.Generator(np.random.PCG64(seed)).random(n)
     return DataSet(domain, inverse_cdf(domain.probs, u))
 
@@ -334,7 +352,7 @@ def permuted_label_task(
     _check_count("seed", seed, 0)
     if num_inputs > 16:
         raise ValueError("num_inputs must lie in [1, 16] (hypothesis count is 2**num_inputs)")
-    if not (isinstance(label_noise, numbers.Real) and not isinstance(label_noise, bool) and 0.0 <= label_noise <= 1.0):
+    if not (_is_real(label_noise) and 0.0 <= label_noise <= 1.0):
         raise ValueError(f"label_noise must be a number in [0, 1], got {label_noise!r}")
     rng = np.random.Generator(np.random.PCG64(seed))
     planted = 2 * rng.integers(0, 2, size=num_inputs) - 1

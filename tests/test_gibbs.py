@@ -12,6 +12,8 @@ from gibbslab.gibbs import (
     complexity,
     complexity_bruteforce,
     complexity_rows,
+    density_family,
+    density_rows,
     exponential_density,
     posterior,
     posterior_draws,
@@ -388,6 +390,14 @@ class TestRowKernels:
         for row, got in zip(losses, weights):
             assert np.array_equal(got, posterior_reference(space, row, beta))
             assert np.array_equal(got, posterior(space, row, beta).weights)
+
+    @pytest.mark.parametrize("beta", [0.5, 500.0, 1e6])
+    def test_configured_exponential_family_has_the_gibbs_bits(self, beta):
+        # a config builds its family by name; the exponential one is still known by its log density
+        space, losses = tied_block(1, rows=300)
+        weights, log_z = density_rows(space, losses, density_family("exponential", beta=beta), beta)
+        expected_weights, expected_log_z = posterior_rows(space, losses, beta)
+        assert np.array_equal(weights, expected_weights) and np.array_equal(log_z, expected_log_z)
 
     @pytest.mark.parametrize("beta", [1e6, 1e9])
     def test_tied_nonzero_minimum_at_large_beta(self, beta):

@@ -107,6 +107,18 @@ class TestNormalizeDensity:
         # the same family is fine when the claimed constant is honest
         normalize_density(space, losses, DensityFamily("steep", {}, lambda t: -10.0 * t, 10.0), 10.0)
 
+    def test_exponential_shift_follows_the_family_not_its_name(self, two_level):
+        # q(t) = q(t - m) q(m) holds for exponential_density alone; a Gaussian q named
+        # "exponential" once took that shift, and its weights read (0.622, 0.378)
+        space, _ = two_level
+        losses = np.array([0.5, 1.0])
+        weights = [
+            normalize_density(space, losses, DensityFamily(name, {}, lambda t: -2.0 * t * t, 4.0), 4.0).weights
+            for name in ("exponential", "gauss")
+        ]
+        assert weights[0].tolist() == weights[1].tolist()
+        assert weights[0] == pytest.approx(np.exp([-0.5, -2.0]) / np.exp([-0.5, -2.0]).sum(), abs=1e-15)
+
     @pytest.mark.parametrize("beta", [1e6, 1e9])
     def test_gibbs_family_accepted_at_large_beta(self, beta):
         # log q and beta * (t - s) round at ~1e-7 here, far above an absolute 1e-12

@@ -6,13 +6,18 @@ kind) and `gibbslab sweep` run.  The public module-level functions, and the
 public methods and properties of the public classes, that it never sees
 must be exactly UNREACHED: a new function that nothing runs fails the test,
 and so does a listed one that something has come to run.
+
+The boundary test feeds the public entry points bad numbers: each must raise
+a ValueError that names the field.
 """
 
 import functools
 import inspect
 import json
+import math
 import sys
 
+import numpy as np
 import pytest
 
 from gibbslab import acceptance, bounds, cli, gibbs, harness, margins, measures, model, streams
@@ -114,3 +119,81 @@ def test_unreached_public_functions_are_exactly_the_listed_ones(tmp_path, monkey
     assert sorted(unreached - UNREACHED.keys()) == [], "public functions that nothing runs"
     assert sorted(UNREACHED.keys() - unreached) == [], "listed as unreached, but something runs them"
 
+
+BAD = {"True": True, "nan": math.nan, "inf": math.inf, "10**400": 10**400, "2.5": 2.5, "8.5": 8.5, "-1": -1}
+TINY = model.FiniteHypothesisSpace([[0.0], [0.5], [1.0]], [1 / 3] * 3)
+LOSSES = [0.0, 0.5, 1.0]
+POINT = model.FiniteDataDomain((0,), [1.0])
+
+
+def config_with(field: str):
+    return lambda value: harness.ExperimentConfig(**{**BASE, "experiment": "violation", field: value})
+
+
+def steep(gamma) -> gibbs.DensityFamily:
+    """A density whose log-Lipschitz constant is 10, declared with rate gamma."""
+    return gibbs.DensityFamily("steep", {}, lambda t: -10 * t, gamma)
+
+
+# (entry point, field, call with the bad value, names of the bad values)
+BOUNDARY = [
+    ("ExperimentConfig", "n", config_with("n"), "True 2.5 -1"),
+    ("ExperimentConfig", "trials", config_with("trials"), "True 2.5"),
+    ("ExperimentConfig", "p", config_with("p"), "True 2.5 -1"),
+    ("ExperimentConfig", "master_seed", config_with("master_seed"), "True 2.5 -1"),
+    ("ExperimentConfig", "delta", config_with("delta"), "True nan inf 10**400"),
+    ("ExperimentConfig", "sigma", config_with("sigma"), "True nan inf 10**400"),
+    ("derive_seed_pair", "master_seed", lambda v: harness.derive_seed_pair(v, 0), "True 2.5 -1"),
+    ("derive_seed_pair", "path", lambda v: harness.derive_seed_pair(1, v), "True 2.5 -1"),
+    ("wilson_upper_99", "violations", lambda v: harness.wilson_upper_99(v, 10), "True 2.5 -1"),
+    ("wilson_upper_99", "trials", lambda v: harness.wilson_upper_99(0, v), "True 2.5 -1"),
+    ("exponential_density", "beta", gibbs.exponential_density, "True nan inf 10**400 -1"),
+    ("capped_exponential_density", "cap", lambda v: gibbs.capped_exponential_density(1.0, v), "True nan 10**400"),
+    ("permuted_label_task", "label_noise", lambda v: model.permuted_label_task(2, 0, v), "True nan 10**400"),
+    ("sample_dataset", "n", lambda v: model.sample_dataset(POINT, v, 0), "True 2.5"),
+    ("sample_dataset", "seed", lambda v: model.sample_dataset(POINT, 1, v), "2.5 -1"),
+    ("sample_items", "n", lambda v: model.sample_items(POINT, v, [0]), "True 2.5"),
+    ("FiniteHypothesisSpace", "table", lambda v: model.FiniteHypothesisSpace([[v]], [1.0]), "nan 10**400"),
+    ("posterior", "beta", lambda v: gibbs.posterior(TINY, LOSSES, v), "True nan inf 10**400 -1"),
+    ("complexity_rows", "beta", lambda v: gibbs.complexity_rows(TINY, np.zeros((2, 3)), [0, 1], [1.0, v]), "nan 10**400"),
+    ("complexity", "h_index", lambda v: gibbs.complexity(TINY, LOSSES, v, 1.0), "True 2.5"),
+    (
+        "complexity_bruteforce",
+        "grid_step",
+        lambda v: gibbs.complexity_bruteforce(TINY, LOSSES, 0, 1.0, v),
+        "True nan inf 10**400",
+    ),
+    ("sample_hypothesis", "seed", lambda v: gibbs.sample_hypothesis(gibbs.posterior(TINY, LOSSES, 1.0), v), "2.5 -1"),
+    # a nan or inf rate passed every log-Lipschitz comparison, so the steep family went unflagged
+    ("normalize_density", "gamma", lambda v: gibbs.normalize_density(TINY, LOSSES, steep(v), v), "True nan inf"),
+    ("density_rows", "gamma", lambda v: gibbs.density_rows(TINY, np.array([LOSSES]), steep(v), v), "nan inf"),
+    ("posterior_draws", "gamma", lambda v: gibbs.posterior_draws(TINY, np.array([LOSSES]), steep(v), [0.5]), "nan inf"),
+    ("binary_kl_bound", "n", lambda v: bounds.binary_kl_bound(0.0, v, 0.05), "True 8.5"),
+    ("binary_kl_bound", "delta", lambda v: bounds.binary_kl_bound(0.0, 50, v), "True nan inf"),
+    ("high_temperature_bound", "beta", lambda v: bounds.high_temperature_bound(v, 50, 0.05), "True nan inf 10**400 -1"),
+    ("minimizer_mass_bound", "prior_mass_min", bounds.minimizer_mass_bound, "True nan"),
+    ("stratified_subgaussian_bound", "sigma", lambda v: bounds.stratified_subgaussian_bound(1.0, v, 50, 0.05), "nan inf"),
+    ("stratified_subgaussian_bound", "n", lambda v: bounds.stratified_subgaussian_bound(1.0, 1.0, v, 0.05), "True 2.5"),
+    (
+        "stratified_subgaussian_bound_rows",
+        "sigma",
+        lambda v: bounds.stratified_subgaussian_bound_rows([1.0], v, 50, 0.05),
+        "True nan inf",
+    ),
+    ("shift_radius", "n", lambda v: bounds.shift_radius(v, 0.05, 1), "True 2.5"),
+    ("shift_radius", "delta", lambda v: bounds.shift_radius(100, v, 1), "True nan"),
+    ("shift_radius", "p", lambda v: bounds.shift_radius(100, 0.05, v), "True 2.5 -1"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, field, value",
+    [
+        pytest.param(call, field, BAD[v], id=f"{entry}-{field}-{v}")
+        for entry, field, call, bad in BOUNDARY
+        for v in bad.split()
+    ],
+)
+def test_bad_number_rejected_naming_its_field(call, field, value):
+    with pytest.raises(ValueError, match=rf"\b{field}\b"):
+        call(value)
