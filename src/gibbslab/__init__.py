@@ -60,7 +60,6 @@ from .model import (
     permuted_label_task,
     random_loss_table,
     sample_dataset,
-    sample_items,
 )
 
 __version__ = "0.1.0"

@@ -50,7 +50,7 @@ from .model import (
     k_minimizer_space,
     loss_matrix,
     random_loss_table,
-    sample_items,
+    sample_dataset,
 )
 from .streams import uniform_rows
 
@@ -80,31 +80,44 @@ def _e1_space():
 
 # the rates of criterion 1, each checked on every one of its spaces
 ORACLE_BETAS = (0.1, 1.0, 10.0, 1e3)
-# criteria 1 and 3 draw dataset sizes from 1 to this, and that many uniforms per dataset
+# criteria 1, 3 and 9 draw dataset sizes from 1 to this, and that many uniforms per dataset
 MAX_DATASET_SIZE = 32
 
 
-def _oracle_cases():
-    """Criterion 1's 200 (space, empirical losses, hypothesis) draws.
+def _random_space(rng: np.random.Generator, random_prior: bool = False):
+    """A random_loss_table space of 2 to 16 hypotheses on 2 to 8 points; with random_prior, a coin picks the prior."""
+    h_count, x_count, seed = int(rng.integers(2, 17)), int(rng.integers(2, 9)), int(rng.integers(0, 2**32))
+    return random_loss_table(h_count, x_count, seed, random_prior=random_prior and bool(rng.integers(0, 2)))
 
-    The scalar draws come first, in the per-case order; every dataset's
-    stream then comes from one uniform_rows call, row i cut to its size.
+
+def _dataset_draw(rng: np.random.Generator) -> tuple[int, int]:
+    """A dataset's size in [1, MAX_DATASET_SIZE] and its seed."""
+    return int(rng.integers(1, MAX_DATASET_SIZE + 1)), int(rng.integers(0, 2**32))
+
+
+def _case_losses(cases: list):
+    """(space, empirical losses, extra) of every (domain, space, datasets, extra) case, all with as many datasets.
+
+    datasets holds (size, seed) pairs; row i of a case's losses is its
+    dataset i, the first size points of the stream sample_dataset draws
+    for that seed.  Every stream of every case comes from one uniform_rows call.
     """
+    seeds = [seed for case in cases for _, seed in case[2]]
+    uniforms = uniform_rows(seeds, MAX_DATASET_SIZE).reshape(len(cases), -1, MAX_DATASET_SIZE)
+    for (domain, space, datasets, extra), rows in zip(cases, uniforms):
+        sizes = [size for size, _ in datasets]
+        yield space, empirical_losses(loss_matrix(space, domain), inverse_cdf(domain.probs, rows), sizes), extra
+
+
+def _oracle_cases():
+    """Criterion 1's 200 (space, empirical losses, hypothesis) draws."""
     rng = np.random.Generator(np.random.PCG64(101))
-    cases, sizes, seeds = [], [], []
+    cases = []
     for _ in range(200):
-        h_count = int(rng.integers(2, 17))
-        x_count = int(rng.integers(2, 9))
-        domain, space = random_loss_table(
-            h_count, x_count, int(rng.integers(0, 2**32)), random_prior=bool(rng.integers(0, 2))
-        )
-        sizes.append(int(rng.integers(1, MAX_DATASET_SIZE + 1)))
-        seeds.append(int(rng.integers(0, 2**32)))
-        cases.append((domain, space, int(rng.integers(0, h_count))))
-    uniforms = uniform_rows(seeds, MAX_DATASET_SIZE)
-    for i, (domain, space, h) in enumerate(cases):
-        items = inverse_cdf(domain.probs, uniforms[i : i + 1])
-        yield space, empirical_losses(loss_matrix(space, domain), items, sizes[i : i + 1])[0], h
+        domain, space = _random_space(rng, random_prior=True)
+        cases.append((domain, space, [_dataset_draw(rng)], int(rng.integers(0, len(space)))))
+    for space, empirical, h in _case_losses(cases):
+        yield space, empirical[0], h
 
 
 def criterion_01() -> CriterionResult:
@@ -151,30 +164,21 @@ def _dominance_blocks():
     """Criterion 3's 400 spaces, each with its 5 datasets x 5 (hypothesis, beta) draws as one block.
 
     Yields the space, the (25, H) loss block (each dataset's row five
-    times), the hypotheses and the rates.  The scalar draws come first, in
-    the per-triple order; every dataset's stream then comes from one
-    uniform_rows call, and each space's 5 datasets from one lookup and one
-    empirical_losses call.
+    times), the hypotheses and the rates.
     """
     rng = np.random.Generator(np.random.PCG64(303))
-    draws, seeds = [], []
+    cases = []
     for _ in range(400):
-        h_count = int(rng.integers(2, 17))
-        domain, space = random_loss_table(
-            h_count, int(rng.integers(2, 9)), int(rng.integers(0, 2**32))
-        )
-        sizes, hs, betas = [], [], []
+        domain, space = _random_space(rng)
+        datasets, hs, betas = [], [], []
         for _ in range(5):
-            sizes.append(int(rng.integers(1, MAX_DATASET_SIZE + 1)))
-            seeds.append(int(rng.integers(0, 2**32)))
+            datasets.append(_dataset_draw(rng))
             for _ in range(5):
-                hs.append(int(rng.integers(0, h_count)))
+                hs.append(int(rng.integers(0, len(space))))
                 betas.append(float(10.0 ** rng.uniform(-1.0, 3.0)))
-        draws.append((domain, space, sizes, hs, betas))
-    uniforms = uniform_rows(seeds, MAX_DATASET_SIZE).reshape(400, 5, MAX_DATASET_SIZE)
-    for (domain, space, sizes, hs, betas), block in zip(draws, uniforms):
-        empirical = empirical_losses(loss_matrix(space, domain), inverse_cdf(domain.probs, block), sizes)
-        yield space, np.repeat(empirical, 5, axis=0), np.array(hs), np.array(betas)
+        cases.append((domain, space, datasets, (np.array(hs), np.array(betas))))
+    for space, empirical, (hs, betas) in _case_losses(cases):
+        yield space, np.repeat(empirical, 5, axis=0), hs, betas
 
 
 def criterion_03() -> CriterionResult:
@@ -197,7 +201,7 @@ def criterion_04() -> CriterionResult:
     passed = True
     for k in (1, 4, 20):
         domain, space = k_minimizer_space(100, k, seed=40 + k)
-        empirical = empirical_losses(loss_matrix(space, domain), sample_items(domain, 50, [41]))[0]
+        empirical = empirical_losses(loss_matrix(space, domain), sample_dataset(domain, 50, 41).item_indices[None])[0]
         minimizer = int(np.argmin(empirical))
         expected = math.log(100.0 / k)
         for beta in betas:
@@ -339,6 +343,18 @@ def criterion_08() -> CriterionResult:
     return CriterionResult(8, "margin identities", passed, detail)
 
 
+def _ratio_cases():
+    """Criterion 9's 50 (space, empirical losses, beta) draws."""
+    rng = np.random.Generator(np.random.PCG64(909))
+    cases = []
+    for _ in range(50):
+        domain, space = _random_space(rng)
+        cases.append((domain, space, [_dataset_draw(rng)], float(10.0 ** rng.uniform(-1.0, 2.0))))
+        rng.integers(0, len(space))  # the hypothesis draw, kept so later spaces stay as pinned
+    for space, empirical, beta in _case_losses(cases):
+        yield space, empirical[0], beta
+
+
 def criterion_09() -> CriterionResult:
     """The Gibbs density ratio never exceeds the complexity; polynomial density stays sound.
 
@@ -346,17 +362,9 @@ def criterion_09() -> CriterionResult:
     Z >= pi(L <= L(h) + r) exp(-beta (L(h) + r)) for every shift r.  The
     ratio reads the posterior's ln Z, the complexity the step CDF.
     """
-    rng = np.random.Generator(np.random.PCG64(909))
     worst, pairs, failures = -math.inf, 0, 0
-    for _ in range(50):
-        h_count = int(rng.integers(2, 17))
-        domain, space = random_loss_table(
-            h_count, int(rng.integers(2, 9)), int(rng.integers(0, 2**32))
-        )
-        n, seed = int(rng.integers(1, 33)), int(rng.integers(0, 2**32))
-        empirical = empirical_losses(loss_matrix(space, domain), sample_items(domain, n, [seed]))[0]
-        beta = float(10.0 ** rng.uniform(-1.0, 2.0))
-        rng.integers(0, h_count)  # the hypothesis draw, kept so later spaces stay as pinned
+    for space, empirical, beta in _ratio_cases():
+        h_count = len(space)
         log_z = normalize_density(space, empirical, exponential_density(beta), beta).log_partition
         lams, _ = complexity_rows(space, np.broadcast_to(empirical, (h_count, h_count)), np.arange(h_count), beta)
         excess = -beta * empirical - log_z - lams

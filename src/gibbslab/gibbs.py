@@ -154,7 +154,7 @@ def _losses_vector(space: FiniteHypothesisSpace, data_losses) -> np.ndarray:
 
 
 def _check_beta(beta: float | np.ndarray, rows: int | None = None) -> float | np.ndarray:
-    """A finite non-negative rate as a float, or, given rows, one such rate per row as a (rows,) float array."""
+    """A finite non-negative rate as a float, or, given rows, one per row as a (rows,) array; a bool is no rate."""
     if np.ndim(beta) == 0:
         if not (_is_finite(beta) and beta >= 0.0):
             raise ValueError(f"beta must be finite and non-negative, got {beta}")
@@ -167,6 +167,11 @@ def _check_beta(beta: float | np.ndarray, rows: int | None = None) -> float | np
         raise ValueError(f"beta must be a number or one rate per row, got {beta!r}") from None
     if rates.shape != (rows,):
         raise ValueError(f"beta must be a number or one rate per row, shape ({rows},), got shape {rates.shape}")
+    # numpy would read a bool as the rate 0.0 or 1.0
+    flags = [beta.dtype == bool] if isinstance(beta, np.ndarray) else [isinstance(b, (bool, np.bool_)) for b in beta]
+    if any(flags):
+        i = flags.index(True)
+        raise ValueError(f"beta[{i}] must be a number, not a bool, got {beta[i]!r}")
     bad = ~(np.isfinite(rates) & (rates >= 0.0))
     if bad.any():
         i = int(np.argmax(bad))

@@ -40,7 +40,7 @@ from .gibbs import (
 from .measures import binary_kl_rows
 from .model import TIE_TOL, _check_count, _from_spec, _is_finite, _is_integer, _is_real, build_space
 from .model import empirical_losses, inverse_cdf, loss_matrix, step_cdf
-from .streams import trial_streams
+from .streams import MAX_POINTS, trial_streams
 
 __all__ = [
     "ExperimentConfig",
@@ -97,7 +97,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if not isinstance(self.space_spec, dict):
             raise ValueError(f"space_spec must be an object with a name and params, got {self.space_spec!r}")
-        for name, minimum in (("n", 1), ("trials", 1), ("p", 1), ("master_seed", 0)):
+        _check_count("n", self.n, 1, MAX_POINTS)
+        for name, minimum in (("trials", 1), ("p", 1), ("master_seed", 0)):
             _check_count(name, getattr(self, name), minimum)
         if not (_is_real(self.delta) and 0.0 < self.delta < 1.0):
             raise ValueError(f"delta must be a number in (0, 1), got {self.delta!r}")
@@ -111,8 +112,8 @@ class ExperimentConfig:
         object.__setattr__(self, "beta_grid", tuple(map(float, beta_grid)))
         if self.n_grid is not None:
             n_grid = _grid("n_grid", self.n_grid, "integers", _is_integer)
-            if min(n_grid) < 1:
-                raise ValueError(f"n_grid values must be at least 1, got {list(n_grid)}")
+            if not 1 <= min(n_grid) <= max(n_grid) <= MAX_POINTS:
+                raise ValueError(f"n_grid values must lie in [1, {MAX_POINTS}], got {list(n_grid)}")
             object.__setattr__(self, "n_grid", tuple(map(int, n_grid)))
         if self.bound_kind not in BOUND_KINDS:
             raise ValueError(f"unknown bound kind {self.bound_kind!r}")
@@ -122,9 +123,14 @@ class ExperimentConfig:
             _from_spec("density family", _FAMILIES, self.density)
         if not (self.output_path is None or isinstance(self.output_path, str)):
             raise ValueError(f"output_path must be a string or null, got {self.output_path!r}")
-        for name in ("n_grid", "r0"):
-            if getattr(self, name) is not None and self.experiment != "random_label":
-                raise ValueError(f"{name} applies only to the random_label experiment")
+        if self.experiment != "random_label":
+            for name in ("n_grid", "r0"):
+                if getattr(self, name) is not None:
+                    raise ValueError(f"{name} applies only to the random_label experiment")
+        elif self.space_spec.get("name") != "permuted_label_task":
+            raise ValueError("random_label experiment requires the permuted_label_task generator")
+        elif self.n_grid is None or self.r0 is None:
+            raise ValueError("random_label experiment requires n_grid and r0")
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -598,10 +604,6 @@ def run_random_label_experiment(config: ExperimentConfig) -> Outcome:
     covers the confidence claim on the non-vacuous rows (medians are
     reported as data).
     """
-    if config.space_spec.get("name") != "permuted_label_task":
-        raise ValueError("random_label experiment requires the permuted_label_task generator")
-    if config.n_grid is None or config.r0 is None:
-        raise ValueError("random_label experiment requires n_grid and r0")
     domain, space = build_space(config.space_spec)
     min_true = float(step_cdf(space.table @ domain.probs, space.prior).levels[0])
     r0, delta, p = float(config.r0), config.delta, config.p

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .streams import uniform_rows
-
 __all__ = [
     "FiniteDataDomain",
     "DataSet",
@@ -26,7 +24,6 @@ __all__ = [
     "StepCdf",
     "step_cdf",
     "inverse_cdf",
-    "sample_items",
     "sample_dataset",
     "empirical_losses",
     "loss_matrix",
@@ -73,9 +70,11 @@ def _is_finite(value) -> bool:
         return False
 
 
-def _check_count(name: str, value, minimum: int) -> None:
+def _check_count(name: str, value, minimum: int, maximum: float = math.inf) -> None:
     if not (_is_integer(value) and value >= minimum):
         raise ValueError(f"{name} must be an integer of at least {minimum}, got {value!r}")
+    if value > maximum:
+        raise ValueError(f"{name} must be at most {maximum}, got {value!r}")
 
 
 def _check_parameters(**params) -> None:
@@ -212,18 +211,6 @@ def inverse_cdf(weights, u) -> np.ndarray:
     cum[np.arange(size) >= last[:, None]] = 1.0
     # a row-wise searchsorted: the count of entries at or below u
     return (cum[:, None, :] <= np.asarray(u)[:, :, None]).sum(axis=2)
-
-
-def sample_items(domain: FiniteDataDomain, n: int, seeds) -> np.ndarray:
-    """(len(seeds), n) item indices; row i holds n iid points drawn from PCG64(seeds[i]).
-
-    Each row is the stream sample_dataset draws for the same seed.  The
-    whole block's uniforms come from one streams.uniform_rows call and
-    select their items with one lookup, instead of one generator and one
-    lookup per dataset.
-    """
-    _check_count("n", n, 1)
-    return inverse_cdf(domain.probs, uniform_rows(seeds, n))
 
 
 def sample_dataset(domain: FiniteDataDomain, n: int, seed: int) -> DataSet:

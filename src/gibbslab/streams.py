@@ -32,10 +32,10 @@ for a single stream, and are the reference the tests hold this module to.
 from __future__ import annotations
 
 import functools
-import numbers
-import operator
 
 import numpy as np
+
+from .model import _check_count, _is_integer
 
 __all__ = ["seed_pairs", "uniform_rows", "trial_streams"]
 
@@ -51,6 +51,8 @@ MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 # outputs per chunk of the jump arithmetic: its uint64 temporaries stay at 64 KiB
 OUTPUT_CELLS = 8192
+# the most outputs per stream: n outputs cost O(n) big-integer jump steps (2**20: 5.6 s, 204 MiB on a 2-core Xeon)
+MAX_POINTS = 2**20
 
 
 def _hash_pairs(init: int, mult: int, count: int) -> list[tuple[int, int]]:
@@ -110,17 +112,18 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return result ^ result >> 16
 
 
+def _seed(name: str, value) -> int:
+    """A seed as an int, checked as every count is; a non-integer other than a bool keeps numpy's TypeError."""
+    if not (_is_integer(value) or isinstance(value, bool)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    _check_count(name, value, 0)
+    return int(value)
+
+
 def _words(value: int) -> list[int]:
     """The uint32 words SeedSequence reads from one integer, least significant first."""
-    value = operator.index(value)
-    if value < 0:
-        raise ValueError("expected non-negative integer")
-    words = [value & MASK32]
-    value >>= 32
-    while value:
-        words.append(value & MASK32)
-        value >>= 32
-    return words
+    value = _seed("master_seed", value)
+    return [value >> shift & MASK32 for shift in range(0, max(value.bit_length(), 1), 32)]
 
 
 def _pool(entropy: np.ndarray) -> np.ndarray:
@@ -176,11 +179,7 @@ def seed_pairs(master_seed: int, paths) -> np.ndarray:
 def _seed_array(seeds) -> np.ndarray:
     if isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64:
         return seeds
-    values = list(seeds)
-    if not all(isinstance(v, numbers.Integral) for v in values):
-        raise TypeError("seeds must be integers")
-    if values and min(values) < 0:
-        raise ValueError("expected non-negative integer")
+    values = [_seed("seeds", value) for value in seeds]
     if values and max(values) > MASK64:
         raise ValueError("seeds must be below 2**64")
     return np.array(values, dtype=np.uint64)
@@ -250,8 +249,7 @@ def _outputs(state: tuple, inc: tuple, n: int) -> np.ndarray:
     The rows are computed OUTPUT_CELLS cells at a time, so the jump's
     uint64 temporaries stay in cache however many rows a block holds.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_count("n", n, 1, MAX_POINTS)
     powers, sums = _jumps(n)
     rows = len(state[0])
     out = np.empty((rows, n))

@@ -21,6 +21,7 @@ from gibbslab.acceptance import (
     ORACLE_BETAS,
     _dominance_blocks,
     _oracle_cases,
+    _ratio_cases,
     _round_trips,
     format_line,
     run_criterion,
@@ -169,6 +170,31 @@ def test_oracle_cases_match_per_call_datasets():
         assert h == ref_h
         count += 1
     assert count == 200
+
+
+def ratio_cases_reference():
+    """Criterion 9's draws with one generator, one DataSet and one LossProfile per dataset."""
+    rng = np.random.Generator(np.random.PCG64(909))
+    for _ in range(50):
+        h_count = int(rng.integers(2, 17))
+        domain, space = random_loss_table(h_count, int(rng.integers(2, 9)), int(rng.integers(0, 2**32)))
+        data = sample_dataset(domain, int(rng.integers(1, 33)), int(rng.integers(0, 2**32)))
+        beta = float(10.0 ** rng.uniform(-1.0, 2.0))
+        rng.integers(0, h_count)
+        yield space, loss_profile(space, domain, data).empirical, beta
+
+
+def test_ratio_cases_match_per_call_datasets():
+    count = 0
+    for (space, empirical, beta), (ref_space, ref_empirical, ref_beta) in zip(
+        _ratio_cases(), ratio_cases_reference(), strict=True
+    ):
+        assert space.table.tobytes() == ref_space.table.tobytes()
+        assert space.prior.tobytes() == ref_space.prior.tobytes()
+        assert empirical.tobytes() == ref_empirical.tobytes()
+        assert beta == ref_beta
+        count += 1
+    assert count == 50
 
 
 def test_dominance_blocks_match_per_call_datasets():

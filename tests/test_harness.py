@@ -55,6 +55,7 @@ from gibbslab.model import (
 from gibbslab import gibbs, harness
 from gibbslab.gibbs import DensityFamily, density_family, normalize_density
 from gibbslab.measures import binary_kl
+from gibbslab.streams import MAX_POINTS
 
 SMALL_SPACE = {"name": "random_loss_table", "params": {"num_hypotheses": 16, "num_points": 8, "seed": 3}}
 NOISE_TASK = {"name": "permuted_label_task", "params": {"num_inputs": 6, "seed": 3, "label_noise": 0.5}}
@@ -161,6 +162,11 @@ class TestConfig:
         extra = RANDOM_LABEL_FIELDS if field in ("n_grid", "r0", "space_spec") else {}
         with pytest.raises(ValueError, match=f"^{field} "):
             config(**{**extra, field: value})
+
+    def test_sample_sizes_up_to_max_points_accepted(self):
+        # the configs are only built: a run at MAX_POINTS draws 2**20 uniforms per dataset
+        assert config(n=MAX_POINTS).n == MAX_POINTS
+        assert config(**{**RANDOM_LABEL_FIELDS, "n_grid": (1, MAX_POINTS)}).n_grid == (1, MAX_POINTS)
 
     def test_nan_sigma_from_json_rejected(self):
         # a nan sigma made every stratify RHS nan and the run pass
@@ -733,6 +739,18 @@ class TestRandomLabel:
             run_random_label_experiment(config(experiment="random_label", n_grid=(50,), r0=0.2))
         with pytest.raises(ValueError, match="n_grid"):
             run_random_label_experiment(config(experiment="random_label", space_spec=NOISE_TASK))
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"n_grid": (50,), "r0": 0.2}, "requires the permuted_label_task generator"),
+            ({"space_spec": NOISE_TASK, "r0": 0.2}, "requires n_grid and r0"),
+            ({"space_spec": NOISE_TASK, "n_grid": (50,)}, "requires n_grid and r0"),
+        ],
+    )
+    def test_requirements_checked_when_the_config_is_built(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            config(experiment="random_label", **overrides)
 
 
 OUTCOME_RUNS = {

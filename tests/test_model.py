@@ -22,9 +22,9 @@ from gibbslab.model import (
     permuted_label_task,
     random_loss_table,
     sample_dataset,
-    sample_items,
     step_cdf,
 )
+from gibbslab.streams import uniform_rows
 
 
 def test_domain_rejects_bad_probabilities():
@@ -288,10 +288,10 @@ class TestGeneratorTables:
 class TestBlockDraws:
     """Block draws carry the bits of the per-dataset formulas."""
 
-    def test_sample_items_rows_are_per_seed_streams(self):
+    def test_block_item_rows_are_per_seed_streams(self):
         domain = FiniteDataDomain(tuple(range(5)), [0.0, 0.4, 0.0, 0.35, 0.25])
         seeds = [7, 8, 2**63 + 5]
-        items = sample_items(domain, 40, seeds)
+        items = inverse_cdf(domain.probs, uniform_rows(seeds, 40))
         support = np.array([1, 3, 4])
         cum = np.cumsum(domain.probs[support])
         cum[-1] = 1.0
@@ -308,7 +308,7 @@ class TestBlockDraws:
     def test_empirical_losses_rows_are_per_dataset_products(self, hypotheses, points, n):
         domain, space = random_loss_table(hypotheses, points, seed=4)
         matrix = loss_matrix(space, domain)
-        items = sample_items(domain, n, list(range(30)))
+        items = inverse_cdf(domain.probs, uniform_rows(list(range(30)), n))
         block = empirical_losses(matrix, items)
         assert block.shape == (30, hypotheses)
         for row, got in zip(items, block):
@@ -320,11 +320,12 @@ class TestBlockDraws:
         # counts block would alternate between aligned and misaligned
         script = textwrap.dedent(
             """
-            from gibbslab.model import empirical_losses, loss_matrix, random_loss_table, sample_items
+            from gibbslab.model import empirical_losses, inverse_cdf, loss_matrix, random_loss_table
+            from gibbslab.streams import uniform_rows
 
             domain, space = random_loss_table(1, 5, seed=4)
             matrix = loss_matrix(space, domain)
-            items = sample_items(domain, 23, list(range(20)))
+            items = inverse_cdf(domain.probs, uniform_rows(list(range(20)), 23))
             block = empirical_losses(matrix, items)
             differing = [i for i in range(20) if block[i].tobytes() != empirical_losses(matrix, items[i : i + 1]).tobytes()]
             print(differing)
@@ -344,7 +345,7 @@ class TestBlockDraws:
         seeds = list(range(40))
         sizes = np.random.Generator(np.random.PCG64(6)).integers(1, 33, size=len(seeds))
         sizes[:2] = (1, 32)
-        block = empirical_losses(loss_matrix(space, domain), sample_items(domain, 32, seeds), sizes)
+        block = empirical_losses(loss_matrix(space, domain), inverse_cdf(domain.probs, uniform_rows(seeds, 32)), sizes)
         assert block.shape == (len(seeds), hypotheses)
         for got, size, seed in zip(block, sizes, seeds):
             expected = loss_profile(space, domain, sample_dataset(domain, int(size), seed)).empirical

@@ -27,7 +27,6 @@ MODULES = (acceptance, bounds, cli, gibbs, harness, margins, measures, model, st
 # only the benchmark's replay (perfbench/workloads.py) calls these
 UNREACHED = {
     "harness.derive_seed_pair": "the benchmark's replay derives each replayed trial's seeds with it",
-    "model.sample_dataset": "the benchmark's replay draws each replayed dataset with it",
     "gibbs.sample_hypothesis": "the benchmark's replay draws each replayed hypothesis with it",
     "bounds.stratified_subgaussian_bound": "the benchmark's replay computes the stratify RHS with it",
     "measures.binary_kl": "the benchmark's replay computes the realized relative entropy with it",
@@ -53,6 +52,7 @@ RUNS = [
         "r0": 0.3,
     },
 ]
+RANDOM_LABEL = RUNS[-1]
 
 
 def _function(value):
@@ -120,7 +120,18 @@ def test_unreached_public_functions_are_exactly_the_listed_ones(tmp_path, monkey
     assert sorted(UNREACHED.keys() - unreached) == [], "listed as unreached, but something runs them"
 
 
-BAD = {"True": True, "nan": math.nan, "inf": math.inf, "10**400": 10**400, "2.5": 2.5, "8.5": 8.5, "-1": -1}
+BAD = {
+    "True": True,
+    "nan": math.nan,
+    "inf": math.inf,
+    "10**400": 10**400,
+    "2.5": 2.5,
+    "8.5": 8.5,
+    "-1": -1,
+    "bool_array": np.array([True, False]),
+    "MAX_POINTS+1": streams.MAX_POINTS + 1,
+}
+PATHS = np.arange(2)[None]
 TINY = model.FiniteHypothesisSpace([[0.0], [0.5], [1.0]], [1 / 3] * 3)
 LOSSES = [0.0, 0.5, 1.0]
 POINT = model.FiniteDataDomain((0,), [1.0])
@@ -130,6 +141,10 @@ def config_with(field: str):
     return lambda value: harness.ExperimentConfig(**{**BASE, "experiment": "violation", field: value})
 
 
+def n_grid_with(value) -> harness.ExperimentConfig:
+    return harness.ExperimentConfig(**{**BASE, **RANDOM_LABEL, "n_grid": [5, value]})
+
+
 def steep(gamma) -> gibbs.DensityFamily:
     """A density whose log-Lipschitz constant is 10, declared with rate gamma."""
     return gibbs.DensityFamily("steep", {}, lambda t: -10 * t, gamma)
@@ -137,7 +152,8 @@ def steep(gamma) -> gibbs.DensityFamily:
 
 # (entry point, field, call with the bad value, names of the bad values)
 BOUNDARY = [
-    ("ExperimentConfig", "n", config_with("n"), "True 2.5 -1"),
+    ("ExperimentConfig", "n", config_with("n"), "True 2.5 -1 MAX_POINTS+1 10**400"),
+    ("ExperimentConfig", "n_grid", n_grid_with, "True 2.5 -1 MAX_POINTS+1 10**400"),
     ("ExperimentConfig", "trials", config_with("trials"), "True 2.5"),
     ("ExperimentConfig", "p", config_with("p"), "True 2.5 -1"),
     ("ExperimentConfig", "master_seed", config_with("master_seed"), "True 2.5 -1"),
@@ -152,10 +168,17 @@ BOUNDARY = [
     ("permuted_label_task", "label_noise", lambda v: model.permuted_label_task(2, 0, v), "True nan 10**400"),
     ("sample_dataset", "n", lambda v: model.sample_dataset(POINT, v, 0), "True 2.5"),
     ("sample_dataset", "seed", lambda v: model.sample_dataset(POINT, 1, v), "2.5 -1"),
-    ("sample_items", "n", lambda v: model.sample_items(POINT, v, [0]), "True 2.5"),
+    ("uniform_rows", "seeds", lambda v: streams.uniform_rows([0, v], 3), "True -1"),
+    # n past MAX_POINTS ran the jump constants' big-integer loop until memory ran out
+    ("uniform_rows", "n", lambda v: streams.uniform_rows([0], v), "True 2.5 -1 MAX_POINTS+1 10**400"),
+    ("seed_pairs", "master_seed", lambda v: streams.seed_pairs(v, PATHS), "True -1"),
+    ("trial_streams", "master_seed", lambda v: streams.trial_streams(v, PATHS, 3), "True -1"),
+    ("trial_streams", "n", lambda v: streams.trial_streams(1, PATHS, v), "True 2.5 MAX_POINTS+1 10**400"),
     ("FiniteHypothesisSpace", "table", lambda v: model.FiniteHypothesisSpace([[v]], [1.0]), "nan 10**400"),
     ("posterior", "beta", lambda v: gibbs.posterior(TINY, LOSSES, v), "True nan inf 10**400 -1"),
-    ("complexity_rows", "beta", lambda v: gibbs.complexity_rows(TINY, np.zeros((2, 3)), [0, 1], [1.0, v]), "nan 10**400"),
+    # numpy read a bool inside a per-row rate array as 0.0 or 1.0
+    ("complexity_rows", "beta", lambda v: gibbs.complexity_rows(TINY, np.zeros((2, 3)), [0, 1], [1.0, v]), "True nan 10**400"),
+    ("complexity_rows", "beta", lambda v: gibbs.complexity_rows(TINY, np.zeros((2, 3)), [0, 1], v), "bool_array"),
     ("complexity", "h_index", lambda v: gibbs.complexity(TINY, LOSSES, v, 1.0), "True 2.5"),
     (
         "complexity_bruteforce",
