@@ -38,15 +38,12 @@ from .harness import (
     wilson_upper_99,
 )
 from .margins import (
-    LabeledPoint,
+    LabeledData,
     LinearGrid,
-    LinearHypothesis,
-    MarginResult,
     build_linear_grid,
     grid_space,
-    labeled_domain,
     level_set_equality_check,
-    margin_value,
+    margin_values,
 )
 from .measures import binary_kl
 from .model import (

@@ -33,15 +33,7 @@ from .harness import (
     run_phase_diagram,
     run_violation_experiment,
 )
-from .margins import (
-    LabeledPoint,
-    LinearHypothesis,
-    build_linear_grid,
-    grid_space,
-    labeled_domain,
-    level_set_equality_check,
-    margin_value,
-)
+from .margins import LabeledData, LinearGrid, build_linear_grid, grid_space, level_set_equality_check, margin_values
 from .measures import binary_kl_inverse_upper_rows, binary_kl_rows
 from .model import (
     FiniteHypothesisSpace,
@@ -292,23 +284,27 @@ def _margin_oracle(values, n: int, error_fraction: float) -> float:
     return max(max(map(min, itertools.combinations(values, size))) for size in range(keep, n + 1))
 
 
+def _random_points(rng: np.random.Generator, n: int) -> LabeledData:
+    """n standard normal points in the plane with fair random labels, drawn point by point."""
+    draws = [(rng.normal(size=2), 2 * rng.integers(0, 2) - 1) for _ in range(n)]
+    return LabeledData([z for z, _ in draws], [y for _, y in draws])
+
+
 def criterion_08() -> CriterionResult:
     """Margin selection equals the exhaustive oracle; level sets match; hard margin pays off."""
     rng = np.random.Generator(np.random.PCG64(808))
     oracle_failures = 0
     for _ in range(500):
         n = int(rng.integers(1, 13))
-        data = [
-            LabeledPoint(tuple(rng.normal(size=2)), int(2 * rng.integers(0, 2) - 1))
-            for _ in range(n)
-        ]
+        data = _random_points(rng, n)
         angle = rng.uniform(0.0, 2.0 * math.pi)
-        h = LinearHypothesis((math.cos(angle), math.sin(angle)), float(rng.normal()))
+        direction, bias = (math.cos(angle), math.sin(angle)), float(rng.normal())
         r = float(rng.choice([0.0, float(rng.random()), 1.0]))
         values = [
-            (sum(u * z for u, z in zip(h.direction, p.z)) - h.bias) * p.y for p in data
+            (sum(u * z for u, z in zip(direction, point)) - bias) * y
+            for point, y in zip(data.coords.tolist(), data.labels.tolist())
         ]
-        if margin_value(h, data, r).value != _margin_oracle(values, n, r):
+        if margin_values(LinearGrid([direction], [bias], [1.0]), data, r)[0] != _margin_oracle(values, n, r):
             oracle_failures += 1
 
     level_failures = 0
@@ -319,17 +315,13 @@ def criterion_08() -> CriterionResult:
             1.0,
             prior_kind="gaussian-projected" if rng.integers(0, 2) else "uniform",
         )
-        data = [
-            LabeledPoint(tuple(rng.normal(size=2)), int(2 * rng.integers(0, 2) - 1))
-            for _ in range(int(rng.integers(2, 11)))
-        ]
+        data = _random_points(rng, int(rng.integers(2, 11)))
         if not level_set_equality_check(grid, data, float(rng.random())):
             level_failures += 1
 
     # separable pair with hard margin 1: a fine grid must catch a separator
-    pair = [LabeledPoint((1.0, 0.0), 1), LabeledPoint((-1.0, 0.0), -1)]
-    domain = labeled_domain(pair)
-    space = grid_space(build_linear_grid(360, 41, 1.0), domain)
+    pair = LabeledData([(1.0, 0.0), (-1.0, 0.0)], [1, -1])
+    domain, space = grid_space(build_linear_grid(360, 41, 1.0), pair)
     empirical = empirical_losses(loss_matrix(space, domain), np.array([[0, 1]]))[0]
     mass_at_zero = float(space.prior[empirical <= 0.0].sum())
     lam = complexity(space, empirical, int(np.argmin(empirical)), 1e6).value

@@ -38,9 +38,9 @@ from .gibbs import (
     zero_temperature_posterior,
 )
 from .measures import binary_kl_rows
-from .model import TIE_TOL, _check_count, _from_spec, _is_finite, _is_integer, _is_real, build_space
+from .model import MAX_POINTS, TIE_TOL, _check_count, _from_spec, _is_finite, _is_integer, _is_real, build_space
 from .model import empirical_losses, inverse_cdf, loss_matrix, step_cdf
-from .streams import MAX_POINTS, trial_streams
+from .streams import trial_streams
 
 __all__ = [
     "ExperimentConfig",
@@ -71,6 +71,8 @@ Z_99 = 2.3263478740408408
 
 # floats per array of a trial block (512 KiB); see _trial_blocks
 BLOCK_CELLS = 65536
+# a trial index is one 32-bit seed path word, and streams.seed_pairs rejects larger words
+MAX_TRIALS = 2**32
 
 
 @dataclass(frozen=True)
@@ -98,8 +100,9 @@ class ExperimentConfig:
         if not isinstance(self.space_spec, dict):
             raise ValueError(f"space_spec must be an object with a name and params, got {self.space_spec!r}")
         _check_count("n", self.n, 1, MAX_POINTS)
-        for name, minimum in (("trials", 1), ("p", 1), ("master_seed", 0)):
-            _check_count(name, getattr(self, name), minimum)
+        _check_count("trials", self.trials, 1, MAX_TRIALS)
+        _check_count("p", self.p, 1)
+        _check_count("master_seed", self.master_seed, 0)
         if not (_is_real(self.delta) and 0.0 < self.delta < 1.0):
             raise ValueError(f"delta must be a number in (0, 1), got {self.delta!r}")
         # a nan sigma or r0 passes every comparison it meets and reports nothing

@@ -10,22 +10,25 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import FiniteDataDomain, FiniteHypothesisSpace, _check_count, _check_parameters
+from .model import (
+    FiniteDataDomain,
+    FiniteHypothesisSpace,
+    _check_count,
+    _check_parameters,
+    _finite_array,
+    _probability_vector,
+)
 
 __all__ = [
-    "LabeledPoint",
-    "LinearHypothesis",
-    "MarginResult",
-    "margin_value",
-    "level_set_equality_check",
+    "LabeledData",
     "LinearGrid",
+    "margin_values",
+    "level_set_equality_check",
     "build_linear_grid",
     "grid_space",
-    "labeled_domain",
 ]
 
 UNIT_NORM_TOL = 1e-10
@@ -34,44 +37,55 @@ COUNT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class LabeledPoint:
-    """An input vector with a binary label in {-1, +1}."""
+class LabeledData:
+    """Read-only (n, d) finite coordinates and their (n,) labels in {-1, +1}."""
 
-    z: tuple
-    y: int
+    coords: np.ndarray
+    labels: np.ndarray
 
     def __post_init__(self):
-        z = tuple(float(v) for v in self.z)
-        if not all(math.isfinite(v) for v in z):
-            raise ValueError("coordinates must be finite")
-        if self.y not in (-1, 1):
-            raise ValueError(f"label must be -1 or +1, got {self.y}")
-        object.__setattr__(self, "z", z)
+        coords = _finite_array(self.coords, "coords", 2)
+        labels = np.array(self.labels)
+        # numpy reads a bool among integers as 0 or 1, so the entries themselves are looked at
+        if not (
+            labels.shape == (len(coords),)
+            and labels.dtype.kind in "iuf"
+            and not any(isinstance(y, (bool, np.bool_)) for y in self.labels)
+            and (np.abs(labels) == 1).all()
+        ):
+            raise ValueError(f"labels must be one -1 or +1 per row of coords ({len(coords)}), got {self.labels!r}")
+        labels = labels.astype(np.int64)
+        labels.setflags(write=False)
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "labels", labels)
 
 
 @dataclass(frozen=True)
-class LinearHypothesis:
-    """Oriented hyperplane: unit direction and scalar offset."""
+class LinearGrid:
+    """Oriented hyperplanes with a prior over them: read-only (H, d) unit directions and (H,) biases."""
 
-    direction: tuple
-    bias: float
+    directions: np.ndarray
+    biases: np.ndarray
+    prior: np.ndarray
 
     def __post_init__(self):
-        u = tuple(float(v) for v in self.direction)
-        norm = math.sqrt(sum(v * v for v in u))
-        if abs(norm - 1.0) > UNIT_NORM_TOL:
-            raise ValueError(f"direction must be a unit vector, norm {norm!r}")
-        object.__setattr__(self, "direction", u)
-        object.__setattr__(self, "bias", float(self.bias))
+        directions = _finite_array(self.directions, "directions", 2)
+        norms = np.sqrt((directions * directions).sum(axis=1))
+        off = np.abs(norms - 1.0) > UNIT_NORM_TOL
+        if off.any():
+            raise ValueError(f"directions must be unit vectors, got norm {norms[off][0]!r}")
+        fields = {
+            "directions": directions,
+            "biases": _finite_array(self.biases, "biases", 1),
+            "prior": _probability_vector(self.prior, "prior"),
+        }
+        for name, values in fields.items():
+            if len(values) != len(directions):
+                raise ValueError(f"{name} must have one entry per direction ({len(directions)}), got {len(values)}")
+            object.__setattr__(self, name, values)
 
-
-@dataclass(frozen=True)
-class MarginResult:
-    """Soft margin value with the retained index set that attains it."""
-
-    error_fraction: float
-    value: float
-    selected: tuple
+    def __len__(self) -> int:
+        return len(self.directions)
 
 
 def _retained_count(n: int, error_fraction: float) -> int:
@@ -83,80 +97,58 @@ def _retained_count(n: int, error_fraction: float) -> int:
     return max(n - allowed, 1)
 
 
-def _signed_scores(hypotheses: Sequence[LinearHypothesis], points: Sequence[LabeledPoint]) -> np.ndarray:
+def _signed_scores(grid: LinearGrid, data: LabeledData) -> np.ndarray:
     """(H, n) score * label of every (hypothesis, point) pair, score = <direction, z> - bias.
 
     The sum runs 0.0 + u_0 z_0 + u_1 z_1 ... - bias, the operation order of
     float(sum(u * v for u, v in zip(direction, z))) - bias for each pair.
     """
-    directions = np.array([h.direction for h in hypotheses])
-    biases = np.array([h.bias for h in hypotheses])
-    dims = sorted({len(point.z) for point in points})
-    if dims != [directions.shape[1]]:
-        raise ValueError(f"dimension mismatch: points have {dims} coordinates, hypotheses {directions.shape[1]}")
-    coords = np.array([point.z for point in points])
+    dim = grid.directions.shape[1]
+    if data.coords.shape[1] != dim:
+        raise ValueError(f"dimension mismatch: points have {data.coords.shape[1]} coordinates, hypotheses {dim}")
     scores = 0.0
-    for k in range(coords.shape[1]):
-        scores = scores + directions[:, k : k + 1] * coords[:, k]
-    return (scores - biases[:, None]) * np.array([point.y for point in points])
+    for k in range(dim):
+        scores = scores + grid.directions[:, k : k + 1] * data.coords[:, k]
+    return (scores - grid.biases[:, None]) * data.labels
 
 
-def _margin_rows(values: np.ndarray, error_fraction: float) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's soft margin and its retained indices, in descending order of value.
+def _margin_rows(values: np.ndarray, error_fraction: float) -> np.ndarray:
+    """Each row's soft margin: its k-th largest value, from a stable sort of the negated row.
 
-    A stable sort of the negated values, so ties go to earlier indices and
-    the margin is the value itself, its sign of zero included.
+    Ties go to earlier indices, so the margin is the value itself, its
+    sign of zero included.
     """
     keep = _retained_count(values.shape[1], error_fraction)
-    order = np.argsort(-values, axis=1, kind="stable")[:, :keep]
-    return np.take_along_axis(values, order[:, -1:], axis=1)[:, 0], order
+    order = np.argsort(-values, axis=1, kind="stable")[:, keep - 1 : keep]
+    return np.take_along_axis(values, order, axis=1)[:, 0]
 
 
-def margin_value(
-    h: LinearHypothesis, data: Sequence[LabeledPoint], error_fraction: float
-) -> MarginResult:
-    """Best min of score*label over index sets keeping at least a (1-r) fraction.
+def margin_values(grid: LinearGrid, data: LabeledData, error_fraction: float) -> np.ndarray:
+    """(H,) best min of score*label over index sets keeping at least a (1-r) fraction, per hypothesis.
 
     Keeping the k largest values maximizes the min over all sets of size at
     least k (any other set swaps in a smaller value), so the optimum is the
-    k-th largest value with k = ceil((1-r) n).  Ties go to earlier indices.
+    k-th largest value with k = ceil((1-r) n).
     """
-    if len(data) == 0:
-        raise ValueError("margin of an empty dataset")
-    values, order = _margin_rows(_signed_scores([h], data), error_fraction)
-    return MarginResult(float(error_fraction), float(values[0]), tuple(sorted(order[0].tolist())))
+    return _margin_rows(_signed_scores(grid, data), error_fraction)
 
 
-@dataclass(frozen=True)
-class LinearGrid:
-    """Linear hypotheses with a prior over them, scored by the 0-1 loss."""
-
-    hypotheses: tuple
-    prior: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.hypotheses)
-
-
-def level_set_equality_check(grid: LinearGrid, data: Sequence[LabeledPoint], error_fraction: float) -> bool:
+def level_set_equality_check(grid: LinearGrid, data: LabeledData, error_fraction: float) -> bool:
     """Exact set equality of the loss level set and the positive-margin level set.
 
     For every grid hypothesis, compares "at most floor(r n) errors under
     the 0-1 loss" with "margin positive and at most the grid maximum".  The
     error budget follows the same retained-count convention as
-    margin_value, so the comparison is meaningful at error fraction 1 too.
+    margin_values, so the comparison is meaningful at error fraction 1 too.
     One block of score * label values gives every hypothesis' margin and
     its 0-1 error count (a point is an error unless its value is positive).
     """
-    n = len(data)
-    if n == 0:
-        raise ValueError("empty dataset")
+    n = len(data.labels)
     allowed = n - _retained_count(n, error_fraction)
-    signed = _signed_scores(grid.hypotheses, data)
-    values, _ = _margin_rows(signed, error_fraction)
-    best = max(values.tolist())
+    signed = _signed_scores(grid, data)
+    values = _margin_rows(signed, error_fraction)
     in_level_set = (~(signed > 0.0)).sum(axis=1) <= allowed
-    in_margin_set = (0.0 < values) & (values <= best)
+    in_margin_set = (0.0 < values) & (values <= values.max())
     return bool(np.array_equal(in_level_set, in_margin_set))
 
 
@@ -168,42 +160,36 @@ def build_linear_grid(
 ) -> LinearGrid:
     """Product grid of equiangular unit directions in the plane and biases, with a prior over its atoms.
 
-    The prior is uniform over atoms or proportional to a standard Gaussian
-    density in the bias (an everywhere-positive prior either way, so a fine
-    enough grid puts mass on any open margin set).  The grid itself never
+    Atom a * bias_steps + b pairs direction a with bias b.  The prior is
+    uniform over atoms or proportional to a standard Gaussian density in
+    the bias (an everywhere-positive prior either way, so a fine enough
+    grid puts mass on any open margin set).  The grid itself never
     depends on data.
     """
     _check_count("angular_steps", angular_steps, 4)
     _check_count("bias_steps", bias_steps, 1)
     _check_parameters(bias_range=bias_range)
-    directions = [(math.cos(a), math.sin(a)) for a in 2.0 * math.pi * np.arange(angular_steps) / angular_steps]
-    biases = [0.0] if bias_steps == 1 else list(np.linspace(-bias_range, bias_range, bias_steps))
-    hypotheses = tuple(LinearHypothesis(u, b) for u in directions for b in biases)
-
+    angles = 2.0 * math.pi * np.arange(angular_steps) / angular_steps
+    directions = [(math.cos(a), math.sin(a)) for a in angles]
+    biases = [0.0] if bias_steps == 1 else np.linspace(-bias_range, bias_range, bias_steps).tolist()
+    size = angular_steps * bias_steps
     if prior_kind == "uniform":
-        prior = np.full(len(hypotheses), 1.0 / len(hypotheses))
+        prior = np.full(size, 1.0 / size)
     elif prior_kind == "gaussian-projected":
-        raw = np.asarray([math.exp(-h.bias**2 / 2.0) for h in hypotheses])
+        raw = np.tile([math.exp(-b**2 / 2.0) for b in biases], angular_steps)
         prior = raw / raw.sum()
     else:
         raise ValueError(f"unknown prior kind {prior_kind!r}")
-    prior.setflags(write=False)
-    return LinearGrid(hypotheses, prior)
+    return LinearGrid(np.repeat(directions, bias_steps, axis=0), np.tile(biases, angular_steps), prior)
 
 
-def grid_space(grid: LinearGrid, domain: FiniteDataDomain) -> FiniteHypothesisSpace:
-    """The grid scored on a domain of LabeledPoints by the 0-1 loss, as a hypothesis space.
+def grid_space(grid: LinearGrid, data: LabeledData) -> tuple[FiniteDataDomain, FiniteHypothesisSpace]:
+    """The grid scored by the 0-1 loss on the data as a uniform domain of (coordinates, label) points.
 
     A pair's loss is 0 when score * label is strictly positive and 1
     otherwise: a score of zero is an error.
     """
-    signed = _signed_scores(grid.hypotheses, domain.points)
-    return FiniteHypothesisSpace(np.where(signed > 0.0, 0.0, 1.0), grid.prior)
-
-
-def labeled_domain(points: Iterable[LabeledPoint], probs=None) -> FiniteDataDomain:
-    """Wrap labeled points as a finite domain, uniform unless probs given."""
-    pts = tuple(points)
-    if probs is None:
-        probs = np.full(len(pts), 1.0 / len(pts))
-    return FiniteDataDomain(pts, probs)
+    signed = _signed_scores(grid, data)
+    n = len(data.labels)
+    domain = FiniteDataDomain(tuple(zip(map(tuple, data.coords.tolist()), data.labels.tolist())), np.full(n, 1.0 / n))
+    return domain, FiniteHypothesisSpace(np.where(signed > 0.0, 0.0, 1.0), grid.prior)

@@ -35,20 +35,23 @@ __all__ = [
 ]
 
 PROB_SUM_TOL = 1e-12
+# the most points one dataset or stream holds: a stream's n outputs cost O(n) big-integer jump steps
+# (2**20: 5.6 s, 204 MiB on a 2-core Xeon)
+MAX_POINTS = 2**20
 # losses within this of the minimum count as minimizers (float level sets)
 TIE_TOL = 1e-12
 
 
-def _nonnegative_array(values, name: str, ndim: int) -> np.ndarray:
-    """A read-only C-ordered float64 copy of a nonempty ndim-d array of finite non-negative values."""
+def _finite_array(values, name: str, ndim: int, nonnegative: bool = False) -> np.ndarray:
+    """A read-only C-ordered float64 copy of a nonempty ndim-d array of finite (and, if asked, non-negative) values."""
     try:
         arr = np.array(values, dtype=float, order="C")
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name} must be an array of numbers: {exc}") from None
     if arr.ndim != ndim or arr.size == 0:
         raise ValueError(f"{name} must be a nonempty {ndim}-d array, got shape {arr.shape}")
-    if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} entries must be finite and non-negative")
+    if not np.all(np.isfinite(arr)) or (nonnegative and np.any(arr < 0.0)):
+        raise ValueError(f"{name} entries must be finite{' and non-negative' if nonnegative else ''}")
     arr.setflags(write=False)
     return arr
 
@@ -85,7 +88,7 @@ def _check_parameters(**params) -> None:
 
 
 def _probability_vector(values, name: str) -> np.ndarray:
-    arr = _nonnegative_array(values, name, 1)
+    arr = _finite_array(values, name, 1, nonnegative=True)
     if abs(float(arr.sum()) - 1.0) > PROB_SUM_TOL:
         raise ValueError(f"{name} must sum to 1 within {PROB_SUM_TOL}, got {arr.sum()!r}")
     return arr
@@ -137,7 +140,7 @@ class FiniteHypothesisSpace:
     prior: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "table", _nonnegative_array(self.table, "table", 2))
+        object.__setattr__(self, "table", _finite_array(self.table, "table", 2, nonnegative=True))
         object.__setattr__(self, "prior", _probability_vector(self.prior, "prior"))
         if self.table.shape[0] != self.prior.size:
             raise ValueError(f"the loss table has {len(self.table)} rows but the prior has {self.prior.size} entries")
@@ -219,7 +222,7 @@ def sample_dataset(domain: FiniteDataDomain, n: int, seed: int) -> DataSet:
     Identical (domain, n, seed) triples produce identical datasets on every
     platform.  Zero-probability points are never drawn.
     """
-    _check_count("n", n, 1)
+    _check_count("n", n, 1, MAX_POINTS)
     _check_count("seed", seed, 0)
     u = np.random.Generator(np.random.PCG64(seed)).random(n)
     return DataSet(domain, inverse_cdf(domain.probs, u))

@@ -35,7 +35,7 @@ import functools
 
 import numpy as np
 
-from .model import _check_count, _is_integer
+from .model import MAX_POINTS, _check_count, _is_integer
 
 __all__ = ["seed_pairs", "uniform_rows", "trial_streams"]
 
@@ -51,8 +51,6 @@ MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 # outputs per chunk of the jump arithmetic: its uint64 temporaries stay at 64 KiB
 OUTPUT_CELLS = 8192
-# the most outputs per stream: n outputs cost O(n) big-integer jump steps (2**20: 5.6 s, 204 MiB on a 2-core Xeon)
-MAX_POINTS = 2**20
 
 
 def _hash_pairs(init: int, mult: int, count: int) -> list[tuple[int, int]]:

@@ -11,21 +11,24 @@ from typing import Sequence
 
 import numpy as np
 
-from gibbslab.margins import LabeledPoint, LinearHypothesis
 from gibbslab.measures import SATURATION, binary_kl
 from gibbslab.model import empirical_losses, loss_matrix
 
 # the platform the pinned report hashes and verdict lines were recorded on
-PINNED_PLATFORM = "x86_64 numpy 2.4.6 avx512f=True"
+PINNED_PLATFORM = "x86_64 numpy 2.4.6 x86_v4=True"
 
 
 def float_platform() -> str:
-    """What sets the last bits of numpy's vectorized exp and log here."""
+    """What sets the last bits of numpy's vectorized exp and log here.
+
+    X86_V4 reads whether numpy dispatches its AVX-512 loops, which
+    NPY_DISABLE_CPU_FEATURES can switch off on a CPU that has AVX-512.
+    """
     try:
         from numpy._core._multiarray_umath import __cpu_features__
     except ImportError:
         __cpu_features__ = {}
-    return f"{platform.machine()} numpy {np.__version__} avx512f={bool(__cpu_features__.get('AVX512F'))}"
+    return f"{platform.machine()} numpy {np.__version__} x86_v4={bool(__cpu_features__.get('X86_V4'))}"
 
 
 LossProfile = namedtuple("LossProfile", "empirical true")
@@ -68,13 +71,15 @@ def binary_kl_inverse_relaxed(p: float, budget: float) -> float:
     return p + math.sqrt(2.0 * p * budget) + 2.0 * budget
 
 
-def score(h: LinearHypothesis, z: Sequence[float]) -> float:
-    """Signed distance surrogate <direction, z> - bias."""
-    if len(z) != len(h.direction):
-        raise ValueError(f"dimension mismatch: point has {len(z)}, hypothesis {len(h.direction)}")
-    return float(sum(u * v for u, v in zip(h.direction, z))) - h.bias
+def score(h: tuple, z: Sequence[float]) -> float:
+    """Signed distance surrogate <direction, z> - bias of a hypothesis h = (direction, bias)."""
+    direction, bias = h
+    if len(z) != len(direction):
+        raise ValueError(f"dimension mismatch: point has {len(z)}, hypothesis {len(direction)}")
+    return float(sum(u * v for u, v in zip(direction, z))) - bias
 
 
-def zero_one_loss(h: LinearHypothesis, point: LabeledPoint) -> float:
-    """0 when score * label is strictly positive, 1 otherwise (ties are errors)."""
-    return 0.0 if score(h, point.z) * point.y > 0.0 else 1.0
+def zero_one_loss(h: tuple, point: tuple) -> float:
+    """0 when score * label of a point (z, label) is strictly positive, 1 otherwise (ties are errors)."""
+    z, y = point
+    return 0.0 if score(h, z) * y > 0.0 else 1.0

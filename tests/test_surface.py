@@ -130,6 +130,7 @@ BAD = {
     "-1": -1,
     "bool_array": np.array([True, False]),
     "MAX_POINTS+1": streams.MAX_POINTS + 1,
+    "two_halves": [0.5, 0.5],
 }
 PATHS = np.arange(2)[None]
 TINY = model.FiniteHypothesisSpace([[0.0], [0.5], [1.0]], [1 / 3] * 3)
@@ -154,7 +155,8 @@ def steep(gamma) -> gibbs.DensityFamily:
 BOUNDARY = [
     ("ExperimentConfig", "n", config_with("n"), "True 2.5 -1 MAX_POINTS+1 10**400"),
     ("ExperimentConfig", "n_grid", n_grid_with, "True 2.5 -1 MAX_POINTS+1 10**400"),
-    ("ExperimentConfig", "trials", config_with("trials"), "True 2.5"),
+    # a trial index past 2**32 overflowed numpy's seed path words
+    ("ExperimentConfig", "trials", config_with("trials"), "True 2.5 10**400"),
     ("ExperimentConfig", "p", config_with("p"), "True 2.5 -1"),
     ("ExperimentConfig", "master_seed", config_with("master_seed"), "True 2.5 -1"),
     ("ExperimentConfig", "delta", config_with("delta"), "True nan inf 10**400"),
@@ -166,7 +168,8 @@ BOUNDARY = [
     ("exponential_density", "beta", gibbs.exponential_density, "True nan inf 10**400 -1"),
     ("capped_exponential_density", "cap", lambda v: gibbs.capped_exponential_density(1.0, v), "True nan 10**400"),
     ("permuted_label_task", "label_noise", lambda v: model.permuted_label_task(2, 0, v), "True nan 10**400"),
-    ("sample_dataset", "n", lambda v: model.sample_dataset(POINT, v, 0), "True 2.5"),
+    # numpy's own errors for a huge n named no field
+    ("sample_dataset", "n", lambda v: model.sample_dataset(POINT, v, 0), "True 2.5 MAX_POINTS+1 10**400"),
     ("sample_dataset", "seed", lambda v: model.sample_dataset(POINT, 1, v), "2.5 -1"),
     ("uniform_rows", "seeds", lambda v: streams.uniform_rows([0, v], 3), "True -1"),
     # n past MAX_POINTS ran the jump constants' big-integer loop until memory ran out
@@ -206,6 +209,13 @@ BOUNDARY = [
     ("shift_radius", "n", lambda v: bounds.shift_radius(v, 0.05, 1), "True 2.5"),
     ("shift_radius", "delta", lambda v: bounds.shift_radius(100, v, 1), "True nan"),
     ("shift_radius", "p", lambda v: bounds.shift_radius(100, 0.05, v), "True 2.5 -1"),
+    # a nan direction passed the unit-norm comparison, and a nan bias made every point an error
+    ("LinearGrid", "directions", lambda v: margins.LinearGrid([(v, 0.0)], [0.0], [1.0]), "nan inf"),
+    ("LinearGrid", "biases", lambda v: margins.LinearGrid([(1.0, 0.0)], [v], [1.0]), "nan inf"),
+    ("LinearGrid", "prior", lambda v: margins.LinearGrid([(1.0, 0.0)], [0.0], v), "two_halves"),
+    ("LabeledData", "coords", lambda v: margins.LabeledData([(v, 0.0)], [1]), "nan inf 10**400"),
+    # a bool label read as 1
+    ("LabeledData", "labels", lambda v: margins.LabeledData([(0.0, 0.0)], [v]), "True 2.5 nan"),
 ]
 
 
