@@ -120,7 +120,7 @@ def criterion_01() -> CriterionResult:
     worst = 0.0
     failures = 0
     for space, empirical, h in _oracle_cases():
-        exact, _ = complexity_rows(space, np.tile(empirical, (betas.size, 1)), np.full(betas.size, h), betas)
+        exact, _ = complexity_rows(space, empirical[None], np.full(betas.size, h), betas)
         grid = complexity_bruteforce(space, empirical, h, betas, grid_step)
         for beta, gap in zip(ORACLE_BETAS, (grid - exact).tolist()):
             if gap < -1e-9 or gap > beta * grid_step + 1e-9:
@@ -358,7 +358,7 @@ def criterion_09() -> CriterionResult:
     for space, empirical, beta in _ratio_cases():
         h_count = len(space)
         log_z = normalize_density(space, empirical, exponential_density(beta), beta).log_partition
-        lams, _ = complexity_rows(space, np.broadcast_to(empirical, (h_count, h_count)), np.arange(h_count), beta)
+        lams, _ = complexity_rows(space, empirical[None], np.arange(h_count), beta)
         excess = -beta * empirical - log_z - lams
         failures += int(np.count_nonzero(excess > 1e-12 * np.maximum(1.0, np.abs(lams))))
         worst = max(worst, float(excess.max()))

@@ -22,7 +22,7 @@ import numpy as np
 
 from .measures import per_element
 from .model import TIE_TOL, FiniteHypothesisSpace, _check_count, _check_parameters, _from_spec, _is_finite
-from .model import _is_integer, inverse_cdf, step_cdf
+from .model import _is_integer, _unit_uniforms, inverse_cdf, step_cdf
 
 __all__ = [
     "DensityFamily",
@@ -151,6 +151,14 @@ def _losses_vector(space: FiniteHypothesisSpace, data_losses) -> np.ndarray:
     if arr.shape != (len(space),):
         raise ValueError("loss vector is not aligned with the hypothesis space")
     return arr
+
+
+def _loss_block(space: FiniteHypothesisSpace, losses) -> np.ndarray:
+    """losses as a float (T, H) block, checked to hold one column per hypothesis."""
+    losses = np.asarray(losses, dtype=float)
+    if losses.ndim != 2 or losses.shape[1] != len(space):
+        raise ValueError(f"losses must be a (T, {len(space)}) block, one row per dataset, got shape {losses.shape}")
+    return losses
 
 
 def _check_beta(beta: float | np.ndarray, rows: int | None = None) -> float | np.ndarray:
@@ -328,6 +336,7 @@ def density_rows(
     space: FiniteHypothesisSpace, losses: np.ndarray, family: DensityFamily, gamma: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weights prior * q(loss) / Z and ln Z for every row of a (T, H) loss block, conditions checked."""
+    losses = _loss_block(space, losses)
     return _density_rows(space, losses, _ranked(space, losses), family, gamma)
 
 
@@ -389,23 +398,26 @@ def cdf_rows(space: FiniteHypothesisSpace, losses: np.ndarray) -> tuple[np.ndarr
     levels: the running mass at the last atom of each loss level carries
     the bits of that level's cumulative mass.
     """
-    _, order, _, levels = _ranked(space, losses)
+    _, order, _, levels = _ranked(space, _loss_block(space, losses))
     return levels, _running_mass(space, order)
 
 
 def _complexity_rows(
     space: FiniteHypothesisSpace, losses: np.ndarray, ranked: tuple, h_indices: np.ndarray, beta: float | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    beta = _check_beta(beta, len(losses))
+    """Each index's value beta * (level - own loss) - ln mass and shift at its row's minimizing level.
+
+    That level, the argmin of beta * level - ln mass, reads no hypothesis: it is chosen once per row and rate.
+    """
+    beta = _check_beta(beta, len(h_indices))
     _, order, _, levels = ranked
-    mass = _running_mass(space, order)
-    rows = np.arange(len(losses))
-    shifts = levels - losses[rows, h_indices][:, None]
-    # a row's rate times its shifts has the bits of the scalar product
+    log_mass = np.log(_running_mass(space, order))
+    # a rate times a level or a shift has the bits of the scalar product
     rate = beta if isinstance(beta, float) else beta[:, None]
-    objective = rate * shifts - np.log(mass)
-    best = np.argmin(objective, axis=1)
-    return objective[rows, best], shifts[rows, best]
+    best = np.argmin(rate * levels - log_mass, axis=1)
+    rows = np.arange(len(h_indices)) if len(h_indices) == len(losses) else 0
+    shifts = levels[rows, best] - losses[rows, h_indices]
+    return beta * shifts - log_mass[rows, best], shifts
 
 
 def complexity_rows(
@@ -413,19 +425,18 @@ def complexity_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """complexity of hypothesis h_indices[i] under loss row i: values and minimizing shifts.
 
-    beta is one rate for every row or one rate per row; row i's value has
-    the bits of the single-row call at its rate.  Each row is the step_cdf
-    construction: a stable sort of the positive-prior losses and a running
-    sum of their prior in that order.  The last atom of each loss level
-    carries that level's cumulative mass; atoms before it inside the level
-    carry less, so their objective is no smaller and the minimum over all
-    atoms is the minimum over levels.
+    losses is a (T, H) block with one index per row, or one shared (1, H)
+    row with any number of indices.  beta is one rate for every index or
+    one rate per index; value i has the bits of the single-row call at its
+    rate.  Each row is the step_cdf construction: a stable sort of the
+    positive-prior losses and a running sum of their prior in that order.
+    The last atom of each loss level carries that level's cumulative mass;
+    atoms before it inside the level carry less, so their objective is no
+    smaller and the minimum over all atoms is the minimum over levels.
     """
-    losses = np.asarray(losses, dtype=float)
-    if losses.ndim != 2 or losses.shape[1] != len(space):
-        raise ValueError(f"losses must be a (T, {len(space)}) block, one row per dataset, got shape {losses.shape}")
+    losses = _loss_block(space, losses)
     h_indices = np.asarray(h_indices)
-    if h_indices.shape != (len(losses),):
+    if h_indices.ndim != 1 or len(losses) not in (1, len(h_indices)):
         raise ValueError(f"h_indices must hold one index per loss row, shape ({len(losses)},), got shape {h_indices.shape}")
     if not np.issubdtype(h_indices.dtype, np.integer):
         raise ValueError(f"h_indices must be integers, got dtype {h_indices.dtype}")
@@ -447,9 +458,13 @@ def posterior_draws(
     taken at the family's decay rate.  The posterior and the complexity
     read one sort of each row.
     """
+    losses = _loss_block(space, losses)
+    uniforms = _unit_uniforms(uniforms, "uniforms")
+    if uniforms.shape != (len(losses),):
+        raise ValueError(f"uniforms must hold one value per loss row, shape ({len(losses)},), got shape {uniforms.shape}")
     ranked = _ranked(space, losses)
     weights, _ = _density_rows(space, losses, ranked, family, family.gamma)
-    drawn = inverse_cdf(weights, np.asarray(uniforms, dtype=float)[:, None])[:, 0]
+    drawn = inverse_cdf(weights, uniforms[:, None])[:, 0]
     values, _ = _complexity_rows(space, losses, ranked, drawn, family.gamma)
     return drawn, values
 

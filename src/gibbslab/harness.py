@@ -442,12 +442,6 @@ def _first_dataset(config: ExperimentConfig) -> tuple:
     return space, empirical, draws, minimizer_mass_bound(mass)
 
 
-def _complexities(space, empirical: np.ndarray, h_indices: np.ndarray, betas) -> np.ndarray:
-    """The complexity of hypothesis h_indices[i] under one loss row at rate betas[i], for every i."""
-    losses = np.broadcast_to(empirical, (len(betas), empirical.size))
-    return complexity_rows(space, losses, h_indices, betas)[0]
-
-
 def run_zero_temp_sweep(config: ExperimentConfig) -> Outcome:
     """Track the complexity of posterior draws and of a minimizer across betas.
 
@@ -464,7 +458,7 @@ def run_zero_temp_sweep(config: ExperimentConfig) -> Outcome:
     betas = config.beta_grid
     weights = np.concatenate([posterior_rows(space, empirical[None], beta)[0] for beta in betas])
     drawn = inverse_cdf(weights, draws[:, None])[:, 0]
-    lams = _complexities(space, empirical, np.append(drawn, [minimizer] * len(betas)), betas + betas).tolist()
+    lams = complexity_rows(space, empirical[None], np.append(drawn, [minimizer] * len(betas)), betas + betas)[0].tolist()
     lambda_drawn, lambda_min = lams[: len(betas)], lams[len(betas) :]
 
     capped = all(lam <= limit + 1e-12 for lam in lambda_min)
@@ -501,7 +495,7 @@ def run_phase_diagram(config: ExperimentConfig) -> Outcome:
     n, delta = config.n, config.delta
     slack = binary_kl_bound(0.0, n, delta)  # ln(2 sqrt(n)/delta)/n
     diagonal = [high_temperature_bound(beta, n, delta) for beta in config.beta_grid]
-    lams = _complexities(space, empirical, np.full(len(config.beta_grid), h_star), config.beta_grid)
+    lams = complexity_rows(space, empirical[None], np.full(len(config.beta_grid), h_star), config.beta_grid)[0]
     kl = binary_kl_bound(lams, n, delta).tolist()
     passed = all(k <= min(d, plateau) + slack + 1e-12 for d, k in zip(diagonal, kl))
     columns = {"beta": list(config.beta_grid), "diagonal": diagonal, "kl": kl, "plateau": plateau}

@@ -87,6 +87,14 @@ def _check_parameters(**params) -> None:
             raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
 
 
+def _unit_uniforms(values, name: str) -> np.ndarray:
+    """values as a float array, checked to lie in [0, 1); min and max carry a nan, which fails both comparisons."""
+    arr = np.asarray(values, dtype=float)
+    if arr.size and not (arr.min() >= 0.0 and arr.max() < 1.0):
+        raise ValueError(f"{name} must lie in [0, 1), got a value in [{arr.min()!r}, {arr.max()!r}]")
+    return arr
+
+
 def _probability_vector(values, name: str) -> np.ndarray:
     arr = _finite_array(values, name, 1, nonnegative=True)
     if abs(float(arr.sum()) - 1.0) > PROB_SUM_TOL:
@@ -196,6 +204,7 @@ def inverse_cdf(weights, u) -> np.ndarray:
     them, so u always lands on an atom of positive weight.
     """
     weights = np.asarray(weights, dtype=float)
+    u = _unit_uniforms(u, "u")
     positive = weights > 0.0
     if weights.ndim == 1:
         support = np.flatnonzero(positive)
@@ -213,7 +222,7 @@ def inverse_cdf(weights, u) -> np.ndarray:
     cum = np.cumsum(weights, axis=1)
     cum[np.arange(size) >= last[:, None]] = 1.0
     # a row-wise searchsorted: the count of entries at or below u
-    return (cum[:, None, :] <= np.asarray(u)[:, :, None]).sum(axis=2)
+    return (cum[:, None, :] <= u[:, :, None]).sum(axis=2)
 
 
 def sample_dataset(domain: FiniteDataDomain, n: int, seed: int) -> DataSet:
@@ -239,14 +248,20 @@ def empirical_losses(matrix: np.ndarray, items: np.ndarray, sizes=None) -> np.nd
     alignment, so the counts are float64 rows of even width: every row
     starts aligned, as a lone row does, and has a lone row's bits.
     Given sizes, row i's dataset is its first sizes[i] items and its mean
-    divides by sizes[i]: datasets of several sizes share one block.
+    divides by sizes[i]: datasets of several sizes share one block.  An
+    item outside [0, X) or a size outside [1, n] would land in another
+    row's counts or in no row's, so it is rejected.
     """
     rows, n = items.shape
     num_points = matrix.shape[1]
+    if items.size and not (items.min() >= 0 and items.max() < num_points):
+        raise ValueError(f"items must index the {num_points} points, got values in [{items.min()}, {items.max()}]")
     width = num_points + num_points % 2
     flat = items + width * np.arange(rows)[:, None]
     if sizes is not None:
         sizes = np.asarray(sizes)
+        if sizes.shape != (rows,) or (rows and not (sizes.min() >= 1 and sizes.max() <= n)):
+            raise ValueError(f"sizes must hold one size in [1, {n}] per row, shape ({rows},), got {sizes.tolist()!r}")
         flat = flat[np.arange(n) < sizes[:, None]]
         n = sizes[:, None]
     counts = np.bincount(flat.ravel(), minlength=rows * width).astype(float).reshape(rows, width)

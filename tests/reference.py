@@ -11,6 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
+from gibbslab.gibbs import cdf_rows
 from gibbslab.measures import SATURATION, binary_kl
 from gibbslab.model import empirical_losses, loss_matrix
 
@@ -38,6 +39,24 @@ def loss_profile(space, domain, data) -> LossProfile:
     """Empirical losses of every hypothesis on a DataSet drawn from domain, and their true losses."""
     table = loss_matrix(space, domain)
     return LossProfile(empirical_losses(table, data.item_indices[None])[0], table @ domain.probs)
+
+
+def complexity_rows_reference(space, losses, h_indices, beta):
+    """The per-hypothesis complexity kernel: each index's objective over every level of its row, minimized on its own.
+
+    Index i's objective is beta_i * (level - own loss) - ln mass at every
+    atom of the stable step-CDF order of its loss row: a (1, H) row serves
+    every index through its own copy.
+    """
+    h_indices = np.asarray(h_indices)
+    losses = np.broadcast_to(np.asarray(losses, dtype=float), (len(h_indices), len(space)))
+    levels, mass = cdf_rows(space, losses)
+    rows = np.arange(len(losses))
+    shifts = levels - losses[rows, h_indices][:, None]
+    rate = float(beta) if np.ndim(beta) == 0 else np.asarray(beta, dtype=float)[:, None]
+    objective = rate * shifts - np.log(mass)
+    best = np.argmin(objective, axis=1)
+    return objective[rows, best], shifts[rows, best]
 
 
 def inverse_upper_reference(p, budget):

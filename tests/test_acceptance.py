@@ -116,11 +116,11 @@ def test_dominance_blocks_match_per_call_complexity():
 
 
 def test_oracle_cases_match_per_call_values():
-    # every (space, beta) of criterion 1: one scan and one block call per space
+    # every (space, beta) of criterion 1: one scan and one call on the shared loss row per space
     betas = np.array(ORACLE_BETAS)
     count = 0
     for space, empirical, h in _oracle_cases():
-        exact, _ = complexity_rows(space, np.tile(empirical, (betas.size, 1)), np.full(betas.size, h), betas)
+        exact, _ = complexity_rows(space, empirical[None], np.full(betas.size, h), betas)
         grid = complexity_bruteforce(space, empirical, h, betas, 1e-4)
         assert exact.tobytes() == np.array([complexity(space, empirical, h, b).value for b in ORACLE_BETAS]).tobytes()
         assert grid.tobytes() == np.array([complexity_bruteforce(space, empirical, h, b, 1e-4) for b in ORACLE_BETAS]).tobytes()

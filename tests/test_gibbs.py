@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import loss_profile
+from reference import complexity_rows_reference, loss_profile
 
 from gibbslab.bounds import minimizer_mass_bound
 from gibbslab.gibbs import (
@@ -287,6 +287,20 @@ class TestComplexityRowsArguments:
         space, losses = five
         with pytest.raises(ValueError, match=r"h_indices must hold one index per loss row, shape \(3,\)"):
             complexity_rows(space, losses, h, 1.0)
+
+    @pytest.mark.parametrize("h", [[], [4], [0, 1], list(range(5)) * 3])
+    def test_shared_row_takes_any_number_of_indices(self, five, h):
+        space, losses = five
+        for beta in (2.0, np.linspace(0.0, 3.0, len(h))):
+            values, shifts = complexity_rows(space, losses[:1], np.array(h, dtype=np.int64), beta)
+            assert values.shape == shifts.shape == (len(h),)
+
+    @pytest.mark.parametrize("rows, h", [(2, [0]), (2, [0, 1, 2]), (4, [0, 1, 2]), (1, 0), (1, [[0, 1]])])
+    def test_index_count_of_other_blocks(self, five, rows, h):
+        # only a single row is shared; a block of several rows keeps one index per row
+        space, _ = five
+        with pytest.raises(ValueError, match=rf"h_indices must hold one index per loss row, shape \({rows},\)"):
+            complexity_rows(space, np.zeros((rows, 5)), h, 1.0)
 
     @pytest.mark.parametrize("shape", [(3, 4), (3, 6), (5,), (1, 3, 5)])
     def test_losses_shape(self, five, shape):
@@ -592,19 +606,53 @@ def log_density_ratio(space, losses, beta):
     ),
 )
 def test_log_density_ratio_is_at_most_the_complexity(block, rates):
-    """-beta * L(h) - ln Z <= complexity(h) at every h, for one rate per row of a block.
+    """-beta * L(h) - ln Z <= complexity(h) <= -beta * L(h) - ln Z + ln K at every h, for one rate per row of a block.
 
     Z >= prior(L <= L(h) + r) * exp(-beta * (L(h) + r)) for every shift r, so
     the log density ratio of the Gibbs posterior never exceeds the minimum
-    over r of beta * r - ln prior(L <= L(h) + r), the complexity.
+    over r of beta * r - ln prior(L <= L(h) + r), the complexity.  With K
+    the row's distinct positive-prior loss levels l_j and F_j the prior mass
+    at or below l_j, Z <= sum_j F_j exp(-beta l_j) <= K max_j F_j exp(-beta l_j),
+    so the complexity exceeds the ratio by at most ln K.
     """
     space, losses = block
     beta = np.array(rates[: len(losses)])
     ratios = [log_density_ratio(space, row, rate) for row, rate in zip(losses, beta.tolist())]
+    levels = [len(set(row[space.prior > 0.0].tolist())) for row in losses]
     for h in range(len(space)):
         values, _ = complexity_rows(space, losses, np.full(len(losses), h), beta)
-        for ratio, value in zip(ratios, values.tolist()):
-            assert ratio[h] <= value + 1e-12 * max(1.0, abs(value))
+        for ratio, value, k in zip(ratios, values.tolist(), levels):
+            tol = 1e-12 * max(1.0, abs(value))
+            assert ratio[h] <= value + tol
+            assert value - ratio[h] <= math.log(k) + tol
+
+
+RATES = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 10.0),
+    st.floats(10.0, 1e9),
+    st.sampled_from([1e-300, 1e-150, 1e6, 1e9]),
+    st.floats(1e-300, 1e-3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(block=loss_blocks(), rates=st.lists(RATES, min_size=5, max_size=5), data=st.data())
+def test_complexity_rows_match_the_per_hypothesis_kernel(block, rates, data):
+    """Values and shifts carry the per-hypothesis kernel's bits: on a (T, H) block, and on one shared row.
+
+    The block takes one index per row, under one rate and under one rate
+    per row; each shared row takes every hypothesis at every rate.
+    """
+    space, losses = block
+    h = np.array(data.draw(st.lists(st.integers(0, len(space) - 1), min_size=len(losses), max_size=len(losses))))
+    calls = [(losses, h, beta) for beta in (rates[0], np.array(rates[: len(losses)]))]
+    every = np.tile(np.arange(len(space)), len(rates))
+    calls += [(row[None], every, beta) for row in losses for beta in (*rates, np.repeat(rates, len(space)))]
+    for block_or_row, indices, beta in calls:
+        got = complexity_rows(space, block_or_row, indices, beta)
+        expected = complexity_rows_reference(space, block_or_row, indices, beta)
+        assert [bits(a).tobytes() for a in got] == [bits(a).tobytes() for a in expected]
 
 
 def bruteforce_reference(space, losses, h, beta, grid_step):

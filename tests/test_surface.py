@@ -131,11 +131,29 @@ BAD = {
     "bool_array": np.array([True, False]),
     "MAX_POINTS+1": streams.MAX_POINTS + 1,
     "two_halves": [0.5, 0.5],
+    "-0.5": -0.5,
+    "0.5": 0.5,
+    "1.0": 1.0,
+    "0": 0,
+    "3": 3,
+    "4": 4,
+    "one_size": [2],
+    "row": [0.0, 0.5, 1.0],
+    "narrow_block": np.zeros((2, 2)),
 }
 PATHS = np.arange(2)[None]
 TINY = model.FiniteHypothesisSpace([[0.0], [0.5], [1.0]], [1 / 3] * 3)
 LOSSES = [0.0, 0.5, 1.0]
 POINT = model.FiniteDataDomain((0,), [1.0])
+TINY_BLOCK = np.array([LOSSES] * 3)
+GIBBS = gibbs.exponential_density(1.0)
+# 2 hypotheses on 3 points: the counts rows are padded to width 4
+TABLE = np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 0.5]])
+ITEMS = np.array([[0, 1], [2, 0]])
+
+
+def items_with(value) -> np.ndarray:
+    return model.empirical_losses(TABLE, np.array([[0, 1, 2], [0, 1, value], [0, 1, 2]]))
 
 
 def config_with(field: str):
@@ -194,6 +212,22 @@ BOUNDARY = [
     ("normalize_density", "gamma", lambda v: gibbs.normalize_density(TINY, LOSSES, steep(v), v), "True nan inf"),
     ("density_rows", "gamma", lambda v: gibbs.density_rows(TINY, np.array([LOSSES]), steep(v), v), "nan inf"),
     ("posterior_draws", "gamma", lambda v: gibbs.posterior_draws(TINY, np.array([LOSSES]), steep(v), [0.5]), "nan inf"),
+    # a uniform below 0 or a nan drew the first atom, zero prior or not, and 1.0 drew past the last
+    ("posterior_draws", "uniforms", lambda v: gibbs.posterior_draws(TINY, TINY_BLOCK, GIBBS, [0.5, 0.5, v]), "-0.5 nan 1.0"),
+    # one uniform served every row, two raised numpy's broadcast error
+    ("posterior_draws", "uniforms", lambda v: gibbs.posterior_draws(TINY, TINY_BLOCK, GIBBS, v), "0.5 two_halves"),
+    ("inverse_cdf", "u", lambda v: model.inverse_cdf([0.0, 0.5, 0.5], [0.5, v]), "-0.5 nan 1.0"),
+    ("inverse_cdf_stack", "u", lambda v: model.inverse_cdf([[0.0, 0.5, 0.5]], [[0.5, v]]), "-0.5 nan 1.0"),
+    # an item past the last point or below 0 was counted in a padding column or in the next row
+    ("empirical_losses", "items", items_with, "-1 3 4"),
+    # a size of 0 divided by 0, one past n divided too few counts
+    ("empirical_losses", "sizes", lambda v: model.empirical_losses(TABLE, ITEMS, [2, v]), "0 3 -1"),
+    ("empirical_losses", "sizes", lambda v: model.empirical_losses(TABLE, ITEMS, v), "one_size"),
+    # numpy's IndexError for a 1-d row or a block of the wrong width named no field
+    ("posterior_rows", "losses", lambda v: gibbs.posterior_rows(TINY, v, 1.0), "row narrow_block"),
+    ("density_rows", "losses", lambda v: gibbs.density_rows(TINY, v, GIBBS, 1.0), "row narrow_block"),
+    ("cdf_rows", "losses", lambda v: gibbs.cdf_rows(TINY, v), "row narrow_block"),
+    ("posterior_draws", "losses", lambda v: gibbs.posterior_draws(TINY, v, GIBBS, [0.5, 0.5]), "row narrow_block"),
     ("binary_kl_bound", "n", lambda v: bounds.binary_kl_bound(0.0, v, 0.05), "True 8.5"),
     ("binary_kl_bound", "delta", lambda v: bounds.binary_kl_bound(0.0, 50, v), "True nan inf"),
     ("high_temperature_bound", "beta", lambda v: bounds.high_temperature_bound(v, 50, 0.05), "True nan inf 10**400 -1"),
