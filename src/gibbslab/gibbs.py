@@ -271,7 +271,7 @@ def _check_conditions(levels: np.ndarray, log_q: np.ndarray, gamma: float, name:
     )
 
 
-def _normalized_rows(total: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _normalized_rows(total: np.ndarray, log_partition: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Weights exp(total[i] - ln Z_i) and ln Z_i for every row of unnormalized log weights.
 
     With peak_i the row's maximum and s_i the sum of exp(total[i] - peak_i),
@@ -280,55 +280,78 @@ def _normalized_rows(total: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the magnitude of peak_i (about beta times the smallest loss) into every
     weight.  ln s_i is math.log, not np.log, whose last bit can differ, and
     ln Z is reported; a row whose maximum is not finite keeps that maximum
-    as its ln Z.  Raises when a row's weights miss a total of 1 by more than
-    WEIGHT_SUM_TOL.
+    as its ln Z.  Without log_partition, ln Z is None: a caller that reads
+    only the weights skips the per-row logs.  Raises when a row's weights
+    miss a total of 1 by more than WEIGHT_SUM_TOL.
     """
     peak = total.max(axis=1)
     with np.errstate(invalid="ignore"):
         terms = np.exp(total - peak[:, None])
     sums = terms.sum(axis=1)
-    log_z = np.array([p + math.log(s) if math.isfinite(p) else p for p, s in zip(peak.tolist(), sums.tolist())])
     weights = terms / sums[:, None]
     if (np.abs(weights.sum(axis=1) - 1.0) > WEIGHT_SUM_TOL).any():
         raise ValueError("posterior weights must sum to 1")
-    return weights, log_z
+    if not log_partition:
+        return weights, None
+    return weights, np.array([p + math.log(s) if math.isfinite(p) else p for p, s in zip(peak.tolist(), sums.tolist())])
 
 
 def _density_rows(
-    space: FiniteHypothesisSpace, losses: np.ndarray, ranked: tuple, family: DensityFamily, gamma: float
-) -> tuple[np.ndarray, np.ndarray]:
+    space: FiniteHypothesisSpace,
+    losses: np.ndarray,
+    ranked: tuple,
+    family: DensityFamily,
+    gamma: float,
+    log_partition: bool = True,
+) -> tuple[np.ndarray, np.ndarray | None]:
     """The row kernel: weights prior * q(loss) / Z and ln Z for every row of a (T, H) loss block.
 
-    The density conditions are checked on every row first; the first row
-    that fails raises its error.  At rate 0 the check leaves q constant on
-    the achieved levels, so the weights are the prior itself and ln Z is
-    that constant's log.
+    The density conditions are checked first; the first row that fails
+    raises its error.  The Gibbs family at its own rate, q(t) = exp(-gamma t),
+    passes them on every row whose lowest and highest levels have finite
+    log densities: -gamma t falls as t rises under any rounding, and
+    CONDITION_TOL is far above the rounding of gamma times a level
+    difference.  Its block is checked only when some row has a non-finite
+    end (a nan or infinite loss, or an overflow), and then in full, as
+    any other family's is.  At rate 0 the check leaves q constant on the
+    achieved levels, so the weights are the prior itself and ln Z is that
+    constant's log.  Without log_partition, ln Z is None (see
+    _normalized_rows).
     """
     _check_parameters(gamma=gamma)
     values, _, flat, levels = ranked
-    values_log_q = np.asarray(family.log_density(values), dtype=float)
-    if values_log_q.shape != values.shape:
-        values_log_q = np.broadcast_to(values_log_q, values.shape)
-    levels_log_q = values_log_q.take(flat)
-    _check_conditions(levels, levels_log_q, gamma, family.name)
+    # the family is known by its log density, not its name: another q named "exponential" has no such shift
+    exponential = getattr(family.log_density, "func", None) is _exponential_log
+    if exponential and family.log_density.args == (gamma,):
+        lowest_log_q = family.log_density(levels[:, 0])
+        if not (np.isfinite(lowest_log_q).all() and np.isfinite(family.log_density(levels[:, -1])).all()):
+            _check_conditions(levels, family.log_density(levels), gamma, family.name)
+    else:
+        values_log_q = np.asarray(family.log_density(values), dtype=float)
+        if values_log_q.shape != values.shape:
+            values_log_q = np.broadcast_to(values_log_q, values.shape)
+        levels_log_q = values_log_q.take(flat)
+        _check_conditions(levels, levels_log_q, gamma, family.name)
+        lowest_log_q = levels_log_q[:, 0]
     if gamma == 0.0:
         # + 0.0 writes the exponential family's -0.0 as 0.0
-        return np.broadcast_to(space.prior, losses.shape), levels_log_q[:, 0] + 0.0
-    shift = None
-    # the family is known by its log density, not its name: another q named "exponential" has no such shift
-    if getattr(family.log_density, "func", None) is _exponential_log:
+        return np.broadcast_to(space.prior, losses.shape), lowest_log_q + 0.0
+    if exponential:
         # q(t) = q(t - m) q(m): with m the row's lowest level, ln prior + ln q(t - m)
         # keeps ln prior's precision, which ln prior - beta t rounds away at large beta
-        shift = levels[:, :1]
-        values_log_q = family.log_density(values - shift)
-    # zero-prior atoms carry log weight -inf and never touch the density
-    # (it may be arbitrary there)
+        values_log_q = family.log_density(values - levels[:, :1])
     positive = space.prior > 0.0
-    total = np.full(losses.shape, -np.inf)
-    total[:, positive] = np.log(space.prior[positive]) + values_log_q
-    weights, log_z = _normalized_rows(total)
-    if shift is not None:
-        log_z = log_z + family.log_density(shift[:, 0])
+    if positive.all():
+        total = np.log(space.prior) + values_log_q
+    else:
+        # zero-prior atoms carry log weight -inf and never touch the density
+        # (it may be arbitrary there)
+        total = np.full(losses.shape, -np.inf)
+        total[:, positive] = np.log(space.prior[positive]) + values_log_q
+    weights, log_z = _normalized_rows(total, log_partition)
+    if log_partition and exponential:
+        # ln q(m), taken out of every log weight above
+        log_z = log_z + lowest_log_q
     return weights, log_z
 
 
@@ -463,7 +486,7 @@ def posterior_draws(
     if uniforms.shape != (len(losses),):
         raise ValueError(f"uniforms must hold one value per loss row, shape ({len(losses)},), got shape {uniforms.shape}")
     ranked = _ranked(space, losses)
-    weights, _ = _density_rows(space, losses, ranked, family, family.gamma)
+    weights, _ = _density_rows(space, losses, ranked, family, family.gamma, log_partition=False)
     drawn = inverse_cdf(weights, uniforms[:, None])[:, 0]
     values, _ = _complexity_rows(space, losses, ranked, drawn, family.gamma)
     return drawn, values

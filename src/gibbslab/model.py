@@ -195,13 +195,41 @@ def step_cdf(values, weights) -> StepCdf:
     return StepCdf(levels, csum[last])
 
 
+def _guided_search(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """np.searchsorted(cum, u, side="right") for a running sum cum closed to 1.0 and uniforms u in [0, 1).
+
+    The indexed search of Chen & Asau (1974; Devroye 1986, section III.2.4).
+    Bucket b of m, m a power of two and at least 4 * len(cum), holds the
+    count of entries of cum at or below b / m.  u * m is exact, so u's
+    bucket count is at most its answer; two steps of idx += cum[idx] <= u
+    close the gap for nearly every u, and the entries still short, where
+    entries of cum crowd one bucket, finish with the binary search.  The
+    answer is below len(cum), since cum[-1] = 1.0 exceeds every u, so
+    cum[idx] stays in range.  The table costs m entries, so a u of fewer
+    entries takes the binary search at once.
+    """
+    buckets = 1 << (4 * len(cum) - 1).bit_length()
+    if u.size < buckets:
+        return np.searchsorted(cum, u, side="right")
+    guide = np.searchsorted(cum, np.arange(buckets) / buckets, side="right")
+    idx = guide[(u * buckets).astype(np.intp)]
+    for _ in range(2):
+        idx += cum[idx] <= u
+    short = cum[idx] <= u
+    if short.any():
+        idx[short] = np.searchsorted(cum, u[short], side="right")
+    return idx
+
+
 def inverse_cdf(weights, u) -> np.ndarray:
     """Indices of the atoms that uniforms u in [0, 1) select by inverse-CDF lookup.
 
     weights is either one non-negative vector shared by every entry of u,
     or a (T, K) stack whose row i serves row i of a (T, m) array u.  The
     running sum over the positive atoms is closed to 1.0 at the last of
-    them, so u always lands on an atom of positive weight.
+    them, so u always lands on an atom of positive weight.  Shared weights
+    are looked up through a guide table where u is large enough to pay
+    for one (_guided_search), with the indices of the binary search.
     """
     weights = np.asarray(weights, dtype=float)
     u = _unit_uniforms(u, "u")
@@ -212,7 +240,7 @@ def inverse_cdf(weights, u) -> np.ndarray:
             raise ValueError("no atom carries positive weight")
         cum = np.cumsum(weights[support])
         cum[-1] = 1.0
-        return support[np.searchsorted(cum, u, side="right")]
+        return support[_guided_search(cum, u)]
     if not positive.any(axis=1).all():
         raise ValueError("no atom carries positive weight")
     # zero-weight atoms leave the running sum flat, so a full-row sum selects
@@ -250,18 +278,25 @@ def empirical_losses(matrix: np.ndarray, items: np.ndarray, sizes=None) -> np.nd
     Given sizes, row i's dataset is its first sizes[i] items and its mean
     divides by sizes[i]: datasets of several sizes share one block.  An
     item outside [0, X) or a size outside [1, n] would land in another
-    row's counts or in no row's, so it is rejected.
+    row's counts or in no row's, so it is rejected; so is a block of no
+    items, whose means divide by 0, and an item or size that is no
+    integer, which numpy would count or divide by as it stands (a bool as 1).
     """
     rows, n = items.shape
     num_points = matrix.shape[1]
+    if n == 0 or not np.issubdtype(items.dtype, np.integer):
+        raise ValueError(f"items must be a (T, n) block of integers with n >= 1, got dtype {items.dtype}, shape {items.shape}")
     if items.size and not (items.min() >= 0 and items.max() < num_points):
         raise ValueError(f"items must index the {num_points} points, got values in [{items.min()}, {items.max()}]")
     width = num_points + num_points % 2
     flat = items + width * np.arange(rows)[:, None]
     if sizes is not None:
-        sizes = np.asarray(sizes)
-        if sizes.shape != (rows,) or (rows and not (sizes.min() >= 1 and sizes.max() <= n)):
-            raise ValueError(f"sizes must hold one size in [1, {n}] per row, shape ({rows},), got {sizes.tolist()!r}")
+        # numpy reads a bool inside a list of ints as 0 or 1, so bools are found before the conversion
+        bools = np.ndim(sizes) == 1 and any(isinstance(size, (bool, np.bool_)) for size in sizes)
+        given, sizes = sizes, np.asarray(sizes)
+        whole = np.issubdtype(sizes.dtype, np.integer)
+        if bools or sizes.shape != (rows,) or (rows and not (whole and sizes.min() >= 1 and sizes.max() <= n)):
+            raise ValueError(f"sizes must hold one integer in [1, {n}] per row, shape ({rows},), got {given!r}")
         flat = flat[np.arange(n) < sizes[:, None]]
         n = sizes[:, None]
     counts = np.bincount(flat.ravel(), minlength=rows * width).astype(float).reshape(rows, width)

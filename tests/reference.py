@@ -11,9 +11,9 @@ from typing import Sequence
 
 import numpy as np
 
-from gibbslab.gibbs import cdf_rows
+from gibbslab.gibbs import _check_conditions, _exponential_log, _normalized_rows, _ranked, cdf_rows
 from gibbslab.measures import SATURATION, binary_kl
-from gibbslab.model import empirical_losses, loss_matrix
+from gibbslab.model import _check_parameters, empirical_losses, loss_matrix
 
 # the platform the pinned report hashes and verdict lines were recorded on
 PINNED_PLATFORM = "x86_64 numpy 2.4.6 x86_v4=True"
@@ -57,6 +57,35 @@ def complexity_rows_reference(space, losses, h_indices, beta):
     objective = rate * shifts - np.log(mass)
     best = np.argmin(objective, axis=1)
     return objective[rows, best], shifts[rows, best]
+
+
+def density_rows_reference(space, losses, family, gamma):
+    """The row kernel that checks the density conditions on every level of every row, whatever the family.
+
+    Weights prior * q(loss) / Z and ln Z of a (T, H) loss block, or the
+    error of its first failing row.
+    """
+    _check_parameters(gamma=gamma)
+    losses = np.asarray(losses, dtype=float)
+    values, _, flat, levels = _ranked(space, losses)
+    values_log_q = np.asarray(family.log_density(values), dtype=float)
+    if values_log_q.shape != values.shape:
+        values_log_q = np.broadcast_to(values_log_q, values.shape)
+    levels_log_q = values_log_q.take(flat)
+    _check_conditions(levels, levels_log_q, gamma, family.name)
+    if gamma == 0.0:
+        return np.broadcast_to(space.prior, losses.shape), levels_log_q[:, 0] + 0.0
+    shift = None
+    if getattr(family.log_density, "func", None) is _exponential_log:
+        shift = levels[:, :1]
+        values_log_q = family.log_density(values - shift)
+    positive = space.prior > 0.0
+    total = np.full(losses.shape, -np.inf)
+    total[:, positive] = np.log(space.prior[positive]) + values_log_q
+    weights, log_z = _normalized_rows(total)
+    if shift is not None:
+        log_z = log_z + family.log_density(shift[:, 0])
+    return weights, log_z
 
 
 def inverse_upper_reference(p, budget):

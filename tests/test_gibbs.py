@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import complexity_rows_reference, loss_profile
+from reference import complexity_rows_reference, density_rows_reference, loss_profile
 
 from gibbslab.bounds import minimizer_mass_bound
 from gibbslab.gibbs import (
@@ -24,6 +25,7 @@ from gibbslab.gibbs import (
 from gibbslab.model import (
     TIE_TOL,
     FiniteHypothesisSpace,
+    inverse_cdf,
     random_loss_table,
     sample_dataset,
     step_cdf,
@@ -653,6 +655,70 @@ def test_complexity_rows_match_the_per_hypothesis_kernel(block, rates, data):
         got = complexity_rows(space, block_or_row, indices, beta)
         expected = complexity_rows_reference(space, block_or_row, indices, beta)
         assert [bits(a).tobytes() for a in got] == [bits(a).tobytes() for a in expected]
+
+
+# losses at the edges of the float range, and ones no loss table holds: negative, infinite, nan
+EDGE_LOSSES = [0.0, -0.0, 1.0, 1.5, -0.5, 5e-324, 1e-310, 1e308, -1e308, math.nan, math.inf, -math.inf]
+EDGE_RATES = [0.0, 5e-324, 10.0, 1e9, 1e300, 1.7e308]
+TWO = FiniteHypothesisSpace(np.zeros((2, 1)), [0.5, 0.5])
+
+
+@st.composite
+def edge_blocks(draw):
+    """A prior with zero-prior and 1e-300-prior atoms, and 1 to 4 loss rows of ordinary and edge losses."""
+    size = draw(st.integers(1, 6))
+    weights = np.array(
+        draw(st.lists(st.one_of(st.just(0.0), st.just(1e-300), st.floats(1e-6, 1.0)), min_size=size, max_size=size))
+    )
+    weights[draw(st.integers(0, size - 1))] = draw(st.floats(1e-3, 1.0))
+    loss = st.one_of(st.floats(0.0, 1.0), st.sampled_from(EDGE_LOSSES))
+    rows = draw(st.lists(st.lists(loss, min_size=size, max_size=size), min_size=1, max_size=4))
+    return FiniteHypothesisSpace(np.zeros((size, 1)), weights / weights.sum()), np.array(rows)
+
+
+def outcome(call) -> list | tuple:
+    """The bits of every array a call returns, or the type and message of the ValueError it raises."""
+    try:
+        return [bits(np.asarray(a, dtype=float)).tobytes() for a in call()]
+    except ValueError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    block=edge_blocks(),
+    beta=st.sampled_from(EDGE_RATES),
+    gamma=st.one_of(st.none(), st.sampled_from(EDGE_RATES)),
+    uniforms=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=4, max_size=4),
+)
+# a -inf loss lies at a row's lowest level, a nan or +inf at its highest; an overflow and a pass on the first row
+@example(block=(TWO, np.array([[-math.inf, 0.5]])), beta=10.0, gamma=None, uniforms=[0.5] * 4)
+@example(block=(TWO, np.array([[0.5, 0.6], [0.5, math.inf]])), beta=10.0, gamma=None, uniforms=[0.5] * 4)
+@example(block=(TWO, np.array([[0.5, 0.6], [math.nan, 0.5]])), beta=0.0, gamma=None, uniforms=[0.5] * 4)
+@example(block=(TWO, np.array([[0.1, 0.5], [0.5, 2.0]])), beta=1.7e308, gamma=None, uniforms=[0.5] * 4)
+def test_gibbs_rows_match_the_always_check_kernel(block, beta, gamma, uniforms):
+    """density_rows and posterior_draws keep the bits and errors of the kernel that checks every row.
+
+    The Gibbs family at its own rate (gamma None) skips its condition check
+    on blocks where it cannot fail; at another rate it is checked as any
+    family is.  Either way density_rows gives the reference's weights and
+    ln Z, or its error type and message, and posterior_draws draws from the
+    reference's weights and scores each draw, or raises that error.
+    """
+    space, losses = block
+    family = exponential_density(beta)
+    if gamma is not None:
+        family = dataclasses.replace(family, gamma=gamma)
+    u = np.array(uniforms[: len(losses)])
+    # overflows and nan products are part of the inputs; under -W error their warnings would stop both kernels alike
+    with np.errstate(all="ignore"):
+        expected = outcome(lambda: density_rows_reference(space, losses, family, family.gamma))
+        assert outcome(lambda: density_rows(space, losses, family, family.gamma)) == expected
+        if isinstance(expected, list):
+            weights, _ = density_rows_reference(space, losses, family, family.gamma)
+            drawn = inverse_cdf(weights, u[:, None])[:, 0]
+            expected = outcome(lambda: (drawn, complexity_rows(space, losses, drawn, family.gamma)[0]))
+        assert outcome(lambda: posterior_draws(space, losses, family, u)) == expected
 
 
 def bruteforce_reference(space, losses, h, beta, grid_step):

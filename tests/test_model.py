@@ -360,6 +360,38 @@ class TestBlockDraws:
         for row, row_u, row_expected in zip(weights, u, expected):
             assert np.array_equal(inverse_cdf(row, row_u), row_expected)
 
+    # 20 atoms of prior 1e-300 crowd the first bucket: a uniform of 1e-200 lies 20 steps past its bucket's count
+    LOOKUP_WEIGHTS = {
+        "zero_weight_atoms": [0.0, 0.3, 0.0, 0.2, 0.5, 0.0],
+        "one_atom": [1.0],
+        "one_atom_among_zeros": [0.0, 0.0, 1.0, 0.0],
+        "uniform": [1 / 16] * 16,
+        "random": list(np.random.Generator(np.random.PCG64(11)).dirichlet(np.ones(37))),
+        "crowded": [1e-300] * 20 + [1.0 - 2e-299],
+    }
+
+    @pytest.mark.parametrize("name", LOOKUP_WEIGHTS)
+    def test_guided_lookup_is_the_binary_search(self, name):
+        # shared weights take the guide table from as many uniforms as it has buckets
+        weights = np.array(self.LOOKUP_WEIGHTS[name])
+        support = np.flatnonzero(weights > 0.0)
+        cum = np.cumsum(weights[support])
+        cum[-1] = 1.0
+        buckets = 1 << (4 * len(cum) - 1).bit_length()
+        inner = cum[:-1]
+        special = np.concatenate([[0.0, 1.0 - 2**-53, 1e-200], inner, np.nextafter(inner, 0.0), np.nextafter(inner, 1.0)])
+        assert len(special) < buckets
+        rng = np.random.Generator(np.random.PCG64(12))
+        for size in (buckets - 1, buckets, 4 * buckets):
+            u = np.concatenate([special, rng.random(size)])[:size]
+            expected = support[np.searchsorted(cum, u, side="right")]
+            assert np.array_equal(inverse_cdf(weights, u), expected)
+            assert np.array_equal(inverse_cdf(weights, np.stack([u, u[::-1]])), np.stack([expected, expected[::-1]]))
+        if name == "crowded":
+            # more steps past a bucket's count than the guided lookup takes before the binary search
+            bucket_count = np.searchsorted(cum, np.floor(u * buckets) / buckets, side="right")
+            assert (np.searchsorted(cum, u, side="right") - bucket_count).max() > 2
+
     def test_inverse_cdf_rejects_weightless_rows(self):
         with pytest.raises(ValueError, match="positive weight"):
             inverse_cdf(np.array([[0.5, 0.5], [0.0, 0.0]]), np.zeros((2, 1)))

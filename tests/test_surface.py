@@ -138,6 +138,11 @@ BAD = {
     "3": 3,
     "4": 4,
     "one_size": [2],
+    "half_size": [1.5, 2],
+    "bool_size": [True, 2],
+    "no_items": np.zeros((2, 0), dtype=int),
+    "float_items": np.array([[0.0, 1.0], [2.0, 0.0]]),
+    "bool_items": np.array([[False, True], [True, False]]),
     "row": [0.0, 0.5, 1.0],
     "narrow_block": np.zeros((2, 2)),
 }
@@ -222,7 +227,10 @@ BOUNDARY = [
     ("empirical_losses", "items", items_with, "-1 3 4"),
     # a size of 0 divided by 0, one past n divided too few counts
     ("empirical_losses", "sizes", lambda v: model.empirical_losses(TABLE, ITEMS, [2, v]), "0 3 -1"),
-    ("empirical_losses", "sizes", lambda v: model.empirical_losses(TABLE, ITEMS, v), "one_size"),
+    # 1.5 divided row 0's two counted items by 1.5, and True read as 1
+    ("empirical_losses", "sizes", lambda v: model.empirical_losses(TABLE, ITEMS, v), "one_size half_size bool_size"),
+    # no items gave nan rows, float items raised numpy's TypeError from bincount, and bool items read as points 0 and 1
+    ("empirical_losses", "items", lambda v: model.empirical_losses(TABLE, v), "no_items float_items bool_items"),
     # numpy's IndexError for a 1-d row or a block of the wrong width named no field
     ("posterior_rows", "losses", lambda v: gibbs.posterior_rows(TINY, v, 1.0), "row narrow_block"),
     ("density_rows", "losses", lambda v: gibbs.density_rows(TINY, v, GIBBS, 1.0), "row narrow_block"),
