@@ -238,16 +238,19 @@ def _check_conditions(levels: np.ndarray, log_q: np.ndarray, gamma: float, name:
     carry equal densities and pass, so the error names the row's first
     failing pair of distinct levels.  A pair's tolerance scales with its
     finite log densities only: a vanishing density still fails next to a
-    finite one.
+    finite one, even where gamma times the gap is infinite (an infinite
+    level, or an overflow), which the difference inf would not exceed.
     """
-    size = np.where(np.isfinite(log_q), np.abs(log_q), 0.0)
+    finite = np.isfinite(log_q)
+    size = np.where(finite, np.abs(log_q), 0.0)
     tol = CONDITION_TOL * np.maximum(1.0, np.maximum(size[:, :-1], size[:, 1:]))
     with np.errstate(invalid="ignore"):
         rising = log_q[:, 1:] > log_q[:, :-1] + tol
         steep = log_q[:, :-1] - log_q[:, 1:] > gamma * (levels[:, 1:] - levels[:, :-1]) + tol
+    steep |= finite[:, :-1] & (log_q[:, 1:] == -np.inf)
     broken = rising | steep
     # with every log density finite, only a broken pair fails a row
-    if not (broken.any() or not np.isfinite(log_q).all()):
+    if not (broken.any() or not finite.all()):
         return
     # nan passes every comparison above, so it is caught by name
     undefined = np.isnan(log_q)

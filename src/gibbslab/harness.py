@@ -71,6 +71,8 @@ Z_99 = 2.3263478740408408
 
 # floats per array of a trial block (512 KiB); see _trial_blocks
 BLOCK_CELLS = 65536
+# floats per (rows, H) temporary of one row kernel call (128 KiB); see _pieces
+SEGMENT_CELLS = 16384
 # a trial index is one 32-bit seed path word, and streams.seed_pairs rejects larger words
 MAX_TRIALS = 2**32
 
@@ -201,6 +203,19 @@ def _trial_blocks(master_seed: int, paths: np.ndarray, domain, table: np.ndarray
     for start in range(0, paths.shape[1], size):
         data_seeds, data, draws = trial_streams(master_seed, paths[:, start : start + size], n)
         yield data_seeds.tolist(), draws, empirical_losses(table, inverse_cdf(domain.probs, data))
+
+
+def _pieces(start: int, stop: int, width: int):
+    """Slices of at most max(1, SEGMENT_CELLS // width) rows that cover rows start..stop-1 in order.
+
+    The row kernels (posterior_draws, _concentration_flags) run on these
+    pieces of a block: each of their (rows, width) temporaries then stays
+    within SEGMENT_CELLS floats, small enough to stay in a core's L2 cache,
+    while a whole block's temporaries would not.  Rows are independent in
+    every kernel, so the cut does not change a bit of the results.
+    """
+    size = max(1, SEGMENT_CELLS // width)
+    return [slice(i, min(i + size, stop)) for i in range(start, stop, size)]
 
 
 def wilson_upper_99(violations: int, trials: int) -> float:
@@ -352,12 +367,12 @@ def run_violation_experiment(config: ExperimentConfig) -> Outcome:
     Trials run in blocks over the (beta index, trial) grid taken beta by
     beta, so one block may span several betas; each trial keeps its own
     seed pair.  One array call per step covers every trial of a block, and
-    one posterior_draws call covers each beta's rows of it.  The
-    statistics of all the trials at one beta are array expressions with
-    the bits of the scalar bound functions, so the rows equal those of
-    running the trials one at a time through the public per-call
-    functions.  The rows come
-    back as one block of columns per beta.  The run passes when the Wilson
+    one posterior_draws call covers each piece (see _pieces) of each
+    beta's rows of it.  The statistics of all the trials at one beta are
+    array expressions with the bits of the scalar bound functions, so the
+    rows equal those of running the trials one at a time through the
+    public per-call functions.  The rows come back as one block of
+    columns per beta.  The run passes when the Wilson
     upper bound on the violation rate over all trials is at most delta.
     """
     kind = config.bound_kind
@@ -379,15 +394,16 @@ def run_violation_experiment(config: ExperimentConfig) -> Outcome:
     paths = _trial_paths(range(len(families)), trials)
     for data_seeds, draws, empirical in _trial_blocks(config.master_seed, paths, domain, space.table, config.n):
         stop = start + len(data_seeds)
-        # the block's rows at each beta it spans, one segment per beta
+        # the block's rows at each beta it spans, one segment per beta, cut into cache-sized pieces
         for b in range(start // trials, (stop - 1) // trials + 1):
-            rows = slice(max(start, b * trials) - start, min(stop, (b + 1) * trials) - start)
-            segment = empirical[rows]
-            segment_drawn, segment_lams = posterior_draws(space, segment, families[b], draws[rows])
-            seeds[b] += data_seeds[rows]
-            drawn[b].append(segment_drawn)
-            own[b].append(segment[np.arange(len(segment)), segment_drawn])
-            lams[b].append(segment_lams)
+            segment = (max(start, b * trials) - start, min(stop, (b + 1) * trials) - start)
+            for rows in _pieces(*segment, len(space)):
+                piece = empirical[rows]
+                piece_drawn, piece_lams = posterior_draws(space, piece, families[b], draws[rows])
+                seeds[b] += data_seeds[rows]
+                drawn[b].append(piece_drawn)
+                own[b].append(piece[np.arange(len(piece)), piece_drawn])
+                lams[b].append(piece_lams)
         start = stop
 
     blocks = []
@@ -547,7 +563,8 @@ def run_concentration_experiment(config: ExperimentConfig) -> Outcome:
     checking at the jump points of the step side is exhaustive.  Each part
     fails with probability at most delta per dataset, and the run passes
     when both parts' Wilson upper bounds are at most delta.  Trials run in
-    blocks, and the rows come back as one block of columns.
+    blocks, each checked a piece at a time (see _pieces), and the rows come
+    back as one block of columns.
     """
     domain, space = build_space(config.space_spec)
     true_steps = step_cdf(space.table @ domain.probs, space.prior)
@@ -558,10 +575,11 @@ def run_concentration_experiment(config: ExperimentConfig) -> Outcome:
     seeds, bad_i, bad_ii = [], [], []
     paths = np.arange(config.trials)[None]
     for data_seeds, _, block in _trial_blocks(config.master_seed, paths, domain, space.table, n):
-        block_i, block_ii = _concentration_flags(space, true_steps, block, s, slack)
         seeds += data_seeds
-        bad_i += block_i
-        bad_ii += block_ii
+        for rows in _pieces(0, len(block), len(space)):
+            piece_i, piece_ii = _concentration_flags(space, true_steps, block[rows], s, slack)
+            bad_i += piece_i
+            bad_ii += piece_ii
     columns = {
         "trial_seed": seeds,
         "n": n,

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -53,6 +54,7 @@ from gibbslab.model import (
     step_cdf,
 )
 from gibbslab import gibbs, harness
+from gibbslab.acceptance import _soundness_config
 from gibbslab.gibbs import DensityFamily, density_family, normalize_density
 from gibbslab.measures import binary_kl
 from gibbslab.streams import MAX_POINTS
@@ -494,6 +496,22 @@ class TestBlockKernelMatchesPerTrialLoop:
         assert outcome[0] == "DensityConditionError"
         assert outcome == _outcome(_violation_oracle, cfg)
 
+        # one-row pieces, and a density that drops by 1 past trial 0's highest loss:
+        # trial 0 passes, and the first failing trial lies in a later piece
+        def cliff(beta, cap):
+            return DensityFamily("cliff", {"beta": beta, "cap": cap}, lambda t: -beta * t - (t > cap), beta)
+
+        domain, space = build_space(SMALL_SPACE)
+        data = sample_dataset(domain, 50, derive_seed_pair(11, 0, 0)[0])
+        cap = float(loss_profile(space, domain, data).empirical.max())
+        monkeypatch.setitem(gibbs._FAMILIES, "cliff_for_test", cliff)
+        monkeypatch.setattr(harness, "SEGMENT_CELLS", len(space))
+        density = {"name": "cliff_for_test", "params": {"beta": 10.0, "cap": cap}}
+        cfg = config(bound_kind="beyond_gibbs", density=density, trials=5)
+        outcome = _outcome(_kernel_rows, cfg)
+        assert outcome[0] == "DensityConditionError"
+        assert outcome == _outcome(_violation_oracle, cfg)
+
 
 BLOCK_INVARIANCE_RUNS = {
     **{f"violation_{name}": {"experiment": "violation", **fields} for name, fields in BOUND_SETTINGS.items()},
@@ -520,8 +538,39 @@ def test_reports_do_not_depend_on_the_block_size(run, rows, monkeypatch, tmp_pat
     default = _report_bytes(cfg, tmp_path / "default.csv")
     _, space = build_space(cfg.space_spec)
     width = max(*space.table.shape, cfg.n, *(cfg.n_grid or ()))
-    monkeypatch.setattr(harness, "BLOCK_CELLS", rows * width)
-    assert _report_bytes(cfg, tmp_path / "small.csv") == default
+    with monkeypatch.context() as patch:
+        patch.setattr(harness, "BLOCK_CELLS", rows * width)
+        assert _report_bytes(cfg, tmp_path / "small.csv") == default
+    # the default block holds all 28 trials; pieces of 3 rows end mid-beta
+    monkeypatch.setattr(harness, "SEGMENT_CELLS", rows * len(space))
+    assert _report_bytes(cfg, tmp_path / "pieces.csv") == default
+
+
+# criterion 5's first config and criterion 7's n = 50 config
+WORKING_SET_RUNS = {
+    "violation": _soundness_config("kl", 10.0, 500),
+    "concentration": ExperimentConfig(
+        experiment="concentration",
+        space_spec={"name": "random_loss_table", "params": {"num_hypotheses": 64, "num_points": 16, "seed": 7}},
+        n=50,
+        beta_grid=(1.0,),
+        delta=0.05,
+        trials=1000,
+        master_seed=700,
+    ),
+}
+
+
+@pytest.mark.parametrize("run", sorted(WORKING_SET_RUNS))
+def test_row_kernels_run_on_cache_sized_pieces(run):
+    # a whole 1024-row block's (rows, 64) temporaries took the traced peak past 5 MB
+    tracemalloc.start()
+    try:
+        run_experiment(WORKING_SET_RUNS[run])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 TIED_NOISE_TASK = {"name": "permuted_label_task", "params": {"num_inputs": 8, "seed": 1, "label_noise": 0.3}}

@@ -274,3 +274,25 @@ class TestDensityRows:
         with pytest.raises(DensityConditionError) as single:
             normalize_density(space, losses[1], steep, 1.0)
         assert str(err.value) == str(single.value)
+
+    # row 0 passes; row 1's density vanishes at its second level, across an
+    # infinite gap or one whose product with the rate overflows
+    @pytest.mark.parametrize(
+        "losses, beta, message",
+        [
+            ([[0.5, 0.6], [0.5, math.inf]], 1.0, r"^log-Lipschitz constant 1\.0 violated between levels 0\.5 and inf$"),
+            ([[0.1, 0.5], [0.5, 2.0]], 1.7e308, r"^log-Lipschitz constant 1\.7e\+308 violated between levels 0\.5 and 2\.0$"),
+        ],
+        ids=["infinite_level", "overflow"],
+    )
+    def test_vanishing_density_across_an_infinite_gap_names_its_pair(self, losses, beta, message):
+        space = FiniteHypothesisSpace(np.zeros((2, 1)), [0.5, 0.5])
+        losses = np.array(losses)
+        family = exponential_density(beta)
+        # the overflows of beta times a loss and of beta times a gap are part of the input
+        with np.errstate(over="ignore"):
+            with pytest.raises(DensityConditionError, match=message) as rows:
+                density_rows(space, losses, family, beta)
+            with pytest.raises(DensityConditionError, match=message) as draws:
+                posterior_draws(space, losses, family, [0.5, 0.5])
+        assert rows.value.pair == draws.value.pair == (losses[1, 0], losses[1, 1])
