@@ -8,7 +8,7 @@ and the pytest acceptance module asserts them individually.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import json
 import math
 import tempfile
@@ -94,7 +94,8 @@ def _case_losses(cases: list):
     dataset i, the first size points of the stream sample_dataset draws
     for that seed.  Every stream of every case comes from one uniform_rows call.
     """
-    seeds = [seed for case in cases for _, seed in case[2]]
+    # the seeds are drawn below 2**32 here, so they go in as one array without a check per seed
+    seeds = np.array([seed for case in cases for _, seed in case[2]], dtype=np.uint64)
     uniforms = uniform_rows(seeds, MAX_DATASET_SIZE).reshape(len(cases), -1, MAX_DATASET_SIZE)
     for (domain, space, datasets, extra), rows in zip(cases, uniforms):
         sizes = [size for size, _ in datasets]
@@ -155,22 +156,25 @@ def criterion_02() -> CriterionResult:
 def _dominance_blocks():
     """Criterion 3's 400 spaces, each with its 5 datasets x 5 (hypothesis, beta) draws as one block.
 
-    Yields the space, the (25, H) loss block (each dataset's row five
-    times), the hypotheses and the rates.
+    Every draw is one array call on the generator: the spaces' hypothesis
+    counts, point counts and seeds, then the datasets' sizes and seeds, the
+    hypotheses (each below its space's count) and the rates.  Yields the
+    space, the (25, H) loss block (each dataset's row five times), the
+    hypotheses and the rates.
     """
     rng = np.random.Generator(np.random.PCG64(303))
-    cases = []
-    for _ in range(400):
-        domain, space = _random_space(rng)
-        datasets, hs, betas = [], [], []
-        for _ in range(5):
-            datasets.append(_dataset_draw(rng))
-            for _ in range(5):
-                hs.append(int(rng.integers(0, len(space))))
-                betas.append(float(10.0 ** rng.uniform(-1.0, 3.0)))
-        cases.append((domain, space, datasets, (np.array(hs), np.array(betas))))
-    for space, empirical, (hs, betas) in _case_losses(cases):
-        yield space, np.repeat(empirical, 5, axis=0), hs, betas
+    h_counts, x_counts, seeds = rng.integers(2, 17, 400), rng.integers(2, 9, 400), rng.integers(0, 2**32, 400)
+    sizes, data_seeds = rng.integers(1, MAX_DATASET_SIZE + 1, (400, 5)), rng.integers(0, 2**32, (400, 5))
+    hs = rng.integers(0, h_counts[:, None], (400, 25))
+    betas = 10.0 ** rng.uniform(-1.0, 3.0, (400, 25))
+    cases = [
+        (*random_loss_table(h_count, x_count, seed), list(zip(size_row, seed_row)), (h_row, beta_row))
+        for h_count, x_count, seed, size_row, seed_row, h_row, beta_row in zip(
+            h_counts.tolist(), x_counts.tolist(), seeds.tolist(), sizes.tolist(), data_seeds.tolist(), hs, betas
+        )
+    ]
+    for space, empirical, (h_row, beta_row) in _case_losses(cases):
+        yield space, np.repeat(empirical, 5, axis=0), h_row, beta_row
 
 
 def criterion_03() -> CriterionResult:
@@ -278,46 +282,82 @@ def criterion_07() -> CriterionResult:
     return CriterionResult(7, "CDF concentration", passed, "; ".join(details))
 
 
+@functools.lru_cache(maxsize=None)
+def _index_sets(n: int) -> np.ndarray:
+    """Every nonempty index set of range(n) as a read-only boolean mask row, in itertools.combinations order.
+
+    Rows run by size, then lexicographically.  Within a size, the
+    lexicographic order of the sorted index tuples is the descending order
+    of the masks read as binary numbers with index 0 as the top bit.
+    """
+    codes = np.arange(1, 2**n)
+    masks = (codes[:, None] >> np.arange(n - 1, -1, -1) & 1).astype(bool)
+    masks = masks[np.lexsort((-codes, masks.sum(axis=1)))]
+    masks.setflags(write=False)
+    return masks
+
+
 def _margin_oracle(values, n: int, error_fraction: float) -> float:
-    # independent count arithmetic and exhaustive subset enumeration
+    """The best min over every index set of at least keep of the n finite values, enumerated exhaustively.
+
+    The sets are read in itertools.combinations order from size keep on;
+    each set's min is its first minimal member and the answer the first
+    maximal set value, as Python's min and max keep them, signed zeros
+    included.
+    """
+    # independent count arithmetic
     keep = max(1, min(n, math.ceil((1.0 - error_fraction) * n - 1e-9)))
-    return max(max(map(min, itertools.combinations(values, size))) for size in range(keep, n + 1))
+    values = np.asarray(values, dtype=float)
+    sets = _index_sets(n)[sum(math.comb(n, size) for size in range(1, keep)) :]
+    minima = values[np.argmin(np.where(sets, values, np.inf), axis=1)]
+    return float(minima[np.argmax(minima)])
 
 
-def _random_points(rng: np.random.Generator, n: int) -> LabeledData:
-    """n standard normal points in the plane with fair random labels, drawn point by point."""
-    draws = [(rng.normal(size=2), 2 * rng.integers(0, 2) - 1) for _ in range(n)]
-    return LabeledData([z for z, _ in draws], [y for _, y in draws])
+def _random_points(rng: np.random.Generator, sizes: np.ndarray) -> list[LabeledData]:
+    """One set of standard normal points in the plane with fair random labels per size, from two array draws."""
+    total, bounds = int(sizes.sum()), np.cumsum(sizes)[:-1]
+    coords = np.split(rng.normal(size=(total, 2)), bounds)
+    labels = np.split(2 * rng.integers(0, 2, total) - 1, bounds)
+    return [LabeledData(z, y) for z, y in zip(coords, labels)]
+
+
+def _margin_cases() -> tuple[list, list]:
+    """Criterion 8's 500 oracle cases and 100 level-set cases, each draw one array call.
+
+    An oracle case is (points, direction, bias, error fraction), a level-set
+    case (grid, points, error fraction).  The draws: the oracle cases'
+    point counts in [1, 12], points, angles, biases and fractions (0, a
+    uniform or 1, each with probability 1/3), then the level-set grids'
+    angular steps in [4, 16], bias steps in [1, 7] and prior coins, their
+    point counts in [2, 10], points and fractions.
+    """
+    rng = np.random.Generator(np.random.PCG64(808))
+    points = _random_points(rng, rng.integers(1, 13, 500))
+    angles, biases = rng.uniform(0.0, 2.0 * math.pi, 500), rng.normal(size=500)
+    fractions = np.choose(rng.integers(0, 3, 500), (0.0, rng.random(500), 1.0))
+    directions = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    oracle = list(zip(points, directions.tolist(), biases.tolist(), fractions.tolist()))
+
+    angular, bias_steps, coins = rng.integers(4, 17, 100), rng.integers(1, 8, 100), rng.integers(0, 2, 100)
+    grids = [
+        build_linear_grid(a, b, 1.0, prior_kind="gaussian-projected" if coin else "uniform")
+        for a, b, coin in zip(angular.tolist(), bias_steps.tolist(), coins.tolist())
+    ]
+    level = list(zip(grids, _random_points(rng, rng.integers(2, 11, 100)), rng.random(100).tolist()))
+    return oracle, level
 
 
 def criterion_08() -> CriterionResult:
     """Margin selection equals the exhaustive oracle; level sets match; hard margin pays off."""
-    rng = np.random.Generator(np.random.PCG64(808))
+    oracle, level = _margin_cases()
     oracle_failures = 0
-    for _ in range(500):
-        n = int(rng.integers(1, 13))
-        data = _random_points(rng, n)
-        angle = rng.uniform(0.0, 2.0 * math.pi)
-        direction, bias = (math.cos(angle), math.sin(angle)), float(rng.normal())
-        r = float(rng.choice([0.0, float(rng.random()), 1.0]))
-        values = [
-            (sum(u * z for u, z in zip(direction, point)) - bias) * y
-            for point, y in zip(data.coords.tolist(), data.labels.tolist())
-        ]
-        if margin_values(LinearGrid([direction], [bias], [1.0]), data, r)[0] != _margin_oracle(values, n, r):
+    for data, direction, bias, r in oracle:
+        # <direction, z> - bias from 0.0, in the operation order of the scalar score
+        values = (0.0 + direction[0] * data.coords[:, 0] + direction[1] * data.coords[:, 1] - bias) * data.labels
+        if margin_values(LinearGrid([direction], [bias], [1.0]), data, r)[0] != _margin_oracle(values, len(values), r):
             oracle_failures += 1
 
-    level_failures = 0
-    for _ in range(100):
-        grid = build_linear_grid(
-            int(rng.integers(4, 17)),
-            int(rng.integers(1, 8)),
-            1.0,
-            prior_kind="gaussian-projected" if rng.integers(0, 2) else "uniform",
-        )
-        data = _random_points(rng, int(rng.integers(2, 11)))
-        if not level_set_equality_check(grid, data, float(rng.random())):
-            level_failures += 1
+    level_failures = sum(not level_set_equality_check(grid, data, r) for grid, data, r in level)
 
     # separable pair with hard margin 1: a fine grid must catch a separator
     pair = LabeledData([(1.0, 0.0), (-1.0, 0.0)], [1, -1])

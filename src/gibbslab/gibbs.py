@@ -244,7 +244,8 @@ def _check_conditions(levels: np.ndarray, log_q: np.ndarray, gamma: float, name:
     finite = np.isfinite(log_q)
     size = np.where(finite, np.abs(log_q), 0.0)
     tol = CONDITION_TOL * np.maximum(1.0, np.maximum(size[:, :-1], size[:, 1:]))
-    with np.errstate(invalid="ignore"):
+    # an overflowed gamma times gap is inf, which the pair's explicit vanishing test covers
+    with np.errstate(invalid="ignore", over="ignore"):
         rising = log_q[:, 1:] > log_q[:, :-1] + tol
         steep = log_q[:, :-1] - log_q[:, 1:] > gamma * (levels[:, 1:] - levels[:, :-1]) + tol
     steep |= finite[:, :-1] & (log_q[:, 1:] == -np.inf)
@@ -326,9 +327,11 @@ def _density_rows(
     # the family is known by its log density, not its name: another q named "exponential" has no such shift
     exponential = getattr(family.log_density, "func", None) is _exponential_log
     if exponential and family.log_density.args == (gamma,):
-        lowest_log_q = family.log_density(levels[:, 0])
-        if not (np.isfinite(lowest_log_q).all() and np.isfinite(family.log_density(levels[:, -1])).all()):
-            _check_conditions(levels, family.log_density(levels), gamma, family.name)
+        # an overflow to -inf is a non-finite end, which the full check below reads
+        with np.errstate(over="ignore"):
+            lowest_log_q = family.log_density(levels[:, 0])
+            if not (np.isfinite(lowest_log_q).all() and np.isfinite(family.log_density(levels[:, -1])).all()):
+                _check_conditions(levels, family.log_density(levels), gamma, family.name)
     else:
         values_log_q = np.asarray(family.log_density(values), dtype=float)
         if values_log_q.shape != values.shape:
@@ -341,8 +344,10 @@ def _density_rows(
         return np.broadcast_to(space.prior, losses.shape), lowest_log_q + 0.0
     if exponential:
         # q(t) = q(t - m) q(m): with m the row's lowest level, ln prior + ln q(t - m)
-        # keeps ln prior's precision, which ln prior - beta t rounds away at large beta
-        values_log_q = family.log_density(values - levels[:, :1])
+        # keeps ln prior's precision, which ln prior - beta t rounds away at large beta;
+        # a product past the float range is -inf, a zero weight
+        with np.errstate(over="ignore"):
+            values_log_q = family.log_density(values - levels[:, :1])
     positive = space.prior > 0.0
     if positive.all():
         total = np.log(space.prior) + values_log_q

@@ -7,6 +7,7 @@ runs the same checks from the command line.
 """
 
 import functools
+import math
 import re
 
 import dataclasses
@@ -20,6 +21,7 @@ from gibbslab.acceptance import (
     CRITERIA,
     ORACLE_BETAS,
     _dominance_blocks,
+    _margin_cases,
     _oracle_cases,
     _ratio_cases,
     _round_trips,
@@ -143,20 +145,19 @@ def oracle_cases_reference():
 
 
 def dominance_blocks_reference():
-    """Criterion 3's draws with one generator, one DataSet and one LossProfile per dataset."""
+    """Criterion 3's draws in its array layout, with one DataSet and one LossProfile per dataset."""
     rng = np.random.Generator(np.random.PCG64(303))
-    for _ in range(400):
-        h_count = int(rng.integers(2, 17))
-        domain, space = random_loss_table(h_count, int(rng.integers(2, 9)), int(rng.integers(0, 2**32)))
-        rows, hs, betas = [], [], []
-        for _ in range(5):
-            data = sample_dataset(domain, int(rng.integers(1, 33)), int(rng.integers(0, 2**32)))
-            profile = loss_profile(space, domain, data)
-            for _ in range(5):
-                rows.append(profile.empirical)
-                hs.append(int(rng.integers(0, h_count)))
-                betas.append(float(10.0 ** rng.uniform(-1.0, 3.0)))
-        yield space, np.array(rows), np.array(hs), np.array(betas)
+    h_counts, x_counts, seeds = rng.integers(2, 17, 400), rng.integers(2, 9, 400), rng.integers(0, 2**32, 400)
+    sizes, data_seeds = rng.integers(1, 33, (400, 5)), rng.integers(0, 2**32, (400, 5))
+    hs = rng.integers(0, h_counts[:, None], (400, 25))
+    betas = 10.0 ** rng.uniform(-1.0, 3.0, (400, 25))
+    for i in range(400):
+        domain, space = random_loss_table(int(h_counts[i]), int(x_counts[i]), int(seeds[i]))
+        rows = []
+        for size, seed in zip(sizes[i], data_seeds[i]):
+            data = sample_dataset(domain, int(size), int(seed))
+            rows.extend([loss_profile(space, domain, data).empirical] * 5)
+        yield space, np.array(rows), hs[i], betas[i]
 
 
 def test_oracle_cases_match_per_call_datasets():
@@ -208,6 +209,49 @@ def test_dominance_blocks_match_per_call_datasets():
         assert hs.tobytes() == ref_hs.tobytes() and betas.tobytes() == ref_betas.tobytes()
         count += 1
     assert count == 400
+
+
+def test_dominance_blocks_draw_their_ranges():
+    # 400 spaces of 2 to 16 hypotheses on 2 to 8 points, each with 5 datasets x 5 (hypothesis, beta) draws
+    blocks = list(_dominance_blocks())
+    assert len(blocks) == 400
+    shapes = {space.table.shape for space, *_ in blocks}
+    assert {h for h, _ in shapes} == set(range(2, 17)) and {x for _, x in shapes} == set(range(2, 9))
+    for space, losses, hs, betas in blocks:
+        assert losses.shape == (25, len(space)) and hs.shape == betas.shape == (25,)
+        assert (losses.reshape(5, 5, -1) == losses[::5, None]).all()
+        assert hs.min() >= 0 and hs.max() < len(space)
+    betas = np.concatenate([block[3] for block in blocks])
+    assert betas.size == 10_000 and 0.1 <= betas.min() and betas.max() < 1000.0
+    # the rates spread over all four decades
+    assert np.histogram(np.log10(betas), bins=4, range=(-1.0, 3.0))[0].min() > 2000
+
+
+def test_margin_cases_draw_their_ranges():
+    oracle, level = _margin_cases()
+    assert len(oracle) == 500 and len(level) == 100
+    sizes = [len(data.labels) for data, *_ in oracle]
+    assert set(sizes) == set(range(1, 13))
+    fractions = np.array([r for *_, r in oracle])
+    assert 0.0 <= fractions.min() and fractions.max() <= 1.0
+    # 0, a uniform or 1, each about a third of the time
+    assert all(100 < count < 230 for count in ((fractions == 0.0).sum(), (fractions == 1.0).sum()))
+    for data, direction, bias, _ in oracle:
+        assert set(data.labels.tolist()) <= {-1, 1} and data.coords.shape == (len(data.labels), 2)
+        assert abs(math.hypot(*direction) - 1.0) < 1e-12 and math.isfinite(bias)
+    assert {len(data.labels) for _, data, _ in level} == set(range(2, 11))
+    bias_steps = [len(np.unique(grid.biases)) for grid, *_ in level]
+    assert set(bias_steps) == set(range(1, 8))
+    assert {len(grid) // b for (grid, *_), b in zip(level, bias_steps)} == set(range(4, 17))
+    assert all(0.0 <= r < 1.0 for *_, r in level)
+
+
+def test_criteria_3_and_8_repeat_from_a_cold_and_a_warm_table():
+    acceptance._index_sets.cache_clear()
+    cold = [run_criterion(number).detail for number in (3, 8)]
+    assert acceptance._index_sets.cache_info().currsize == 12
+    warm = [run_criterion(number).detail for number in (3, 8)]
+    assert cold == warm
 
 
 def test_round_trips_match_per_pair_calls():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from reference import loss_profile, score, zero_one_loss
 
-from gibbslab.acceptance import _margin_oracle
+from gibbslab.acceptance import _index_sets, _margin_oracle
 from gibbslab.gibbs import complexity
 from gibbslab.margins import (
     LabeledData,
@@ -51,7 +51,7 @@ def subset_oracle(values, keep_at_least):
 
 
 def margin_oracle_reference(values, n, error_fraction):
-    """The margin oracle as a generator over index subsets, for the faster tuple enumeration."""
+    """The margin oracle as a generator over index subsets, for the index-set table."""
     keep = max(1, min(n, math.ceil((1.0 - error_fraction) * n - 1e-9)))
     best = -math.inf
     for size in range(keep, n + 1):
@@ -61,7 +61,7 @@ def margin_oracle_reference(values, n, error_fraction):
 
 
 class TestMarginOracle:
-    """The acceptance oracle enumerates value tuples and keeps the reference's result, signed zeros included."""
+    """The acceptance oracle reads an index-set table and keeps the reference's result, signed zeros included."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_values(self, seed):
@@ -84,6 +84,26 @@ class TestMarginOracle:
         for values in ([0.0, -0.0, 1.0], [-0.0, 0.0, 1.0], [1.0, -0.0, 0.0], [-0.0, -0.0, 0.0]):
             for r in (0.0, 0.4, 1.0):
                 assert repr(_margin_oracle(values, 3, r)) == repr(margin_oracle_reference(values, 3, r))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_every_retained_count(self, n):
+        # every slice of the index-set table, from each retained count, on values with repeats and signed zeros
+        rng = np.random.Generator(np.random.PCG64(n))
+        fractions = [(n - keep) / n for keep in range(1, n + 1)] + [1.0]
+        for _ in range(4):
+            values = [float(v) for v in rng.choice([-1.5, -0.0, 0.0, 0.25, 2.0], size=n)]
+            for r in fractions:
+                assert repr(_margin_oracle(values, n, r)) == repr(margin_oracle_reference(values, n, r))
+        values = rng.normal(size=n).tolist()
+        for r in fractions:
+            assert repr(_margin_oracle(values, n, r)) == repr(margin_oracle_reference(values, n, r))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_index_sets_follow_combinations_order(self, n):
+        sets = _index_sets(n)
+        expected = [subset for size in range(1, n + 1) for subset in itertools.combinations(range(n), size)]
+        assert [tuple(np.flatnonzero(row).tolist()) for row in sets] == expected
+        assert not sets.flags.writeable
 
 
 class TestScoreAndLosses:

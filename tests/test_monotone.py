@@ -1,5 +1,7 @@
+import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -289,10 +291,34 @@ class TestDensityRows:
         space = FiniteHypothesisSpace(np.zeros((2, 1)), [0.5, 0.5])
         losses = np.array(losses)
         family = exponential_density(beta)
-        # the overflows of beta times a loss and of beta times a gap are part of the input
-        with np.errstate(over="ignore"):
+        # the overflows of beta times a loss and of beta times a gap are the kernel's to handle:
+        # with numpy's warnings raised as errors, the density error still comes out
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(DensityConditionError, match=message) as rows:
                 density_rows(space, losses, family, beta)
             with pytest.raises(DensityConditionError, match=message) as draws:
                 posterior_draws(space, losses, family, [0.5, 0.5])
         assert rows.value.pair == draws.value.pair == (losses[1, 0], losses[1, 1])
+
+    def test_shifted_density_past_the_float_range_is_a_zero_weight(self):
+        # both ends' -beta * loss are finite, but beta times the gap from the lowest level overflows
+        space = FiniteHypothesisSpace(np.zeros((2, 1)), [0.5, 0.5])
+        family = exponential_density(1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            weights, log_z = density_rows(space, np.array([[-1.0, 1.0]]), family, 1e308)
+            drawn, _ = posterior_draws(space, np.array([[-1.0, 1.0]]), family, [0.99])
+        assert weights.tolist() == [[1.0, 0.0]] and log_z.tolist() == [1e308]
+        assert drawn.tolist() == [0]
+
+    def test_lipschitz_bound_past_the_float_range_holds(self):
+        # a unit-rate density checked against gamma = 1.7e308: gamma times the gap 1.5 overflows to inf,
+        # which every pair meets
+        space = FiniteHypothesisSpace(np.zeros((2, 1)), [0.5, 0.5])
+        family = dataclasses.replace(exponential_density(1.0), gamma=1.7e308)
+        losses = np.array([[0.5, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            weights, _ = density_rows(space, losses, family, family.gamma)
+        assert np.array_equal(weights, density_rows(space, losses, exponential_density(1.0), 1.0)[0])
