@@ -8,7 +8,9 @@ and the pytest acceptance module asserts them individually.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import io
 import json
 import math
 import tempfile
@@ -445,7 +447,8 @@ def criterion_11() -> CriterionResult:
     """Running the CLI twice on one config writes byte-identical outputs."""
     from . import cli  # runtime import; cli imports this module
 
-    with tempfile.TemporaryDirectory() as tmp:
+    # the CLI prints each report's temporary path, which differs from run to run
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
         out = Path(tmp) / "run.csv"
         config = {
             "experiment": "violation",

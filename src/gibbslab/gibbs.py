@@ -23,6 +23,7 @@ import numpy as np
 from .measures import per_element
 from .model import TIE_TOL, FiniteHypothesisSpace, _check_count, _check_parameters, _from_spec, _is_finite
 from .model import _is_integer, _unit_uniforms, inverse_cdf, step_cdf
+from .streams import MASK64, uniform_rows
 
 __all__ = [
     "DensityFamily",
@@ -333,7 +334,9 @@ def _density_rows(
             if not (np.isfinite(lowest_log_q).all() and np.isfinite(family.log_density(levels[:, -1])).all()):
                 _check_conditions(levels, family.log_density(levels), gamma, family.name)
     else:
-        values_log_q = np.asarray(family.log_density(values), dtype=float)
+        # an overflow is a non-finite log density, which the check reads
+        with np.errstate(over="ignore"):
+            values_log_q = np.asarray(family.log_density(values), dtype=float)
         if values_log_q.shape != values.shape:
             values_log_q = np.broadcast_to(values_log_q, values.shape)
         levels_log_q = values_log_q.take(flat)
@@ -413,9 +416,9 @@ def zero_temperature_posterior(space: FiniteHypothesisSpace, data_losses) -> Gib
 
 
 def sample_hypothesis(post: GibbsPosterior, seed: int) -> int:
-    """One inverse-CDF posterior draw from a PCG64(seed) stream; works for any object exposing normalized weights."""
-    _check_count("seed", seed, 0)
-    return int(inverse_cdf(post.weights, np.random.Generator(np.random.PCG64(seed)).random(1))[0])
+    """One inverse-CDF posterior draw from the first uniform of key seed; works for any object exposing normalized weights."""
+    _check_count("seed", seed, 0, MASK64)
+    return int(inverse_cdf(post.weights, uniform_rows(np.array([seed], dtype=np.uint64), 1)[0])[0])
 
 
 def _running_mass(space: FiniteHypothesisSpace, order: np.ndarray) -> np.ndarray:
@@ -485,7 +488,7 @@ def posterior_draws(
 
     Row i's posterior is prior * q(loss row i) under family, its draw is
     the inverse-CDF lookup of uniforms[i] in [0, 1) (sample_hypothesis
-    looks up the first output of its PCG64 stream), and its complexity is
+    looks up the first uniform of its key), and its complexity is
     taken at the family's decay rate.  The posterior and the complexity
     read one sort of each row.
     """

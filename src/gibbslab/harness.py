@@ -40,7 +40,7 @@ from .gibbs import (
 from .measures import binary_kl_rows
 from .model import MAX_POINTS, TIE_TOL, _check_count, _from_spec, _is_finite, _is_integer, _is_real, build_space
 from .model import empirical_losses, inverse_cdf, loss_matrix, step_cdf
-from .streams import trial_streams
+from .streams import MASK32, seed_pairs, trial_streams
 
 __all__ = [
     "ExperimentConfig",
@@ -172,12 +172,11 @@ def _grid(name: str, values, kind: str, accepts) -> tuple:
 
 
 def derive_seed_pair(master_seed: int, *path: int) -> tuple[int, int]:
-    """Two independent 64-bit seeds hashed from (master_seed, *path)."""
+    """The data key and the draw key of the trial at (master_seed, *path), each path word in [0, 2**32)."""
     _check_count("master_seed", master_seed, 0)
     for step in path:
-        _check_count("path", step, 0)
-    state = np.random.SeedSequence([master_seed, *path]).generate_state(2, np.uint64)
-    return int(state[0]), int(state[1])
+        _check_count("path", step, 0, MASK32)
+    return tuple(seed_pairs(master_seed, np.array(path, dtype=np.int64).reshape(-1, 1))[:, 0].tolist())
 
 
 def _trial_paths(prefixes, trials: int) -> np.ndarray:
@@ -186,13 +185,13 @@ def _trial_paths(prefixes, trials: int) -> np.ndarray:
 
 
 def _trial_blocks(master_seed: int, paths: np.ndarray, domain, table: np.ndarray, n: int):
-    """The trials of a (k, T) array of seed paths, in blocks: data seeds, draw uniforms, (T, H) empirical losses.
+    """The trials of a (k, T) array of seed paths, in blocks: data keys, draw uniforms, (T, H) empirical losses.
 
-    Trial j draws its dataset from the first seed of
+    Trial j draws its dataset from the data key of
     derive_seed_pair(master_seed, *paths[:, j]), exactly as sample_dataset
-    would, and its hypothesis with the first uniform of the second seed's
-    stream; streams.trial_streams derives a whole block's streams in one
-    pass.  Data seeds come as a list of ints, draw uniforms as an array.
+    would, and its hypothesis with the first uniform of the draw key;
+    streams.trial_streams derives a whole block's streams in one pass.
+    Data keys come as a list of ints, draw uniforms as an array.
     A block runs over the columns of paths, so it may cross from one
     prefix (a beta index, say) to the next.  It holds as many trials as
     fit BLOCK_CELLS floats in one trial's widest row (H losses, X counts
@@ -314,18 +313,18 @@ class BoundReport:
 
 
 def _realized_kl(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Relative entropy of each drawn hypothesis' empirical loss p (clamped to [0, 1]) from its true loss q.
+    """Relative entropy of each drawn hypothesis' empirical loss p from its true loss q, both clamped to [0, 1].
 
-    Degenerate true losses take the divergence's limit: 0 on the diagonal,
-    +inf off it (the off-diagonal has probability zero under the data law).
-    The clamp is min(max(p, 0.0), 1.0) with Python's semantics, so -0.0
-    and nan pass through it.
+    A true loss is a sum over points and may round past 1: a row of ones
+    on 18 uniform points sums to 1.0000000000000002.  Degenerate true
+    losses take the divergence's limit: 0 on the diagonal, +inf off it
+    (the off-diagonal has probability zero under the data law).
     """
+    # min(max(x, 0.0), 1.0) with Python's semantics, so -0.0 and nan pass through it
+    p, q = (np.where(1.0 < x, 1.0, np.where(0.0 > x, 0.0, x)) for x in (p, q))
     realized = np.where(p == q, 0.0, np.inf)
     inside = (0.0 < q) & (q < 1.0)
-    clamped = np.where(0.0 > p, 0.0, p)
-    clamped = np.where(1.0 < clamped, 1.0, clamped)
-    realized[inside] = binary_kl_rows(clamped[inside], q[inside])
+    realized[inside] = binary_kl_rows(p[inside], q[inside])
     return realized
 
 
@@ -444,10 +443,9 @@ class ZeroTempRow:
 def _first_dataset(config: ExperimentConfig) -> tuple:
     """The space, the empirical losses of trial 0's dataset, the draw uniform of each beta and ln(1/minimizer mass).
 
-    Beta index b draws with the first uniform of the second seed of
+    Beta index b draws with the first uniform of the draw key of
     derive_seed_pair(master_seed, b), and trial 0's dataset comes from the
-    first seed of the pair at b = 0; one streams.trial_streams pass
-    derives them all.
+    data key at b = 0; one streams.trial_streams call derives them all.
     """
     domain, space = build_space(config.space_spec)
     _, data, draws = trial_streams(config.master_seed, np.arange(len(config.beta_grid))[None], config.n, datasets=1)

@@ -88,6 +88,47 @@ def density_rows_reference(space, losses, family, gamma):
     return weights, log_z
 
 
+# the stream law's constants, written out here so that the tests do not read them from the package
+STREAM_GAMMA = 0x9E3779B97F4A7C15
+STREAM_MASK = 2**64 - 1
+
+
+def stream_mix(z: int) -> int:
+    """SplitMix64's finalizer on one int, masked to 64 bits after every step."""
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & STREAM_MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & STREAM_MASK
+    return z ^ (z >> 31)
+
+
+def stream_outputs(key: int, n: int) -> list:
+    """The first n outputs of a key: output i is mix(key + (i + 1) * GAMMA) mod 2**64."""
+    return [stream_mix((key + (i + 1) * STREAM_GAMMA) & STREAM_MASK) for i in range(n)]
+
+
+def stream_uniforms(key: int, n: int) -> list:
+    """The first n uniforms of a key: the top 53 bits of each output times 2**-53."""
+    return [(output >> 11) / 2.0**53 for output in stream_outputs(key, n)]
+
+
+def trial_key(master_seed: int, *path: int) -> int:
+    """mix folded as key = mix(key ^ word) from 0 over the master seed's 32-bit words, their count and the path."""
+    words = []
+    while True:
+        words.append(master_seed % 2**32)
+        master_seed //= 2**32
+        if master_seed == 0:
+            break
+    key = 0
+    for word in [*words, len(words), *path]:
+        key = stream_mix(key ^ word)
+    return key
+
+
+def seed_pair_reference(master_seed: int, *path: int) -> tuple:
+    """A trial's data key and draw key: the first two outputs of its key."""
+    return tuple(stream_outputs(trial_key(master_seed, *path), 2))
+
+
 def inverse_upper_reference(p, budget):
     """The bisection with one binary_kl call per step."""
     if budget == 0.0:

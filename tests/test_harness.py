@@ -331,10 +331,12 @@ class TestViolationExperiment:
 
 
 def _realized_binary_kl(p: float, q: float) -> float:
-    # degenerate true losses: the divergence limit is 0 on the diagonal,
-    # +inf off it (off-diagonal has probability zero under the data law)
+    # both losses clamped to [0, 1]; degenerate true losses: the divergence
+    # limit is 0 on the diagonal, +inf off it (off-diagonal has probability
+    # zero under the data law)
+    p, q = min(max(p, 0.0), 1.0), min(max(q, 0.0), 1.0)
     if 0.0 < q < 1.0:
-        return binary_kl(min(max(p, 0.0), 1.0), q)
+        return binary_kl(p, q)
     return 0.0 if p == q else math.inf
 
 
@@ -379,7 +381,8 @@ EMPIRICAL = st.one_of(
     st.sampled_from([0.0, -0.0, 1.0, -5e-324, -1e-12, 1.0 + 2**-52, 1.0 + 1e-12]),
     st.floats(-1e-9, 1.0 + 1e-9),
 )
-TRUE = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+# a true loss is a sum over points and may round just past 1
+TRUE = st.one_of(st.sampled_from([0.0, 1.0, 1.0 + 2**-52]), st.floats(0.0, 1.0))
 # below the stratify clamp at 1, negative, and large
 COMPLEXITY = st.one_of(st.sampled_from([0.0, -0.0, 1.0]), st.floats(-1e3, 1e9))
 TRIALS = st.lists(st.tuples(EMPIRICAL, TRUE, COMPLEXITY, st.booleans()), min_size=1, max_size=40)
@@ -418,6 +421,21 @@ def test_block_statistics_match_on_many_random_trials():
     rng = np.random.Generator(np.random.PCG64(17))
     own, true = rng.random(5000), rng.random(5000)
     check_block_statistics(own, true, rng.uniform(-2.0, 40.0, 5000), 10.0)
+
+
+def test_true_loss_rounded_past_one_is_not_a_violation(monkeypatch):
+    # a row of ones on 18 uniform points: its true loss sums to
+    # 1.0000000000000002, its empirical loss is exactly 1.0
+    table = np.ones((2, 18))
+    table[1, 0] = 0.0
+    task = FiniteDataDomain(tuple(range(18)), [1 / 18] * 18), FiniteHypothesisSpace(table, [0.5, 0.5])
+    assert (task[1].table @ task[0].probs)[0] == 1.0 + 2**-52
+    monkeypatch.setitem(SPACE_GENERATORS, "ones_for_test", lambda: task)
+    cfg = config(space_spec={"name": "ones_for_test", "params": {}}, beta_grid=(0.0,), trials=200)
+    outcome = run_violation_experiment(cfg)
+    assert all(math.isfinite(row.realized) for row in outcome.rows)
+    assert outcome.passed
+    assert csv_report(outcome.rows) == csv_report(_violation_oracle(cfg))
 
 
 def _kernel_rows(cfg: ExperimentConfig) -> tuple:
@@ -714,8 +732,15 @@ class TestConcentrationKernel:
         for part in outcome.aggregates.values():
             assert 0 < part["violations"] < part["trials"]
 
-    def test_one_part_never_flags(self, scaled_space):
-        outcome = self.check(config(experiment="concentration", space_spec=scaled_space(scale=20.0), n=3, trials=200))
+    def test_one_part_never_flags(self, monkeypatch):
+        # one hypothesis with loss 10 on a point of mass 0.9 and 0 on the other:
+        # its empirical loss never exceeds the true 9 by the shift radius (1.03
+        # at n = 3), so part (i) cannot flag, while part (ii) flags whenever a
+        # dataset holds the second point (probability 0.271)
+        two_points = FiniteDataDomain((0, 1), [0.9, 0.1]), FiniteHypothesisSpace([[10.0, 0.0]], [1.0])
+        monkeypatch.setitem(SPACE_GENERATORS, "two_points_for_test", lambda: two_points)
+        spec = {"name": "two_points_for_test", "params": {}}
+        outcome = self.check(config(experiment="concentration", space_spec=spec, n=3, trials=200))
         assert outcome.aggregates["part_i"]["violations"] == 0 < outcome.aggregates["part_ii"]["violations"]
 
     def test_single_hypothesis(self, scaled_space):
@@ -933,24 +958,25 @@ PINNED_CONFIGS = {
     "violation_kl_tied_beta_1e9": {"space_spec": TIED_NOISE_TASK, "beta_grid": (1e9,), "master_seed": 2},
 }
 # SHA-256 of the CSV bytes followed by the JSON bytes that write_result leaves,
-# recorded from the per-trial implementation the block kernel replaced.  The
+# recorded with the SplitMix64 stream law of gibbslab.streams; the block
+# kernels give the bits of the per-trial functions, as the tests above check.  The
 # last bits of numpy's vectorized exp and log depend on the CPU and the numpy
 # build, so the hashes hold for the platform they were recorded on.
 PINNED_HASHES = {
-    "violation_kl": "a5c4aaaf81757f55db67e313ce0c7921124ec26206e877f8446b29d342ac6051",
-    "violation_stratify": "75efe061776ef430de6b83e91bbf272fde2ff59f1259259fd44203618f5c88b6",
-    "violation_beyond_gibbs": "2612d77e7cc361cfa56885304d76227c7d513d49c2c543397dadb974f5283627",
-    "concentration": "2dea70748495189885eef34cbc6611d01dc32f24425844ae90ec32bd5c6f2993",
-    "random_label": "9ddbb9b729389c7214bab442c4a200a162e0635871ad55539c2bbe383c5acc75",
-    "zero_temp": "9c0656dac1a8d47a56e82591c3645bb0b514f0510979cf37b1dcda486317bb53",
+    "violation_kl": "07a992637fe09f8054a3b07920ffc6001277be98de6e5a02e60024a27ed0bcb8",
+    "violation_stratify": "1cd812dccc8549b0defd09b378bdf453eb7d24905d86573490a0f0d31acf2fbc",
+    "violation_beyond_gibbs": "34d51e0919f05f66eafa72d2d2094b8d9637dd375b15aa6d8af3d4ff97c9acf5",
+    "concentration": "72f178fe695d351393d7cb42c75909b871187dc5cce819c9552ec7e96116b9e9",
+    "random_label": "aeb0198d1185720e0fc1d2ffaf25f6ef1156c7f342e894f7b01a9f051b4a9a0b",
+    "zero_temp": "175d4bd38cbbf7fda13ec21750ccad5e06c59c7455ebe5355928ac2229abefb6",
     "phase": "79ab7229db3dd1dd90abdfb94443587c799ea7f4bae11ba8beb4df70f73090f2",
-    # recorded from the two posterior kernels the single density kernel replaced
-    "violation_high_temp": "0bbdb3a86fa11f3a3b888dc8be1589181627046574efb7a933a393ef7b2388c6",
-    "violation_beyond_gibbs_default": "e8592a29d5162c02f25780e4f630b3907d1a4f588da84e51b82bdd78727ce86a",
-    "violation_beyond_gibbs_capped": "645bcf237c96b1cc999768ab75a0114bc04cf74faf3fbf3afe5e468a1055f5b7",
-    "violation_kl_random_prior_beta_0": "adf8b3f85354f91e2779523af076c5ec6745f207ed0c502107ce27141347960a",
-    "violation_polynomial_a_0_random_prior": "ad9d2d7c8f421ce509f84e389d44fdab8368a767df5453a82b290f595b6c15dc",
-    "violation_kl_tied_beta_1e9": "1e81baa621cffa09d1d2cfaa0a4ed754e9c0171faaaa7aaa18c9fe7faa60509d",
+    # the other density families, and the rate-0 and tied edges
+    "violation_high_temp": "60bba255c5f936f5f68e2fd4c7436db3c09b36dec3d3a05fd3396e74b1c1ba07",
+    "violation_beyond_gibbs_default": "a4f0fe36b13ac4057f64010cbe9b589863252abfba9cc4e4bb1f96e89dea54a4",
+    "violation_beyond_gibbs_capped": "b475ef6ea6c0cda3079a06943bf21a988dddc962f11f1e8baa6e9f00da12648c",
+    "violation_kl_random_prior_beta_0": "3b853612789ecda8f7c0d82397c223da520e5f8f4eeaf89a91bedcb05cd514b4",
+    "violation_polynomial_a_0_random_prior": "49a8de5cee7e59922959c92e9f11bff483bb6f495bee8486a25d8683a0fa57ff",
+    "violation_kl_tied_beta_1e9": "27586e09a85c6dd88dba5dea876a1d7c276b3521987c159452f8b1745354eb67",
 }
 
 

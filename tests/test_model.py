@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from reference import loss_profile
+from reference import loss_profile, stream_uniforms
 
 import gibbslab
 from gibbslab.model import (
@@ -296,7 +296,7 @@ class TestBlockDraws:
         cum = np.cumsum(domain.probs[support])
         cum[-1] = 1.0
         for row, seed in zip(items, seeds):
-            u = np.random.Generator(np.random.PCG64(seed)).random(40)
+            u = np.array(stream_uniforms(seed, 40))
             assert np.array_equal(row, support[np.searchsorted(cum, u, side="right")])
             assert np.array_equal(row, sample_dataset(domain, 40, seed).item_indices)
 

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from reference import loss_profile
+from reference import loss_profile, stream_uniforms
 
 from gibbslab.gibbs import (
     DensityConditionError,
@@ -234,7 +234,7 @@ class TestMonotoneBoundRhs:
             profile = loss_profile(space, domain, data)
             beta = float(10.0 ** rng.uniform(-1, 2))
             seed = int(rng.integers(0, 2**32))
-            u = np.random.Generator(np.random.PCG64(seed)).random(1)
+            u = np.array(stream_uniforms(seed, 1))
             drawn, values = posterior_draws(space, profile.empirical[None], exponential_density(beta), u)
             h = int(drawn[0])
             assert h == sample_hypothesis(posterior(space, profile.empirical, beta), seed)
@@ -311,6 +311,19 @@ class TestDensityRows:
             drawn, _ = posterior_draws(space, np.array([[-1.0, 1.0]]), family, [0.99])
         assert weights.tolist() == [[1.0, 0.0]] and log_z.tolist() == [1e308]
         assert drawn.tolist() == [0]
+
+    def test_overflowing_density_at_another_rate_raises_its_error(self):
+        # a density checked at a rate other than its own takes the general
+        # path, where -1.7e308 * 2.0 overflows; with numpy's warnings raised
+        # as errors, the density error still comes out
+        space = FiniteHypothesisSpace(np.zeros((2, 1)), [0.5, 0.5])
+        family = dataclasses.replace(exponential_density(1.7e308), gamma=1.53e308)
+        message = r"^log-Lipschitz constant 1\.53e\+308 violated between levels 0\.1 and 0\.5$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DensityConditionError, match=message) as err:
+                density_rows(space, np.array([[0.1, 0.5], [0.5, 2.0]]), family, family.gamma)
+        assert err.value.pair == (0.1, 0.5)
 
     def test_lipschitz_bound_past_the_float_range_holds(self):
         # a unit-rate density checked against gamma = 1.7e308: gamma times the gap 1.5 overflows to inf,

@@ -130,6 +130,8 @@ BAD = {
     "-1": -1,
     "bool_array": np.array([True, False]),
     "MAX_POINTS+1": streams.MAX_POINTS + 1,
+    "2**32": 2**32,
+    "2**64": 2**64,
     "two_halves": [0.5, 0.5],
     "-0.5": -0.5,
     "0.5": 0.5,
@@ -195,10 +197,18 @@ BOUNDARY = [
     ("sample_dataset", "n", lambda v: model.sample_dataset(POINT, v, 0), "True 2.5 MAX_POINTS+1 10**400"),
     ("sample_dataset", "seed", lambda v: model.sample_dataset(POINT, 1, v), "2.5 -1"),
     ("uniform_rows", "seeds", lambda v: streams.uniform_rows([0, v], 3), "True -1"),
-    # n past MAX_POINTS ran the jump constants' big-integer loop until memory ran out
+    # numpy's own errors for a huge n named no field
     ("uniform_rows", "n", lambda v: streams.uniform_rows([0], v), "True 2.5 -1 MAX_POINTS+1 10**400"),
     ("seed_pairs", "master_seed", lambda v: streams.seed_pairs(v, PATHS), "True -1"),
     ("trial_streams", "master_seed", lambda v: streams.trial_streams(v, PATHS, 3), "True -1"),
+    # a seed is a stream key in [0, 2**64) and a path word 32 bits wide; a
+    # non-integer seed is a bad number like any other, not a TypeError
+    ("sample_dataset", "seed", lambda v: model.sample_dataset(POINT, 1, v), "2**64"),
+    ("sample_hypothesis", "seed", lambda v: gibbs.sample_hypothesis(gibbs.posterior(TINY, LOSSES, 1.0), v), "2**64"),
+    ("uniform_rows", "seeds", lambda v: streams.uniform_rows([0, v], 3), "2**64 2.5"),
+    ("derive_seed_pair", "path", lambda v: harness.derive_seed_pair(1, 0, v), "2**32"),
+    ("seed_pairs", "master_seed", lambda v: streams.seed_pairs(v, PATHS), "2.5"),
+    ("trial_streams", "master_seed", lambda v: streams.trial_streams(v, PATHS, 3), "2.5"),
     ("trial_streams", "n", lambda v: streams.trial_streams(1, PATHS, v), "True 2.5 MAX_POINTS+1 10**400"),
     ("FiniteHypothesisSpace", "table", lambda v: model.FiniteHypothesisSpace([[v]], [1.0]), "nan 10**400"),
     ("posterior", "beta", lambda v: gibbs.posterior(TINY, LOSSES, v), "True nan inf 10**400 -1"),
