@@ -128,7 +128,8 @@ class GibbsPosterior:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float).copy()
-        if abs(float(w.sum()) - 1.0) > WEIGHT_SUM_TOL:
+        # written so that a nan sum fails too
+        if not abs(float(w.sum()) - 1.0) <= WEIGHT_SUM_TOL:
             raise ValueError("posterior weights must sum to 1")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -202,34 +203,68 @@ def _tied(levels: np.ndarray) -> np.ndarray:
     return ~(levels[:, 1:] > levels[:, :-1]).all(axis=1)
 
 
-def _ranked(space: FiniteHypothesisSpace, losses: np.ndarray) -> tuple:
-    """Each row's positive-prior losses, their stable ascending order, that order as flat indices, and the sorted levels.
+def _sorted(values: np.ndarray, kind: str | None, ordered: bool) -> tuple:
+    """Each row's ascending order and that order as flat indices if ordered, else None twice, and the row sorted."""
+    if not ordered:
+        return None, None, np.sort(values, axis=1, kind=kind)
+    order = np.argsort(values, axis=1, kind=kind)
+    flat = order + np.arange(0, values.size, values.shape[1])[:, None]
+    return order, flat, values.take(flat)
 
-    The one sort of a (T, H) loss block: the posterior kernel checks the
-    density conditions on these levels and the complexity reads its step
-    CDF from them.  Gathers through the flat order are one np.take each.
-    The order is argsort's kind="stable" one.  A row whose sorted values
-    strictly increase has one ascending order, which the faster default
-    sort also finds; rows with equal values (0.0 and -0.0 among them) or a
-    nan need the stable sort.  The block's first row stands for the rest,
-    as the rows of a 0-1 loss block are all tied: if it is tie-free the
-    block takes the default sort and only its tied rows are sorted again,
-    stably; a single row or a block whose first row is tied sorts stably
-    at once.
+
+class _Ranked:
+    """One sort of a (T, H) loss block: each row's positive-prior losses, their ascending levels and their order.
+
+    The levels carry the bits of argsort's kind="stable" order.  A row whose
+    values strictly increase has one ascending arrangement, which the faster
+    default sort also finds; rows with equal values (0.0 and -0.0 among
+    them) or a nan need the stable sort.  The block's first row stands for
+    the rest, as the rows of a 0-1 loss block are all tied: if it is
+    tie-free the block takes the default sort and only its tied rows are
+    sorted again, stably; a single row or a block whose first row is tied
+    sorts stably at once.  The order is computed, and the levels gathered
+    through it, when the condition check of family at rate gamma reads the
+    log densities in that order, or when the prior's positive atoms are not
+    all equal, as the running mass then reads it; flat holds it as indices
+    into the flattened values.  Otherwise the values are sorted as values
+    and order and flat are None.  Without a family nothing is checked.
+
+    exponential says whether family is the Gibbs one, known by its log
+    density, not its name: another q named "exponential" has no such
+    shift.  ends_only says whether it is at its own rate, where its check
+    reads each row's end levels, not its order.
     """
-    values = losses[:, space.prior > 0.0]
-    offsets = np.arange(0, values.size, values.shape[1])[:, None]
-    stable = len(values) <= 1 or _tied(np.sort(values[:1], axis=1))[0]
-    order = np.argsort(values, axis=1, kind="stable" if stable else None)
-    flat = order + offsets
-    levels = values.take(flat)
-    if not stable:
-        tied = _tied(levels)
-        if tied.any():
-            order[tied] = np.argsort(values[tied], axis=1, kind="stable")
-            flat = order + offsets
-            levels = values.take(flat)
-    return values, order, flat, levels
+
+    def __init__(
+        self, space: FiniteHypothesisSpace, losses: np.ndarray, family: DensityFamily | None = None, gamma: float = 0.0
+    ):
+        positive = space.prior > 0.0
+        self.prior = space.prior[positive]
+        self.values = values = losses[:, positive]
+        log_density = family.log_density if family is not None else None
+        self.exponential = getattr(log_density, "func", None) is _exponential_log
+        self.ends_only = self.exponential and log_density.args == (gamma,)
+        ordered = (family is not None and not self.ends_only) or not self.constant
+        stable = len(values) <= 1 or _tied(np.sort(values[:1], axis=1))[0]
+        self.order, self.flat, self.levels = _sorted(values, "stable" if stable else None, ordered)
+        if not stable:
+            tied = _tied(self.levels)
+            if tied.any():
+                order, _, self.levels[tied] = _sorted(values[tied], "stable", ordered)
+                if ordered:
+                    self.order[tied] = order
+                    self.flat[tied] = order + np.flatnonzero(tied)[:, None] * values.shape[1]
+
+    @functools.cached_property
+    def constant(self) -> bool:
+        """Whether the positive atoms are all equal: every order then adds equal atoms, so the mass reads no order."""
+        return bool((self.prior == self.prior[0]).all())
+
+    def running_mass(self) -> np.ndarray:
+        """The running prior mass along each row's stable order: one (1, H) row under a constant prior, else (T, H)."""
+        if self.constant:
+            return np.cumsum(self.prior)[None]
+        return np.cumsum(self.prior[self.order], axis=1)
 
 
 def _check_conditions(levels: np.ndarray, log_q: np.ndarray, gamma: float, name: str) -> None:
@@ -287,14 +322,15 @@ def _normalized_rows(total: np.ndarray, log_partition: bool = True) -> tuple[np.
     ln Z is reported; a row whose maximum is not finite keeps that maximum
     as its ln Z.  Without log_partition, ln Z is None: a caller that reads
     only the weights skips the per-row logs.  Raises when a row's weights
-    miss a total of 1 by more than WEIGHT_SUM_TOL.
+    miss a total of 1 by more than WEIGHT_SUM_TOL, or are nan on a row whose
+    maximum is not infinite (an overflowed loss difference times a zero rate).
     """
     peak = total.max(axis=1)
     with np.errstate(invalid="ignore"):
         terms = np.exp(total - peak[:, None])
     sums = terms.sum(axis=1)
     weights = terms / sums[:, None]
-    if (np.abs(weights.sum(axis=1) - 1.0) > WEIGHT_SUM_TOL).any():
+    if (~(np.abs(weights.sum(axis=1) - 1.0) <= WEIGHT_SUM_TOL) & ~np.isinf(peak)).any():
         raise ValueError("posterior weights must sum to 1")
     if not log_partition:
         return weights, None
@@ -304,7 +340,7 @@ def _normalized_rows(total: np.ndarray, log_partition: bool = True) -> tuple[np.
 def _density_rows(
     space: FiniteHypothesisSpace,
     losses: np.ndarray,
-    ranked: tuple,
+    ranked: _Ranked,
     family: DensityFamily,
     gamma: float,
     log_partition: bool = True,
@@ -321,13 +357,11 @@ def _density_rows(
     any other family's is.  At rate 0 the check leaves q constant on the
     achieved levels, so the weights are the prior itself and ln Z is that
     constant's log.  Without log_partition, ln Z is None (see
-    _normalized_rows).
+    _normalized_rows).  ranked is the block's _Ranked for family at gamma.
     """
     _check_parameters(gamma=gamma)
-    values, _, flat, levels = ranked
-    # the family is known by its log density, not its name: another q named "exponential" has no such shift
-    exponential = getattr(family.log_density, "func", None) is _exponential_log
-    if exponential and family.log_density.args == (gamma,):
+    values, levels = ranked.values, ranked.levels
+    if ranked.ends_only:
         # an overflow to -inf is a non-finite end, which the full check below reads
         with np.errstate(over="ignore"):
             lowest_log_q = family.log_density(levels[:, 0])
@@ -339,13 +373,13 @@ def _density_rows(
             values_log_q = np.asarray(family.log_density(values), dtype=float)
         if values_log_q.shape != values.shape:
             values_log_q = np.broadcast_to(values_log_q, values.shape)
-        levels_log_q = values_log_q.take(flat)
+        levels_log_q = values_log_q.take(ranked.flat)
         _check_conditions(levels, levels_log_q, gamma, family.name)
         lowest_log_q = levels_log_q[:, 0]
     if gamma == 0.0:
         # + 0.0 writes the exponential family's -0.0 as 0.0
         return np.broadcast_to(space.prior, losses.shape), lowest_log_q + 0.0
-    if exponential:
+    if ranked.exponential:
         # q(t) = q(t - m) q(m): with m the row's lowest level, ln prior + ln q(t - m)
         # keeps ln prior's precision, which ln prior - beta t rounds away at large beta;
         # a product past the float range is -inf, a zero weight
@@ -360,7 +394,7 @@ def _density_rows(
         total = np.full(losses.shape, -np.inf)
         total[:, positive] = np.log(space.prior[positive]) + values_log_q
     weights, log_z = _normalized_rows(total, log_partition)
-    if log_partition and exponential:
+    if log_partition and ranked.exponential:
         # ln q(m), taken out of every log weight above
         log_z = log_z + lowest_log_q
     return weights, log_z
@@ -371,7 +405,7 @@ def density_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weights prior * q(loss) / Z and ln Z for every row of a (T, H) loss block, conditions checked."""
     losses = _loss_block(space, losses)
-    return _density_rows(space, losses, _ranked(space, losses), family, gamma)
+    return _density_rows(space, losses, _Ranked(space, losses, family, gamma), family, gamma)
 
 
 def posterior_rows(space: FiniteHypothesisSpace, losses: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -421,37 +455,36 @@ def sample_hypothesis(post: GibbsPosterior, seed: int) -> int:
     return int(inverse_cdf(post.weights, uniform_rows(np.array([seed], dtype=np.uint64), 1)[0])[0])
 
 
-def _running_mass(space: FiniteHypothesisSpace, order: np.ndarray) -> np.ndarray:
-    return np.cumsum(space.prior[space.prior > 0.0][order], axis=1)
-
-
 def cdf_rows(space: FiniteHypothesisSpace, losses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's positive-prior losses in stable ascending order, and their running prior mass.
 
     Row i is the step_cdf construction of loss row i before it collapses
     levels: the running mass at the last atom of each loss level carries
-    the bits of that level's cumulative mass.
+    the bits of that level's cumulative mass.  Under a prior whose positive
+    atoms are all equal, every row's mass is one read-only row, broadcast.
     """
-    _, order, _, levels = _ranked(space, _loss_block(space, losses))
-    return levels, _running_mass(space, order)
+    ranked = _Ranked(space, _loss_block(space, losses))
+    mass = ranked.running_mass()
+    return ranked.levels, np.broadcast_to(mass, ranked.levels.shape) if ranked.constant else mass
 
 
 def _complexity_rows(
-    space: FiniteHypothesisSpace, losses: np.ndarray, ranked: tuple, h_indices: np.ndarray, beta: float | np.ndarray
+    losses: np.ndarray, ranked: _Ranked, h_indices: np.ndarray, beta: float | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each index's value beta * (level - own loss) - ln mass and shift at its row's minimizing level.
 
     That level, the argmin of beta * level - ln mass, reads no hypothesis: it is chosen once per row and rate.
+    A constant prior's one mass row takes its log once, for every row.
     """
     beta = _check_beta(beta, len(h_indices))
-    _, order, _, levels = ranked
-    log_mass = np.log(_running_mass(space, order))
+    levels = ranked.levels
+    log_mass = np.log(ranked.running_mass())
     # a rate times a level or a shift has the bits of the scalar product
     rate = beta if isinstance(beta, float) else beta[:, None]
     best = np.argmin(rate * levels - log_mass, axis=1)
     rows = np.arange(len(h_indices)) if len(h_indices) == len(losses) else 0
     shifts = levels[rows, best] - losses[rows, h_indices]
-    return beta * shifts - log_mass[rows, best], shifts
+    return beta * shifts - log_mass[rows if len(log_mass) > 1 else 0, best], shifts
 
 
 def complexity_rows(
@@ -478,7 +511,7 @@ def complexity_rows(
     if outside.any():
         i = int(np.argmax(outside))
         raise IndexError(f"h_indices[{i}]: hypothesis index {h_indices[i]} out of range")
-    return _complexity_rows(space, losses, _ranked(space, losses), h_indices, beta)
+    return _complexity_rows(losses, _Ranked(space, losses), h_indices, beta)
 
 
 def posterior_draws(
@@ -496,10 +529,10 @@ def posterior_draws(
     uniforms = _unit_uniforms(uniforms, "uniforms")
     if uniforms.shape != (len(losses),):
         raise ValueError(f"uniforms must hold one value per loss row, shape ({len(losses)},), got shape {uniforms.shape}")
-    ranked = _ranked(space, losses)
+    ranked = _Ranked(space, losses, family, family.gamma)
     weights, _ = _density_rows(space, losses, ranked, family, family.gamma, log_partition=False)
     drawn = inverse_cdf(weights, uniforms[:, None])[:, 0]
-    values, _ = _complexity_rows(space, losses, ranked, drawn, family.gamma)
+    values, _ = _complexity_rows(losses, ranked, drawn, family.gamma)
     return drawn, values
 
 
@@ -514,7 +547,7 @@ def complexity(space: FiniteHypothesisSpace, data_losses, h_index: int, beta: fl
     losses = _losses_vector(space, data_losses)
     h_index = _hypothesis_index(h_index, len(space))
     losses = losses[None]
-    values, shifts = _complexity_rows(space, losses, _ranked(space, losses), np.array([h_index]), beta)
+    values, shifts = _complexity_rows(losses, _Ranked(space, losses), np.array([h_index]), beta)
     return ComplexityValue(float(values[0]), float(shifts[0]))
 
 

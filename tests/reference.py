@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from gibbslab.gibbs import _check_conditions, _exponential_log, _normalized_rows, _ranked, cdf_rows
+from gibbslab.gibbs import _check_conditions, _exponential_log, _normalized_rows
 from gibbslab.measures import SATURATION, binary_kl
 from gibbslab.model import _check_parameters, empirical_losses, loss_matrix
 
@@ -41,6 +41,15 @@ def loss_profile(space, domain, data) -> LossProfile:
     return LossProfile(empirical_losses(table, data.item_indices[None])[0], table @ domain.probs)
 
 
+def stable_rows(space, losses):
+    """Each row's positive-prior losses, their argsort(kind="stable") order, the sorted levels and the running prior mass."""
+    positive = space.prior > 0.0
+    values = np.asarray(losses, dtype=float)[:, positive]
+    order = np.argsort(values, axis=1, kind="stable")
+    levels = np.take_along_axis(values, order, axis=1)
+    return values, order, levels, np.cumsum(space.prior[positive][order], axis=1)
+
+
 def complexity_rows_reference(space, losses, h_indices, beta):
     """The per-hypothesis complexity kernel: each index's objective over every level of its row, minimized on its own.
 
@@ -50,7 +59,7 @@ def complexity_rows_reference(space, losses, h_indices, beta):
     """
     h_indices = np.asarray(h_indices)
     losses = np.broadcast_to(np.asarray(losses, dtype=float), (len(h_indices), len(space)))
-    levels, mass = cdf_rows(space, losses)
+    _, _, levels, mass = stable_rows(space, losses)
     rows = np.arange(len(losses))
     shifts = levels - losses[rows, h_indices][:, None]
     rate = float(beta) if np.ndim(beta) == 0 else np.asarray(beta, dtype=float)[:, None]
@@ -67,11 +76,11 @@ def density_rows_reference(space, losses, family, gamma):
     """
     _check_parameters(gamma=gamma)
     losses = np.asarray(losses, dtype=float)
-    values, _, flat, levels = _ranked(space, losses)
+    values, order, levels, _ = stable_rows(space, losses)
     values_log_q = np.asarray(family.log_density(values), dtype=float)
     if values_log_q.shape != values.shape:
         values_log_q = np.broadcast_to(values_log_q, values.shape)
-    levels_log_q = values_log_q.take(flat)
+    levels_log_q = np.take_along_axis(values_log_q, order, axis=1)
     _check_conditions(levels, levels_log_q, gamma, family.name)
     if gamma == 0.0:
         return np.broadcast_to(space.prior, losses.shape), levels_log_q[:, 0] + 0.0

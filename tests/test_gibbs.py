@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from reference import complexity_rows_reference, density_rows_reference, loss_profile, stream_uniforms
+from reference import complexity_rows_reference, density_rows_reference, loss_profile, stable_rows, stream_uniforms
 
 from gibbslab.bounds import minimizer_mass_bound
 from gibbslab.gibbs import (
-    _ranked,
+    _Ranked,
+    cdf_rows,
     complexity,
     complexity_bruteforce,
     complexity_rows,
@@ -485,15 +486,34 @@ def bits(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a).view(np.int64)
 
 
-class TestRankedSort:
-    """_ranked returns argsort's kind="stable" order of each row's positive-prior losses."""
+def check_ranked(space, losses):
+    """_Ranked's values, levels, order and running mass, and cdf_rows, against argsort(kind="stable") and its gathers.
 
-    def check(self, space, losses):
-        values, order, flat, levels = _ranked(space, losses)
-        expected = np.argsort(losses[:, space.prior > 0.0], axis=1, kind="stable")
-        assert np.array_equal(order, expected)
-        assert np.array_equal(flat, expected + values.shape[1] * np.arange(len(values))[:, None])
-        assert np.array_equal(bits(levels), bits(np.take_along_axis(values, expected, axis=1)))
+    Both ways of building it are checked: levels sorted as values, with the
+    order only where the running mass reads it, and the order always, as
+    the condition check of a family other than the Gibbs one at its own rate
+    asks for it.
+    """
+    values, order, levels, mass = stable_rows(space, losses)
+    positive = space.prior[space.prior > 0.0]
+    levels_only = _Ranked(space, losses)
+    ordered = _Ranked(space, losses, density_family("polynomial", a=2.0), 2.0)
+    assert (levels_only.order is None) == (positive == positive[0]).all()
+    assert np.array_equal(ordered.order, order)
+    for ranked in (levels_only, ordered):
+        assert np.array_equal(bits(ranked.values), bits(values))
+        assert np.array_equal(bits(ranked.levels), bits(levels))
+        assert ranked.order is None or np.array_equal(ranked.order, order)
+        assert ranked.flat is None or np.array_equal(ranked.flat, order + np.arange(0, values.size, values.shape[1])[:, None])
+        assert np.array_equal(bits(np.broadcast_to(ranked.running_mass(), mass.shape)), bits(mass))
+    cdf_levels, cdf_mass = cdf_rows(space, losses)
+    assert np.array_equal(bits(cdf_levels), bits(levels)) and np.array_equal(bits(cdf_mass), bits(mass))
+    # only a constant prior's shared mass row is a read-only broadcast
+    assert cdf_mass.flags.writeable != (levels_only.order is None)
+
+
+class TestRankedSort:
+    """_Ranked sorts levels with the bits of argsort's kind="stable" order, and computes that order when read."""
 
     def test_tied_and_tie_free_rows_mixed(self):
         # rows long enough for the default sort to leave insertion sort;
@@ -506,34 +526,94 @@ class TestRankedSort:
         tied[::4, :10] = -0.0
         tied[1::4, 5] = np.nan
         losses = np.concatenate([tie_free, tied])[rng.permutation(80)]
-        self.check(space, losses)
-        self.check(space, tie_free)
+        check_ranked(space, losses)
+        check_ranked(space, tie_free)
         # a tie-free first row sends the block to the default sort, a tied one to the stable sort
-        self.check(space, np.concatenate([tie_free[:1], losses]))
-        self.check(space, np.concatenate([tied[:1], losses]))
+        check_ranked(space, np.concatenate([tie_free[:1], losses]))
+        check_ranked(space, np.concatenate([tied[:1], losses]))
 
     def test_tied_rows_after_a_tie_free_first_row(self):
         space, losses = tied_block(5, rows=60, size=70)
         first = np.random.Generator(np.random.PCG64(5)).random((1, 70))
-        self.check(space, np.concatenate([first, losses]))
+        check_ranked(space, np.concatenate([first, losses]))
 
     def test_all_tied_rows(self):
         space = FiniteHypothesisSpace(np.zeros((50, 1)), np.full(50, 0.02))
-        self.check(space, np.full((6, 50), 0.25))
+        check_ranked(space, np.full((6, 50), 0.25))
 
     def test_zero_prior_atoms(self):
         space, losses = tied_block(6, rows=60, size=70)
-        self.check(space, losses)
-        self.check(space, np.random.Generator(np.random.PCG64(7)).random((60, 70)))
+        check_ranked(space, losses)
+        check_ranked(space, np.random.Generator(np.random.PCG64(7)).random((60, 70)))
 
     def test_single_hypothesis(self):
-        self.check(FiniteHypothesisSpace(np.zeros((1, 1)), [1.0]), np.array([[0.5], [0.0], [1.0]]))
+        check_ranked(FiniteHypothesisSpace(np.zeros((1, 1)), [1.0]), np.array([[0.5], [0.0], [1.0]]))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_one_row(self, seed):
         space, losses = tied_block(seed, rows=2, size=100)
-        self.check(space, losses[:1])
-        self.check(space, losses[1:] + np.arange(100) * 1e-3)
+        check_ranked(space, losses[:1])
+        check_ranked(space, losses[1:] + np.arange(100) * 1e-3)
+
+    def test_only_a_check_that_reads_the_order_asks_for_it(self):
+        # the Gibbs check at its own rate reads each row's end levels; any other family or rate reads the order
+        space = FiniteHypothesisSpace(np.zeros((64, 1)), np.full(64, 1 / 64))
+        losses = np.random.Generator(np.random.PCG64(3)).random((3, 64))
+        gibbs = _Ranked(space, losses, exponential_density(10.0), 10.0)
+        assert gibbs.exponential and gibbs.ends_only and gibbs.order is None
+        for family, gamma in [(exponential_density(10.0), 20.0), (density_family("polynomial", a=2.0), 2.0)]:
+            ranked = _Ranked(space, losses, family, gamma)
+            assert not ranked.ends_only and ranked.order is not None
+            assert ranked.exponential == (family.name == "exponential")
+        # a family named "exponential" whose log density is not the Gibbs one's takes no shift
+        renamed = dataclasses.replace(density_family("polynomial", a=2.0), name="exponential")
+        assert not _Ranked(space, losses, renamed, 2.0).exponential
+        assert _Ranked(space, np.zeros((3, 64))).running_mass().shape == (1, 64)
+
+    def test_prior_one_ulp_off_constant_takes_the_ordered_mass(self):
+        # one positive atom one ulp above the rest: each row's running mass depends on where the atom falls in its order
+        prior = np.full(64, 1 / 64)
+        prior[:3] = 0.0
+        prior[3:] = 1 / 61
+        prior[40] = np.nextafter(prior[40], 1.0)
+        space = FiniteHypothesisSpace(np.zeros((64, 1)), prior)
+        rng = np.random.Generator(np.random.PCG64(9))
+        losses = np.concatenate([rng.random((20, 64)), np.round(rng.random((20, 64)), 1)])
+        assert _Ranked(space, losses).running_mass().shape == losses[:, 3:].shape
+        check_ranked(space, losses)
+        h = rng.integers(0, 64, size=len(losses))
+        for beta in (0.0, 10.0, 500.0, 1e9):
+            got = complexity_rows(space, losses, h, beta)
+            expected = complexity_rows_reference(space, losses, h, beta)
+            assert [bits(a).tobytes() for a in got] == [bits(a).tobytes() for a in expected]
+
+
+@st.composite
+def sort_blocks(draw):
+    """A prior constant on its positive atoms or not, with zero-prior atoms, and a block of tied and tie-free rows.
+
+    Tied rows draw from a few levels with 0.0, -0.0 and nan among them;
+    tie-free rows are permutations of distinct levels.  The first row is
+    either kind, so the block takes either sort first.
+    """
+    size = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        weights = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=size, max_size=size)))
+    else:
+        weights = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1.0)), min_size=size, max_size=size)))
+    weights[draw(st.integers(0, size - 1))] = 1.0
+    tied = st.lists(st.sampled_from([0.0, -0.0, math.nan, 0.25, 1.0]), min_size=size, max_size=size)
+    tie_free = st.permutations([0.5 + k / size for k in range(size)])
+    first = draw(st.sampled_from([tied, tie_free]))
+    rows = [draw(first), *draw(st.lists(st.one_of(tied, tie_free), max_size=5))]
+    return FiniteHypothesisSpace(np.zeros((size, 1)), weights / weights.sum()), np.array(rows, dtype=float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(block=sort_blocks())
+def test_ranked_levels_are_the_stable_argsort_levels(block):
+    """The levels-only sort keeps the bits of argsort(kind="stable")'s levels; a constant prior's mass row is the gathered cumsum."""
+    check_ranked(*block)
 
 
 @st.composite
@@ -696,6 +776,8 @@ def outcome(call) -> list | tuple:
 @example(block=(TWO, np.array([[0.5, 0.6], [0.5, math.inf]])), beta=10.0, gamma=None, uniforms=[0.5] * 4)
 @example(block=(TWO, np.array([[0.5, 0.6], [math.nan, 0.5]])), beta=0.0, gamma=None, uniforms=[0.5] * 4)
 @example(block=(TWO, np.array([[0.1, 0.5], [0.5, 2.0]])), beta=1.7e308, gamma=None, uniforms=[0.5] * 4)
+# at rate 0 under another declared gamma, the shifted losses overflow to inf and -0.0 * inf is a nan weight
+@example(block=(TWO, np.array([[0.0, 0.0], [-1e308, 1e308]])), beta=0.0, gamma=5e-324, uniforms=[0.0] * 4)
 def test_gibbs_rows_match_the_always_check_kernel(block, beta, gamma, uniforms):
     """density_rows and posterior_draws keep the bits and errors of the kernel that checks every row.
 

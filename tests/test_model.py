@@ -392,6 +392,29 @@ class TestBlockDraws:
             bucket_count = np.searchsorted(cum, np.floor(u * buckets) / buckets, side="right")
             assert (np.searchsorted(cum, u, side="right") - bucket_count).max() > 2
 
+    @pytest.mark.parametrize("rows", ["trailing_zeros", "all_positive", "mixed"])
+    def test_stacked_lookup_matches_the_masked_closing(self, rows):
+        # the closing from each row's last positive atom: after trailing zero weights, at the last column, and both in one block
+        rng = np.random.Generator(np.random.PCG64(13))
+        positive = rng.dirichlet(np.ones(9), size=6)
+        # sums a few ulps short of 1.0, where only the closed last entry holds the top uniforms
+        positive[:, -1] -= 4e-16
+        trailing = positive.copy()
+        trailing[:, 5:] = 0.0
+        trailing[::2, 8] = 1e-300
+        block = {"trailing_zeros": trailing, "all_positive": positive, "mixed": np.concatenate([positive, trailing])}[rows]
+        cum = np.cumsum(block, axis=1)
+        size = block.shape[1]
+        last = size - 1 - np.argmax((block > 0.0)[:, ::-1], axis=1)
+        closed = cum.copy()
+        closed[np.arange(size) >= last[:, None]] = 1.0
+        u = np.concatenate([cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0), rng.random((len(cum), 40))], axis=1)
+        u = np.clip(u, 0.0, 1.0 - 2**-53)
+        u[:, :2] = [0.0, 1.0 - 2**-53]
+        expected = (closed[:, None, :] <= u[:, :, None]).sum(axis=2)
+        assert np.array_equal(inverse_cdf(block, u), expected)
+        assert (block[np.arange(len(u))[:, None], expected] > 0.0).all()
+
     def test_inverse_cdf_rejects_weightless_rows(self):
         with pytest.raises(ValueError, match="positive weight"):
             inverse_cdf(np.array([[0.5, 0.5], [0.0, 0.0]]), np.zeros((2, 1)))
