@@ -20,9 +20,9 @@ from typing import Callable
 
 import numpy as np
 
-from .measures import per_element
-from .model import TIE_TOL, FiniteHypothesisSpace, _check_count, _check_parameters, _from_spec, _is_finite
-from .model import _is_integer, _unit_uniforms, inverse_cdf, step_cdf
+from .measures import LOG_BAND, per_element
+from .model import TIE_TOL, FiniteHypothesisSpace, _check_count, _check_parameters, _closed_running_sums, _from_spec
+from .model import _is_finite, _is_integer, _unit_uniforms, inverse_cdf, step_cdf
 from .streams import MASK64, uniform_rows
 
 __all__ = [
@@ -88,19 +88,33 @@ def exponential_density(beta: float) -> DensityFamily:
     return DensityFamily("exponential", {"beta": beta}, functools.partial(_exponential_log, beta), beta)
 
 
+def _polynomial_log(a: float, t):
+    """-a ln(1 + t) with math.log1p: the log density of polynomial_density."""
+    return -a * per_element(math.log1p, t)
+
+
 def polynomial_density(a: float) -> DensityFamily:
     """q(t) = (1 + t)**-a: polynomial decay, log-Lipschitz with constant a."""
     _check_parameters(a=a)
-    return DensityFamily("polynomial", {"a": a}, lambda t: -a * per_element(math.log1p, t), a)
+    return DensityFamily("polynomial", {"a": a}, functools.partial(_polynomial_log, a), a)
+
+
+def _capped_log(beta: float, cap: float, t):
+    """-beta min(t, cap): the log density of capped_exponential_density."""
+    return -beta * np.minimum(t, cap)
 
 
 def capped_exponential_density(beta: float, cap: float) -> DensityFamily:
     """q(t) = exp(-beta min(t, cap)): exponential decay flattening past cap."""
     _check_parameters(beta=beta, cap=cap)
     return DensityFamily(
-        "capped_exponential", {"beta": beta, "cap": cap}, lambda t: -beta * np.minimum(t, cap), beta
+        "capped_exponential", {"beta": beta, "cap": cap}, functools.partial(_capped_log, beta, cap), beta
     )
 
+
+# the shipped families' log densities: each is elementwise, non-increasing and
+# log-Lipschitz at its own rate wherever _checked_log_q reads its ends alone
+_SHIPPED_LOGS = (_exponential_log, _polynomial_log, _capped_log)
 
 _FAMILIES = {
     "exponential": exponential_density,
@@ -198,9 +212,9 @@ def _hypothesis_index(h_index, size: int) -> int:
     return int(h_index)
 
 
-def _tied(levels: np.ndarray) -> np.ndarray:
-    """Which rows of ascending levels do not strictly increase."""
-    return ~(levels[:, 1:] > levels[:, :-1]).all(axis=1)
+def _rising(levels: np.ndarray) -> np.ndarray:
+    """Where ascending levels strictly increase: False next to a tie, a nan included."""
+    return levels[:, 1:] > levels[:, :-1]
 
 
 def _sorted(values: np.ndarray, kind: str | None, ordered: bool) -> tuple:
@@ -220,36 +234,48 @@ class _Ranked:
     default sort also finds; rows with equal values (0.0 and -0.0 among
     them) or a nan need the stable sort.  The block's first row stands for
     the rest, as the rows of a 0-1 loss block are all tied: if it is
-    tie-free the block takes the default sort and only its tied rows are
-    sorted again, stably; a single row or a block whose first row is tied
-    sorts stably at once.  The order is computed, and the levels gathered
-    through it, when the condition check of family at rate gamma reads the
-    log densities in that order, or when the prior's positive atoms are not
-    all equal, as the running mass then reads it; flat holds it as indices
-    into the flattened values.  Otherwise the values are sorted as values
-    and order and flat are None.  Without a family nothing is checked.
+    tie-free, or the block is one row, the block takes the default sort and
+    only its tied rows are sorted again, stably; a block of several rows
+    whose first row is tied sorts stably at once.  The order is computed,
+    and the levels gathered through it, when the condition check of family
+    at rate gamma reads the log densities in that order, or, with mass, when
+    the prior's positive atoms are not all equal, as the running mass then
+    reads it; flat holds it as indices into the flattened values.
+    Otherwise the values are sorted as values and order and flat are None.
+    Without a family nothing is checked; without mass the running mass is
+    not read.
 
-    exponential says whether family is the Gibbs one, known by its log
-    density, not its name: another q named "exponential" has no such
-    shift.  ends_only says whether it is at its own rate, where its check
-    reads each row's end levels, not its order.
+    The shipped families are known by their log densities, not their
+    names: another q named "exponential" has no shift.  exponential and
+    polynomial say whether family is the Gibbs one or the polynomial one.
+    ends_only says whether family is a shipped one at its own rate, whose
+    check reads each row's end levels, not its order (see _checked_log_q).
     """
 
     def __init__(
-        self, space: FiniteHypothesisSpace, losses: np.ndarray, family: DensityFamily | None = None, gamma: float = 0.0
+        self,
+        space: FiniteHypothesisSpace,
+        losses: np.ndarray,
+        family: DensityFamily | None = None,
+        gamma: float = 0.0,
+        mass: bool = True,
     ):
         positive = space.prior > 0.0
         self.prior = space.prior[positive]
         self.values = values = losses[:, positive]
         log_density = family.log_density if family is not None else None
-        self.exponential = getattr(log_density, "func", None) is _exponential_log
-        self.ends_only = self.exponential and log_density.args == (gamma,)
-        ordered = (family is not None and not self.ends_only) or not self.constant
-        stable = len(values) <= 1 or _tied(np.sort(values[:1], axis=1))[0]
+        shipped = getattr(log_density, "func", None)
+        self.exponential = shipped is _exponential_log
+        self.polynomial = shipped is _polynomial_log
+        self.ends_only = shipped in _SHIPPED_LOGS and log_density.args[:1] == (gamma,)
+        ordered = (family is not None and not self.ends_only) or (mass and not self.constant)
+        stable = len(values) > 1 and not _rising(np.sort(values[:1], axis=1)).all()
         self.order, self.flat, self.levels = _sorted(values, "stable" if stable else None, ordered)
         if not stable:
-            tied = _tied(self.levels)
-            if tied.any():
+            rising = _rising(self.levels)
+            # one test of the whole block answers for the common tie-free block
+            if not rising.all():
+                tied = ~rising.all(axis=1)
                 order, _, self.levels[tied] = _sorted(values[tied], "stable", ordered)
                 if ordered:
                     self.order[tied] = order
@@ -337,6 +363,51 @@ def _normalized_rows(total: np.ndarray, log_partition: bool = True) -> tuple[np.
     return weights, np.array([p + math.log(s) if math.isfinite(p) else p for p, s in zip(peak.tolist(), sums.tolist())])
 
 
+def _checked_log_q(ranked: _Ranked, family: DensityFamily, gamma: float) -> tuple[np.ndarray | None, np.ndarray]:
+    """Check the density conditions; the values' log densities where the check computed them, and the lowest levels'.
+
+    The first row that fails raises its error.  A shipped family at its
+    own rate (ranked.ends_only) passes them on every row whose lowest and
+    highest levels have finite log densities: -gamma t, -gamma min(t, cap)
+    and, from t = 0 on, -gamma ln(1 + t) fall as t rises and by at most
+    gamma times the rise, under any rounding, and CONDITION_TOL is far
+    above the rounding of their differences.  Such a block is checked only
+    when some row has a non-finite end (a nan or infinite loss, or an
+    overflow) or, for the polynomial, a negative lowest level, and then in
+    full, on the log densities of the levels themselves: these families are
+    elementwise, so those carry the bits of the values' in the stable order.
+    Any other family's block is checked in full, in the order of ranked.
+    """
+    levels = ranked.levels
+    # an overflow is a non-finite log density, which the full check reads
+    with np.errstate(over="ignore"):
+        if ranked.ends_only:
+            lowest_log_q = family.log_density(levels[:, 0])
+            ends = np.isfinite(lowest_log_q).all() and np.isfinite(family.log_density(levels[:, -1])).all()
+            if not (ends and (not ranked.polynomial or (levels[:, 0] >= 0.0).all())):
+                _check_conditions(levels, family.log_density(levels), gamma, family.name)
+            return None, lowest_log_q
+        values_log_q = np.asarray(family.log_density(ranked.values), dtype=float)
+    if values_log_q.shape != ranked.values.shape:
+        values_log_q = np.broadcast_to(values_log_q, ranked.values.shape)
+    levels_log_q = values_log_q.take(ranked.flat)
+    _check_conditions(levels, levels_log_q, gamma, family.name)
+    return values_log_q, levels_log_q[:, 0]
+
+
+def _log_weights(space: FiniteHypothesisSpace, values_log_q: np.ndarray) -> np.ndarray:
+    """ln prior + ln q at every atom of each row, from the positive-prior atoms' ln q; -inf at zero-prior atoms.
+
+    Zero-prior atoms never touch the density (it may be arbitrary there).
+    """
+    positive = space.prior > 0.0
+    if positive.all():
+        return np.log(space.prior) + values_log_q
+    total = np.full((len(values_log_q), len(space)), -np.inf)
+    total[:, positive] = np.log(space.prior[positive]) + values_log_q
+    return total
+
+
 def _density_rows(
     space: FiniteHypothesisSpace,
     losses: np.ndarray,
@@ -344,56 +415,34 @@ def _density_rows(
     family: DensityFamily,
     gamma: float,
     log_partition: bool = True,
+    draft: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The row kernel: weights prior * q(loss) / Z and ln Z for every row of a (T, H) loss block.
 
-    The density conditions are checked first; the first row that fails
-    raises its error.  The Gibbs family at its own rate, q(t) = exp(-gamma t),
-    passes them on every row whose lowest and highest levels have finite
-    log densities: -gamma t falls as t rises under any rounding, and
-    CONDITION_TOL is far above the rounding of gamma times a level
-    difference.  Its block is checked only when some row has a non-finite
-    end (a nan or infinite loss, or an overflow), and then in full, as
-    any other family's is.  At rate 0 the check leaves q constant on the
-    achieved levels, so the weights are the prior itself and ln Z is that
-    constant's log.  Without log_partition, ln Z is None (see
-    _normalized_rows).  ranked is the block's _Ranked for family at gamma.
+    The density conditions are checked first (_checked_log_q).  At rate 0
+    the check leaves q constant on the achieved levels, so the weights are
+    the prior itself and ln Z is that constant's log.  Without
+    log_partition, ln Z is None (see _normalized_rows).  draft, if given,
+    holds log densities of the positive-prior losses that the weights take
+    in place of family's exact ones: posterior_draws' polynomial draft.
+    ranked is the block's _Ranked for family at gamma.
     """
     _check_parameters(gamma=gamma)
-    values, levels = ranked.values, ranked.levels
-    if ranked.ends_only:
-        # an overflow to -inf is a non-finite end, which the full check below reads
-        with np.errstate(over="ignore"):
-            lowest_log_q = family.log_density(levels[:, 0])
-            if not (np.isfinite(lowest_log_q).all() and np.isfinite(family.log_density(levels[:, -1])).all()):
-                _check_conditions(levels, family.log_density(levels), gamma, family.name)
-    else:
-        # an overflow is a non-finite log density, which the check reads
-        with np.errstate(over="ignore"):
-            values_log_q = np.asarray(family.log_density(values), dtype=float)
-        if values_log_q.shape != values.shape:
-            values_log_q = np.broadcast_to(values_log_q, values.shape)
-        levels_log_q = values_log_q.take(ranked.flat)
-        _check_conditions(levels, levels_log_q, gamma, family.name)
-        lowest_log_q = levels_log_q[:, 0]
+    values_log_q, lowest_log_q = _checked_log_q(ranked, family, gamma)
     if gamma == 0.0:
         # + 0.0 writes the exponential family's -0.0 as 0.0
         return np.broadcast_to(space.prior, losses.shape), lowest_log_q + 0.0
-    if ranked.exponential:
-        # q(t) = q(t - m) q(m): with m the row's lowest level, ln prior + ln q(t - m)
-        # keeps ln prior's precision, which ln prior - beta t rounds away at large beta;
-        # a product past the float range is -inf, a zero weight
-        with np.errstate(over="ignore"):
-            values_log_q = family.log_density(values - levels[:, :1])
-    positive = space.prior > 0.0
-    if positive.all():
-        total = np.log(space.prior) + values_log_q
-    else:
-        # zero-prior atoms carry log weight -inf and never touch the density
-        # (it may be arbitrary there)
-        total = np.full(losses.shape, -np.inf)
-        total[:, positive] = np.log(space.prior[positive]) + values_log_q
-    weights, log_z = _normalized_rows(total, log_partition)
+    # a product past the float range is -inf, a zero weight
+    with np.errstate(over="ignore"):
+        if ranked.exponential:
+            # q(t) = q(t - m) q(m): with m the row's lowest level, ln prior + ln q(t - m)
+            # keeps ln prior's precision, which ln prior - beta t rounds away at large beta
+            values_log_q = family.log_density(ranked.values - ranked.levels[:, :1])
+        elif draft is not None:
+            values_log_q = draft
+        elif values_log_q is None:
+            values_log_q = family.log_density(ranked.values)
+    weights, log_z = _normalized_rows(_log_weights(space, values_log_q), log_partition)
     if log_partition and ranked.exponential:
         # ln q(m), taken out of every log weight above
         log_z = log_z + lowest_log_q
@@ -405,7 +454,7 @@ def density_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weights prior * q(loss) / Z and ln Z for every row of a (T, H) loss block, conditions checked."""
     losses = _loss_block(space, losses)
-    return _density_rows(space, losses, _Ranked(space, losses, family, gamma), family, gamma)
+    return _density_rows(space, losses, _Ranked(space, losses, family, gamma, mass=False), family, gamma)
 
 
 def posterior_rows(space: FiniteHypothesisSpace, losses: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -524,16 +573,43 @@ def posterior_draws(
     looks up the first uniform of its key), and its complexity is
     taken at the family's decay rate.  The posterior and the complexity
     read one sort of each row.
+
+    The polynomial family's draws come from a draft: weights from
+    -a * np.log1p(loss) in place of math.log1p's.  Assuming both logs lie
+    within a few ulp of the true one, the draft's running sums differ from
+    the exact kernel's by far less than LOG_BAND * (H + the row's largest
+    |draft log q|), so a uniform farther than that from both ends of its
+    drawn atom's draft interval selects the same atom under either.  The
+    rows within that band are drawn again from the exact weights, so every
+    draw is the exact kernel's.
     """
     losses = _loss_block(space, losses)
     uniforms = _unit_uniforms(uniforms, "uniforms")
     if uniforms.shape != (len(losses),):
         raise ValueError(f"uniforms must hold one value per loss row, shape ({len(losses)},), got shape {uniforms.shape}")
-    ranked = _Ranked(space, losses, family, family.gamma)
-    weights, _ = _density_rows(space, losses, ranked, family, family.gamma, log_partition=False)
-    drawn = inverse_cdf(weights, uniforms[:, None])[:, 0]
-    values, _ = _complexity_rows(losses, ranked, drawn, family.gamma)
-    return drawn, values
+    gamma = family.gamma
+    ranked = _Ranked(space, losses, family, gamma)
+    if not (ranked.polynomial and gamma != 0.0):
+        weights, _ = _density_rows(space, losses, ranked, family, gamma, log_partition=False)
+        drawn = inverse_cdf(weights, uniforms[:, None])[:, 0]
+        return drawn, _complexity_rows(losses, ranked, drawn, gamma)[0]
+    # before the check: a loss at or below -1, which it refuses, gives a nan here, and an
+    # overflow near the float range an infinite band, which sends its row to the exact path
+    with np.errstate(all="ignore"):
+        draft = -family.log_density.args[0] * np.log1p(ranked.values)
+    weights, _ = _density_rows(space, losses, ranked, family, gamma, log_partition=False, draft=draft)
+    cum = _closed_running_sums(weights, weights > 0.0)
+    drawn = (cum <= uniforms[:, None]).sum(axis=1)
+    rows = np.arange(len(losses))
+    lower = np.where(drawn > 0, cum[rows, drawn - 1], 0.0)
+    band = LOG_BAND * (losses.shape[1] + np.abs(draft).max(axis=1))
+    # written so that a nan end or band fails the test
+    near = np.flatnonzero(~((uniforms - lower > band) & (cum[rows, drawn] - uniforms > band)))
+    if near.size:
+        exact = family.log_density(ranked.values[near])
+        weights, _ = _normalized_rows(_log_weights(space, exact), log_partition=False)
+        drawn[near] = inverse_cdf(weights, uniforms[near, None])[:, 0]
+    return drawn, _complexity_rows(losses, ranked, drawn, gamma)[0]
 
 
 def complexity(space: FiniteHypothesisSpace, data_losses, h_index: int, beta: float) -> ComplexityValue:

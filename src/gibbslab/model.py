@@ -243,14 +243,22 @@ def inverse_cdf(weights, u) -> np.ndarray:
         return support[_guided_search(cum, u)]
     if not positive.any(axis=1).all():
         raise ValueError("no atom carries positive weight")
-    # zero-weight atoms leave the running sum flat, so a full-row sum selects
-    # the same atoms as one over the support; close it from the last positive atom
+    cum = _closed_running_sums(weights, positive)
+    # a row-wise searchsorted: the count of entries at or below u
+    return (cum[:, None, :] <= u[:, :, None]).sum(axis=2)
+
+
+def _closed_running_sums(weights: np.ndarray, positive: np.ndarray) -> np.ndarray:
+    """Each row's running sum of a (T, K) weight stack, closed to 1.0 from its last positive atom (weights > 0.0) on.
+
+    Zero-weight atoms leave the running sum flat, so a full-row sum selects
+    the same atoms as one over the support.
+    """
     size = weights.shape[1]
     last = size - 1 - np.argmax(positive[:, ::-1], axis=1)
     cum = np.cumsum(weights, axis=1)
     cum[np.arange(size) >= last[:, None]] = 1.0
-    # a row-wise searchsorted: the count of entries at or below u
-    return (cum[:, None, :] <= u[:, :, None]).sum(axis=2)
+    return cum
 
 
 def sample_dataset(domain: FiniteDataDomain, n: int, seed: int) -> DataSet:

@@ -7,9 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from reference import complexity_rows_reference, density_rows_reference, loss_profile, stable_rows, stream_uniforms
 
+from gibbslab import gibbs
 from gibbslab.bounds import minimizer_mass_bound
 from gibbslab.gibbs import (
+    DensityConditionError,
+    DensityFamily,
     _Ranked,
+    capped_exponential_density,
     cdf_rows,
     complexity,
     complexity_bruteforce,
@@ -17,12 +21,15 @@ from gibbslab.gibbs import (
     density_family,
     density_rows,
     exponential_density,
+    normalize_density,
+    polynomial_density,
     posterior,
     posterior_draws,
     posterior_rows,
     sample_hypothesis,
     zero_temperature_posterior,
 )
+from gibbslab.measures import per_element
 from gibbslab.model import (
     TIE_TOL,
     FiniteHypothesisSpace,
@@ -486,25 +493,39 @@ def bits(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a).view(np.int64)
 
 
+def polynomial_lookalike(a: float) -> DensityFamily:
+    """A user-built family with the polynomial's name and log density: the kernel cannot know it as the shipped one."""
+    return DensityFamily("polynomial", {"a": a}, lambda t: -a * per_element(math.log1p, t), a)
+
+
 def check_ranked(space, losses):
     """_Ranked's values, levels, order and running mass, and cdf_rows, against argsort(kind="stable") and its gathers.
 
-    Both ways of building it are checked: levels sorted as values, with the
-    order only where the running mass reads it, and the order always, as
-    the condition check of a family other than the Gibbs one at its own rate
-    asks for it.
+    Every way of building it is checked: levels sorted as values, with the
+    order only where the running mass reads it; levels alone, as
+    density_rows builds it; and the order always, as the condition check of
+    a family asks for it unless it is a shipped one at its own rate.  The
+    order readers are the polynomial at a rate other than its own and a
+    user-built family with the polynomial's log density.
     """
     values, order, levels, mass = stable_rows(space, losses)
     positive = space.prior[space.prior > 0.0]
     levels_only = _Ranked(space, losses)
-    ordered = _Ranked(space, losses, density_family("polynomial", a=2.0), 2.0)
+    no_mass = _Ranked(space, losses, density_family("polynomial", a=2.0), 2.0, mass=False)
+    readers = [
+        _Ranked(space, losses, density_family("polynomial", a=2.0), 3.0),
+        _Ranked(space, losses, polynomial_lookalike(2.0), 2.0),
+    ]
     assert (levels_only.order is None) == (positive == positive[0]).all()
-    assert np.array_equal(ordered.order, order)
-    for ranked in (levels_only, ordered):
+    assert no_mass.order is None
+    for ranked in readers:
+        assert np.array_equal(ranked.order, order)
+    for ranked in (levels_only, no_mass, *readers):
         assert np.array_equal(bits(ranked.values), bits(values))
         assert np.array_equal(bits(ranked.levels), bits(levels))
         assert ranked.order is None or np.array_equal(ranked.order, order)
         assert ranked.flat is None or np.array_equal(ranked.flat, order + np.arange(0, values.size, values.shape[1])[:, None])
+    for ranked in (levels_only, *readers):
         assert np.array_equal(bits(np.broadcast_to(ranked.running_mass(), mass.shape)), bits(mass))
     cdf_levels, cdf_mass = cdf_rows(space, losses)
     assert np.array_equal(bits(cdf_levels), bits(levels)) and np.array_equal(bits(cdf_mass), bits(mass))
@@ -556,12 +577,15 @@ class TestRankedSort:
         check_ranked(space, losses[1:] + np.arange(100) * 1e-3)
 
     def test_only_a_check_that_reads_the_order_asks_for_it(self):
-        # the Gibbs check at its own rate reads each row's end levels; any other family or rate reads the order
+        # a shipped family at its own rate reads each row's end levels; another rate or a user-built family reads the order
         space = FiniteHypothesisSpace(np.zeros((64, 1)), np.full(64, 1 / 64))
         losses = np.random.Generator(np.random.PCG64(3)).random((3, 64))
-        gibbs = _Ranked(space, losses, exponential_density(10.0), 10.0)
-        assert gibbs.exponential and gibbs.ends_only and gibbs.order is None
-        for family, gamma in [(exponential_density(10.0), 20.0), (density_family("polynomial", a=2.0), 2.0)]:
+        for family in (exponential_density(10.0), polynomial_density(2.0), capped_exponential_density(4.0, 0.5)):
+            ranked = _Ranked(space, losses, family, family.gamma)
+            assert ranked.ends_only and ranked.order is None
+            assert (ranked.exponential, ranked.polynomial) == (family.name == "exponential", family.name == "polynomial")
+        readers = [(exponential_density(10.0), 20.0), (polynomial_density(2.0), 3.0), (polynomial_lookalike(2.0), 2.0)]
+        for family, gamma in readers:
             ranked = _Ranked(space, losses, family, gamma)
             assert not ranked.ends_only and ranked.order is not None
             assert ranked.exponential == (family.name == "exponential")
@@ -569,6 +593,39 @@ class TestRankedSort:
         renamed = dataclasses.replace(density_family("polynomial", a=2.0), name="exponential")
         assert not _Ranked(space, losses, renamed, 2.0).exponential
         assert _Ranked(space, np.zeros((3, 64))).running_mass().shape == (1, 64)
+        # density_rows reads no running mass: under a prior whose atoms differ it asks for no order either
+        prior = np.arange(1.0, 65.0) / np.arange(1.0, 65.0).sum()
+        uneven = FiniteHypothesisSpace(np.zeros((64, 1)), prior)
+        assert _Ranked(uneven, losses, exponential_density(10.0), 10.0).order is not None
+        assert _Ranked(uneven, losses, exponential_density(10.0), 10.0, mass=False).order is None
+
+    def test_polynomial_below_zero_keeps_the_full_check(self):
+        # ln(1 + t) is steeper than t below 0: the ends alone would pass this row, the full check names its pair
+        space = FiniteHypothesisSpace(np.zeros((3, 1)), [0.2, 0.3, 0.5])
+        losses = np.array([[0.5, -0.9, -0.5], [0.1, 0.2, 0.3]])
+        family = density_family("polynomial", a=1.0)
+        for call in (
+            lambda: density_rows(space, losses, family, 1.0),
+            lambda: posterior_draws(space, losses, family, np.array([0.5, 0.5])),
+            lambda: normalize_density(space, losses[0], family, 1.0),
+        ):
+            with pytest.raises(DensityConditionError) as err:
+                call()
+            assert err.value.pair == (-0.9, -0.5)
+        # a row whose negative level breaks nothing passes, with the always-check kernel's bits
+        passing = np.array([[0.5, -1e-3, 2.0], [0.1, 0.2, 0.3]])
+        got, expected = density_rows(space, passing, family, 1.0), density_rows_reference(space, passing, family, 1.0)
+        assert [bits(a).tobytes() for a in got] == [bits(np.asarray(a)).tobytes() for a in expected]
+
+    def test_user_family_named_polynomial_keeps_the_full_check(self):
+        # a q that increases, under the shipped name: only the full check, in the stable order, catches it
+        space = FiniteHypothesisSpace(np.zeros((3, 1)), [0.2, 0.3, 0.5])
+        rising = DensityFamily("polynomial", {"a": 1.0}, lambda t: 1.0 * per_element(math.log1p, t), 1.0)
+        ranked = _Ranked(space, np.array([[0.1, 0.2, 0.3]]), rising, 1.0)
+        assert not (ranked.ends_only or ranked.polynomial) and ranked.order is not None
+        with pytest.raises(DensityConditionError) as err:
+            density_rows(space, np.array([[0.3, 0.1, 0.2]]), rising, 1.0)
+        assert err.value.pair == (0.1, 0.2)
 
     def test_prior_one_ulp_off_constant_takes_the_ordered_mass(self):
         # one positive atom one ulp above the rest: each row's running mass depends on where the atom falls in its order
@@ -764,31 +821,58 @@ def outcome(call) -> list | tuple:
         return type(err), str(err)
 
 
-@settings(max_examples=400, deadline=None)
+# each shipped family's rates: the polynomial's a, the others' beta; the capped family's caps
+FAMILY_RATES = {
+    "exponential": EDGE_RATES,
+    "polynomial": [0.0, 5e-324, 0.5, 1.0, 7.0, 1e9, 1e300],
+    "capped_exponential": EDGE_RATES,
+}
+CAPS = [0.0, 0.5, 1.0, 1e308]
+
+
+@st.composite
+def edge_families(draw):
+    """A shipped family at one of its edge rates."""
+    name = draw(st.sampled_from(sorted(FAMILY_RATES)))
+    rate = draw(st.sampled_from(FAMILY_RATES[name]))
+    if name == "polynomial":
+        return density_family(name, a=rate)
+    if name == "capped_exponential":
+        return density_family(name, beta=rate, cap=draw(st.sampled_from(CAPS)))
+    return density_family(name, beta=rate)
+
+
+@settings(max_examples=800, deadline=None)
 @given(
     block=edge_blocks(),
-    beta=st.sampled_from(EDGE_RATES),
-    gamma=st.one_of(st.none(), st.sampled_from(EDGE_RATES)),
+    family=edge_families(),
+    gamma=st.one_of(st.none(), st.sampled_from(sorted({*EDGE_RATES, *FAMILY_RATES["polynomial"]}))),
     uniforms=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=4, max_size=4),
 )
 # a -inf loss lies at a row's lowest level, a nan or +inf at its highest; an overflow and a pass on the first row
-@example(block=(TWO, np.array([[-math.inf, 0.5]])), beta=10.0, gamma=None, uniforms=[0.5] * 4)
-@example(block=(TWO, np.array([[0.5, 0.6], [0.5, math.inf]])), beta=10.0, gamma=None, uniforms=[0.5] * 4)
-@example(block=(TWO, np.array([[0.5, 0.6], [math.nan, 0.5]])), beta=0.0, gamma=None, uniforms=[0.5] * 4)
-@example(block=(TWO, np.array([[0.1, 0.5], [0.5, 2.0]])), beta=1.7e308, gamma=None, uniforms=[0.5] * 4)
+@example(block=(TWO, np.array([[-math.inf, 0.5]])), family=exponential_density(10.0), gamma=None, uniforms=[0.5] * 4)
+@example(block=(TWO, np.array([[0.5, 0.6], [0.5, math.inf]])), family=exponential_density(10.0), gamma=None, uniforms=[0.5] * 4)
+@example(block=(TWO, np.array([[0.5, 0.6], [math.nan, 0.5]])), family=exponential_density(0.0), gamma=None, uniforms=[0.5] * 4)
+@example(block=(TWO, np.array([[0.1, 0.5], [0.5, 2.0]])), family=exponential_density(1.7e308), gamma=None, uniforms=[0.5] * 4)
 # at rate 0 under another declared gamma, the shifted losses overflow to inf and -0.0 * inf is a nan weight
-@example(block=(TWO, np.array([[0.0, 0.0], [-1e308, 1e308]])), beta=0.0, gamma=5e-324, uniforms=[0.0] * 4)
-def test_gibbs_rows_match_the_always_check_kernel(block, beta, gamma, uniforms):
-    """density_rows and posterior_draws keep the bits and errors of the kernel that checks every row.
+@example(block=(TWO, np.array([[0.0, 0.0], [-1e308, 1e308]])), family=exponential_density(0.0), gamma=5e-324, uniforms=[0.0] * 4)
+# the polynomial: a negative lowest level that the ends alone would pass, a loss below -1, an infinite loss
+@example(block=(TWO, np.array([[0.5, 0.6], [-0.5, 1.5]])), family=polynomial_density(7.0), gamma=None, uniforms=[0.5] * 4)
+@example(block=(TWO, np.array([[0.5, -1e308]])), family=polynomial_density(1.0), gamma=None, uniforms=[0.5] * 4)
+@example(block=(TWO, np.array([[0.5, math.inf]])), family=polynomial_density(0.0), gamma=None, uniforms=[0.5] * 4)
+# the capped family: an infinite loss past the cap is a finite end
+@example(block=(TWO, np.array([[0.5, math.inf]])), family=capped_exponential_density(10.0, 1.0), gamma=None, uniforms=[0.7] * 4)
+def test_gibbs_rows_match_the_always_check_kernel(block, family, gamma, uniforms):
+    """density_rows and posterior_draws keep the bits and errors of the always-check kernel, for every shipped family.
 
-    The Gibbs family at its own rate (gamma None) skips its condition check
+    A shipped family at its own rate (gamma None) skips its condition check
     on blocks where it cannot fail; at another rate it is checked as any
     family is.  Either way density_rows gives the reference's weights and
     ln Z, or its error type and message, and posterior_draws draws from the
-    reference's weights and scores each draw, or raises that error.
+    reference's weights and scores each draw, or raises that error: the
+    polynomial's draft settles every draw as the exact weights do.
     """
     space, losses = block
-    family = exponential_density(beta)
     if gamma is not None:
         family = dataclasses.replace(family, gamma=gamma)
     u = np.array(uniforms[: len(losses)])
@@ -801,6 +885,74 @@ def test_gibbs_rows_match_the_always_check_kernel(block, beta, gamma, uniforms):
             drawn = inverse_cdf(weights, u[:, None])[:, 0]
             expected = outcome(lambda: (drawn, complexity_rows(space, losses, drawn, family.gamma)[0]))
         assert outcome(lambda: posterior_draws(space, losses, family, u)) == expected
+
+
+class TestPolynomialDraft:
+    """posterior_draws takes the polynomial's draws from its np.log1p draft and settles those inside the band exactly."""
+
+    @staticmethod
+    def block(seed: int, rows: int, size: int = 64):
+        """A prior with a zero-prior atom, and loss rows of values whose np.log1p and math.log1p differ, where any do."""
+        rng = np.random.Generator(np.random.PCG64(seed))
+        prior = rng.random(size)
+        prior[3] = 0.0
+        space = FiniteHypothesisSpace(np.zeros((size, 1)), prior / prior.sum())
+        pool = rng.random(8192)
+        differ = pool[np.log1p(pool) != per_element(math.log1p, pool)]
+        return space, rng.choice(differ if differ.size >= size else pool, (rows, size))
+
+    @staticmethod
+    def draft_cdf(space, losses, a):
+        """Each row's running sums of the draft weights: -a * np.log1p at the positive-prior atoms, -inf elsewhere."""
+        positive = space.prior > 0.0
+        total = np.full(losses.shape, -np.inf)
+        total[:, positive] = np.log(space.prior[positive]) - a * np.log1p(losses[:, positive])
+        terms = np.exp(total - total.max(axis=1)[:, None])
+        return np.cumsum(terms / terms.sum(axis=1)[:, None], axis=1)
+
+    @pytest.mark.parametrize("a", [0.5, 1.0, 7.0])
+    def test_uniforms_on_and_beside_a_boundary(self, a, monkeypatch):
+        space, losses = self.block(int(a * 10), rows=50)
+        cum = self.draft_cdf(space, losses, a)
+        k = np.argmax(np.diff(cum, axis=1), axis=1)
+        rows = np.arange(len(losses))
+        wide = 0.5 * (cum[rows, k] + cum[rows, k + 1])
+        # on a boundary, one ulp either side of it, just below 1.0 (the closing atom), and far from any boundary
+        u = np.select(
+            [rows % 5 == 0, rows % 5 == 1, rows % 5 == 2, rows % 5 == 3],
+            [cum[rows, k], np.nextafter(cum[rows, k], 0.0), np.nextafter(cum[rows, k], 1.0), np.nextafter(1.0, 0.0)],
+            wide,
+        )
+        near = rows[rows % 5 != 4]
+        calls = []
+
+        def recorded(function, x):
+            calls.append(np.array(x, dtype=float))
+            return per_element(function, x)
+
+        monkeypatch.setattr(gibbs, "per_element", recorded)
+        family = polynomial_density(a)
+        drawn, values = posterior_draws(space, losses, family, u)
+        # the ends check reads two (T,) columns; the exact path reads the positive-prior losses of the rows in the band
+        exact = [x for x in calls if x.ndim == 2]
+        assert len(exact) == 1 and np.array_equal(bits(exact[0]), bits(losses[near][:, space.prior > 0.0]))
+        monkeypatch.undo()
+        weights, _ = density_rows_reference(space, losses, family, a)
+        assert np.array_equal(drawn, inverse_cdf(weights, u[:, None])[:, 0])
+        assert np.array_equal(bits(values), bits(complexity_rows(space, losses, drawn, a)[0]))
+
+    def test_rows_far_from_every_boundary_take_no_exact_path(self, monkeypatch):
+        space, losses = self.block(5, rows=40)
+        cum = self.draft_cdf(space, losses, 1.0)
+        k = np.argmax(np.diff(cum, axis=1), axis=1)
+        rows = np.arange(len(losses))
+        u = 0.5 * (cum[rows, k] + cum[rows, k + 1])
+        calls = []
+        monkeypatch.setattr(gibbs, "per_element", lambda function, x: calls.append(np.ndim(x)) or per_element(function, x))
+        drawn, _ = posterior_draws(space, losses, polynomial_density(1.0), u)
+        assert calls == [1, 1]
+        weights, _ = density_rows_reference(space, losses, polynomial_density(1.0), 1.0)
+        assert np.array_equal(drawn, inverse_cdf(weights, u[:, None])[:, 0])
 
 
 def bruteforce_reference(space, losses, h, beta, grid_step):
