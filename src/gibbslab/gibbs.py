@@ -217,69 +217,40 @@ def _rising(levels: np.ndarray) -> np.ndarray:
     return levels[:, 1:] > levels[:, :-1]
 
 
-def _sorted(values: np.ndarray, kind: str | None, ordered: bool) -> tuple:
-    """Each row's ascending order and that order as flat indices if ordered, else None twice, and the row sorted."""
-    if not ordered:
-        return None, None, np.sort(values, axis=1, kind=kind)
-    order = np.argsort(values, axis=1, kind=kind)
-    flat = order + np.arange(0, values.size, values.shape[1])[:, None]
-    return order, flat, values.take(flat)
-
-
 class _Ranked:
-    """One sort of a (T, H) loss block: each row's positive-prior losses, their ascending levels and their order.
+    """One sort of a (T, H) loss block: each row's positive-prior losses, their ascending levels and, when read, their order.
 
-    The levels carry the bits of argsort's kind="stable" order.  A row whose
-    values strictly increase has one ascending arrangement, which the faster
-    default sort also finds; rows with equal values (0.0 and -0.0 among
-    them) or a nan need the stable sort.  The block's first row stands for
-    the rest, as the rows of a 0-1 loss block are all tied: if it is
-    tie-free, or the block is one row, the block takes the default sort and
-    only its tied rows are sorted again, stably; a block of several rows
-    whose first row is tied sorts stably at once.  The order is computed,
-    and the levels gathered through it, when the condition check of family
-    at rate gamma reads the log densities in that order, or, with mass, when
-    the prior's positive atoms are not all equal, as the running mass then
-    reads it; flat holds it as indices into the flattened values.
-    Otherwise the values are sorted as values and order and flat are None.
-    Without a family nothing is checked; without mass the running mass is
-    not read.
-
-    The shipped families are known by their log densities, not their
-    names: another q named "exponential" has no shift.  exponential and
-    polynomial say whether family is the Gibbs one or the polynomial one.
-    ends_only says whether family is a shipped one at its own rate, whose
-    check reads each row's end levels, not its order (see _checked_log_q).
+    The levels carry the bits of argsort's kind="stable" order.  Equal
+    floats have equal bits except 0.0 and -0.0 and the nans, and the
+    faster default sort may write a -0.0 as 0.0 (its SIMD min and max
+    return one operand of a tied pair) and a nan as the canonical one, so
+    only the rows whose values hold a -0.0 or a nan are sorted again,
+    stably.  One test of the block's sign bits and last levels passes a
+    block of non-negative losses without a per-row test.  The order is
+    computed when first read: by the running mass under a prior whose
+    positive atoms are not all equal, and by the full condition check
+    (see _checked_log_q).
     """
 
-    def __init__(
-        self,
-        space: FiniteHypothesisSpace,
-        losses: np.ndarray,
-        family: DensityFamily | None = None,
-        gamma: float = 0.0,
-        mass: bool = True,
-    ):
+    def __init__(self, space: FiniteHypothesisSpace, losses: np.ndarray):
         positive = space.prior > 0.0
         self.prior = space.prior[positive]
         self.values = values = losses[:, positive]
-        log_density = family.log_density if family is not None else None
-        shipped = getattr(log_density, "func", None)
-        self.exponential = shipped is _exponential_log
-        self.polynomial = shipped is _polynomial_log
-        self.ends_only = shipped in _SHIPPED_LOGS and log_density.args[:1] == (gamma,)
-        ordered = (family is not None and not self.ends_only) or (mass and not self.constant)
-        stable = len(values) > 1 and not _rising(np.sort(values[:1], axis=1)).all()
-        self.order, self.flat, self.levels = _sorted(values, "stable" if stable else None, ordered)
-        if not stable:
-            rising = _rising(self.levels)
-            # one test of the whole block answers for the common tie-free block
-            if not rising.all():
-                tied = ~rising.all(axis=1)
-                order, _, self.levels[tied] = _sorted(values[tied], "stable", ordered)
-                if ordered:
-                    self.order[tied] = order
-                    self.flat[tied] = order + np.flatnonzero(tied)[:, None] * values.shape[1]
+        self.levels = np.sort(values, axis=1)
+        # a nan sorts to the end of its row
+        nan = np.isnan(self.levels[:, -1])
+        if nan.any() or np.signbit(values).any():
+            redo = nan | ((values == 0.0) & np.signbit(values)).any(axis=1)
+            self.levels[redo] = np.sort(values[redo], axis=1, kind="stable")
+
+    @functools.cached_property
+    def order(self) -> np.ndarray:
+        """Each row's stable ascending order: a row whose levels strictly increase has one, which the default argsort finds."""
+        order = np.argsort(self.values, axis=1)
+        tied = ~_rising(self.levels).all(axis=1)
+        if tied.any():
+            order[tied] = np.argsort(self.values[tied], axis=1, kind="stable")
+        return order
 
     @functools.cached_property
     def constant(self) -> bool:
@@ -363,34 +334,44 @@ def _normalized_rows(total: np.ndarray, log_partition: bool = True) -> tuple[np.
     return weights, np.array([p + math.log(s) if math.isfinite(p) else p for p, s in zip(peak.tolist(), sums.tolist())])
 
 
+def _shipped_log(family: DensityFamily) -> Callable | None:
+    """The shipped log density that family.log_density is a partial of, or None.
+
+    The shipped families are known by their log densities, not their
+    names: another q named "exponential" takes no shortcut.
+    """
+    shipped = getattr(family.log_density, "func", None)
+    return shipped if shipped in _SHIPPED_LOGS else None
+
+
 def _checked_log_q(ranked: _Ranked, family: DensityFamily, gamma: float) -> tuple[np.ndarray | None, np.ndarray]:
     """Check the density conditions; the values' log densities where the check computed them, and the lowest levels'.
 
     The first row that fails raises its error.  A shipped family at its
-    own rate (ranked.ends_only) passes them on every row whose lowest and
-    highest levels have finite log densities: -gamma t, -gamma min(t, cap)
-    and, from t = 0 on, -gamma ln(1 + t) fall as t rises and by at most
-    gamma times the rise, under any rounding, and CONDITION_TOL is far
-    above the rounding of their differences.  Such a block is checked only
-    when some row has a non-finite end (a nan or infinite loss, or an
-    overflow) or, for the polynomial, a negative lowest level, and then in
-    full, on the log densities of the levels themselves: these families are
-    elementwise, so those carry the bits of the values' in the stable order.
-    Any other family's block is checked in full, in the order of ranked.
+    own rate passes them on every row whose lowest and highest levels have
+    finite log densities: -gamma t, -gamma min(t, cap) and, from t = 0 on,
+    -gamma ln(1 + t) fall as t rises and by at most gamma times the rise,
+    under any rounding, and CONDITION_TOL is far above the rounding of
+    their differences.  Every other block is checked in full: a row with a
+    non-finite end (a nan or infinite loss, or an overflow) or, for the
+    polynomial, a negative lowest level, and any block of another family
+    or at another rate.  The full check reads the values' log densities in
+    the stable order of ranked.
     """
+    _check_parameters(gamma=gamma)
     levels = ranked.levels
+    shipped = _shipped_log(family)
     # an overflow is a non-finite log density, which the full check reads
     with np.errstate(over="ignore"):
-        if ranked.ends_only:
+        if shipped is not None and family.log_density.args[:1] == (gamma,):
             lowest_log_q = family.log_density(levels[:, 0])
             ends = np.isfinite(lowest_log_q).all() and np.isfinite(family.log_density(levels[:, -1])).all()
-            if not (ends and (not ranked.polynomial or (levels[:, 0] >= 0.0).all())):
-                _check_conditions(levels, family.log_density(levels), gamma, family.name)
-            return None, lowest_log_q
+            if ends and (shipped is not _polynomial_log or (levels[:, 0] >= 0.0).all()):
+                return None, lowest_log_q
         values_log_q = np.asarray(family.log_density(ranked.values), dtype=float)
     if values_log_q.shape != ranked.values.shape:
         values_log_q = np.broadcast_to(values_log_q, ranked.values.shape)
-    levels_log_q = values_log_q.take(ranked.flat)
+    levels_log_q = np.take_along_axis(values_log_q, ranked.order, axis=1)
     _check_conditions(levels, levels_log_q, gamma, family.name)
     return values_log_q, levels_log_q[:, 0]
 
@@ -409,41 +390,31 @@ def _log_weights(space: FiniteHypothesisSpace, values_log_q: np.ndarray) -> np.n
 
 
 def _density_rows(
-    space: FiniteHypothesisSpace,
-    losses: np.ndarray,
-    ranked: _Ranked,
-    family: DensityFamily,
-    gamma: float,
-    log_partition: bool = True,
-    draft: np.ndarray | None = None,
+    space: FiniteHypothesisSpace, ranked: _Ranked, family: DensityFamily, gamma: float, log_partition: bool = True
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """The row kernel: weights prior * q(loss) / Z and ln Z for every row of a (T, H) loss block.
 
     The density conditions are checked first (_checked_log_q).  At rate 0
     the check leaves q constant on the achieved levels, so the weights are
     the prior itself and ln Z is that constant's log.  Without
-    log_partition, ln Z is None (see _normalized_rows).  draft, if given,
-    holds log densities of the positive-prior losses that the weights take
-    in place of family's exact ones: posterior_draws' polynomial draft.
-    ranked is the block's _Ranked for family at gamma.
+    log_partition, ln Z is None (see _normalized_rows).  ranked is the
+    _Ranked of the (T, H) block.
     """
-    _check_parameters(gamma=gamma)
     values_log_q, lowest_log_q = _checked_log_q(ranked, family, gamma)
     if gamma == 0.0:
         # + 0.0 writes the exponential family's -0.0 as 0.0
-        return np.broadcast_to(space.prior, losses.shape), lowest_log_q + 0.0
+        return np.broadcast_to(space.prior, (len(ranked.values), len(space))), lowest_log_q + 0.0
+    gibbs = _shipped_log(family) is _exponential_log
     # a product past the float range is -inf, a zero weight
     with np.errstate(over="ignore"):
-        if ranked.exponential:
+        if gibbs:
             # q(t) = q(t - m) q(m): with m the row's lowest level, ln prior + ln q(t - m)
             # keeps ln prior's precision, which ln prior - beta t rounds away at large beta
             values_log_q = family.log_density(ranked.values - ranked.levels[:, :1])
-        elif draft is not None:
-            values_log_q = draft
         elif values_log_q is None:
             values_log_q = family.log_density(ranked.values)
     weights, log_z = _normalized_rows(_log_weights(space, values_log_q), log_partition)
-    if log_partition and ranked.exponential:
+    if log_partition and gibbs:
         # ln q(m), taken out of every log weight above
         log_z = log_z + lowest_log_q
     return weights, log_z
@@ -454,7 +425,7 @@ def density_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Weights prior * q(loss) / Z and ln Z for every row of a (T, H) loss block, conditions checked."""
     losses = _loss_block(space, losses)
-    return _density_rows(space, losses, _Ranked(space, losses, family, gamma, mass=False), family, gamma)
+    return _density_rows(space, _Ranked(space, losses), family, gamma)
 
 
 def posterior_rows(space: FiniteHypothesisSpace, losses: np.ndarray, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -588,16 +559,17 @@ def posterior_draws(
     if uniforms.shape != (len(losses),):
         raise ValueError(f"uniforms must hold one value per loss row, shape ({len(losses)},), got shape {uniforms.shape}")
     gamma = family.gamma
-    ranked = _Ranked(space, losses, family, gamma)
-    if not (ranked.polynomial and gamma != 0.0):
-        weights, _ = _density_rows(space, losses, ranked, family, gamma, log_partition=False)
+    ranked = _Ranked(space, losses)
+    if not (_shipped_log(family) is _polynomial_log and gamma != 0.0):
+        weights, _ = _density_rows(space, ranked, family, gamma, log_partition=False)
         drawn = inverse_cdf(weights, uniforms[:, None])[:, 0]
         return drawn, _complexity_rows(losses, ranked, drawn, gamma)[0]
     # before the check: a loss at or below -1, which it refuses, gives a nan here, and an
     # overflow near the float range an infinite band, which sends its row to the exact path
     with np.errstate(all="ignore"):
         draft = -family.log_density.args[0] * np.log1p(ranked.values)
-    weights, _ = _density_rows(space, losses, ranked, family, gamma, log_partition=False, draft=draft)
+    _checked_log_q(ranked, family, gamma)
+    weights, _ = _normalized_rows(_log_weights(space, draft), log_partition=False)
     cum = _closed_running_sums(weights, weights > 0.0)
     drawn = (cum <= uniforms[:, None]).sum(axis=1)
     rows = np.arange(len(losses))

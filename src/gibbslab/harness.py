@@ -69,9 +69,9 @@ BOUND_KINDS = ("kl", "high_temp", "stratify", "beyond_gibbs")
 # one-sided 99% normal quantile for the Wilson upper confidence bound
 Z_99 = 2.3263478740408408
 
-# floats per array of a trial block (512 KiB); see _trial_blocks
+# floats per array of a trial block (512 KiB); see _trial_pieces
 BLOCK_CELLS = 65536
-# floats per (rows, H) temporary of one row kernel call (128 KiB); see _pieces
+# floats per (rows, H) temporary of one row kernel call (128 KiB); see _trial_pieces
 SEGMENT_CELLS = 16384
 # a trial index is one 32-bit seed path word, and streams.seed_pairs rejects larger words
 MAX_TRIALS = 2**32
@@ -184,37 +184,39 @@ def _trial_paths(prefixes, trials: int) -> np.ndarray:
     return np.stack([np.repeat(prefixes, trials), np.tile(np.arange(trials), len(prefixes))])
 
 
-def _trial_blocks(master_seed: int, paths: np.ndarray, domain, table: np.ndarray, n: int):
-    """The trials of a (k, T) array of seed paths, in blocks: data keys, draw uniforms, (T, H) empirical losses.
+def _trial_pieces(master_seed: int, paths: np.ndarray, domain, table: np.ndarray, n: int):
+    """The trials of a (k, T) array of seed paths, in pieces: prefix, data keys, draw uniforms, (rows, H) empirical losses.
 
     Trial j draws its dataset from the data key of
     derive_seed_pair(master_seed, *paths[:, j]), exactly as sample_dataset
     would, and its hypothesis with the first uniform of the draw key;
-    streams.trial_streams derives a whole block's streams in one pass.
-    Data keys come as a list of ints, draw uniforms as an array.
-    A block runs over the columns of paths, so it may cross from one
-    prefix (a beta index, say) to the next.  It holds as many trials as
-    fit BLOCK_CELLS floats in one trial's widest row (H losses, X counts
-    or n uniforms), so no temporary of a block outgrows BLOCK_CELLS floats
-    however large the space.
+    streams.trial_streams derives a block's streams in one pass.  A block
+    holds as many trials as fit BLOCK_CELLS floats in one trial's widest
+    row (H losses, X counts or n uniforms), so no temporary of a block
+    outgrows BLOCK_CELLS floats however large the space.  A block may
+    cross from one prefix (a beta index, say: every path word but the
+    last, as a tuple; () for one-word paths) to the next, and is cut into
+    pieces of one prefix and at most SEGMENT_CELLS // H rows: the row
+    kernels' (rows, H) temporaries then stay small enough for a core's L2
+    cache, while a whole block's would not.  Rows are independent in every
+    kernel, so the cuts do not change a bit of the results.  Data keys come
+    as a list of ints, draw uniforms as an array.
     """
     size = max(1, BLOCK_CELLS // max(*table.shape, n))
+    rows = max(1, SEGMENT_CELLS // len(table))
     for start in range(0, paths.shape[1], size):
-        data_seeds, data, draws = trial_streams(master_seed, paths[:, start : start + size], n)
-        yield data_seeds.tolist(), draws, empirical_losses(table, inverse_cdf(domain.probs, data))
-
-
-def _pieces(start: int, stop: int, width: int):
-    """Slices of at most max(1, SEGMENT_CELLS // width) rows that cover rows start..stop-1 in order.
-
-    The row kernels (posterior_draws, _concentration_flags) run on these
-    pieces of a block: each of their (rows, width) temporaries then stays
-    within SEGMENT_CELLS floats, small enough to stay in a core's L2 cache,
-    while a whole block's temporaries would not.  Rows are independent in
-    every kernel, so the cut does not change a bit of the results.
-    """
-    size = max(1, SEGMENT_CELLS // width)
-    return [slice(i, min(i + size, stop)) for i in range(start, stop, size)]
+        block = paths[:, start : start + size]
+        data_seeds, data, draws = trial_streams(master_seed, block, n)
+        data_seeds = data_seeds.tolist()
+        empirical = empirical_losses(table, inverse_cdf(domain.probs, data))
+        prefixes = block[:-1]
+        starts = np.flatnonzero((prefixes[:, 1:] != prefixes[:, :-1]).any(axis=0)) + 1
+        cuts = [0, *starts.tolist(), block.shape[1]]
+        for lo, hi in zip(cuts, cuts[1:]):
+            prefix = tuple(prefixes[:, lo].tolist())
+            for i in range(lo, hi, rows):
+                piece = slice(i, min(i + rows, hi))
+                yield prefix, data_seeds[piece], draws[piece], empirical[piece]
 
 
 def wilson_upper_99(violations: int, trials: int) -> float:
@@ -366,13 +368,13 @@ def run_violation_experiment(config: ExperimentConfig) -> Outcome:
     Trials run in blocks over the (beta index, trial) grid taken beta by
     beta, so one block may span several betas; each trial keeps its own
     seed pair.  One array call per step covers every trial of a block, and
-    one posterior_draws call covers each piece (see _pieces) of each
-    beta's rows of it.  The statistics of all the trials at one beta are
-    array expressions with the bits of the scalar bound functions, so the
-    rows equal those of running the trials one at a time through the
-    public per-call functions.  The rows come back as one block of
-    columns per beta.  The run passes when the Wilson
-    upper bound on the violation rate over all trials is at most delta.
+    one posterior_draws call covers each piece of it, which holds one
+    beta's rows (see _trial_pieces).  The statistics of all the trials at
+    one beta are array expressions with the bits of the scalar bound
+    functions, so the rows equal those of running the trials one at a time
+    through the public per-call functions.  The rows come back as one
+    block of columns per beta.  The run passes when the Wilson upper bound
+    on the violation rate over all trials is at most delta.
     """
     kind = config.bound_kind
     domain, space = build_space(config.space_spec)
@@ -386,24 +388,15 @@ def run_violation_experiment(config: ExperimentConfig) -> Outcome:
 
     # without an explicit density the posterior is Gibbs at beta
     families = [configured_family or exponential_density(beta) for beta in config.beta_grid]
-    trials = config.trials
-    # per beta: data seeds, and the drawn hypotheses, their empirical losses and complexities per segment
+    # per beta: data seeds, and the drawn hypotheses, their empirical losses and complexities per piece
     seeds, drawn, own, lams = ([[] for _ in families] for _ in range(4))
-    start = 0
-    paths = _trial_paths(range(len(families)), trials)
-    for data_seeds, draws, empirical in _trial_blocks(config.master_seed, paths, domain, space.table, config.n):
-        stop = start + len(data_seeds)
-        # the block's rows at each beta it spans, one segment per beta, cut into cache-sized pieces
-        for b in range(start // trials, (stop - 1) // trials + 1):
-            segment = (max(start, b * trials) - start, min(stop, (b + 1) * trials) - start)
-            for rows in _pieces(*segment, len(space)):
-                piece = empirical[rows]
-                piece_drawn, piece_lams = posterior_draws(space, piece, families[b], draws[rows])
-                seeds[b] += data_seeds[rows]
-                drawn[b].append(piece_drawn)
-                own[b].append(piece[np.arange(len(piece)), piece_drawn])
-                lams[b].append(piece_lams)
-        start = stop
+    paths = _trial_paths(range(len(families)), config.trials)
+    for (b,), data_seeds, draws, piece in _trial_pieces(config.master_seed, paths, domain, space.table, config.n):
+        piece_drawn, piece_lams = posterior_draws(space, piece, families[b], draws)
+        seeds[b] += data_seeds
+        drawn[b].append(piece_drawn)
+        own[b].append(piece[np.arange(len(piece)), piece_drawn])
+        lams[b].append(piece_lams)
 
     blocks = []
     for beta, family, beta_seeds, *segments in zip(config.beta_grid, families, seeds, drawn, own, lams):
@@ -561,8 +554,8 @@ def run_concentration_experiment(config: ExperimentConfig) -> Outcome:
     checking at the jump points of the step side is exhaustive.  Each part
     fails with probability at most delta per dataset, and the run passes
     when both parts' Wilson upper bounds are at most delta.  Trials run in
-    blocks, each checked a piece at a time (see _pieces), and the rows come
-    back as one block of columns.
+    pieces (see _trial_pieces), and the rows come back as one block of
+    columns.
     """
     domain, space = build_space(config.space_spec)
     true_steps = step_cdf(space.table @ domain.probs, space.prior)
@@ -572,12 +565,11 @@ def run_concentration_experiment(config: ExperimentConfig) -> Outcome:
 
     seeds, bad_i, bad_ii = [], [], []
     paths = np.arange(config.trials)[None]
-    for data_seeds, _, block in _trial_blocks(config.master_seed, paths, domain, space.table, n):
+    for _, data_seeds, _, piece in _trial_pieces(config.master_seed, paths, domain, space.table, n):
+        piece_i, piece_ii = _concentration_flags(space, true_steps, piece, s, slack)
         seeds += data_seeds
-        for rows in _pieces(0, len(block), len(space)):
-            piece_i, piece_ii = _concentration_flags(space, true_steps, block[rows], s, slack)
-            bad_i += piece_i
-            bad_ii += piece_ii
+        bad_i += piece_i
+        bad_ii += piece_ii
     columns = {
         "trial_seed": seeds,
         "n": n,
@@ -629,9 +621,9 @@ def run_random_label_experiment(config: ExperimentConfig) -> Outcome:
         vacuous = r0 + s >= min_true - 1e-12
         phis = []
         paths = _trial_paths([n_index], config.trials)
-        for _, _, block in _trial_blocks(config.master_seed, paths, domain, space.table, n):
+        for _, _, _, piece in _trial_pieces(config.master_seed, paths, domain, space.table, n):
             # a per-row masked sum: a (T, H) @ prior product would sum in another order
-            phis.extend(float(space.prior[empirical <= r0].sum()) for empirical in block)
+            phis.extend(float(space.prior[empirical <= r0].sum()) for empirical in piece)
         exceed = sum(1 for v in phis if v > bound)
         columns["median_phi_hat"].append(float(np.median(phis)))
         columns["bound"].append(bound)

@@ -501,36 +501,55 @@ def polynomial_lookalike(a: float) -> DensityFamily:
 def check_ranked(space, losses):
     """_Ranked's values, levels, order and running mass, and cdf_rows, against argsort(kind="stable") and its gathers.
 
-    Every way of building it is checked: levels sorted as values, with the
-    order only where the running mass reads it; levels alone, as
-    density_rows builds it; and the order always, as the condition check of
-    a family asks for it unless it is a shipped one at its own rate.  The
-    order readers are the polynomial at a rate other than its own and a
-    user-built family with the polynomial's log density.
+    The levels and the running mass are read first, as the kernels read
+    them: only a prior whose positive atoms are not all equal computes the
+    order there.  The order, read after them, is the stable one either way.
     """
     values, order, levels, mass = stable_rows(space, losses)
     positive = space.prior[space.prior > 0.0]
-    levels_only = _Ranked(space, losses)
-    no_mass = _Ranked(space, losses, density_family("polynomial", a=2.0), 2.0, mass=False)
-    readers = [
-        _Ranked(space, losses, density_family("polynomial", a=2.0), 3.0),
-        _Ranked(space, losses, polynomial_lookalike(2.0), 2.0),
-    ]
-    assert (levels_only.order is None) == (positive == positive[0]).all()
-    assert no_mass.order is None
-    for ranked in readers:
-        assert np.array_equal(ranked.order, order)
-    for ranked in (levels_only, no_mass, *readers):
-        assert np.array_equal(bits(ranked.values), bits(values))
-        assert np.array_equal(bits(ranked.levels), bits(levels))
-        assert ranked.order is None or np.array_equal(ranked.order, order)
-        assert ranked.flat is None or np.array_equal(ranked.flat, order + np.arange(0, values.size, values.shape[1])[:, None])
-    for ranked in (levels_only, *readers):
-        assert np.array_equal(bits(np.broadcast_to(ranked.running_mass(), mass.shape)), bits(mass))
+    ranked = _Ranked(space, losses)
+    assert np.array_equal(bits(ranked.values), bits(values))
+    assert np.array_equal(bits(ranked.levels), bits(levels))
+    assert np.array_equal(bits(np.broadcast_to(ranked.running_mass(), mass.shape)), bits(mass))
+    assert ranked.constant == (positive == positive[0]).all()
+    assert ("order" in vars(ranked)) != ranked.constant
+    assert np.array_equal(ranked.order, order)
     cdf_levels, cdf_mass = cdf_rows(space, losses)
     assert np.array_equal(bits(cdf_levels), bits(levels)) and np.array_equal(bits(cdf_mass), bits(mass))
     # only a constant prior's shared mass row is a read-only broadcast
-    assert cdf_mass.flags.writeable != (levels_only.order is None)
+    assert cdf_mass.flags.writeable != ranked.constant
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Every _Ranked that the kernels build while the test runs, in the order they are built."""
+    made = []
+
+    class Recorded(_Ranked):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(gibbs, "_Ranked", Recorded)
+    return made
+
+
+class Sorts:
+    """numpy for gibbs, with every np.sort and np.argsort call recorded as its name and kind."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def sort(self, a, axis=-1, kind=None):
+        self.calls.append(("sort", kind))
+        return np.sort(a, axis=axis, kind=kind)
+
+    def argsort(self, a, axis=-1, kind=None):
+        self.calls.append(("argsort", kind))
+        return np.argsort(a, axis=axis, kind=kind)
 
 
 class TestRankedSort:
@@ -549,7 +568,6 @@ class TestRankedSort:
         losses = np.concatenate([tie_free, tied])[rng.permutation(80)]
         check_ranked(space, losses)
         check_ranked(space, tie_free)
-        # a tie-free first row sends the block to the default sort, a tied one to the stable sort
         check_ranked(space, np.concatenate([tie_free[:1], losses]))
         check_ranked(space, np.concatenate([tied[:1], losses]))
 
@@ -576,30 +594,43 @@ class TestRankedSort:
         check_ranked(space, losses[:1])
         check_ranked(space, losses[1:] + np.arange(100) * 1e-3)
 
-    def test_only_a_check_that_reads_the_order_asks_for_it(self):
-        # a shipped family at its own rate reads each row's end levels; another rate or a user-built family reads the order
+    def test_only_a_check_that_reads_the_order_asks_for_it(self, built):
+        # a shipped family at its own rate reads each row's end levels, and a constant prior's mass reads no order
         space = FiniteHypothesisSpace(np.zeros((64, 1)), np.full(64, 1 / 64))
         losses = np.random.Generator(np.random.PCG64(3)).random((3, 64))
+        order = stable_rows(space, losses)[1]
+        u = np.full(3, 0.5)
         for family in (exponential_density(10.0), polynomial_density(2.0), capped_exponential_density(4.0, 0.5)):
-            ranked = _Ranked(space, losses, family, family.gamma)
-            assert ranked.ends_only and ranked.order is None
-            assert (ranked.exponential, ranked.polynomial) == (family.name == "exponential", family.name == "polynomial")
+            density_rows(space, losses, family, family.gamma)
+            posterior_draws(space, losses, family, u)
+        complexity_rows(space, losses, np.arange(3), 10.0)
+        assert len(built) == 7 and not any("order" in vars(ranked) for ranked in built)
+        # another rate and a user-built family are checked in full, in the stable order
         readers = [(exponential_density(10.0), 20.0), (polynomial_density(2.0), 3.0), (polynomial_lookalike(2.0), 2.0)]
         for family, gamma in readers:
-            ranked = _Ranked(space, losses, family, gamma)
-            assert not ranked.ends_only and ranked.order is not None
-            assert ranked.exponential == (family.name == "exponential")
+            built.clear()
+            density_rows(space, losses, family, gamma)
+            posterior_draws(space, losses, dataclasses.replace(family, gamma=gamma), u)
+            assert len(built) == 2 and all("order" in vars(ranked) for ranked in built)
+            assert all(np.array_equal(ranked.order, order) for ranked in built)
         # a family named "exponential" whose log density is not the Gibbs one's takes no shift
+        built.clear()
         renamed = dataclasses.replace(density_family("polynomial", a=2.0), name="exponential")
-        assert not _Ranked(space, losses, renamed, 2.0).exponential
+        got, expected = density_rows(space, losses, renamed, 2.0), density_rows(space, losses, polynomial_density(2.0), 2.0)
+        assert [bits(a).tobytes() for a in got] == [bits(a).tobytes() for a in expected]
+        assert not any("order" in vars(ranked) for ranked in built)
         assert _Ranked(space, np.zeros((3, 64))).running_mass().shape == (1, 64)
-        # density_rows reads no running mass: under a prior whose atoms differ it asks for no order either
+        # under a prior whose atoms differ the running mass reads the order; density_rows reads no running mass
         prior = np.arange(1.0, 65.0) / np.arange(1.0, 65.0).sum()
         uneven = FiniteHypothesisSpace(np.zeros((64, 1)), prior)
-        assert _Ranked(uneven, losses, exponential_density(10.0), 10.0).order is not None
-        assert _Ranked(uneven, losses, exponential_density(10.0), 10.0, mass=False).order is None
+        built.clear()
+        density_rows(uneven, losses, exponential_density(10.0), 10.0)
+        posterior_draws(uneven, losses, exponential_density(10.0), u)
+        complexity_rows(uneven, losses, np.arange(3), 10.0)
+        assert [("order" in vars(ranked)) for ranked in built] == [False, True, True]
+        assert all(np.array_equal(ranked.order, order) for ranked in built)
 
-    def test_polynomial_below_zero_keeps_the_full_check(self):
+    def test_polynomial_below_zero_keeps_the_full_check(self, monkeypatch):
         # ln(1 + t) is steeper than t below 0: the ends alone would pass this row, the full check names its pair
         space = FiniteHypothesisSpace(np.zeros((3, 1)), [0.2, 0.3, 0.5])
         losses = np.array([[0.5, -0.9, -0.5], [0.1, 0.2, 0.3]])
@@ -614,18 +645,40 @@ class TestRankedSort:
             assert err.value.pair == (-0.9, -0.5)
         # a row whose negative level breaks nothing passes, with the always-check kernel's bits
         passing = np.array([[0.5, -1e-3, 2.0], [0.1, 0.2, 0.3]])
-        got, expected = density_rows(space, passing, family, 1.0), density_rows_reference(space, passing, family, 1.0)
+        shapes = []
+        monkeypatch.setattr(gibbs, "per_element", lambda function, x: shapes.append(np.shape(x)) or per_element(function, x))
+        got = density_rows(space, passing, family, 1.0)
+        # the two end columns, then math.log1p once per loss: the weights reuse the full check's log densities
+        assert shapes == [(2,), (2,), passing.shape]
+        monkeypatch.undo()
+        expected = density_rows_reference(space, passing, family, 1.0)
         assert [bits(a).tobytes() for a in got] == [bits(np.asarray(a)).tobytes() for a in expected]
 
-    def test_user_family_named_polynomial_keeps_the_full_check(self):
+    def test_user_family_named_polynomial_keeps_the_full_check(self, built):
         # a q that increases, under the shipped name: only the full check, in the stable order, catches it
         space = FiniteHypothesisSpace(np.zeros((3, 1)), [0.2, 0.3, 0.5])
         rising = DensityFamily("polynomial", {"a": 1.0}, lambda t: 1.0 * per_element(math.log1p, t), 1.0)
-        ranked = _Ranked(space, np.array([[0.1, 0.2, 0.3]]), rising, 1.0)
-        assert not (ranked.ends_only or ranked.polynomial) and ranked.order is not None
-        with pytest.raises(DensityConditionError) as err:
-            density_rows(space, np.array([[0.3, 0.1, 0.2]]), rising, 1.0)
-        assert err.value.pair == (0.1, 0.2)
+        losses = np.array([[0.3, 0.1, 0.2]])
+        for call in (
+            lambda: density_rows(space, losses, rising, 1.0),
+            lambda: posterior_draws(space, losses, rising, np.array([0.5])),
+        ):
+            with pytest.raises(DensityConditionError) as err:
+                call()
+            assert err.value.pair == (0.1, 0.2)
+        assert len(built) == 2 and all("order" in vars(ranked) for ranked in built)
+
+    def test_tied_row_under_a_constant_prior_takes_one_default_sort(self, monkeypatch):
+        # a 0-1 loss row is all ties: its levels need no stable sort, and neither kernel reads its order
+        space = FiniteHypothesisSpace(np.zeros((64, 1)), np.full(64, 1 / 64))
+        row = np.round(np.random.Generator(np.random.PCG64(4)).random(64))
+        expected = complexity(space, row, 5, 10.0), posterior(space, row, 10.0)
+        sorts = Sorts()
+        monkeypatch.setattr(gibbs, "np", sorts)
+        got = complexity(space, row, 5, 10.0), posterior(space, row, 10.0)
+        assert sorts.calls == [("sort", None)] * 2
+        monkeypatch.undo()
+        assert got[0] == expected[0] and np.array_equal(bits(got[1].weights), bits(expected[1].weights))
 
     def test_prior_one_ulp_off_constant_takes_the_ordered_mass(self):
         # one positive atom one ulp above the rest: each row's running mass depends on where the atom falls in its order
@@ -651,7 +704,7 @@ def sort_blocks(draw):
 
     Tied rows draw from a few levels with 0.0, -0.0 and nan among them;
     tie-free rows are permutations of distinct levels.  The first row is
-    either kind, so the block takes either sort first.
+    either kind.
     """
     size = draw(st.integers(1, 40))
     if draw(st.booleans()):
@@ -666,8 +719,20 @@ def sort_blocks(draw):
     return FiniteHypothesisSpace(np.zeros((size, 1)), weights / weights.sum()), np.array(rows, dtype=float)
 
 
+def uniform_space(size: int) -> FiniteHypothesisSpace:
+    return FiniteHypothesisSpace(np.zeros((size, 1)), np.full(size, 1.0 / size))
+
+
+# a row of 0.0 and -0.0 whose count of -0.0 the AVX-512 default sort changes
+MIXED_ZEROS = [0.0, 0.0, 0.0, 0.0, 0.0, -0.0, 0.0, -0.0, 0.0, 0.0, -0.0, -0.0] * 2 + [-0.0, 0.0, -0.0, 0.0]
+
+
 @settings(max_examples=300, deadline=None)
 @given(block=sort_blocks())
+@example(block=(uniform_space(len(MIXED_ZEROS)), np.array([MIXED_ZEROS])))
+# a lone -0.0 as a row's only zero, and a negative nan, which the SIMD sorts write as the canonical nan
+@example(block=(uniform_space(3), np.array([[0.5, -0.0, 0.25], [0.5, 0.25, 0.0]])))
+@example(block=(uniform_space(3), np.array([[0.5, np.copysign(math.nan, -1.0), 0.25]])))
 def test_ranked_levels_are_the_stable_argsort_levels(block):
     """The levels-only sort keeps the bits of argsort(kind="stable")'s levels; a constant prior's mass row is the gathered cumsum."""
     check_ranked(*block)
