@@ -229,13 +229,16 @@ class _Ranked:
     block of non-negative losses without a per-row test.  The order is
     computed when first read: by the running mass under a prior whose
     positive atoms are not all equal, and by the full condition check
-    (see _checked_log_q).
+    (see _checked_log_q).  The values are C-ordered whatever the layout of
+    the block (a boolean column selection would be Fortran-ordered), so
+    every (T, H) pass after the sort runs along contiguous rows and every
+    row's sum is pairwise, as a single row's is.
     """
 
     def __init__(self, space: FiniteHypothesisSpace, losses: np.ndarray):
         positive = space.prior > 0.0
         self.prior = space.prior[positive]
-        self.values = values = losses[:, positive]
+        self.values = values = np.ascontiguousarray(losses) if positive.all() else losses.compress(positive, axis=1)
         self.levels = np.sort(values, axis=1)
         # a nan sorts to the end of its row
         nan = np.isnan(self.levels[:, -1])
@@ -504,7 +507,7 @@ def _complexity_rows(
     best = np.argmin(rate * levels - log_mass, axis=1)
     rows = np.arange(len(h_indices)) if len(h_indices) == len(losses) else 0
     shifts = levels[rows, best] - losses[rows, h_indices]
-    return beta * shifts - log_mass[rows if len(log_mass) > 1 else 0, best], shifts
+    return beta * shifts - log_mass[0 if ranked.constant else rows, best], shifts
 
 
 def complexity_rows(
@@ -545,14 +548,16 @@ def posterior_draws(
     taken at the family's decay rate.  The posterior and the complexity
     read one sort of each row.
 
-    The polynomial family's draws come from a draft: weights from
-    -a * np.log1p(loss) in place of math.log1p's.  Assuming both logs lie
-    within a few ulp of the true one, the draft's running sums differ from
-    the exact kernel's by far less than LOG_BAND * (H + the row's largest
-    |draft log q|), so a uniform farther than that from both ends of its
-    drawn atom's draft interval selects the same atom under either.  The
-    rows within that band are drawn again from the exact weights, so every
-    draw is the exact kernel's.
+    Where its condition check reads only each row's ends, the polynomial
+    family's draws come from a draft: weights from -a * np.log1p(loss) in
+    place of math.log1p's.  Assuming both logs lie within a few ulp of the
+    true one, the draft's running sums differ from the exact kernel's by
+    far less than LOG_BAND * (H + the row's largest |draft log q|), so a
+    uniform farther than that from both ends of its drawn atom's draft
+    interval selects the same atom under either.  The rows within that
+    band are drawn again from the exact weights, so every draw is the
+    exact kernel's.  Where the full check runs, the draws come from the
+    exact log densities it computed.
     """
     losses = _loss_block(space, losses)
     uniforms = _unit_uniforms(uniforms, "uniforms")
@@ -560,28 +565,41 @@ def posterior_draws(
         raise ValueError(f"uniforms must hold one value per loss row, shape ({len(losses)},), got shape {uniforms.shape}")
     gamma = family.gamma
     ranked = _Ranked(space, losses)
-    if not (_shipped_log(family) is _polynomial_log and gamma != 0.0):
+    if _shipped_log(family) is _polynomial_log and gamma != 0.0:
+        values_log_q, _ = _checked_log_q(ranked, family, gamma)
+        if values_log_q is None:
+            drawn = _drafted_draws(space, ranked, family, uniforms)
+        else:
+            # the full check ran: its exact log densities leave no draft to settle
+            weights, _ = _normalized_rows(_log_weights(space, values_log_q), log_partition=False)
+            drawn = inverse_cdf(weights, uniforms[:, None])[:, 0]
+    else:
         weights, _ = _density_rows(space, ranked, family, gamma, log_partition=False)
         drawn = inverse_cdf(weights, uniforms[:, None])[:, 0]
-        return drawn, _complexity_rows(losses, ranked, drawn, gamma)[0]
-    # before the check: a loss at or below -1, which it refuses, gives a nan here, and an
-    # overflow near the float range an infinite band, which sends its row to the exact path
-    with np.errstate(all="ignore"):
+    return drawn, _complexity_rows(losses, ranked, drawn, gamma)[0]
+
+
+def _drafted_draws(
+    space: FiniteHypothesisSpace, ranked: _Ranked, family: DensityFamily, uniforms: np.ndarray
+) -> np.ndarray:
+    """The polynomial's draws from its np.log1p draft, on a block whose check read only its ends; see posterior_draws."""
+    # the ends are finite and the lowest level is at least 0: only an overflow near the
+    # float range can happen here, and its infinite band sends its row to the exact path
+    with np.errstate(over="ignore"):
         draft = -family.log_density.args[0] * np.log1p(ranked.values)
-    _checked_log_q(ranked, family, gamma)
     weights, _ = _normalized_rows(_log_weights(space, draft), log_partition=False)
     cum = _closed_running_sums(weights, weights > 0.0)
     drawn = (cum <= uniforms[:, None]).sum(axis=1)
-    rows = np.arange(len(losses))
+    rows = np.arange(len(cum))
     lower = np.where(drawn > 0, cum[rows, drawn - 1], 0.0)
-    band = LOG_BAND * (losses.shape[1] + np.abs(draft).max(axis=1))
+    band = LOG_BAND * (len(space) + np.abs(draft).max(axis=1))
     # written so that a nan end or band fails the test
     near = np.flatnonzero(~((uniforms - lower > band) & (cum[rows, drawn] - uniforms > band)))
     if near.size:
         exact = family.log_density(ranked.values[near])
         weights, _ = _normalized_rows(_log_weights(space, exact), log_partition=False)
         drawn[near] = inverse_cdf(weights, uniforms[near, None])[:, 0]
-    return drawn, _complexity_rows(losses, ranked, drawn, gamma)[0]
+    return drawn
 
 
 def complexity(space: FiniteHypothesisSpace, data_losses, h_index: int, beta: float) -> ComplexityValue:

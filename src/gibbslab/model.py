@@ -252,12 +252,17 @@ def _closed_running_sums(weights: np.ndarray, positive: np.ndarray) -> np.ndarra
     """Each row's running sum of a (T, K) weight stack, closed to 1.0 from its last positive atom (weights > 0.0) on.
 
     Zero-weight atoms leave the running sum flat, so a full-row sum selects
-    the same atoms as one over the support.
+    the same atoms as one over the support.  A row whose last atom is
+    positive closes at that atom alone, as every row of a positive Gibbs
+    block does; only the rows that end in zero-weight atoms are masked.
     """
-    size = weights.shape[1]
-    last = size - 1 - np.argmax(positive[:, ::-1], axis=1)
     cum = np.cumsum(weights, axis=1)
-    cum[np.arange(size) >= last[:, None]] = 1.0
+    cum[:, -1] = 1.0
+    open_rows = np.flatnonzero(~positive[:, -1])
+    if open_rows.size:
+        size = weights.shape[1]
+        last = size - 1 - np.argmax(positive[open_rows, ::-1], axis=1)
+        cum[open_rows] = np.where(np.arange(size) >= last[:, None], 1.0, cum[open_rows])
     return cum
 
 

@@ -654,6 +654,24 @@ class TestRankedSort:
         expected = density_rows_reference(space, passing, family, 1.0)
         assert [bits(a).tobytes() for a in got] == [bits(np.asarray(a)).tobytes() for a in expected]
 
+    def test_a_full_check_draws_from_its_exact_log_densities(self, monkeypatch):
+        # a negative lowest level sends the polynomial's block to the full check: its log densities
+        # are the exact ones, so no draft is drawn and no row is settled by a second math.log1p pass
+        space = FiniteHypothesisSpace(np.zeros((3, 1)), [0.2, 0.3, 0.5])
+        losses = np.array([[0.5, -1e-3, 2.0], [0.1, 0.2, 0.3]])
+        family = polynomial_density(1.0)
+        # a uniform of 0 lies in every row's draft band
+        u = np.zeros(2)
+        shapes = []
+        monkeypatch.setattr(gibbs, "per_element", lambda function, x: shapes.append(np.shape(x)) or per_element(function, x))
+        monkeypatch.setattr(gibbs, "_drafted_draws", None)
+        drawn, values = posterior_draws(space, losses, family, u)
+        assert shapes == [(2,), (2,), losses.shape]
+        monkeypatch.undo()
+        weights, _ = density_rows_reference(space, losses, family, 1.0)
+        assert np.array_equal(drawn, inverse_cdf(weights, u[:, None])[:, 0])
+        assert np.array_equal(bits(values), bits(complexity_rows(space, losses, drawn, 1.0)[0]))
+
     def test_user_family_named_polynomial_keeps_the_full_check(self, built):
         # a q that increases, under the shipped name: only the full check, in the stable order, catches it
         space = FiniteHypothesisSpace(np.zeros((3, 1)), [0.2, 0.3, 0.5])
@@ -950,6 +968,102 @@ def test_gibbs_rows_match_the_always_check_kernel(block, family, gamma, uniforms
             drawn = inverse_cdf(weights, u[:, None])[:, 0]
             expected = outcome(lambda: (drawn, complexity_rows(space, losses, drawn, family.gamma)[0]))
         assert outcome(lambda: posterior_draws(space, losses, family, u)) == expected
+
+
+def width_space(size: int, prior: str) -> FiniteHypothesisSpace:
+    """A space of size hypotheses whose prior is constant, uneven, or uneven with a zero and a 1e-300 atom."""
+    if prior == "constant":
+        return uniform_space(size)
+    weights = np.random.Generator(np.random.PCG64(size)).random(size) + 0.1
+    if prior == "zero and tiny":
+        # the zero atom last: every row's running sum ends in a zero weight
+        weights[[0, -1]] = 1e-300, 0.0
+    return FiniteHypothesisSpace(np.zeros((size, 1)), weights / weights.sum())
+
+
+# each shipped family at its own rate and at twice it, where its conditions hold too
+WIDTH_FAMILIES = [
+    dataclasses.replace(family, gamma=factor * family.gamma)
+    for family in (exponential_density(3.0), polynomial_density(2.0), capped_exponential_density(3.0, 0.5))
+    for factor in (1.0, 2.0)
+]
+
+
+@pytest.mark.parametrize("prior", ["constant", "uneven", "zero and tiny"])
+@pytest.mark.parametrize("rows", [2, 7, 256])
+@pytest.mark.parametrize("size", [8, 9, 64, 65])
+def test_block_rows_keep_the_single_row_bits_where_numpy_sums_pairwise(size, rows, prior):
+    """From 8 atoms on numpy sums a contiguous row pairwise: every block row has the bits of the reference and of its single-row call.
+
+    density_rows and posterior_rows equal density_rows_reference bitwise,
+    each row equals the single-row normalize_density (and, for the Gibbs
+    posterior, posterior) call, and posterior_draws draws from the
+    reference's weights and scores each draw.
+    """
+    space = width_space(size, prior)
+    rng = np.random.Generator(np.random.PCG64(1000 * size + rows))
+    losses = rng.random((rows, size))
+    u = rng.random(rows)
+    for family in WIDTH_FAMILIES:
+        gamma = family.gamma
+        expected = density_rows_reference(space, losses, family, gamma)
+        assert [bits(a).tobytes() for a in density_rows(space, losses, family, gamma)] == [
+            bits(a).tobytes() for a in expected
+        ]
+        singles = [normalize_density(space, row, family, gamma) for row in losses]
+        if family.name == "exponential" and family.params["beta"] == gamma:
+            got = posterior_rows(space, losses, gamma)
+            assert [bits(a).tobytes() for a in got] == [bits(a).tobytes() for a in expected]
+            singles += [posterior(space, row, gamma) for row in losses]
+        for i, single in enumerate(singles):
+            assert bits(single.weights).tobytes() == bits(expected[0][i % rows]).tobytes()
+            assert bits(np.array(single.log_partition)).tobytes() == bits(expected[1][i % rows]).tobytes()
+        drawn = inverse_cdf(expected[0], u[:, None])[:, 0]
+        got_drawn, got_values = posterior_draws(space, losses, family, u)
+        assert np.array_equal(got_drawn, drawn)
+        assert bits(got_values).tobytes() == bits(complexity_rows(space, losses, drawn, gamma)[0]).tobytes()
+
+
+@pytest.mark.parametrize("prior", ["constant", "zero and tiny"])
+def test_kernels_read_any_layout_as_its_c_copy(prior):
+    """A Fortran-ordered block and a strided view give the bits of their C copy; _Ranked's rows are C-contiguous."""
+    space = width_space(64, prior)
+    rng = np.random.Generator(np.random.PCG64(17))
+    big = rng.random((40, 128))
+    strided = big[:, ::2]
+    copy = np.ascontiguousarray(strided)
+    h = rng.integers(0, 64, size=40)
+    u = rng.random(40)
+
+    def results(losses):
+        out = [*density_rows(space, losses, exponential_density(3.0), 3.0)]
+        for family in WIDTH_FAMILIES:
+            out += posterior_draws(space, losses, family, u)
+        out += [*complexity_rows(space, losses, h, 3.0), *cdf_rows(space, losses)]
+        return [bits(np.asarray(a, dtype=float)).tobytes() for a in out]
+
+    expected = results(copy)
+    assert results(np.asfortranarray(copy)) == expected and results(strided) == expected
+    for losses in (copy, np.asfortranarray(copy), strided):
+        ranked = _Ranked(space, losses)
+        assert all(a.flags.c_contiguous for a in (ranked.values, ranked.levels, ranked.order))
+
+
+@pytest.mark.parametrize("prior", [[0.25, 0.25, 0.25, 0.25], [0.1, 0.2, 0.3, 0.4], [0.0, 0.5, 1e-300, 0.5]])
+def test_row_kernels_take_a_block_of_no_rows(prior):
+    """Every public row kernel returns empty results on a (0, H) block, under a constant or an uneven prior."""
+    space = FiniteHypothesisSpace(np.zeros((4, 1)), prior)
+    empty = np.zeros((0, 4))
+    atoms = int((space.prior > 0.0).sum())
+    none = np.zeros(0, dtype=np.int64)
+    shapes = [np.shape(a) for a in posterior_rows(space, empty, 3.0)]
+    for family in WIDTH_FAMILIES:
+        shapes += [np.shape(a) for a in density_rows(space, empty, family, family.gamma)]
+        assert [np.shape(a) for a in posterior_draws(space, empty, family, np.zeros(0))] == [(0,), (0,)]
+    assert shapes == [(0, 4), (0,)] * (1 + len(WIDTH_FAMILIES))
+    assert [np.shape(a) for a in cdf_rows(space, empty)] == [(0, atoms), (0, atoms)]
+    for beta in (3.0, np.zeros(0)):
+        assert [np.shape(a) for a in complexity_rows(space, empty, none, beta)] == [(0,), (0,)]
 
 
 class TestPolynomialDraft:
