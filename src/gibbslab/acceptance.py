@@ -94,14 +94,23 @@ def _case_losses(cases: list):
 
     datasets holds (size, seed) pairs; row i of a case's losses is its
     dataset i, the first size points of the stream sample_dataset draws
-    for that seed.  Every stream of every case comes from one uniform_rows call.
+    for that seed.  Every stream of every case comes from one uniform_rows
+    call, and the items of every case whose domain has bitwise the same
+    probabilities from one inverse_cdf call: a lookup in shared weights
+    finds each uniform's atom on its own.
     """
     # the seeds are drawn below 2**32 here, so they go in as one array without a check per seed
     seeds = np.array([seed for case in cases for _, seed in case[2]], dtype=np.uint64)
     uniforms = uniform_rows(seeds, MAX_DATASET_SIZE).reshape(len(cases), -1, MAX_DATASET_SIZE)
-    for (domain, space, datasets, extra), rows in zip(cases, uniforms):
+    laws: dict[bytes, list[int]] = {}
+    for i, (domain, *_) in enumerate(cases):
+        laws.setdefault(domain.probs.tobytes(), []).append(i)
+    items = np.empty(uniforms.shape, dtype=np.intp)
+    for members in laws.values():
+        items[members] = inverse_cdf(cases[members[0]][0].probs, uniforms[members])
+    for (domain, space, datasets, extra), rows in zip(cases, items):
         sizes = [size for size, _ in datasets]
-        yield space, empirical_losses(loss_matrix(space, domain), inverse_cdf(domain.probs, rows), sizes), extra
+        yield space, empirical_losses(loss_matrix(space, domain), rows, sizes), extra
 
 
 def _oracle_cases():
@@ -161,8 +170,8 @@ def _dominance_blocks():
     Every draw is one array call on the generator: the spaces' hypothesis
     counts, point counts and seeds, then the datasets' sizes and seeds, the
     hypotheses (each below its space's count) and the rates.  Yields the
-    space, the (25, H) loss block (each dataset's row five times), the
-    hypotheses and the rates.
+    space, its (5, H) empirical losses, one row per dataset, and its 25
+    hypotheses and rates: row i serves draws 5i to 5i + 4.
     """
     rng = np.random.Generator(np.random.PCG64(303))
     h_counts, x_counts, seeds = rng.integers(2, 17, 400), rng.integers(2, 9, 400), rng.integers(0, 2**32, 400)
@@ -176,15 +185,30 @@ def _dominance_blocks():
         )
     ]
     for space, empirical, (h_row, beta_row) in _case_losses(cases):
-        yield space, np.repeat(empirical, 5, axis=0), h_row, beta_row
+        yield space, empirical, h_row, beta_row
+
+
+def _prior_groups(blocks):
+    """The (space, losses, hs, betas) blocks stacked per prior, one stack per bitwise distinct prior in order of first appearance.
+
+    complexity_rows reads nothing of a space but its prior, and gives each
+    row of a block the bits of the single-row call, so one call on a stack
+    gives every row what the call on its own block gives it.
+    """
+    groups: dict[bytes, tuple] = {}
+    for space, *block in blocks:
+        groups.setdefault(space.prior.tobytes(), (space, []))[1].append(block)
+    for space, stack in groups.values():
+        yield (space, *(np.concatenate(parts) for parts in zip(*stack)))
 
 
 def criterion_03() -> CriterionResult:
     """Complexity never exceeds beta when losses live in [0, 1]."""
     failures = 0
     count = 0
-    for space, losses, hs, betas in _dominance_blocks():
-        values, _ = complexity_rows(space, losses, hs, betas)
+    # rows are repeated for their five draws only once stacked: held for all 400 spaces, (25, H) blocks stayed resident
+    for space, losses, hs, betas in _prior_groups(_dominance_blocks()):
+        values, _ = complexity_rows(space, np.repeat(losses, 5, axis=0), hs, betas)
         count += values.size
         failures += int(np.count_nonzero(values > betas * (1.0 + 1e-12) + 1e-12))
     return CriterionResult(

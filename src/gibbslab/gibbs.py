@@ -630,7 +630,7 @@ def complexity_bruteforce(
     the grid point just right of the optimal jump sees the same mass at a
     shift larger by less than grid_step.  beta is one rate, giving a float,
     or an array of rates, giving an array of the single-rate values: the
-    grid and its masses are built once.
+    grid, its masses and one buffer for the objective are built once.
 
     The objective is evaluated at every grid point.  The points own + grid
     ascend, so the points that see the mass of each step CDF level form one
@@ -649,7 +649,9 @@ def complexity_bruteforce(
     runs = np.diff(starts, append=grid.size)
     shifts = grid[starts[0] :]
     log_mass = np.repeat(np.log(cdf.cumulative), runs)
-    if isinstance(beta, float):
-        return float((beta * shifts - log_mass).min())
-    return np.array([(rate * shifts - log_mass).min() for rate in beta])
+    objective = np.empty_like(shifts)
+    values = np.array(
+        [np.subtract(np.multiply(rate, shifts, out=objective), log_mass, out=objective).min() for rate in np.atleast_1d(beta)]
+    )
+    return float(values[0]) if isinstance(beta, float) else values
 

@@ -46,11 +46,12 @@ class LabeledData:
     def __post_init__(self):
         coords = _finite_array(self.coords, "coords", 2)
         labels = np.array(self.labels)
-        # numpy reads a bool among integers as 0 or 1, so the entries themselves are looked at
+        # numpy reads a bool among integers as 0 or 1, so the entries of a sequence are looked at; an
+        # integer or float array holds no bool, and a bool or object array fails the dtype test
         if not (
             labels.shape == (len(coords),)
             and labels.dtype.kind in "iuf"
-            and not any(isinstance(y, (bool, np.bool_)) for y in self.labels)
+            and (isinstance(self.labels, np.ndarray) or not any(isinstance(y, (bool, np.bool_)) for y in self.labels))
             and (np.abs(labels) == 1).all()
         ):
             raise ValueError(f"labels must be one -1 or +1 per row of coords ({len(coords)}), got {self.labels!r}")

@@ -50,7 +50,9 @@ def _finite_array(values, name: str, ndim: int, nonnegative: bool = False) -> np
         raise ValueError(f"{name} must be an array of numbers: {exc}") from None
     if arr.ndim != ndim or arr.size == 0:
         raise ValueError(f"{name} must be a nonempty {ndim}-d array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)) or (nonnegative and np.any(arr < 0.0)):
+    # one read each for min and max: a nan carries through both and fails every comparison, and -0.0 >= 0.0 holds
+    lo, hi = arr.min(), arr.max()
+    if not (-np.inf < lo and hi < np.inf and (lo >= 0.0 or not nonnegative)):
         raise ValueError(f"{name} entries must be finite{' and non-negative' if nonnegative else ''}")
     arr.setflags(write=False)
     return arr

@@ -32,6 +32,14 @@ def float_platform() -> str:
     return f"{platform.machine()} numpy {np.__version__} x86_v4={bool(__cpu_features__.get('X86_V4'))}"
 
 
+def finite_array_error(values, name: str, nonnegative: bool = False):
+    """The message model._finite_array rejects a nonempty float array with, or None: np.isfinite's test and a sign test per entry."""
+    arr = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(arr)) or (nonnegative and np.any(arr < 0.0)):
+        return f"{name} entries must be finite{' and non-negative' if nonnegative else ''}"
+    return None
+
+
 LossProfile = namedtuple("LossProfile", "empirical true")
 
 

@@ -23,6 +23,7 @@ from gibbslab.acceptance import (
     _dominance_blocks,
     _margin_cases,
     _oracle_cases,
+    _prior_groups,
     _ratio_cases,
     _round_trips,
     format_line,
@@ -30,7 +31,7 @@ from gibbslab.acceptance import (
 )
 from gibbslab.gibbs import complexity, complexity_bruteforce, complexity_rows
 from gibbslab.measures import binary_kl
-from gibbslab.model import random_loss_table, sample_dataset
+from gibbslab.model import empirical_losses, loss_matrix, random_loss_table, sample_dataset
 
 NAMES = {
     1: "complexity oracle equivalence",
@@ -111,16 +112,54 @@ def test_density_ratio_check_fails_when_log_partition_is_lowered(monkeypatch):
     assert not result.detail.startswith("0 density-ratio excesses")
 
 
+def prior_groups_match_per_space_calls(blocks) -> int:
+    """Assert that criterion 3's call on each prior's stack returns the per-space calls' values and shifts, row for row.
+
+    blocks are (space, (5, H) losses, 25 hypotheses, 25 rates), each row
+    serving five draws, as criterion 3 repeats them; returns the stack count.
+    """
+    expected = {}
+    for space, losses, hs, betas in blocks:
+        values, shifts = complexity_rows(space, np.repeat(losses, 5, axis=0), hs, betas)
+        expected.setdefault(space.prior.tobytes(), []).append((values, shifts))
+    stacks = 0
+    for space, losses, hs, betas in _prior_groups(blocks):
+        values, shifts = complexity_rows(space, np.repeat(losses, 5, axis=0), hs, betas)
+        ref_values, ref_shifts = map(np.concatenate, zip(*expected.pop(space.prior.tobytes())))
+        assert values.tobytes() == ref_values.tobytes() and shifts.tobytes() == ref_shifts.tobytes()
+        stacks += 1
+    assert not expected
+    return stacks
+
+
 def test_dominance_blocks_match_per_call_complexity():
-    # every triple of criterion 3: its block value carries the bits of the one-row call
+    # every triple of criterion 3: its block value carries the bits of the one-row call,
+    # and its prior's stack the bits of its own block
+    blocks = list(_dominance_blocks())
     count = 0
-    for space, losses, hs, betas in _dominance_blocks():
-        values, shifts = complexity_rows(space, losses, hs, betas)
-        single = [complexity(space, row, int(h), float(b)) for row, h, b in zip(losses, hs, betas)]
+    for space, losses, hs, betas in blocks:
+        rows = np.repeat(losses, 5, axis=0)
+        values, shifts = complexity_rows(space, rows, hs, betas)
+        single = [complexity(space, row, int(h), float(b)) for row, h, b in zip(rows, hs, betas)]
         assert values.tobytes() == np.array([c.value for c in single]).tobytes()
         assert shifts.tobytes() == np.array([c.argmin_shift for c in single]).tobytes()
         count += len(values)
     assert count == 10_000
+    # the uniform priors of 2 to 16 hypotheses
+    assert prior_groups_match_per_space_calls(blocks) == 15
+
+
+def test_prior_groups_keep_priors_of_one_size_apart():
+    # three spaces of 6 hypotheses, the second under a random prior: stacked by size
+    # alone, its rows would be scored under the first space's uniform prior
+    blocks = []
+    for seed, random_prior in ((1, False), (2, True), (3, False)):
+        domain, space = random_loss_table(6, 4, seed, random_prior=random_prior)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        losses = empirical_losses(loss_matrix(space, domain), rng.integers(0, 4, (5, 10)))
+        blocks.append((space, losses, rng.integers(0, 6, 25), 10.0 ** rng.uniform(-1.0, 3.0, 25)))
+    assert blocks[0][0].prior.tobytes() == blocks[2][0].prior.tobytes() != blocks[1][0].prior.tobytes()
+    assert prior_groups_match_per_space_calls(blocks) == 2
 
 
 def test_oracle_cases_match_per_call_values():
@@ -162,7 +201,7 @@ def dominance_blocks_reference():
         rows = []
         for size, seed in zip(sizes[i], data_seeds[i]):
             data = sample_dataset(domain, int(size), int(seed))
-            rows.extend([loss_profile(space, domain, data).empirical] * 5)
+            rows.append(loss_profile(space, domain, data).empirical)
         yield space, np.array(rows), hs[i], betas[i]
 
 
@@ -224,8 +263,7 @@ def test_dominance_blocks_draw_their_ranges():
     shapes = {space.table.shape for space, *_ in blocks}
     assert {h for h, _ in shapes} == set(range(2, 17)) and {x for _, x in shapes} == set(range(2, 9))
     for space, losses, hs, betas in blocks:
-        assert losses.shape == (25, len(space)) and hs.shape == betas.shape == (25,)
-        assert (losses.reshape(5, 5, -1) == losses[::5, None]).all()
+        assert losses.shape == (5, len(space)) and hs.shape == betas.shape == (25,)
         assert hs.min() >= 0 and hs.max() < len(space)
     betas = np.concatenate([block[3] for block in blocks])
     assert betas.size == 10_000 and 0.1 <= betas.min() and betas.max() < 1000.0

@@ -54,7 +54,7 @@ from gibbslab.model import (
     step_cdf,
 )
 from gibbslab import gibbs, harness
-from gibbslab.acceptance import _soundness_config
+from gibbslab.acceptance import _soundness_config, run_criterion
 from gibbslab.gibbs import DensityFamily, density_family, normalize_density
 from gibbslab.measures import binary_kl
 from gibbslab.streams import MAX_POINTS
@@ -589,6 +589,19 @@ def test_row_kernels_run_on_cache_sized_pieces(run):
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+@pytest.mark.parametrize("number", [1, 3])
+def test_oracle_criteria_hold_no_whole_pass_temporary(number):
+    # criterion 1's lookup per data law and criterion 3's stacks per prior (at most
+    # 35 spaces' rows) peak near 1 and 2 MiB traced
+    tracemalloc.start()
+    try:
+        passed = run_criterion(number).passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert passed and peak < 4 * 2**20
 
 
 TIED_NOISE_TASK = {"name": "permuted_label_task", "params": {"num_inputs": 8, "seed": 1, "label_noise": 0.3}}

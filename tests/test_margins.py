@@ -265,6 +265,8 @@ class TestArrayChecks:
             ("labels", [(1.0, 0.0), (0.0, 1.0)], np.array([True, True])),
             ("labels", [(1.0, 0.0), (0.0, 1.0)], [1]),
             ("labels", [(1.0, 0.0)], [[1]]),
+            ("labels", [(1.0, 0.0), (0.0, 1.0)], np.array([1, True], dtype=object)),
+            ("labels", [(1.0, 0.0), (0.0, 1.0)], [1, np.bool_(True)]),
         ],
     )
     def test_bad_data_named(self, field, coords, labels):
@@ -272,8 +274,9 @@ class TestArrayChecks:
             LabeledData(coords, labels)
 
     def test_labels_of_any_real_type_accepted(self):
-        for labels in ([1, -1], [1.0, -1.0], np.array([1, -1], dtype=np.int8)):
-            assert LabeledData([(1.0, 0.0), (0.0, 1.0)], labels).labels.tolist() == [1, -1]
+        for labels in ([1, -1], [1.0, -1.0], np.array([1, -1], dtype=np.int8), np.array([1, -1]), np.array([1.0, -1.0])):
+            stored = LabeledData([(1.0, 0.0), (0.0, 1.0)], labels).labels
+            assert stored.tolist() == [1, -1] and stored.dtype == np.int64 and not stored.flags.writeable
 
 
 def same_bits(a: np.ndarray, b: np.ndarray) -> bool:

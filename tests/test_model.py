@@ -7,13 +7,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from reference import loss_profile, stream_uniforms
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from reference import finite_array_error, loss_profile, stream_uniforms
 
 import gibbslab
 from gibbslab.model import (
     DataSet,
     FiniteDataDomain,
     FiniteHypothesisSpace,
+    _finite_array,
     build_space,
     empirical_losses,
     inverse_cdf,
@@ -56,6 +60,34 @@ def test_space_rejects_misaligned_prior():
 def test_space_rejects_bad_tables(table, message):
     with pytest.raises(ValueError, match=message):
         FiniteHypothesisSpace(table, [0.5, 0.5])
+
+
+# the edges of the float line: nan, the infinities, both zeros, subnormals, and finite values whose sum overflows
+FLOAT_EDGES = (math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1.7e308, -1.7e308)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    values=hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=1, max_dims=2, max_side=6),
+        elements=st.one_of(st.sampled_from(FLOAT_EDGES), st.floats(width=64)),
+    ),
+    nonnegative=st.booleans(),
+)
+@example(values=np.array([1.7e308, 1.7e308]), nonnegative=True)
+@example(values=np.array([-1.7e308, -1.7e308]), nonnegative=False)
+@example(values=np.array([[1.7e308], [-0.0]]), nonnegative=True)
+def test_finite_array_decides_as_isfinite(values, nonnegative):
+    # one min and one max decide what np.isfinite and a sign test per entry decide, with the same message
+    expected = finite_array_error(values, "table", nonnegative)
+    if expected is None:
+        arr = _finite_array(values, "table", values.ndim, nonnegative)
+        assert arr.tobytes() == values.tobytes() and not arr.flags.writeable
+    else:
+        with pytest.raises(ValueError) as info:
+            _finite_array(values, "table", values.ndim, nonnegative)
+        assert str(info.value) == expected
 
 
 def test_space_table_is_a_read_only_copy():
